@@ -112,6 +112,16 @@ class SmoothedObjective:
     def grad2_h(self, x1: np.ndarray, x2: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
 
+    def grad_h(
+        self, x1: np.ndarray, x2: np.ndarray, eps: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Both partial gradients of the joint term, (grad1_h, grad2_h).
+
+        Override when the two share work, such as one pass through a
+        feature extractor.
+        """
+        return self.grad1_h(x1, x2, eps), self.grad2_h(x1, x2, eps)
+
     def lipschitz_estimate(self, eps: float) -> Optional[float]:
         """Upper bound on the sum of the three gradient Lipschitz constants,
         or None when no estimate is exported."""
@@ -145,8 +155,9 @@ def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlo
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    g1 = obj.grad_h1(X.x1, eps) + obj.grad1_h(X.x1, X.x2, eps)
-    g2 = obj.grad_h2(X.x2, eps) + obj.grad2_h(X.x1, X.x2, eps)
+    gh1, gh2 = obj.grad_h(X.x1, X.x2, eps)
+    g1 = obj.grad_h1(X.x1, eps) + gh1
+    g2 = obj.grad_h2(X.x2, eps) + gh2
     G = TwoBlockPoint(g1, g2)
     if not G.is_finite():
         raise NumericError("non-finite entries in objective gradient")

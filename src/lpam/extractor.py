@@ -9,6 +9,7 @@ final layer.  Weights are fixed inputs, never trained here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -36,26 +37,33 @@ def smoothed_relu_deriv(x, act_delta: float):
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 zero-padded correlation: (in,h,w) x (out,in,kh,kw) -> (out,h,w)."""
+    """Stride-1 zero-padded correlation: (in,h,w) x (out,in,kh,kw) -> (out,h,w).
+
+    One GEMM: the kh*kw shifted windows of the padded input are copied
+    into an (in*kh*kw, h*w) column matrix that the flattened kernel
+    multiplies.
+    """
     out_ch, in_ch, kh, kw = w.shape
+    _, h, wd = x.shape
     py, px = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (py, py), (px, px)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    return np.einsum("ihwyx,oiyx->ohw", win, w)
+    xp = np.zeros((in_ch, h + 2 * py, wd + 2 * px))
+    xp[:, py : py + h, px : px + wd] = x
+    cols = np.empty((in_ch, kh, kw, h, wd))
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + wd]
+    out = w.reshape(out_ch, -1) @ cols.reshape(in_ch * kh * kw, h * wd)
+    return out.reshape(out_ch, h, wd)
 
 
 def _conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`_conv_forward` with respect to the input."""
-    out_ch, in_ch, kh, kw = w.shape
-    _, h, wd = g.shape
-    py, px = kh // 2, kw // 2
-    gp = np.zeros((in_ch, h + 2 * py, wd + 2 * px))
-    for dy in range(kh):
-        for dx in range(kw):
-            gp[:, dy : dy + h, dx : dx + wd] += np.tensordot(
-                w[:, :, dy, dx], g, axes=(0, 0)
-            )
-    return gp[:, py : py + h, px : px + wd]
+    """Exact adjoint of :func:`_conv_forward` with respect to the input.
+
+    For odd kernel sides under "same" zero padding the adjoint is the
+    same correlation with the kernel flipped in space and its channel
+    axes swapped.
+    """
+    return _conv_forward(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
 class FeatureExtractor:
@@ -63,7 +71,8 @@ class FeatureExtractor:
 
     ``weights`` is a list of (out_ch, in_ch, kh, kw) kernels; the first
     layer must take 2 input channels and kernel sides must be odd so the
-    zero-padded correlation and its hand-written adjoint line up.
+    adjoint of each zero-padded correlation is the flipped-kernel
+    correlation.
     """
 
     def __init__(self, height: int, width: int, weights: list[np.ndarray], act_delta: float):
@@ -104,32 +113,45 @@ class FeatureExtractor:
             [X.x1.reshape(self.height, self.width), X.x2.reshape(self.height, self.width)]
         )
 
-    def forward(self, X: TwoBlockPoint) -> np.ndarray:
-        """Grouped features, shape (num_groups, group_dim)."""
-        a = self._stack(X)
-        for w in self.weights[:-1]:
-            a = smoothed_relu(_conv_forward(a, w), self.act_delta)
-        a = _conv_forward(a, self.weights[-1])
-        return a.reshape(self.group_dim, -1).T.copy()
+    def linearize(
+        self, X: TwoBlockPoint
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], TwoBlockPoint]]:
+        """Features at X and the pullback of the extractor Jacobian at X.
 
-    def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
-        """Pullback of the extractor Jacobian applied to grouped weights w."""
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.num_groups, self.group_dim):
-            raise ValueError(
-                f"weights must have shape {(self.num_groups, self.group_dim)}"
-            )
+        Runs one forward pass and keeps its pre-activations, so the
+        returned pullback (grouped weights w -> TwoBlockPoint) runs only
+        the backward convolutions.
+        """
         a = self._stack(X)
         pre_acts = []
         for wk in self.weights[:-1]:
             z = _conv_forward(a, wk)
             pre_acts.append(z)
             a = smoothed_relu(z, self.act_delta)
-        g = w.T.reshape(self.group_dim, self.height, self.width).copy()
-        g = _conv_backward(g, self.weights[-1])
-        for wk, z in zip(reversed(self.weights[:-1]), reversed(pre_acts)):
-            g = _conv_backward(g * smoothed_relu_deriv(z, self.act_delta), wk)
-        return TwoBlockPoint(g[0].ravel(), g[1].ravel())
+        a = _conv_forward(a, self.weights[-1])
+        feats = a.reshape(self.group_dim, -1).T.copy()
+
+        def pullback(w: np.ndarray) -> TwoBlockPoint:
+            w = np.asarray(w, dtype=np.float64)
+            if w.shape != (self.num_groups, self.group_dim):
+                raise ValueError(
+                    f"weights must have shape {(self.num_groups, self.group_dim)}"
+                )
+            g = w.T.reshape(self.group_dim, self.height, self.width)
+            g = _conv_backward(g, self.weights[-1])
+            for wk, z in zip(reversed(self.weights[:-1]), reversed(pre_acts)):
+                g = _conv_backward(g * smoothed_relu_deriv(z, self.act_delta), wk)
+            return TwoBlockPoint(g[0].ravel(), g[1].ravel())
+
+        return feats, pullback
+
+    def forward(self, X: TwoBlockPoint) -> np.ndarray:
+        """Grouped features, shape (num_groups, group_dim)."""
+        return self.linearize(X)[0]
+
+    def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
+        """Pullback of the extractor Jacobian applied to grouped weights w."""
+        return self.linearize(X)[1](w)
 
     def _layer_bounds(self) -> list[float]:
         # spectral-norm bound per layer: sum over kernel taps of the
@@ -187,6 +209,11 @@ class IdentityExtractor:
         if X.n != n or X.m != n:
             raise ValueError(f"expected two blocks of length {n}")
         return np.stack([X.x1, X.x2], axis=1)
+
+    def linearize(
+        self, X: TwoBlockPoint
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], TwoBlockPoint]]:
+        return self.forward(X), lambda w: self.vjp(X, w)
 
     def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
         w = np.asarray(w, dtype=np.float64)

@@ -48,6 +48,7 @@ def read_weights(path) -> list[np.ndarray]:
         weights = []
         for _ in range(count):
             in_ch, out_ch, kh, kw = struct.unpack("<4i", _must_read(fh, 16, path))
+            _check_dims((in_ch, out_ch, kh, kw), path)
             size = out_ch * in_ch * kh * kw * 8
             data = np.frombuffer(_must_read(fh, size, path), dtype="<f8")
             weights.append(data.reshape(out_ch, in_ch, kh, kw).astype(np.float64))
@@ -87,6 +88,7 @@ def read_array(path) -> np.ndarray:
         if tag not in _TAG_DTYPES:
             raise FormatError(f"unknown dtype tag {tag!r} in {path}")
         rows, cols = struct.unpack("<2i", _must_read(fh, 8, path))
+        _check_dims((rows, cols), path)
         dtype = _TAG_DTYPES[tag]
         if dtype == np.dtype(np.bool_):
             raw = np.frombuffer(_must_read(fh, rows * cols, path), dtype="<u1")
@@ -100,6 +102,11 @@ def read_array(path) -> np.ndarray:
         if fh.read(1):
             raise FormatError(f"trailing bytes in array file {path}")
     return arr.reshape(rows, cols)
+
+
+def _check_dims(dims: tuple[int, ...], path) -> None:
+    if min(dims) < 0:
+        raise FormatError(f"negative dimension in header of {path}: {dims}")
 
 
 def _must_read(fh, size: int, path) -> bytes:

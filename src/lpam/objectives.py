@@ -83,17 +83,16 @@ class JointRecovery(SmoothedObjective):
     def grad_h2(self, x2, eps):
         return self.dft.grad_fidelity(x2, self.kspace.f2)
 
-    def _grad_h(self, x1, x2, eps) -> TwoBlockPoint:
-        X = TwoBlockPoint(x1, x2)
-        feats = self.extractor.forward(X)
-        g = grad_r_eps(feats, lambda w: self.extractor.vjp(X, w), eps)
-        return TwoBlockPoint(self.lam * g.x1, self.lam * g.x2)
+    def grad_h(self, x1, x2, eps):
+        feats, pullback = self.extractor.linearize(TwoBlockPoint(x1, x2))
+        g = grad_r_eps(feats, pullback, eps)
+        return self.lam * g.x1, self.lam * g.x2
 
     def grad1_h(self, x1, x2, eps):
-        return self._grad_h(x1, x2, eps).x1
+        return self.grad_h(x1, x2, eps)[0]
 
     def grad2_h(self, x1, x2, eps):
-        return self._grad_h(x1, x2, eps).x2
+        return self.grad_h(x1, x2, eps)[1]
 
     def lipschitz_estimate(self, eps: float) -> Optional[float]:
         # fidelity gradients are 1-Lipschitz under the unitary DFT;

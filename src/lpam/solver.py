@@ -64,16 +64,16 @@ class LpamConfig:
     ls_max: int = 60
 
     def validate(self) -> None:
-        if self.eps0 <= 0:
-            raise ValueError("eps0 must be positive")
+        if not (0 < self.eps0 < math.inf):
+            raise ValueError("eps0 must be positive and finite")
         if not (0 < self.gamma < 1):
             raise ValueError("gamma must lie in (0, 1)")
-        if self.eps_sigma <= 0:
-            raise ValueError("eps_sigma must be positive")
-        if self.eps_tol < 0:
-            raise ValueError("eps_tol must be nonnegative")
-        if self.a <= 0:
-            raise ValueError("safeguard constant a must be positive")
+        if not (0 < self.eps_sigma < math.inf):
+            raise ValueError("eps_sigma must be positive and finite")
+        if not (0 <= self.eps_tol < math.inf):
+            raise ValueError("eps_tol must be nonnegative and finite")
+        if not (0 < self.a < math.inf):
+            raise ValueError("safeguard constant a must be positive and finite")
         if not (0 < self.ls_delta < 1):
             raise ValueError("ls_delta must lie in (0, 1)")
         if not (0 < self.rho < 1):

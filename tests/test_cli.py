@@ -187,6 +187,15 @@ def test_bad_override_rejected(tmp_path):
     )
 
 
+def test_nan_override_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    argv = ["solve", "--config", str(cfg), "--out", str(out), "--override", "solver.eps0=NaN"]
+    assert main(argv) == 3
+    assert "eps0" in capsys.readouterr().err
+
+
 def test_seed_flag_changes_instance(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lpam import extractor
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -8,7 +9,28 @@ from lpam.core import (
     grad_phi_eps,
     phi_eps,
 )
-from lpam.objectives import QuadraticToy
+from lpam.objectives import JointRecovery, QuadraticToy
+from lpam.operators import InstanceSpec, generate_instance
+from lpam.solver import LpamConfig, lpam_run
+
+
+def _cnn_objective(num_layers=4):
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    ext = extractor.random_extractor(8, 8, num_layers=num_layers, channels=8, seed=1)
+    return JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
+
+
+def _count_forward_passes(monkeypatch) -> list:
+    """Record one entry per smoothed-ReLU call: L-1 per extractor forward pass."""
+    calls = []
+    real = extractor.smoothed_relu
+
+    def counting(x, act_delta):
+        calls.append(None)
+        return real(x, act_delta)
+
+    monkeypatch.setattr(extractor, "smoothed_relu", counting)
+    return calls
 
 
 def test_point_basics():
@@ -78,3 +100,32 @@ def test_grad_rejects_nonfinite():
 
     with pytest.raises(NumericError):
         grad_phi_eps(Bad(), TwoBlockPoint.zeros(2, 2), 0.1)
+
+
+def test_joint_recovery_grad_h_matches_partials():
+    obj = _cnn_objective()
+    rng = np.random.default_rng(1)
+    x1, x2 = rng.normal(size=64), rng.normal(size=64)
+    g1, g2 = obj.grad_h(x1, x2, 0.05)
+    assert np.array_equal(g1, obj.grad1_h(x1, x2, 0.05))
+    assert np.array_equal(g2, obj.grad2_h(x1, x2, 0.05))
+
+
+@pytest.mark.parametrize("num_layers", [2, 4])
+def test_grad_phi_eps_runs_one_forward_pass(monkeypatch, num_layers):
+    obj = _cnn_objective(num_layers=num_layers)
+    X = obj.zero_filled()
+    calls = _count_forward_passes(monkeypatch)
+    grad_phi_eps(obj, X, 0.05)
+    assert len(calls) == num_layers - 1
+
+
+def test_residual_iteration_runs_seven_forward_passes(monkeypatch):
+    # phi and gradient at X, two partial gradients in the residual
+    # update, phi at U for the safeguard and again as the accepted
+    # value, gradient at the accepted point
+    obj = _cnn_objective()
+    calls = _count_forward_passes(monkeypatch)
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1))
+    assert state.trace[0].branch == "u"
+    assert len(calls) == 7 * 3

@@ -5,6 +5,7 @@ from lpam.core import TwoBlockPoint
 from lpam.extractor import (
     FeatureExtractor,
     IdentityExtractor,
+    _conv_backward,
     _conv_forward,
     random_extractor,
     smoothed_relu,
@@ -68,6 +69,36 @@ def test_conv_matches_naive_oracle():
     assert np.allclose(_conv_forward(x, w1), naive_conv(x, w1), atol=1e-12)
     w5 = rng.normal(size=(2, 3, 5, 3))
     assert np.allclose(_conv_forward(x, w5), naive_conv(x, w5), atol=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 5), (5, 3)])
+def test_conv_backward_is_dense_transpose(kernel):
+    # 4x5 images, 3 -> 2 channels; a 5-tall kernel overhangs the image
+    rng = np.random.default_rng(11)
+    in_ch, out_ch, h, wd = 3, 2, 4, 5
+    w = rng.normal(size=(out_ch, in_ch, *kernel))
+    dense = np.stack(
+        [naive_conv(e.reshape(in_ch, h, wd), w).ravel() for e in np.eye(in_ch * h * wd)],
+        axis=1,
+    )
+    adjoint = np.stack(
+        [_conv_backward(e.reshape(out_ch, h, wd), w).ravel() for e in np.eye(out_ch * h * wd)],
+        axis=1,
+    )
+    assert np.max(np.abs(adjoint - dense.T)) <= 1e-12
+
+
+def test_linearize_matches_forward_and_vjp():
+    rng = np.random.default_rng(12)
+    for ext in (random_extractor(5, 7, num_layers=3, channels=4, seed=9), IdentityExtractor(5, 7)):
+        X = TwoBlockPoint(rng.normal(size=35), rng.normal(size=35))
+        feats, pullback = ext.linearize(X)
+        assert np.array_equal(feats, ext.forward(X))
+        # the pullback is reusable: each call sees the same linearization
+        for _ in range(2):
+            w = rng.normal(size=(35, ext.group_dim))
+            g, ref = pullback(w), ext.vjp(X, w)
+            assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
 
 
 def test_identity_configuration():

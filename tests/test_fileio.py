@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,25 @@ def test_unknown_dtype_tag(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="dtype tag"):
         read_array(path)
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, 4)])
+def test_array_negative_dims(tmp_path, dims):
+    path = tmp_path / "a.arr"
+    write_array(path, np.ones((2, 2)))
+    data = bytearray(path.read_bytes())
+    data[12:20] = struct.pack("<2i", *dims)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="negative"):
+        read_array(path)
+
+
+@pytest.mark.parametrize("dims", [(-2, -1, 1, 1), (2, 1, -1, 1)])
+def test_weights_negative_dims(tmp_path, dims):
+    path = tmp_path / "w.bin"
+    write_weights(path, [np.ones((1, 2, 1, 1))])
+    data = bytearray(path.read_bytes())
+    data[12:28] = struct.pack("<4i", *dims)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="negative"):
+        read_weights(path)

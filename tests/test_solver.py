@@ -197,6 +197,13 @@ def test_invalid_config_rejected():
         lpam_run(QuadraticToy(), TwoBlockPoint([np.inf], [0.0]), QUAD_STATIONARITY)
 
 
+@pytest.mark.parametrize("field", ["eps0", "eps_sigma", "a", "eps_tol"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_nonfinite_config_rejected(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        LpamConfig(**{field: value}).validate()
+
+
 def test_traces_differ_when_u_branch_fires():
     obj, _ = recovery_objective()
     X0 = obj.zero_filled()
