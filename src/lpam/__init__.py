@@ -60,7 +60,6 @@ from .solver import (
     LpamConfig,
     SolverState,
     TraceParseError,
-    bcd_run,
     lpam_run,
     read_trace_csv,
     safeguard_check,
@@ -119,7 +118,6 @@ __all__ = [
     "LpamConfig",
     "SolverState",
     "TraceParseError",
-    "bcd_run",
     "lpam_run",
     "read_trace_csv",
     "safeguard_check",

@@ -58,8 +58,7 @@ class RunConfig:
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
         _reject_unknown(raw, _TOP_KEYS, "top level")
-        inst = dict(raw.get("instance", {}))
-        _reject_unknown(inst, _INSTANCE_KEYS, "instance")
+        inst = _section(raw, "instance", _INSTANCE_KEYS)
         seed = int(inst.pop("seed", 0))
         spec = InstanceSpec(
             height=int(inst.get("height", 32)),
@@ -70,8 +69,7 @@ class RunConfig:
             phantom=str(inst.get("phantom", "shared")),
         )
 
-        objc = dict(raw.get("objective", {}))
-        _reject_unknown(objc, _OBJECTIVE_KEYS, "objective")
+        objc = _section(raw, "objective", _OBJECTIVE_KEYS)
         kind = str(objc.get("kind", "identity"))
         if kind not in ("quadratic", "identity", "extractor"):
             raise ConfigError(f"unknown objective kind {kind!r}")
@@ -83,16 +81,16 @@ class RunConfig:
         if kind == "extractor" and not weights_file:
             raise ConfigError("objective.weights_file required for kind 'extractor'")
 
-        sol = dict(raw.get("solver", {}))
-        _reject_unknown(sol, _SOLVER_KEYS, "solver")
+        sol = _section(raw, "solver", _SOLVER_KEYS)
         for key in ("step_alpha", "step_tau", "step_beta", "step_gamma"):
             if key in sol:
+                if not isinstance(sol[key], list):
+                    raise ConfigError(f"solver.{key} must be a list of numbers")
                 sol[key] = tuple(float(v) for v in sol[key])
         solver = LpamConfig(**sol)
         solver.validate()
 
-        audits = dict(raw.get("audits", {}))
-        _reject_unknown(audits, _AUDIT_KEYS, "audits")
+        audits = _section(raw, "audits", _AUDIT_KEYS)
         audits = {k: bool(audits.get(k, True)) for k in _AUDIT_KEYS}
 
         spec.validate()
@@ -106,6 +104,14 @@ class RunConfig:
             solver=solver,
             audits=audits,
         )
+
+
+def _section(raw: dict, key: str, allowed: set) -> dict:
+    section = raw.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {key!r} must be a JSON object")
+    _reject_unknown(section, allowed, key)
+    return dict(section)
 
 
 def _reject_unknown(d: dict, allowed: set, where: str) -> None:
@@ -130,9 +136,9 @@ def load_config(path: str, overrides: list[str], mode: str | None, seed: int | N
         key, value = ov.split("=", 1)
         _apply_override(raw, key, value)
     if mode is not None:
-        raw.setdefault("solver", {})["mode"] = {"lpam": "lpam", "bcd": "bcd_only"}[mode]
+        _apply_override(raw, "solver.mode", mode)
     if seed is not None:
-        raw.setdefault("instance", {})["seed"] = seed
+        _apply_override(raw, "instance.seed", str(seed))
     return RunConfig.from_dict(raw)
 
 
@@ -163,7 +169,10 @@ def build_objective(cfg: RunConfig, instance: Instance | None):
     return JointRecovery(instance.dft, instance.kspace, extractor, cfg.lam)
 
 
-def _load_instance(cfg: RunConfig, out: Path) -> Instance:
+def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
+    """The generated instance in ``out``; None for the quadratic toy, which has none."""
+    if cfg.objective_kind == "quadratic":
+        return None
     truth1 = fileio.read_array(out / "truth1.arr")
     truth2 = fileio.read_array(out / "truth2.arr")
     mask = fileio.read_array(out / "mask.arr")
@@ -207,32 +216,26 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     h, w = cfg.instance.height, cfg.instance.width
-    if cfg.objective_kind == "quadratic":
-        obj = QuadraticToy()
-        n = h * w
-        X0 = TwoBlockPoint(np.ones(n), np.ones(n))
-        instance = None
+    instance = _load_instance(cfg, out)
+    obj = build_objective(cfg, instance)
+    if instance is None:
+        X0 = TwoBlockPoint(np.ones(h * w), np.ones(h * w))
     else:
-        instance = _load_instance(cfg, out)
-        obj = build_objective(cfg, instance)
         X0 = obj.zero_filled()
-
-    runner = lpam_run  # mode is carried inside the config
-    state, reason = runner(obj, X0, cfg.solver)
+    state, reason = lpam_run(obj, X0, cfg.solver)
     write_trace_csv(state.trace, out / "trace.csv")
     fileio.write_array(out / "recon1.arr", state.X.x1.reshape(h, w))
     fileio.write_array(out / "recon2.arr", state.X.x2.reshape(h, w))
 
     result: dict = {"exit_reason": reason, "iterations": state.k}
     if instance is not None:
-        zf = obj.zero_filled()
         result["recon"] = {
             "channel1": metrics(state.X.x1.reshape(h, w), instance.truth1).as_dict(),
             "channel2": metrics(state.X.x2.reshape(h, w), instance.truth2).as_dict(),
         }
         result["zero_filled"] = {
-            "channel1": metrics(zf.x1.reshape(h, w), instance.truth1).as_dict(),
-            "channel2": metrics(zf.x2.reshape(h, w), instance.truth2).as_dict(),
+            "channel1": metrics(X0.x1.reshape(h, w), instance.truth1).as_dict(),
+            "channel2": metrics(X0.x2.reshape(h, w), instance.truth2).as_dict(),
         }
     _dump_json(out / "metrics.json", result)
     print(json.dumps({"exit_reason": reason, "iterations": state.k}, sort_keys=True))
@@ -244,10 +247,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
 def cmd_audit(cfg: RunConfig, out: Path, trace_path: Path | None) -> int:
     path = trace_path or (out / "trace.csv")
     trace = read_trace_csv(path)
-    if cfg.objective_kind == "quadratic":
-        obj = build_objective(cfg, None)
-    else:
-        obj = build_objective(cfg, _load_instance(cfg, out))
+    obj = build_objective(cfg, _load_instance(cfg, out))
     report = audit_report(
         trace,
         cfg.solver,

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 from .core import (
     NumericError,
@@ -60,7 +60,7 @@ class LpamConfig:
     step_gamma: Sequence[float] = DEFAULT_TAU_SCHEDULE
     max_iter: int = 100
     order: str = SEPARABLE_FIRST
-    mode: str = "lpam"
+    mode: str = "lpam"  # "bcd" disables the residual branch
     ls_max: int = 60
 
     def validate(self) -> None:
@@ -84,14 +84,14 @@ class LpamConfig:
             sched = getattr(self, name)
             if len(sched) < 1:
                 raise ValueError(f"{name} schedule must have length >= 1")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
         if self.order not in (SEPARABLE_FIRST, JOINT_FIRST):
             raise ValueError(f"unknown update order {self.order!r}")
-        if self.mode not in ("lpam", "bcd_only"):
+        if self.mode not in ("lpam", "bcd"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.ls_max < 1:
-            raise ValueError("ls_max must be positive")
+        for name, lo in (("max_iter", 0), ("ls_max", 1)):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int) or n < lo:
+                raise ValueError(f"{name} must be an integer >= {lo}")
 
 
 def _sched(schedule: Sequence[float], k: int) -> float:
@@ -163,56 +163,51 @@ def safeguard_check(
     X: TwoBlockPoint,
     U: TwoBlockPoint,
     eps: float,
+    phi_x: float,
+    grad_norm_x: float,
     a: float,
-    phi_x: Optional[float] = None,
-    grad_norm_x: Optional[float] = None,
-) -> bool:
+) -> tuple[bool, float]:
     """Both safeguard inequalities for accepting the residual candidate.
 
     Sufficient decrease proportional to the squared step, and the
     gradient norm at X bounded by the step lengths scaled by 1/a.
-    Precomputed phi/gradient values at X may be passed in to avoid
-    re-evaluation.
+    ``phi_x`` and ``grad_norm_x`` are the objective and gradient norm at
+    X.  Returns whether U is accepted and the objective at U.
     """
     if a <= 0:
         raise ValueError("safeguard constant a must be positive")
-    if phi_x is None:
-        phi_x = phi_eps(obj, X, eps)
-    if grad_norm_x is None:
-        grad_norm_x = grad_phi_eps(obj, X, eps).norm()
     d1, d2 = U.diff_norms(X)
     phi_u = phi_eps(obj, U, eps)
     cond1 = phi_u - phi_x <= -a * (d1 * d1 + d2 * d2)
     cond2 = grad_norm_x <= (d1 + d2) / a
-    return bool(cond1 and cond2)
+    return bool(cond1 and cond2), phi_u
 
 
 def v_step_with_linesearch(
     obj: SmoothedObjective,
     X: TwoBlockPoint,
     eps: float,
+    phi_x: float,
+    grad_x: TwoBlockPoint,
     alpha_bar: float,
     beta_bar: float,
     rho: float,
     ls_delta: float,
     ls_max: int = 60,
-    phi_x: Optional[float] = None,
 ) -> tuple[TwoBlockPoint, int, float]:
     """Gauss-Seidel fallback step with backtracking on both step sizes.
 
+    ``phi_x`` and ``grad_x`` are the objective and its full gradient at X.
     Returns (accepted point, backtrack count, objective at the accepted
     point).  Step sizes start from (alpha_bar, beta_bar) every call and
     are both shrunk by rho until the sufficient-decrease condition holds.
     """
-    if phi_x is None:
-        phi_x = phi_eps(obj, X, eps)
     x1, x2 = X.x1, X.x2
-    g1 = obj.grad_h1(x1, eps) + obj.grad1_h(x1, x2, eps)
     gh2 = obj.grad_h2(x2, eps)
     al, be = alpha_bar, beta_bar
     V = X
     for l in range(ls_max + 1):
-        v1 = x1 - al * g1
+        v1 = x1 - al * grad_x.x1
         v2 = x2 - be * (gh2 + obj.grad2_h(v1, x2, eps))
         V = TwoBlockPoint(v1, v2)
         if not V.is_finite():
@@ -233,7 +228,8 @@ def lpam_run(
 
     Per iteration: residual candidate, safeguard check, fallback with
     line search when the candidate is rejected, then the reduction check
-    on the smoothing parameter and the termination test.
+    on the smoothing parameter and the termination test.  The values at
+    the accepted point carry over unless the smoothing parameter shrinks.
     """
     config.validate()
     if not X0.is_finite():
@@ -244,14 +240,13 @@ def lpam_run(
         eps = state.eps
         X = state.X
         try:
-            phi_x = phi_eps(obj, X, eps)
-            gx = grad_phi_eps(obj, X, eps)
-            gn_x = gx.norm()
+            if k == 0 or state.trace[-1].reduced:
+                phi_x = phi_eps(obj, X, eps)
+                gx = grad_phi_eps(obj, X, eps)
+                gn_x = gx.norm()
 
-            branch = "v"
+            accepted = False
             ls_count = 0
-            Xn: Optional[TwoBlockPoint] = None
-            phi_n = math.nan
             if config.mode == "lpam":
                 steps = (
                     _sched(config.step_alpha, k),
@@ -259,24 +254,23 @@ def lpam_run(
                     _sched(config.step_beta, k),
                     _sched(config.step_gamma, k),
                 )
-                U = u_step(obj, X, eps, steps, config.order)
-                if safeguard_check(obj, X, U, eps, config.a, phi_x, gn_x):
-                    Xn = U
-                    phi_n = phi_eps(obj, U, eps)
-                    branch = "u"
-            if Xn is None:
+                Xn = u_step(obj, X, eps, steps, config.order)
+                accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config.a)
+            if not accepted:
                 Xn, ls_count, phi_n = v_step_with_linesearch(
                     obj,
                     X,
                     eps,
+                    phi_x,
+                    gx,
                     config.alpha_bar,
                     config.beta_bar,
                     config.rho,
                     config.ls_delta,
                     config.ls_max,
-                    phi_x,
                 )
-            gn_n = grad_phi_eps(obj, Xn, eps).norm()
+            gn = grad_phi_eps(obj, Xn, eps)
+            gn_n = gn.norm()
         except NumericError:
             exit_reason = EXIT_NUMERIC
             break
@@ -291,7 +285,7 @@ def lpam_run(
                 eps=eps,
                 phi=phi_n,
                 grad_norm=gn_n,
-                branch=branch,
+                branch="u" if accepted else "v",
                 ls_count=ls_count,
                 decrease=phi_x - phi_n,
                 reduced=reduced,
@@ -301,6 +295,7 @@ def lpam_run(
         )
         state.X = Xn
         state.k = k + 1
+        phi_x, gx, gn_x = phi_n, gn, gn_n
         if reduced:
             state.events.append((k, Xn.copy()))
             state.eps = config.gamma * eps
@@ -311,51 +306,25 @@ def lpam_run(
     return state, exit_reason
 
 
-def bcd_run(
-    obj: SmoothedObjective, X0: TwoBlockPoint, config: LpamConfig
-) -> tuple[SolverState, str]:
-    """Plain BCD baseline: the same loop with the residual branch disabled."""
-    return lpam_run(obj, X0, replace(config, mode="bcd_only"))
-
-
-TRACE_FIELDS = (
-    "k",
-    "eps",
-    "phi",
-    "grad_norm",
-    "branch",
-    "ls_count",
-    "decrease",
-    "reduced",
-    "phi_pre",
-    "grad_norm_pre",
-)
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+# (format, parse) per IterateRecord field type, floats byte-stable; the
+# trace columns are the record's fields in declaration order
+_CODECS = {
+    "int": (str, int),
+    "float": (lambda x: format(x, ".17g"), float),
+    "str": (str, str),
+    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+}
+_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(IterateRecord)]
+_HEADER = [name for name, _, _ in _COLUMNS]
 
 
 def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
     """Write the per-iteration trace; float formatting is byte-stable."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(TRACE_FIELDS)
+        w.writerow(_HEADER)
         for r in trace:
-            w.writerow(
-                [
-                    r.k,
-                    _fmt(r.eps),
-                    _fmt(r.phi),
-                    _fmt(r.grad_norm),
-                    r.branch,
-                    r.ls_count,
-                    _fmt(r.decrease),
-                    int(r.reduced),
-                    _fmt(r.phi_pre),
-                    _fmt(r.grad_norm_pre),
-                ]
-            )
+            w.writerow([fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS])
 
 
 class TraceParseError(ValueError):
@@ -367,26 +336,16 @@ def read_trace_csv(path) -> list[IterateRecord]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if header is None or tuple(header) != TRACE_FIELDS:
+        if header != _HEADER:
             raise TraceParseError(f"bad or missing header in {path}")
         for i, row in enumerate(reader, start=2):
             try:
-                records.append(
-                    IterateRecord(
-                        k=int(row[0]),
-                        eps=float(row[1]),
-                        phi=float(row[2]),
-                        grad_norm=float(row[3]),
-                        branch=row[4],
-                        ls_count=int(row[5]),
-                        decrease=float(row[6]),
-                        reduced=bool(int(row[7])),
-                        phi_pre=float(row[8]),
-                        grad_norm_pre=float(row[9]),
-                    )
-                )
+                if len(row) != len(_HEADER):
+                    raise ValueError(f"{len(row)} fields, expected {len(_HEADER)}")
+                values = [parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row)]
+                records.append(IterateRecord(*values))
                 if records[-1].branch not in ("u", "v"):
                     raise ValueError("branch must be 'u' or 'v'")
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise TraceParseError(f"malformed trace row {i} in {path}: {exc}") from exc
     return records

@@ -5,6 +5,7 @@ tolerance and prints a single PASS line on success; pytest handles the
 FAIL side through the assertions.
 """
 
+import dataclasses
 import json
 import time
 
@@ -18,7 +19,7 @@ from lpam.fileio import read_array, read_weights, write_array, write_weights
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance, uniform_mask
 from lpam.smoothing import check_c3
-from lpam.solver import EXIT_TOLERANCE, LpamConfig, bcd_run, lpam_run
+from lpam.solver import EXIT_TOLERANCE, LpamConfig, lpam_run
 
 SIZE = 6
 
@@ -186,7 +187,7 @@ def test_acceptance_7_recovery_quality():
     ]
     cfg = LpamConfig(max_iter=200)
     sa, _ = lpam_run(obj, X0, cfg)
-    sb, _ = bcd_run(obj, X0, cfg)
+    sb, _ = lpam_run(obj, X0, dataclasses.replace(cfg, mode="bcd"))
     lp = [
         metrics(sa.X.x1.reshape(32, 32), inst.truth1).nmse,
         metrics(sa.X.x2.reshape(32, 32), inst.truth2).nmse,

@@ -196,6 +196,28 @@ def test_nan_override_is_a_usage_error(tmp_path, capsys):
     assert "eps0" in capsys.readouterr().err
 
 
+QUADRATIC = {"objective": {"kind": "quadratic"}, "instance": {"height": 4, "width": 4}}
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        "instance=3",
+        "audits=[1]",
+        "solver.step_alpha=0.5",
+        'solver.max_iter="abc"',
+        "solver.max_iter=1.5",
+        "solver.max_iter=true",
+    ],
+)
+def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, override):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(QUADRATIC))
+    argv = ["solve", "--config", str(path), "--out", str(tmp_path / "o"), "--override", override]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_seed_flag_changes_instance(tmp_path):
     cfg = write_config(tmp_path / "cfg.json")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -120,12 +120,12 @@ def test_grad_phi_eps_runs_one_forward_pass(monkeypatch, num_layers):
     assert len(calls) == num_layers - 1
 
 
-def test_residual_iteration_runs_seven_forward_passes(monkeypatch):
+def test_residual_iteration_runs_six_forward_passes(monkeypatch):
     # phi and gradient at X, two partial gradients in the residual
-    # update, phi at U for the safeguard and again as the accepted
-    # value, gradient at the accepted point
+    # update, phi at U for the safeguard (also the accepted value),
+    # gradient at the accepted point
     obj = _cnn_objective()
     calls = _count_forward_passes(monkeypatch)
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1))
     assert state.trace[0].branch == "u"
-    assert len(calls) == 7 * 3
+    assert len(calls) == 6 * 3

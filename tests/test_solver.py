@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lpam import solver
 from lpam.core import TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import IdentityExtractor
 from lpam.objectives import JointRecovery, QuadraticToy
@@ -16,7 +17,6 @@ from lpam.solver import (
     JOINT_FIRST,
     LpamConfig,
     TraceParseError,
-    bcd_run,
     lpam_run,
     read_trace_csv,
     safeguard_check,
@@ -68,31 +68,45 @@ def test_u_step_joint_first_differs():
         u_step(obj, X, 0.1, (0.5, 0.5, 0.5, 0.5), order="diagonal")
 
 
+def at(obj, X, eps):
+    """The values the solver loop holds at X: objective and full gradient."""
+    return phi_eps(obj, X, eps), grad_phi_eps(obj, X, eps)
+
+
+def safeguard(obj, X, U, eps, a):
+    phi_x, g = at(obj, X, eps)
+    return safeguard_check(obj, X, U, eps, phi_x, g.norm(), a)
+
+
 def test_safeguard_degenerate_candidate():
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [1.0])
-    assert not safeguard_check(obj, X, X, 0.1, a=1e-3)
+    accepted, phi_u = safeguard(obj, X, X, 0.1, a=1e-3)
+    assert not accepted
+    assert phi_u == phi_eps(obj, X, 0.1)
 
 
 def test_safeguard_stationary_point():
     obj = QuadraticToy()
     O = TwoBlockPoint([0.0], [0.0])
-    assert safeguard_check(obj, O, O, 0.1, a=1e-3)
+    assert safeguard(obj, O, O, 0.1, a=1e-3) == (True, 0.0)
 
 
 def test_safeguard_genuine_descent():
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [1.0])
     U = u_step(obj, X, 0.1, (0.5, 0.5, 0.5, 0.5))
-    assert safeguard_check(obj, X, U, 0.1, a=1e-3)
+    accepted, phi_u = safeguard(obj, X, U, 0.1, a=1e-3)
+    assert accepted
+    assert phi_u == phi_eps(obj, U, 0.1)
     with pytest.raises(ValueError):
-        safeguard_check(obj, X, U, 0.1, a=0.0)
+        safeguard(obj, X, U, 0.1, a=0.0)
 
 
 def test_v_step_stationary_accepts_immediately():
     obj = QuadraticToy()
     O = TwoBlockPoint([0.0, 0.0], [0.0, 0.0])
-    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, 0.9, 0.9, 0.5, 0.1)
+    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, *at(obj, O, 0.1), 0.9, 0.9, 0.5, 0.1)
     assert l == 0
     assert np.allclose(V.x1, 0.0) and np.allclose(V.x2, 0.0)
     assert phi_v == 0.0
@@ -102,15 +116,15 @@ def test_v_step_small_steps_first_try():
     # steps already below 1/(L/2 + delta): acceptance at l = 0
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [2.0])
-    _, l, _ = v_step_with_linesearch(obj, X, 0.1, 0.3, 0.3, 0.5, 0.1)
+    _, l, _ = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), 0.3, 0.3, 0.5, 0.1)
     assert l == 0
 
 
 def test_v_step_decreases_objective():
     obj, _ = recovery_objective()
     X0 = obj.zero_filled()
-    phi0 = phi_eps(obj, X0, 0.01)
-    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, 0.9, 0.9, 0.5, 0.1)
+    phi0, g0 = at(obj, X0, 0.01)
+    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, phi0, g0, 0.9, 0.9, 0.5, 0.1)
     assert phi_v < phi0
     assert 0 <= l <= 60
 
@@ -133,7 +147,7 @@ class AscentObjective(QuadraticToy):
 
 def test_line_search_failure_exit():
     # small ls_max so shrinking steps cannot underflow into V == X
-    cfg = dataclasses.replace(QUAD_STATIONARITY, mode="bcd_only", max_iter=5, ls_max=20)
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode="bcd", max_iter=5, ls_max=20)
     X0 = TwoBlockPoint([1.0], [2.0])
     state, reason = lpam_run(AscentObjective(), X0, cfg)
     assert reason == EXIT_LINE_SEARCH
@@ -160,10 +174,28 @@ def test_quadratic_converges_to_origin():
 
 def test_bcd_converges_to_origin():
     X0 = TwoBlockPoint(np.ones(4), -np.ones(4))
-    state, reason = bcd_run(QuadraticToy(), X0, QUAD_STATIONARITY)
+    state, reason = lpam_run(QuadraticToy(), X0, dataclasses.replace(QUAD_STATIONARITY, mode="bcd"))
     assert reason == EXIT_TOLERANCE
     assert state.X.norm() < 1e-5
     assert all(r.branch == "v" for r in state.trace)
+
+
+def test_gradient_evaluated_once_per_point(monkeypatch):
+    # the accepted point's values carry over to the next iteration, so the
+    # gradient is evaluated again at the same point only after a reduction
+    calls = []
+
+    def counting(obj, X, eps):
+        calls.append(None)
+        return grad_phi_eps(obj, X, eps)
+
+    monkeypatch.setattr(solver, "grad_phi_eps", counting)
+    X0 = TwoBlockPoint(np.ones(4), -np.ones(4))
+    state, reason = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
+    assert reason == EXIT_TOLERANCE
+    reductions = sum(r.reduced for r in state.trace[:-1])
+    assert 0 < reductions < state.k
+    assert len(calls) == state.k + 1 + reductions
 
 
 def test_max_iter_zero_returns_start():
@@ -185,6 +217,10 @@ def test_invalid_config_rejected():
         {"max_iter": -1},
         {"order": "sideways"},
         {"mode": "sgd"},
+        {"mode": "bcd_only"},
+        {"max_iter": 1.5},
+        {"max_iter": True},
+        {"ls_max": 2.0},
         {"step_alpha": ()},
         {"a": -1.0},
         {"eps_sigma": 0.0},
@@ -209,7 +245,7 @@ def test_traces_differ_when_u_branch_fires():
     X0 = obj.zero_filled()
     cfg = LpamConfig(max_iter=20)
     sa, _ = lpam_run(obj, X0, cfg)
-    sb, _ = bcd_run(obj, X0, cfg)
+    sb, _ = lpam_run(obj, X0, dataclasses.replace(cfg, mode="bcd"))
     assert any(r.branch == "u" for r in sa.trace)
     assert [r.phi for r in sa.trace] != [r.phi for r in sb.trace]
 
@@ -289,6 +325,19 @@ def test_trace_csv_malformed_row_named(tmp_path):
     write_trace_csv(state.trace, path)
     lines = path.read_text().splitlines()
     lines[2] = lines[2].replace(lines[2].split(",")[2], "not-a-number", 1)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(TraceParseError, match="row 3"):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("edit", [lambda row: row + ",0", lambda row: row.rsplit(",", 1)[0]])
+def test_trace_csv_field_count_must_match_header(tmp_path, edit):
+    obj, _ = recovery_objective()
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=3))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(state.trace, path)
+    lines = path.read_text().splitlines()
+    lines[2] = edit(lines[2])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceParseError, match="row 3"):
         read_trace_csv(path)
