@@ -9,6 +9,7 @@ image quality metrics and a CLI.
 """
 
 from .core import (
+    EvaluatedPoint,
     MFunction,
     NumericError,
     SmoothedObjective,
@@ -71,6 +72,7 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "EvaluatedPoint",
     "MFunction",
     "NumericError",
     "SmoothedObjective",

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,11 +36,29 @@ class ConfigError(ValueError):
     pass
 
 
-_INSTANCE_KEYS = {"height", "width", "mask_type", "ratio", "noise_std", "phantom", "seed"}
-_OBJECTIVE_KEYS = {"kind", "weights_file", "act_delta", "lam"}
-_SOLVER_KEYS = {f.name for f in dataclasses.fields(LpamConfig)}
-_AUDIT_KEYS = {"decrease", "segments", "lmax"}
-_TOP_KEYS = {"instance", "objective", "solver", "audits"}
+# section -> key -> JSON kind; the solver section's kinds are LpamConfig's
+# field annotations
+_SCHEMA = {
+    "instance": {
+        "height": "int",
+        "width": "int",
+        "mask_type": "str",
+        "ratio": "float",
+        "noise_std": "float",
+        "phantom": "str",
+        "seed": "int",
+    },
+    "objective": {"kind": "str", "weights_file": "str|null", "act_delta": "float", "lam": "float"},
+    "solver": {f.name: f.type for f in dataclasses.fields(LpamConfig)},
+    "audits": {"decrease": "bool", "segments": "bool", "lmax": "bool"},
+}
+
+_KINDS = {  # JSON kind other than a number or list: (accepted types, description)
+    "int": ((int,), "an integer"),
+    "str": ((str,), "a string"),
+    "str|null": ((str, type(None)), "a string or null"),
+    "bool": ((bool,), "true or false"),
+}
 
 
 @dataclasses.dataclass
@@ -57,41 +76,26 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        _reject_unknown(raw, _TOP_KEYS, "top level")
-        inst = _section(raw, "instance", _INSTANCE_KEYS)
-        seed = int(inst.pop("seed", 0))
-        spec = InstanceSpec(
-            height=int(inst.get("height", 32)),
-            width=int(inst.get("width", 32)),
-            mask_type=str(inst.get("mask_type", "radial")),
-            ratio=float(inst.get("ratio", 0.3)),
-            noise_std=float(inst.get("noise_std", 0.0)),
-            phantom=str(inst.get("phantom", "shared")),
-        )
+        _reject_unknown(raw, _SCHEMA.keys(), "top level")
+        inst = _section(raw, "instance")
+        seed = inst.pop("seed", 0)
+        spec = InstanceSpec(**{"height": 32, "width": 32, **inst})
 
-        objc = _section(raw, "objective", _OBJECTIVE_KEYS)
-        kind = str(objc.get("kind", "identity"))
+        objc = _section(raw, "objective")
+        kind = objc.get("kind", "identity")
         if kind not in ("quadratic", "identity", "extractor"):
             raise ConfigError(f"unknown objective kind {kind!r}")
-        lam = float(objc.get("lam", 0.0093))
+        lam = objc.get("lam", 0.0093)
         if lam < 0:
             raise ConfigError("objective.lam must be nonnegative")
-        act_delta = float(objc.get("act_delta", 0.01))
         weights_file = objc.get("weights_file")
         if kind == "extractor" and not weights_file:
             raise ConfigError("objective.weights_file required for kind 'extractor'")
 
-        sol = _section(raw, "solver", _SOLVER_KEYS)
-        for key in ("step_alpha", "step_tau", "step_beta", "step_gamma"):
-            if key in sol:
-                if not isinstance(sol[key], list):
-                    raise ConfigError(f"solver.{key} must be a list of numbers")
-                sol[key] = tuple(float(v) for v in sol[key])
-        solver = LpamConfig(**sol)
+        solver = LpamConfig(**_section(raw, "solver"))
         solver.validate()
 
-        audits = _section(raw, "audits", _AUDIT_KEYS)
-        audits = {k: bool(audits.get(k, True)) for k in _AUDIT_KEYS}
+        audits = dict.fromkeys(_SCHEMA["audits"], True) | _section(raw, "audits")
 
         spec.validate()
         return RunConfig(
@@ -99,25 +103,56 @@ class RunConfig:
             seed=seed,
             objective_kind=kind,
             weights_file=weights_file,
-            act_delta=act_delta,
+            act_delta=objc.get("act_delta", 0.01),
             lam=lam,
             solver=solver,
             audits=audits,
         )
 
 
-def _section(raw: dict, key: str, allowed: set) -> dict:
-    section = raw.get(key, {})
+def _section(raw: dict, name: str) -> dict:
+    """The values given in config section ``name``, each checked against
+    its JSON kind in :data:`_SCHEMA`; absent keys take their defaults later.
+
+    Booleans count only as "bool" (JSON values have exact builtin types).
+    A "float" is any finite JSON number and comes back as a float; a
+    "Sequence[float]" is a list of them and comes back as a tuple.
+    """
+    section = raw.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"config section {key!r} must be a JSON object")
-    _reject_unknown(section, allowed, key)
-    return dict(section)
+        raise ConfigError(f"config section {name!r} must be a JSON object")
+    kinds = _SCHEMA[name]
+    _reject_unknown(section, kinds.keys(), name)
+    values = {}
+    for key, value in section.items():
+        kind = kinds[key]
+        if kind == "float":
+            value = _number(value, name, key)
+        elif kind == "Sequence[float]":
+            if type(value) is not list:
+                raise ConfigError(f"{name}.{key} must be a list of numbers, got {value!r}")
+            value = tuple([_number(v, name, key) for v in value])
+        elif type(value) not in _KINDS[kind][0]:
+            raise ConfigError(f"{name}.{key} must be {_KINDS[kind][1]}, got {value!r}")
+        values[key] = value
+    return values
 
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
+def _number(value, where: str, key: str) -> float:
+    """``value`` as a float if it is a finite JSON number, else a ConfigError."""
+    if type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+    raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+
+
+def _reject_unknown(d: dict, allowed, where: str) -> None:
+    if not d.keys() <= allowed:
+        raise ConfigError(f"unknown config keys in {where}: {sorted(d.keys() - allowed)}")
 
 
 def load_config(path: str, overrides: list[str], mode: str | None, seed: int | None) -> RunConfig:

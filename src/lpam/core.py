@@ -64,6 +64,41 @@ class TwoBlockPoint:
         return TwoBlockPoint(np.zeros(n), np.zeros(m))
 
 
+class EvaluatedPoint(TwoBlockPoint):
+    """A point bound to the objective that evaluates it.
+
+    Made by :meth:`SmoothedObjective.point` and
+    :meth:`SmoothedObjective.evaluate`.  The methods mirror the
+    objective's per-call methods at this point and take only eps.  This
+    generic class forwards each call, so it caches nothing; an objective
+    whose terms share eps-independent work returns a subclass that
+    computes that work once.  The arrays must not be mutated after
+    evaluation, and returned arrays may be shared between calls.
+    """
+
+    def __init__(self, x1, x2, obj: "SmoothedObjective"):
+        super().__init__(x1, x2)
+        object.__setattr__(self, "obj", obj)
+
+    def h1(self, eps: float) -> float:
+        return self.obj.h1(self.x1, eps)
+
+    def h2(self, eps: float) -> float:
+        return self.obj.h2(self.x2, eps)
+
+    def h(self, eps: float) -> float:
+        return self.obj.h(self.x1, self.x2, eps)
+
+    def grad_h1(self, eps: float) -> np.ndarray:
+        return self.obj.grad_h1(self.x1, eps)
+
+    def grad_h2(self, eps: float) -> np.ndarray:
+        return self.obj.grad_h2(self.x2, eps)
+
+    def grad_h(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.obj.grad_h(self.x1, self.x2, eps)
+
+
 @dataclass(frozen=True)
 class MFunction:
     """Continuous nonnegative function of the smoothing parameter with m(0)=0.
@@ -88,8 +123,23 @@ class SmoothedObjective:
     For every eps > 0 the implementor supplies the separable terms, the
     joint term, their gradients and (optionally) a Lipschitz estimate for
     the full gradient.  Implementations must be immutable after
-    construction and all calls pure.
+    construction and all calls pure.  :func:`phi_eps` and
+    :func:`grad_phi_eps` read the terms from :meth:`evaluate`.
     """
+
+    def point(self, x1: np.ndarray, x2: np.ndarray) -> EvaluatedPoint:
+        """A new point (x1, x2) bound to this objective.
+
+        Override to return an :class:`EvaluatedPoint` subclass that
+        computes the eps-independent work of the terms once.
+        """
+        return EvaluatedPoint(x1, x2, self)
+
+    def evaluate(self, X: TwoBlockPoint) -> EvaluatedPoint:
+        """X bound to this objective; a point already bound to it comes back as is."""
+        if isinstance(X, EvaluatedPoint) and X.obj is self:
+            return X
+        return self.point(X.x1, X.x2)
 
     def h1(self, x1: np.ndarray, eps: float) -> float:
         raise NotImplementedError
@@ -136,11 +186,8 @@ def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:
     """Smoothed objective value: the three-term sum at X."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    terms = {
-        "h1": obj.h1(X.x1, eps),
-        "h2": obj.h2(X.x2, eps),
-        "h": obj.h(X.x1, X.x2, eps),
-    }
+    P = obj.evaluate(X)
+    terms = {"h1": P.h1(eps), "h2": P.h2(eps), "h": P.h(eps)}
     for name, val in terms.items():
         if not np.isfinite(val):
             raise NumericError(f"non-finite objective term {name!r}: {val}")
@@ -155,9 +202,10 @@ def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlo
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    gh1, gh2 = obj.grad_h(X.x1, X.x2, eps)
-    g1 = obj.grad_h1(X.x1, eps) + gh1
-    g2 = obj.grad_h2(X.x2, eps) + gh2
+    P = obj.evaluate(X)
+    gh1, gh2 = P.grad_h(eps)
+    g1 = P.grad_h1(eps) + gh1
+    g2 = P.grad_h2(eps) + gh2
     G = TwoBlockPoint(g1, g2)
     if not G.is_finite():
         raise NumericError("non-finite entries in objective gradient")

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .core import MFunction, SmoothedObjective, TwoBlockPoint
-from .operators import KSpaceData, MaskedDft
+from .core import EvaluatedPoint, MFunction, SmoothedObjective, TwoBlockPoint
+from .operators import KSpaceData, MaskedDft, residual_energy
 from .smoothing import grad_r_eps, half_count_m, r_eps
 
 
@@ -49,6 +50,53 @@ class QuadraticToy(SmoothedObjective):
         return MFunction.zero()
 
 
+class RecoveryPoint(EvaluatedPoint):
+    """A point of :class:`JointRecovery` that does its eps-independent work once.
+
+    Both k-space residuals, both fidelity values and gradients, and the
+    extractor's features and pullback are computed on first use and
+    kept, so a new eps costs one r_eps weighting and one pullback.
+    """
+
+    @cached_property
+    def _residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        dft, data = self.obj.dft, self.obj.kspace
+        return dft.residual(self.x1, data.f1), dft.residual(self.x2, data.f2)
+
+    @cached_property
+    def _fidelities(self) -> tuple[float, float]:
+        return tuple(residual_energy(r) for r in self._residuals)
+
+    @cached_property
+    def _fidelity_grads(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(self.obj.dft.adjoint(r) for r in self._residuals)
+
+    @cached_property
+    def _linearization(self):
+        # linearize a plain point: a pullback that referenced self would
+        # make a cycle that only the cyclic garbage collector frees
+        return self.obj.extractor.linearize(TwoBlockPoint(self.x1, self.x2))
+
+    def h1(self, eps):
+        return self._fidelities[0]
+
+    def h2(self, eps):
+        return self._fidelities[1]
+
+    def h(self, eps):
+        return self.obj.lam * r_eps(self._linearization[0], eps)
+
+    def grad_h1(self, eps):
+        return self._fidelity_grads[0]
+
+    def grad_h2(self, eps):
+        return self._fidelity_grads[1]
+
+    def grad_h(self, eps):
+        g = grad_r_eps(*self._linearization, eps)
+        return self.obj.lam * g.x1, self.obj.lam * g.x2
+
+
 class JointRecovery(SmoothedObjective):
     """Two masked-DFT fidelities plus a weighted smoothed l2,1 joint term.
 
@@ -74,8 +122,7 @@ class JointRecovery(SmoothedObjective):
         return self.dft.fidelity(x2, self.kspace.f2)
 
     def h(self, x1, x2, eps):
-        feats = self.extractor.forward(TwoBlockPoint(x1, x2))
-        return self.lam * r_eps(feats, eps)
+        return self.point(x1, x2).h(eps)
 
     def grad_h1(self, x1, eps):
         return self.dft.grad_fidelity(x1, self.kspace.f1)
@@ -84,15 +131,16 @@ class JointRecovery(SmoothedObjective):
         return self.dft.grad_fidelity(x2, self.kspace.f2)
 
     def grad_h(self, x1, x2, eps):
-        feats, pullback = self.extractor.linearize(TwoBlockPoint(x1, x2))
-        g = grad_r_eps(feats, pullback, eps)
-        return self.lam * g.x1, self.lam * g.x2
+        return self.point(x1, x2).grad_h(eps)
 
     def grad1_h(self, x1, x2, eps):
         return self.grad_h(x1, x2, eps)[0]
 
     def grad2_h(self, x1, x2, eps):
         return self.grad_h(x1, x2, eps)[1]
+
+    def point(self, x1, x2) -> RecoveryPoint:
+        return RecoveryPoint(x1, x2, self)
 
     def lipschitz_estimate(self, eps: float) -> Optional[float]:
         # fidelity gradients are 1-Lipschitz under the unitary DFT;

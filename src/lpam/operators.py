@@ -50,15 +50,22 @@ class MaskedDft:
             raise ValueError("k-space data shape does not match mask")
         return np.real(np.fft.ifft2(np.where(self.mask, f, 0.0), norm="ortho")).ravel()
 
+    def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """Masked DFT of x minus the data f on the sampled frequencies."""
+        return self.forward(x) - np.where(self.mask, f, 0.0)
+
     def fidelity(self, x: np.ndarray, f: np.ndarray) -> float:
         """Half squared residual on the sampled frequencies."""
-        resid = self.forward(x) - np.where(self.mask, f, 0.0)
-        return 0.5 * float(np.sum(np.abs(resid) ** 2))
+        return residual_energy(self.residual(x, f))
 
     def grad_fidelity(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Adjoint gradient of the fidelity, a real image vector."""
-        resid = self.forward(x) - np.where(self.mask, f, 0.0)
-        return self.adjoint(resid)
+        return self.adjoint(self.residual(x, f))
+
+
+def residual_energy(resid: np.ndarray) -> float:
+    """Half squared norm of a k-space residual: the fidelity value."""
+    return 0.5 * float(np.sum(np.abs(resid) ** 2))
 
 
 @dataclass(frozen=True)

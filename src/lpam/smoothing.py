@@ -76,8 +76,9 @@ def check_c3(
     """
     if not (0 < eps <= delta):
         raise ValueError("require 0 < eps <= delta")
-    lhs = phi_eps(obj, X, eps) + m.evaluate(eps)
-    rhs = phi_eps(obj, X, delta) + m.evaluate(delta)
+    P = obj.evaluate(X)
+    lhs = phi_eps(obj, P, eps) + m.evaluate(eps)
+    rhs = phi_eps(obj, P, delta) + m.evaluate(delta)
     slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     return lhs <= rhs + slack
 

@@ -30,11 +30,7 @@ DEFAULT_TAU_SCHEDULE = (2.0,) * 3 + (1.0,) * 9 + (0.1,) * 3
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exceeded the hard cap; carries the last candidate."""
-
-    def __init__(self, msg: str, candidate: TwoBlockPoint):
-        super().__init__(msg)
-        self.candidate = candidate
+    """Backtracking exceeded the hard cap without sufficient decrease."""
 
 
 @dataclass(frozen=True)
@@ -136,14 +132,16 @@ def u_step(
 
     ``steps`` supplies (alpha, tau, beta, gamma).  The default order
     applies the separable gradients first; the alternative order applies
-    the joint gradient first in each block.
+    the joint gradient first in each block.  The candidate is returned
+    evaluated, ready for the safeguard.
     """
+    P = obj.evaluate(X)
     al, tau, be, ga = steps
     x1, x2 = X.x1, X.x2
     if order == SEPARABLE_FIRST:
-        z1 = x1 - al * obj.grad_h1(x1, eps)
+        z1 = x1 - al * P.grad_h1(eps)
         u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
-        z2 = x2 - be * obj.grad_h2(x2, eps)
+        z2 = x2 - be * P.grad_h2(eps)
         u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
     elif order == JOINT_FIRST:
         z1 = x1 - al * obj.grad1_h(x1, x2, eps)
@@ -152,7 +150,7 @@ def u_step(
         u2 = z2 - ga * obj.grad_h2(z2, eps)
     else:
         raise ValueError(f"unknown update order {order!r}")
-    U = TwoBlockPoint(u1, u2)
+    U = obj.point(u1, u2)
     if not U.is_finite():
         raise NumericError("non-finite candidate produced by residual update")
     return U
@@ -198,18 +196,18 @@ def v_step_with_linesearch(
     """Gauss-Seidel fallback step with backtracking on both step sizes.
 
     ``phi_x`` and ``grad_x`` are the objective and its full gradient at X.
-    Returns (accepted point, backtrack count, objective at the accepted
-    point).  Step sizes start from (alpha_bar, beta_bar) every call and
-    are both shrunk by rho until the sufficient-decrease condition holds.
+    Returns (accepted point, evaluated; backtrack count; objective at the
+    accepted point).  Step sizes start from (alpha_bar, beta_bar) every
+    call and are both shrunk by rho until the sufficient-decrease
+    condition holds.
     """
     x1, x2 = X.x1, X.x2
-    gh2 = obj.grad_h2(x2, eps)
+    gh2 = obj.evaluate(X).grad_h2(eps)
     al, be = alpha_bar, beta_bar
-    V = X
     for l in range(ls_max + 1):
         v1 = x1 - al * grad_x.x1
         v2 = x2 - be * (gh2 + obj.grad2_h(v1, x2, eps))
-        V = TwoBlockPoint(v1, v2)
+        V = obj.point(v1, v2)
         if not V.is_finite():
             raise NumericError("non-finite fallback candidate")
         phi_v = phi_eps(obj, V, eps)
@@ -218,7 +216,7 @@ def v_step_with_linesearch(
             return V, l, phi_v
         al *= rho
         be *= rho
-    raise LineSearchError(f"no sufficient decrease within {ls_max} backtracks", V)
+    raise LineSearchError(f"no sufficient decrease within {ls_max} backtracks")
 
 
 def lpam_run(
@@ -228,17 +226,20 @@ def lpam_run(
 
     Per iteration: residual candidate, safeguard check, fallback with
     line search when the candidate is rejected, then the reduction check
-    on the smoothing parameter and the termination test.  The values at
+    on the smoothing parameter and the termination test.  Every point is
+    evaluated once (see :meth:`SmoothedObjective.evaluate`); the values at
     the accepted point carry over unless the smoothing parameter shrinks.
+    ``state.X`` and the event points are plain points, so what the run
+    cached does not outlive it.
     """
     config.validate()
     if not X0.is_finite():
         raise ValueError("initial point must be finite")
     state = SolverState(X=X0.copy(), eps=config.eps0)
+    X = obj.evaluate(state.X)
     exit_reason = EXIT_ITERATION_CAP
     for k in range(config.max_iter):
         eps = state.eps
-        X = state.X
         try:
             if k == 0 or state.trace[-1].reduced:
                 phi_x = phi_eps(obj, X, eps)
@@ -257,6 +258,7 @@ def lpam_run(
                 Xn = u_step(obj, X, eps, steps, config.order)
                 accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config.a)
             if not accepted:
+                Xn = None  # frees the rejected candidate's cache during the line search
                 Xn, ls_count, phi_n = v_step_with_linesearch(
                     obj,
                     X,
@@ -293,7 +295,7 @@ def lpam_run(
                 grad_norm_pre=gn_x,
             )
         )
-        state.X = Xn
+        X = Xn
         state.k = k + 1
         phi_x, gx, gn_x = phi_n, gn, gn_n
         if reduced:
@@ -303,6 +305,7 @@ def lpam_run(
         if config.eps_sigma * eps < config.eps_tol:
             exit_reason = EXIT_TOLERANCE
             break
+    state.X = TwoBlockPoint(X.x1, X.x2)
     return state, exit_reason
 
 

@@ -208,6 +208,11 @@ QUADRATIC = {"objective": {"kind": "quadratic"}, "instance": {"height": 4, "widt
         'solver.max_iter="abc"',
         "solver.max_iter=1.5",
         "solver.max_iter=true",
+        'solver.eps0="abc"',
+        "solver.gamma=null",
+        "instance.height=[1]",
+        "solver.step_alpha=[[1]]",
+        "audits.decrease=[1]",
     ],
 )
 def test_mistyped_config_value_is_a_usage_error(tmp_path, capsys, override):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from lpam.core import (
     phi_eps,
 )
 from lpam.objectives import JointRecovery, QuadraticToy
-from lpam.operators import InstanceSpec, generate_instance
+from lpam.operators import InstanceSpec, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run
 
 
@@ -20,17 +23,27 @@ def _cnn_objective(num_layers=4):
     return JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
 
 
+def _identity_objective():
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    return JointRecovery(inst.dft, inst.kspace, extractor.IdentityExtractor(8, 8), 0.0093)
+
+
+def _count_calls(monkeypatch, owner, name) -> list:
+    """Record one entry per call of ``owner.name``."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def _count_forward_passes(monkeypatch) -> list:
     """Record one entry per smoothed-ReLU call: L-1 per extractor forward pass."""
-    calls = []
-    real = extractor.smoothed_relu
-
-    def counting(x, act_delta):
-        calls.append(None)
-        return real(x, act_delta)
-
-    monkeypatch.setattr(extractor, "smoothed_relu", counting)
-    return calls
+    return _count_calls(monkeypatch, extractor, "smoothed_relu")
 
 
 def test_point_basics():
@@ -120,12 +133,74 @@ def test_grad_phi_eps_runs_one_forward_pass(monkeypatch, num_layers):
     assert len(calls) == num_layers - 1
 
 
-def test_residual_iteration_runs_six_forward_passes(monkeypatch):
-    # phi and gradient at X, two partial gradients in the residual
-    # update, phi at U for the safeguard (also the accepted value),
-    # gradient at the accepted point
+def test_residual_iteration_runs_four_forward_passes(monkeypatch):
+    # one at X0 (phi and gradient), two partial gradients in the residual
+    # update, one at U (phi for the safeguard and the accepted gradient)
     obj = _cnn_objective()
     calls = _count_forward_passes(monkeypatch)
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1))
     assert state.trace[0].branch == "u"
-    assert len(calls) == 6 * 3
+    assert len(calls) == 4 * 3
+
+
+def test_reducing_residual_iterations_reuse_features(monkeypatch):
+    # after a reduction the point's features and pre-activations are
+    # reused: each iteration runs 3 forward passes (two partial gradients,
+    # U) and 4 backward passes (gradient at X for the new eps, two partial
+    # gradients, gradient at U)
+    obj = _cnn_objective()
+    layers = len(obj.extractor.weights)
+    forward = _count_forward_passes(monkeypatch)
+    backward = _count_calls(monkeypatch, extractor, "smoothed_relu_deriv")
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=8))
+    assert [(r.branch, r.reduced) for r in state.trace] == [("u", True)] * 8
+    assert len(forward) == (1 + 3 * 8) * (layers - 1)
+    assert len(backward) == 4 * 8 * (layers - 1)
+
+
+def test_identity_residual_iterations_run_two_dfts_per_point(monkeypatch):
+    # the k-space residuals at X0 and at each accepted U, nothing more
+    obj = _identity_objective()
+    calls = _count_calls(monkeypatch, MaskedDft, "forward")
+    k = 6
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=k))
+    assert [r.branch for r in state.trace] == ["u"] * k
+    assert len(calls) == 2 * (k + 1)
+
+
+@pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
+def test_evaluated_point_matches_per_call_methods(make):
+    obj = make()
+    rng = np.random.default_rng(2)
+    x1, x2 = rng.normal(size=64), rng.normal(size=64)
+    P = obj.evaluate(TwoBlockPoint(x1, x2))
+    assert obj.evaluate(P) is P
+    for eps in (0.05, 0.05 * 0.9):
+        phi = obj.h1(x1, eps) + obj.h2(x2, eps) + obj.h(x1, x2, eps)
+        g1 = obj.grad_h1(x1, eps) + obj.grad1_h(x1, x2, eps)
+        g2 = obj.grad_h2(x2, eps) + obj.grad2_h(x1, x2, eps)
+        assert phi_eps(obj, P, eps) == phi
+        G = grad_phi_eps(obj, P, eps)
+        assert np.array_equal(G.x1, g1) and np.array_equal(G.x2, g2)
+
+
+@pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
+def test_evaluated_point_is_freed_without_the_cycle_collector(make):
+    obj = make()
+    P = obj.evaluate(obj.zero_filled())
+    phi_eps(obj, P, 0.05)
+    grad_phi_eps(obj, P, 0.05)
+    ref = weakref.ref(P)
+    gc.disable()
+    try:
+        del P
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_run_hands_back_plain_points():
+    obj = _identity_objective()
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=3))
+    assert type(state.X) is TwoBlockPoint
+    assert state.events and all(type(E) is TwoBlockPoint for _, E in state.events)

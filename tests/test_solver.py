@@ -300,6 +300,27 @@ def test_determinism_bitwise():
     assert np.array_equal(sa.X.x1, sb.X.x1)
 
 
+@pytest.mark.parametrize("eps_sigma", [6e4, 50.0])
+def test_one_iteration_calls_replay_a_run(eps_sigma):
+    # nothing carries over between lpam_run calls: restarting each call
+    # from the previous iterate and eps, with the step schedules shifted
+    # by the iteration index, replays the full run
+    obj, _ = recovery_objective(size=16)
+    cfg = LpamConfig(max_iter=20, eps_sigma=eps_sigma)
+    full, _ = lpam_run(obj, obj.zero_filled(), cfg)
+    names = ("step_alpha", "step_tau", "step_beta", "step_gamma")
+    X, eps, replay = obj.zero_filled(), cfg.eps0, []
+    for k in range(cfg.max_iter):
+        shifted = {n: tuple(getattr(cfg, n)[min(k, len(getattr(cfg, n)) - 1) :]) for n in names}
+        one = dataclasses.replace(cfg, eps0=eps, max_iter=1, **shifted)
+        state, _ = lpam_run(obj, X, one)
+        replay.append(dataclasses.replace(state.trace[0], k=k))
+        X, eps = state.X, state.eps
+    assert {r.branch for r in full.trace} == {"u", "v"}
+    assert replay == full.trace
+    assert np.array_equal(X.x1, full.X.x1) and np.array_equal(X.x2, full.X.x2)
+
+
 def test_event_checkpoints_recorded():
     X0 = TwoBlockPoint(np.ones(2), np.ones(2))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
