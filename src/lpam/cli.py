@@ -205,14 +205,25 @@ def build_objective(cfg: RunConfig, instance: Instance | None):
 
 
 def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
-    """The generated instance in ``out``; None for the quadratic toy, which has none."""
+    """The generated instance in ``out``; None for the quadratic toy, which has none.
+
+    Every array must have the configured (height, width) shape, else
+    :class:`ConfigError`, before anything is solved or written.
+    """
     if cfg.objective_kind == "quadratic":
         return None
-    truth1 = fileio.read_array(out / "truth1.arr")
-    truth2 = fileio.read_array(out / "truth2.arr")
-    mask = fileio.read_array(out / "mask.arr")
-    f1 = fileio.read_array(out / "kspace1.arr")
-    f2 = fileio.read_array(out / "kspace2.arr")
+    shape = (cfg.instance.height, cfg.instance.width)
+    arrays = []
+    for name in ("truth1", "truth2", "mask", "kspace1", "kspace2"):
+        path = out / f"{name}.arr"
+        arr = fileio.read_array(path)
+        if arr.shape != shape:
+            raise ConfigError(
+                f"{path} has shape {arr.shape}, but instance.height and "
+                f"instance.width give {shape}"
+            )
+        arrays.append(arr)
+    truth1, truth2, mask, f1, f2 = arrays
     return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2), cfg.seed)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from .core import EvaluatedPoint, MFunction, SmoothedObjective, TwoBlockPoint
 from .operators import KSpaceData, MaskedDft, residual_energy
-from .smoothing import grad_r_eps, half_count_m, r_eps
+from .smoothing import grad_r_eps, group_norms, half_count_m, r_eps
 
 
 class QuadraticToy(SmoothedObjective):
@@ -53,9 +53,10 @@ class QuadraticToy(SmoothedObjective):
 class RecoveryPoint(EvaluatedPoint):
     """A point of :class:`JointRecovery` that does its eps-independent work once.
 
-    Both k-space residuals, both fidelity values and gradients, and the
-    extractor's features and pullback are computed on first use and
-    kept, so a new eps costs one r_eps weighting and one pullback.
+    Both k-space residuals, both fidelity values and gradients, the
+    extractor's features and pullback and the features' group norms are
+    computed on first use and kept, so a new eps costs one r_eps
+    weighting and one pullback.
     """
 
     @cached_property
@@ -77,6 +78,10 @@ class RecoveryPoint(EvaluatedPoint):
         # make a cycle that only the cyclic garbage collector frees
         return self.obj.extractor.linearize(TwoBlockPoint(self.x1, self.x2))
 
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        return group_norms(self._linearization[0])
+
     def h1(self, eps):
         return self._fidelities[0]
 
@@ -84,7 +89,7 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelities[1]
 
     def h(self, eps):
-        return self.obj.lam * r_eps(self._linearization[0], eps)
+        return self.obj.lam * r_eps(self._linearization[0], eps, self._norms)
 
     def grad_h1(self, eps):
         return self._fidelity_grads[0]
@@ -93,7 +98,7 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelity_grads[1]
 
     def grad_h(self, eps):
-        g = grad_r_eps(*self._linearization, eps)
+        g = grad_r_eps(*self._linearization, eps, self._norms)
         return self.obj.lam * g.x1, self.obj.lam * g.x2
 
 

@@ -8,7 +8,7 @@ quadratic branch so the gradient stays continuous.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -20,14 +20,27 @@ def group_norms(features: np.ndarray) -> np.ndarray:
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a (num_groups, d) matrix")
+    cols = features.T
+    # np.sum adds fewer than 8 terms strictly in order: these sums match it bit for bit
+    if 0 < len(cols) < 8:
+        total = cols[0] * cols[0]
+        for col in cols[1:]:
+            total += col * col
+        return np.sqrt(total, out=total)
     return np.sqrt(np.sum(features * features, axis=1))
 
 
-def r_eps(features: np.ndarray, eps: float) -> float:
-    """Smoothed l2,1 value: quadratic inside the eps-ball, linear outside."""
+def r_eps(
+    features: np.ndarray, eps: float, norms: Optional[np.ndarray] = None
+) -> float:
+    """Smoothed l2,1 value: quadratic inside the eps-ball, linear outside.
+
+    ``norms``, when given, are the precomputed ``group_norms(features)``.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    norms = group_norms(features)
+    if norms is None:
+        norms = group_norms(features)
     inside = norms <= eps
     quad = np.sum(norms[inside] ** 2) / (2.0 * eps)
     lin = np.sum(norms[~inside] - eps / 2.0)
@@ -38,23 +51,22 @@ def grad_r_eps(
     features: np.ndarray,
     vjp: Callable[[np.ndarray], TwoBlockPoint],
     eps: float,
+    norms: Optional[np.ndarray] = None,
 ) -> TwoBlockPoint:
     """Chain-rule gradient of r_eps through a feature extractor.
 
-    Each group is weighted by g_i/eps inside the eps-ball and by the unit
-    vector g_i/||g_i|| outside; the outside branch never divides by zero
-    because ||g_i|| > eps > 0 there.  ``vjp`` maps stacked group weights
-    w to the pullback of the extractor Jacobian applied to w.
+    Each group is weighted by g_i/max(||g_i||, eps): g_i/eps inside the
+    eps-ball and the unit vector g_i/||g_i|| outside, so nothing divides
+    by zero.  ``vjp`` maps stacked group weights w to the pullback of the
+    extractor Jacobian applied to w; ``norms``, when given, are the
+    precomputed ``group_norms(features)``.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     features = np.asarray(features, dtype=np.float64)
-    norms = group_norms(features)
-    scale = np.empty_like(norms)
-    inside = norms <= eps
-    scale[inside] = 1.0 / eps
-    scale[~inside] = 1.0 / norms[~inside]
-    return vjp(features * scale[:, None])
+    if norms is None:
+        norms = group_norms(features)
+    return vjp(features * (1.0 / np.maximum(norms, eps))[:, None])
 
 
 def half_count_m(num_groups: int, weight: float = 1.0) -> MFunction:
@@ -100,8 +112,9 @@ def check_c4_stable_branch(
     """
     if eps1 <= 0 or eps2 <= 0:
         raise ValueError("smoothing parameters must be positive")
-    g1 = grad_r_eps(features, vjp, eps1)
-    g2 = grad_r_eps(features, vjp, eps2)
+    norms = group_norms(features)
+    g1 = grad_r_eps(features, vjp, eps1, norms)
+    g2 = grad_r_eps(features, vjp, eps2, norms)
     d1 = np.max(np.abs(g1.x1 - g2.x1)) if g1.x1.size else 0.0
     d2 = np.max(np.abs(g1.x2 - g2.x2)) if g1.x2.size else 0.0
     return bool(max(d1, d2) <= tol)

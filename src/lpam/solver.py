@@ -144,7 +144,7 @@ def u_step(
         z2 = x2 - be * P.grad_h2(eps)
         u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
     elif order == JOINT_FIRST:
-        z1 = x1 - al * obj.grad1_h(x1, x2, eps)
+        z1 = x1 - al * P.grad_h(eps)[0]
         u1 = z1 - tau * obj.grad_h1(z1, eps)
         z2 = x2 - be * obj.grad2_h(u1, x2, eps)
         u2 = z2 - ga * obj.grad_h2(z2, eps)

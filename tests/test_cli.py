@@ -196,6 +196,31 @@ def test_nan_override_is_a_usage_error(tmp_path, capsys):
     assert "eps0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize(
+    "overrides, shape",
+    [(["instance.height=8"], (8, 16)), (["instance.height=8", "instance.width=32"], (8, 32))],
+)
+def test_instance_shape_mismatch_is_a_usage_error(tmp_path, capsys, command, overrides, shape):
+    cfg = write_config(tmp_path / "cfg.json")
+    ref, out = tmp_path / "ref", tmp_path / "run"
+    for d in (ref, out):
+        assert main(["generate", "--config", str(cfg), "--out", str(d)]) == 0
+    assert main(["solve", "--config", str(cfg), "--out", str(ref)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "audit":
+        argv += ["--trace", str(ref / "trace.csv")]
+    for o in overrides:
+        argv += ["--override", o]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str((16, 16)) in err and str(shape) in err
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 QUADRATIC = {"objective": {"kind": "quadratic"}, "instance": {"height": 4, "width": 4}}
 
 

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lpam import extractor
+from lpam import extractor, objectives, smoothing
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -14,7 +14,7 @@ from lpam.core import (
 )
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, MaskedDft, generate_instance
-from lpam.solver import LpamConfig, lpam_run
+from lpam.solver import JOINT_FIRST, LpamConfig, lpam_run
 
 
 def _cnn_objective(num_layers=4):
@@ -141,6 +141,29 @@ def test_residual_iteration_runs_four_forward_passes(monkeypatch):
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1))
     assert state.trace[0].branch == "u"
     assert len(calls) == 4 * 3
+
+
+def test_joint_first_residual_iteration_runs_three_forward_passes(monkeypatch):
+    # one at X0, whose features also serve the joint gradient at X0, one
+    # for the block-2 joint gradient, one at U
+    obj = _cnn_objective()
+    calls = _count_forward_passes(monkeypatch)
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1, order=JOINT_FIRST))
+    assert state.trace[0].branch == "u"
+    assert len(calls) == 3 * 3
+
+
+@pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
+def test_evaluated_point_computes_group_norms_once(monkeypatch, make):
+    obj = make()
+    calls = _count_calls(monkeypatch, smoothing, "group_norms")
+    monkeypatch.setattr(objectives, "group_norms", smoothing.group_norms)
+    rng = np.random.default_rng(3)
+    P = obj.point(rng.normal(size=64), rng.normal(size=64))
+    for eps in (0.05, 0.05 * 0.9):
+        P.h(eps)
+        P.grad_h(eps)
+    assert len(calls) == 1
 
 
 def test_reducing_residual_iterations_reuse_features(monkeypatch):

@@ -30,6 +30,52 @@ def test_group_norms_rows():
         group_norms(np.zeros(3))
 
 
+def flat_vjp(w):
+    # returns the group weights themselves, flattened row by row
+    return TwoBlockPoint(w.ravel().copy(), np.zeros(0))
+
+
+def _masked_weights(features, eps):
+    # the branchwise weighting: 1/eps inside the eps-ball, 1/||g_i|| outside
+    norms = np.sqrt(np.sum(features * features, axis=1))
+    scale = np.empty_like(norms)
+    inside = norms <= eps
+    scale[inside] = 1.0 / eps
+    scale[~inside] = 1.0 / norms[~inside]
+    return features * scale[:, None]
+
+
+@pytest.mark.parametrize("d", range(1, 11))
+def test_group_norms_bit_identical_to_numpy_sum(d):
+    # the column kernel for short rows relies on np.sum adding them in order
+    rng = np.random.default_rng(d)
+    f = rng.normal(size=(4000, d)) * 10.0 ** rng.uniform(-150, 150, size=(4000, d))
+    f[::97] = 0.0
+    assert np.array_equal(group_norms(f), np.sqrt(np.sum(f * f, axis=1)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_precomputed_norms_give_the_same_values(d):
+    rng = np.random.default_rng(10 + d)
+    f = rng.normal(size=(50, d)) * 0.1
+    norms = group_norms(f)
+    for eps in (0.01, 0.1, 1.0):
+        assert r_eps(f, eps, norms) == r_eps(f, eps)
+        g = grad_r_eps(f, flat_vjp, eps, norms)
+        assert np.array_equal(g.x1, grad_r_eps(f, flat_vjp, eps).x1)
+
+
+def test_grad_weights_at_tie_and_zero_rows():
+    # rows with ||g_i|| = eps, zero rows, one row inside and one outside
+    eps = 5.0
+    f = np.array([[3.0, 4.0], [0.0, 0.0], [-4.0, 3.0], [1.0, 2.0], [6.0, 8.0], [0.0, 0.0]])
+    assert group_norms(f)[0] == eps
+    with np.errstate(all="raise"):
+        g = grad_r_eps(f, flat_vjp, eps)
+        expected = _masked_weights(f, eps)
+    assert np.array_equal(g.x1, expected.ravel())
+
+
 def test_r_eps_branch_values():
     # single group, norm 1, eps 0.5: linear branch gives 1 - 0.25
     assert r_eps(np.array([[1.0]]), 0.5) == pytest.approx(0.75)
