@@ -10,7 +10,6 @@ image quality metrics and a CLI.
 
 from .core import (
     EvaluatedPoint,
-    MFunction,
     NumericError,
     SmoothedObjective,
     TwoBlockPoint,
@@ -54,8 +53,6 @@ from .solver import (
     EXIT_LINE_SEARCH,
     EXIT_NUMERIC,
     EXIT_TOLERANCE,
-    JOINT_FIRST,
-    SEPARABLE_FIRST,
     IterateRecord,
     LineSearchError,
     LpamConfig,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluatedPoint",
-    "MFunction",
     "NumericError",
     "SmoothedObjective",
     "TwoBlockPoint",
@@ -113,8 +109,6 @@ __all__ = [
     "EXIT_LINE_SEARCH",
     "EXIT_NUMERIC",
     "EXIT_TOLERANCE",
-    "JOINT_FIRST",
-    "SEPARABLE_FIRST",
     "IterateRecord",
     "LineSearchError",
     "LpamConfig",

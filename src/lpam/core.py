@@ -8,7 +8,7 @@ live in :mod:`lpam.objectives`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -99,32 +99,14 @@ class EvaluatedPoint(TwoBlockPoint):
         return self.obj.grad_h(self.x1, self.x2, eps)
 
 
-@dataclass(frozen=True)
-class MFunction:
-    """Continuous nonnegative function of the smoothing parameter with m(0)=0.
-
-    Used to turn the near-monotonicity of the smoothed objective family
-    into the executable check in :func:`lpam.smoothing.check_c3`.
-    """
-
-    fn: Callable[[float], float]
-
-    def evaluate(self, eps: float) -> float:
-        return float(self.fn(eps))
-
-    @staticmethod
-    def zero() -> "MFunction":
-        return MFunction(lambda _eps: 0.0)
-
-
 class SmoothedObjective:
     """Contract for a smoothed two-block objective.
 
     For every eps > 0 the implementor supplies the separable terms, the
-    joint term, their gradients and (optionally) a Lipschitz estimate for
-    the full gradient.  Implementations must be immutable after
-    construction and all calls pure.  :func:`phi_eps` and
-    :func:`grad_phi_eps` read the terms from :meth:`evaluate`.
+    joint term, their gradients, a Lipschitz estimate for the full
+    gradient and the monotonicity function m.  Implementations must be
+    immutable after construction and all calls pure.  :func:`phi_eps`
+    and :func:`grad_phi_eps` read the terms from :meth:`evaluate`.
     """
 
     def point(self, x1: np.ndarray, x2: np.ndarray) -> EvaluatedPoint:
@@ -172,14 +154,14 @@ class SmoothedObjective:
         """
         return self.grad1_h(x1, x2, eps), self.grad2_h(x1, x2, eps)
 
-    def lipschitz_estimate(self, eps: float) -> Optional[float]:
-        """Upper bound on the sum of the three gradient Lipschitz constants,
-        or None when no estimate is exported."""
-        return None
+    def lipschitz_estimate(self, eps: float) -> float:
+        """Upper bound on the sum of the three gradient Lipschitz constants."""
+        raise NotImplementedError
 
-    def m_function(self) -> MFunction:
-        """The monotonicity correction for this instantiation."""
-        return MFunction.zero()
+    def m_function(self) -> Callable[[float], float]:
+        """The monotonicity correction m: a continuous nonnegative function
+        of eps with m(0) = 0, as used by :func:`lpam.smoothing.check_c3`."""
+        raise NotImplementedError
 
 
 def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,18 +38,16 @@ class SegmentReport:
     k_end: int  # iteration of this segment's reduction event
     eps: float
     observed: int
-    bound: Optional[float]  # None when no Lipschitz estimate was available
+    bound: float
 
     @property
-    def ok(self) -> Optional[bool]:
-        if self.bound is None:
-            return None
+    def ok(self) -> bool:
         return self.observed <= self.bound
 
 
 def segment_bound(
     trace: Sequence[IterateRecord],
-    L_eps_fn: Callable[[float], Optional[float]],
+    L_eps_fn: Callable[[float], float],
     config: LpamConfig,
     phi_star: float = 0.0,
 ) -> list[SegmentReport]:
@@ -57,8 +55,7 @@ def segment_bound(
 
     A segment runs from one reduction event to the next; the bound
     combines the safeguard and line-search decrease rates with the
-    gradient threshold of the segment.  Segments without a Lipschitz
-    estimate are reported unchecked rather than failed.
+    gradient threshold of the segment.
     """
     events = [r.k for r in trace if r.reduced]
     if not events:
@@ -72,13 +69,11 @@ def segment_bound(
         eps_l = config.eps0 * config.gamma**l
         first = by_k[prev + 1]
         L = L_eps_fn(eps_l)
-        bound = None
-        if L is not None:
-            eta = config.eps_sigma * config.eps0 * config.gamma ** (l + 1)
-            rate = 2.0 / config.a**3 + 4.0 * sb**2 * L**2 / (
-                config.ls_delta * si**2 * config.rho**2
-            )
-            bound = rate * (first.phi_pre - phi_star + 1.0) / eta**2
+        eta = config.eps_sigma * config.eps0 * config.gamma ** (l + 1)
+        rate = 2.0 / config.a**3 + 4.0 * sb**2 * L**2 / (
+            config.ls_delta * si**2 * config.rho**2
+        )
+        bound = rate * (first.phi_pre - phi_star + 1.0) / eta**2
         reports.append(
             SegmentReport(
                 l=l,
@@ -102,16 +97,14 @@ class AuditFailure:
 def decrease_audit(
     trace: Sequence[IterateRecord],
     config: LpamConfig,
-    L_eps_fn: Optional[Callable[[float], Optional[float]]] = None,
+    L_eps_fn: Callable[[float], float],
     slack: float = 1e-9,
 ) -> tuple[bool, list[AuditFailure]]:
     """Check every accepted step's decrease and gradient-decrease coupling.
 
     Each step must not increase the objective, and the squared pre-step
-    gradient norm must be bounded by b2 times the achieved decrease.
-    b2 combines the safeguard and line-search rates when a Lipschitz
-    estimate is available; otherwise only residual-branch steps are
-    auditable with the safeguard-only rate.
+    gradient norm must be bounded by b2 times the achieved decrease,
+    where b2 combines the safeguard and line-search rates.
     """
     sb = max(config.alpha_bar, config.beta_bar)
     si = min(config.alpha_bar, config.beta_bar)
@@ -120,16 +113,11 @@ def decrease_audit(
         if r.decrease < -slack:
             failures.append(AuditFailure(r.k, f"objective increased by {-r.decrease}"))
             continue
-        L = L_eps_fn(r.eps) if L_eps_fn is not None else None
-        if L is not None:
-            b2 = max(
-                2.0 / config.a**3,
-                4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2),
-            )
-        elif r.branch == "u":
-            b2 = 2.0 / config.a**3
-        else:
-            continue  # fallback step without a Lipschitz estimate: unauditable
+        L = L_eps_fn(r.eps)
+        b2 = max(
+            2.0 / config.a**3,
+            4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2),
+        )
         if r.grad_norm_pre**2 > b2 * r.decrease + slack:
             failures.append(
                 AuditFailure(
@@ -198,7 +186,7 @@ def _ssim_global(x: np.ndarray, y: np.ndarray, k1: float = 0.01, k2: float = 0.0
 def audit_report(
     trace: Sequence[IterateRecord],
     config: LpamConfig,
-    L_eps_fn: Optional[Callable[[float], Optional[float]]] = None,
+    L_eps_fn: Callable[[float], float],
     check_decrease: bool = True,
     check_segments: bool = True,
     check_lmax: bool = True,
@@ -215,8 +203,8 @@ def audit_report(
         report["passed"] = report["passed"] and ok
 
     if check_segments:
-        segs = segment_bound(trace, L_eps_fn or (lambda _e: None), config)
-        seg_ok = all(s.ok is not False for s in segs)
+        segs = segment_bound(trace, L_eps_fn, config)
+        seg_ok = all(s.ok for s in segs)
         report["segments"] = [
             {
                 "l": s.l,
@@ -233,18 +221,14 @@ def audit_report(
 
     if check_lmax:
         violations = []
-        if L_eps_fn is not None:
-            for r in trace:
-                if r.branch != "v":
-                    continue
-                L = L_eps_fn(r.eps)
-                if L is None:
-                    continue
-                cap = lmax_bound(
-                    L, config.ls_delta, config.alpha_bar, config.beta_bar, config.rho
-                )
-                if r.ls_count > cap:
-                    violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
+        for r in trace:
+            if r.branch != "v":
+                continue
+            cap = lmax_bound(
+                L_eps_fn(r.eps), config.ls_delta, config.alpha_bar, config.beta_bar, config.rho
+            )
+            if r.ls_count > cap:
+                violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
         report["lmax"] = {"passed": not violations, "violations": violations}
         report["passed"] = report["passed"] and not violations
 

@@ -6,6 +6,7 @@ required to round-trip bit-exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -110,7 +111,9 @@ def _check_dims(dims: tuple[int, ...], path) -> None:
 
 
 def _must_read(fh, size: int, path) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise FormatError(f"truncated file {path}")
-    return data
+    # compare with the bytes left before reading, so a size taken from a
+    # hostile header neither overflows read() nor allocates
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(f"truncated file {path}: {size} bytes expected, {left} left")
+    return fh.read(size)

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Callable
 
 import numpy as np
 
-from .core import EvaluatedPoint, MFunction, SmoothedObjective, TwoBlockPoint
+from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
 from .operators import KSpaceData, MaskedDft, residual_energy
 from .smoothing import grad_r_eps, group_norms, half_count_m, r_eps
 
@@ -46,8 +46,8 @@ class QuadraticToy(SmoothedObjective):
         # 1 + 1 + 2: each separable block plus the joint coupling
         return 4.0
 
-    def m_function(self) -> MFunction:
-        return MFunction.zero()
+    def m_function(self) -> Callable[[float], float]:
+        return lambda eps: 0.0
 
 
 class RecoveryPoint(EvaluatedPoint):
@@ -147,14 +147,14 @@ class JointRecovery(SmoothedObjective):
     def point(self, x1, x2) -> RecoveryPoint:
         return RecoveryPoint(x1, x2, self)
 
-    def lipschitz_estimate(self, eps: float) -> Optional[float]:
+    def lipschitz_estimate(self, eps: float) -> float:
         # fidelity gradients are 1-Lipschitz under the unitary DFT;
         # the regularizer gradient scales like jac^2/eps plus curvature
         jac = self.extractor.jacobian_norm_bound()
         curv = self.extractor.curvature_bound()
         return 2.0 + self.lam * (jac * jac / eps + curv)
 
-    def m_function(self) -> MFunction:
+    def m_function(self) -> Callable[[float], float]:
         return half_count_m(self.extractor.num_groups, self.lam)
 
     def zero_filled(self) -> TwoBlockPoint:

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import MFunction, SmoothedObjective, TwoBlockPoint, phi_eps
+from .core import SmoothedObjective, TwoBlockPoint, phi_eps
 
 
 def group_norms(features: np.ndarray) -> np.ndarray:
@@ -69,14 +69,14 @@ def grad_r_eps(
     return vjp(features * (1.0 / np.maximum(norms, eps))[:, None])
 
 
-def half_count_m(num_groups: int, weight: float = 1.0) -> MFunction:
+def half_count_m(num_groups: int, weight: float = 1.0) -> Callable[[float], float]:
     """The monotonicity function for the l2,1 smoothing: weight*n*eps/2."""
-    return MFunction(lambda eps: 0.5 * weight * num_groups * eps)
+    return lambda eps: 0.5 * weight * num_groups * eps
 
 
 def check_c3(
     obj: SmoothedObjective,
-    m: MFunction,
+    m: Callable[[float], float],
     X: TwoBlockPoint,
     eps: float,
     delta: float,
@@ -89,8 +89,8 @@ def check_c3(
     if not (0 < eps <= delta):
         raise ValueError("require 0 < eps <= delta")
     P = obj.evaluate(X)
-    lhs = phi_eps(obj, P, eps) + m.evaluate(eps)
-    rhs = phi_eps(obj, P, delta) + m.evaluate(delta)
+    lhs = phi_eps(obj, P, eps) + m(eps)
+    rhs = phi_eps(obj, P, delta) + m(delta)
     slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
     return lhs <= rhs + slack
 

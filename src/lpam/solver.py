@@ -17,9 +17,6 @@ from .core import (
     phi_eps,
 )
 
-SEPARABLE_FIRST = "separable-first"
-JOINT_FIRST = "joint-first"
-
 EXIT_TOLERANCE = "tolerance_met"
 EXIT_ITERATION_CAP = "iteration_cap"
 EXIT_NUMERIC = "numeric_error"
@@ -55,7 +52,6 @@ class LpamConfig:
     step_beta: Sequence[float] = (0.5,)
     step_gamma: Sequence[float] = DEFAULT_TAU_SCHEDULE
     max_iter: int = 100
-    order: str = SEPARABLE_FIRST
     mode: str = "lpam"  # "bcd" disables the residual branch
     ls_max: int = 60
 
@@ -80,8 +76,6 @@ class LpamConfig:
             sched = getattr(self, name)
             if len(sched) < 1:
                 raise ValueError(f"{name} schedule must have length >= 1")
-        if self.order not in (SEPARABLE_FIRST, JOINT_FIRST):
-            raise ValueError(f"unknown update order {self.order!r}")
         if self.mode not in ("lpam", "bcd"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name, lo in (("max_iter", 0), ("ls_max", 1)):
@@ -112,13 +106,12 @@ class IterateRecord:
 
 @dataclass
 class SolverState:
-    """Iterates, trace and reduction-event checkpoints for one run."""
+    """Iterate, smoothing parameter and trace of one run."""
 
     X: TwoBlockPoint
     eps: float
     k: int = 0
     trace: list[IterateRecord] = field(default_factory=list)
-    events: list[tuple[int, TwoBlockPoint]] = field(default_factory=list)
 
 
 def u_step(
@@ -126,30 +119,20 @@ def u_step(
     X: TwoBlockPoint,
     eps: float,
     steps: tuple[float, float, float, float],
-    order: str = SEPARABLE_FIRST,
 ) -> TwoBlockPoint:
     """Residual-form candidate: two explicit gradient corrections per block.
 
-    ``steps`` supplies (alpha, tau, beta, gamma).  The default order
-    applies the separable gradients first; the alternative order applies
-    the joint gradient first in each block.  The candidate is returned
-    evaluated, ready for the safeguard.
+    ``steps`` supplies (alpha, tau, beta, gamma).  Each block takes its
+    separable gradient step, then its joint gradient step.  The candidate
+    is returned evaluated, ready for the safeguard.
     """
     P = obj.evaluate(X)
     al, tau, be, ga = steps
     x1, x2 = X.x1, X.x2
-    if order == SEPARABLE_FIRST:
-        z1 = x1 - al * P.grad_h1(eps)
-        u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
-        z2 = x2 - be * P.grad_h2(eps)
-        u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
-    elif order == JOINT_FIRST:
-        z1 = x1 - al * P.grad_h(eps)[0]
-        u1 = z1 - tau * obj.grad_h1(z1, eps)
-        z2 = x2 - be * obj.grad2_h(u1, x2, eps)
-        u2 = z2 - ga * obj.grad_h2(z2, eps)
-    else:
-        raise ValueError(f"unknown update order {order!r}")
+    z1 = x1 - al * P.grad_h1(eps)
+    u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
+    z2 = x2 - be * P.grad_h2(eps)
+    u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
     U = obj.point(u1, u2)
     if not U.is_finite():
         raise NumericError("non-finite candidate produced by residual update")
@@ -229,8 +212,7 @@ def lpam_run(
     on the smoothing parameter and the termination test.  Every point is
     evaluated once (see :meth:`SmoothedObjective.evaluate`); the values at
     the accepted point carry over unless the smoothing parameter shrinks.
-    ``state.X`` and the event points are plain points, so what the run
-    cached does not outlive it.
+    ``state.X`` is a plain point, so what the run cached does not outlive it.
     """
     config.validate()
     if not X0.is_finite():
@@ -255,7 +237,7 @@ def lpam_run(
                     _sched(config.step_beta, k),
                     _sched(config.step_gamma, k),
                 )
-                Xn = u_step(obj, X, eps, steps, config.order)
+                Xn = u_step(obj, X, eps, steps)
                 accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config.a)
             if not accepted:
                 Xn = None  # frees the rejected candidate's cache during the line search
@@ -299,7 +281,6 @@ def lpam_run(
         state.k = k + 1
         phi_x, gx, gn_x = phi_n, gn, gn_n
         if reduced:
-            state.events.append((k, Xn.copy()))
             state.eps = config.gamma * eps
         # termination uses the smoothing parameter of this iteration
         if config.eps_sigma * eps < config.eps_tol:
@@ -335,6 +316,8 @@ class TraceParseError(ValueError):
 
 
 def read_trace_csv(path) -> list[IterateRecord]:
+    """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
+    audits look rows up by iteration."""
     records: list[IterateRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -349,6 +332,8 @@ def read_trace_csv(path) -> list[IterateRecord]:
                 records.append(IterateRecord(*values))
                 if records[-1].branch not in ("u", "v"):
                     raise ValueError("branch must be 'u' or 'v'")
+                if records[-1].k != len(records) - 1:
+                    raise ValueError(f"k = {records[-1].k}, expected {len(records) - 1}")
             except ValueError as exc:
                 raise TraceParseError(f"malformed trace row {i} in {path}: {exc}") from exc
     return records

@@ -1,10 +1,11 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from lpam.cli import main
-from lpam.fileio import read_array
+from lpam.fileio import read_array, write_array
 
 
 def write_config(path, **extra):
@@ -112,16 +113,26 @@ def test_audit_corrupted_value_fails(tmp_path):
     assert report["decrease_audit"]["failures"][0]["k"] == 2
 
 
-def test_audit_malformed_trace_exit3(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "corrupt, row",
+    [
+        (lambda lines: lines[:2] + ["garbage"] + lines[3:], 3),
+        (lambda lines: lines[:2] + lines[3:], 3),  # k jumps from 0 to 2
+        (lambda lines: lines[:3] + lines[2:], 4),  # k = 1 twice
+    ],
+    ids=["garbage", "gap", "duplicate"],
+)
+def test_audit_malformed_trace_exit3(tmp_path, capsys, corrupt, row):
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     main(["generate", "--config", str(cfg), "--out", str(out)])
     main(["solve", "--config", str(cfg), "--out", str(out)])
     lines = (out / "trace.csv").read_text().splitlines()
-    lines[2] = "garbage"
-    (out / "trace.csv").write_text("\n".join(lines) + "\n")
+    (out / "trace.csv").write_text("\n".join(corrupt(lines)) + "\n")
+    capsys.readouterr()
     assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
-    assert "row 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"row {row} " in err
 
 
 def test_audit_without_events_passes(tmp_path):
@@ -135,13 +146,17 @@ def test_audit_without_events_passes(tmp_path):
     assert report["segments"] == []
 
 
-def test_unknown_config_key_rejected(tmp_path, capsys):
+# old configs may still set "order", the key of a deleted update-order option
+@pytest.mark.parametrize(
+    "key, value", [("momentum", 0.9), ("order", "separable-first")], ids=["momentum", "order"]
+)
+def test_unknown_config_key_rejected(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path / "cfg.json")
     raw = json.loads(cfg.read_text())
-    raw["solver"]["momentum"] = 0.9
+    raw["solver"][key] = value
     cfg.write_text(json.dumps(raw))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "momentum" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_negative_lam_rejected(tmp_path):
@@ -263,3 +278,14 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert main(["metrics", str(out / "truth1.arr"), str(out / "truth1.arr")]) == 0
     rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["ssim"] == 1.0 and rep["nmse"] == 0.0
+
+
+def test_metrics_huge_header_exit3(tmp_path, capsys):
+    # a header claiming (2^31 - 1)^2 float64 entries must not reach read()
+    path = tmp_path / "a.arr"
+    write_array(path, np.ones((2, 2)))
+    data = bytearray(path.read_bytes())
+    data[12:20] = struct.pack("<2i", 2**31 - 1, 2**31 - 1)
+    path.write_bytes(bytes(data))
+    assert main(["metrics", str(path), str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")

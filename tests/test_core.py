@@ -14,7 +14,7 @@ from lpam.core import (
 )
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, MaskedDft, generate_instance
-from lpam.solver import JOINT_FIRST, LpamConfig, lpam_run
+from lpam.solver import LpamConfig, lpam_run
 
 
 def _cnn_objective(num_layers=4):
@@ -143,16 +143,6 @@ def test_residual_iteration_runs_four_forward_passes(monkeypatch):
     assert len(calls) == 4 * 3
 
 
-def test_joint_first_residual_iteration_runs_three_forward_passes(monkeypatch):
-    # one at X0, whose features also serve the joint gradient at X0, one
-    # for the block-2 joint gradient, one at U
-    obj = _cnn_objective()
-    calls = _count_forward_passes(monkeypatch)
-    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=1, order=JOINT_FIRST))
-    assert state.trace[0].branch == "u"
-    assert len(calls) == 3 * 3
-
-
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
 def test_evaluated_point_computes_group_norms_once(monkeypatch, make):
     obj = make()
@@ -226,4 +216,3 @@ def test_run_hands_back_plain_points():
     obj = _identity_objective()
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=3))
     assert type(state.X) is TwoBlockPoint
-    assert state.events and all(type(E) is TwoBlockPoint for _, E in state.events)

@@ -79,12 +79,6 @@ def test_segment_bound_empty_without_events():
     assert segment_bound(trace, lambda _e: 1.0, LpamConfig()) == []
 
 
-def test_segment_bound_unchecked_without_lipschitz():
-    trace = [_record(reduced=True)]
-    reports = segment_bound(trace, lambda _e: None, LpamConfig())
-    assert reports[0].bound is None and reports[0].ok is None
-
-
 def test_segment_bound_on_quadratic_run():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)

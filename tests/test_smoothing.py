@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpam.core import MFunction, TwoBlockPoint
-from lpam.objectives import JointRecovery
+from lpam.core import TwoBlockPoint
+from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.extractor import IdentityExtractor, random_extractor
 from lpam.smoothing import (
@@ -133,8 +133,8 @@ def test_bracketing_property(seed, eps):
 
 def test_half_count_m():
     m = half_count_m(10, 0.5)
-    assert m.evaluate(0.2) == pytest.approx(0.5)
-    assert MFunction.zero().evaluate(1.0) == 0.0
+    assert m(0.2) == pytest.approx(0.5)
+    assert QuadraticToy().m_function()(1.0) == 0.0
 
 
 def _recovery_obj(seed=0, lam=0.01, size=8):
@@ -183,7 +183,7 @@ def test_c3_detects_missing_m():
     # feature norms above both eps values has r_eps decreasing in eps
     obj = _recovery_obj(lam=1.0)
     X = TwoBlockPoint(np.ones(64), np.ones(64))
-    assert not check_c3(obj, MFunction.zero(), X, 1e-3, 0.5)
+    assert not check_c3(obj, lambda eps: 0.0, X, 1e-3, 0.5)
 
 
 def test_c4_all_groups_active():
