@@ -2,7 +2,8 @@
 
 Subcommands write plain files (binary arrays, CSV traces, JSON reports)
 into an output directory; exit codes are 0 on success, 1 on audit
-failure, 2 on solver numeric failure and 3 on usage or parse errors.
+failure, 2 on solver numeric failure and 3 on usage or parse errors
+(an instance too large to allocate included).
 """
 
 from __future__ import annotations
@@ -360,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
             trace = Path(args.trace) if args.trace else None
             return cmd_audit(cfg, out, trace)
         raise AssertionError(args.command)
-    except (ConfigError, fileio.FormatError, ValueError, OSError) as exc:
+    except (ConfigError, fileio.FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -8,6 +8,7 @@ final layer.  Weights are fixed inputs, never trained here.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +32,29 @@ def smoothed_relu_deriv(x, act_delta: float):
     if act_delta <= 0:
         raise ValueError("act_delta must be positive")
     x = np.asarray(x, dtype=np.float64)
-    d = act_delta
-    mid = x / (2.0 * d) + 0.5
-    return np.where(x <= -d, 0.0, np.where(x >= d, 1.0, mid))
+    # the mid-branch line reads exactly 0 at -d and 1 at d, so clipping it
+    # equals the three-branch form bit for bit
+    return np.clip(x / (2.0 * act_delta) + 0.5, 0.0, 1.0)
+
+
+# Per-thread conv scratch, keyed by (in_ch, kh, kw, h, w): the zero-padded
+# input and the column matrix.  Reusing them keeps the allocator from
+# returning the pages to the OS between calls and faulting them back in.
+_scratch = threading.local()
+
+
+def _conv_buffers(in_ch: int, kh: int, kw: int, h: int, wd: int):
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None:
+        bufs = _scratch.bufs = {}
+    key = (in_ch, kh, kw, h, wd)
+    if key not in bufs:
+        # the padded border is zeroed here once and never written again
+        bufs[key] = (
+            np.zeros((in_ch, h + 2 * (kh // 2), wd + 2 * (kw // 2))),
+            np.empty((in_ch, kh, kw, h, wd)),
+        )
+    return bufs[key]
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -41,14 +62,14 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     One GEMM: the kh*kw shifted windows of the padded input are copied
     into an (in*kh*kw, h*w) column matrix that the flattened kernel
-    multiplies.
+    multiplies.  Both live in this thread's reusable scratch; the
+    returned array is always fresh.
     """
     out_ch, in_ch, kh, kw = w.shape
     _, h, wd = x.shape
     py, px = kh // 2, kw // 2
-    xp = np.zeros((in_ch, h + 2 * py, wd + 2 * px))
+    xp, cols = _conv_buffers(in_ch, kh, kw, h, wd)
     xp[:, py : py + h, px : px + wd] = x
-    cols = np.empty((in_ch, kh, kw, h, wd))
     for dy in range(kh):
         for dx in range(kw):
             cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + wd]

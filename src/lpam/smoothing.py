@@ -42,8 +42,10 @@ def r_eps(
     if norms is None:
         norms = group_norms(features)
     inside = norms <= eps
-    quad = np.sum(norms[inside] ** 2) / (2.0 * eps)
-    lin = np.sum(norms[~inside] - eps / 2.0)
+    # taking by index is much faster than by boolean mask when inside and
+    # outside groups interleave, and gives the same values in the same order
+    quad = np.sum(norms[np.flatnonzero(inside)] ** 2) / (2.0 * eps)
+    lin = np.sum(norms[np.flatnonzero(~inside)] - eps / 2.0)
     return float(quad + lin)
 
 

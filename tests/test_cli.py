@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from lpam import cli
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
 
@@ -288,4 +289,22 @@ def test_metrics_huge_header_exit3(tmp_path, capsys):
     data[12:20] = struct.pack("<2i", 2**31 - 1, 2**31 - 1)
     path.write_bytes(bytes(data))
     assert main(["metrics", str(path), str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _raise_memory_error(*args, **kwargs):
+    raise MemoryError("Unable to allocate 58.2 TiB")
+
+
+@pytest.mark.parametrize("command, target", [("generate", "generate_instance"), ("solve", "build_objective")])
+def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, command, target):
+    # an instance too large to allocate exits 3, not 1 with a traceback;
+    # the allocation failure is simulated, nothing large is allocated
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    if command == "solve":
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    monkeypatch.setattr(cli, target, _raise_memory_error)
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")

@@ -1,6 +1,10 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from lpam import extractor
 from lpam.core import TwoBlockPoint
 from lpam.extractor import (
     FeatureExtractor,
@@ -53,6 +57,28 @@ def test_smoothed_relu_c1_at_breakpoints():
     assert smoothed_relu_deriv(d, d) == 1.0
 
 
+def _deriv_three_branch(x, d):
+    # the three-branch form the clip form replaces
+    x = np.asarray(x, dtype=np.float64)
+    mid = x / (2.0 * d) + 0.5
+    return np.where(x <= -d, 0.0, np.where(x >= d, 1.0, mid))
+
+
+@pytest.mark.parametrize("d", [0.01, 1.0, 3e-7, 1e-300, 1e300])
+def test_smoothed_relu_deriv_clip_form_is_bit_identical(d):
+    rng = np.random.default_rng(17)
+    edges = [d, -d, 0.0, -0.0, np.inf, -np.inf, np.nan]
+    for p in (d, -d):
+        edges += [np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
+    x = np.concatenate([edges, rng.normal(size=5000) * d * 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = smoothed_relu_deriv(x, d)
+        ref = _deriv_three_branch(x, d)
+    assert np.array_equal(got, ref, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def test_smoothed_relu_rejects_bad_delta():
     with pytest.raises(ValueError):
         smoothed_relu(1.0, 0.0)
@@ -69,6 +95,75 @@ def test_conv_matches_naive_oracle():
     assert np.allclose(_conv_forward(x, w1), naive_conv(x, w1), atol=1e-12)
     w5 = rng.normal(size=(2, 3, 5, 3))
     assert np.allclose(_conv_forward(x, w5), naive_conv(x, w5), atol=1e-12)
+
+
+def test_conv_scratch_reuse_across_shapes():
+    # interleaved shapes share nothing, and a repeated shape with new input
+    # sees neither a dirty padded border nor a stale column from an earlier call
+    rng = np.random.default_rng(21)
+    shapes = [
+        (in_ch, k, size)
+        for size in (5, 7)
+        for in_ch in (2, 8)
+        for k in (1, 3, 5)
+    ]
+    for rnd in range(2):
+        for in_ch, k, size in shapes + shapes[::-1]:
+            x = rng.normal(size=(in_ch, size, size)) * (rnd + 1.0) + 10.0
+            w = rng.normal(size=(3, in_ch, k, k))
+            assert np.allclose(_conv_forward(x, w), naive_conv(x, w), atol=1e-10)
+
+
+def test_outputs_do_not_alias_conv_scratch():
+    rng = np.random.default_rng(22)
+    ext = random_extractor(6, 6, num_layers=3, channels=4, seed=3)
+    X = TwoBlockPoint(rng.normal(size=36), rng.normal(size=36))
+    feats, pullback = ext.linearize(X)
+    g = pullback(rng.normal(size=(36, 4)))
+    x = rng.normal(size=(2, 6, 6))
+    conv = _conv_forward(x, ext.weights[0])
+    cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
+    pre_acts = cells["pre_acts"].cell_contents
+    assert len(pre_acts) == 2
+    outputs = [feats, g.x1, g.x2, conv, *pre_acts]
+    scratch = [buf for pair in extractor._scratch.bufs.values() for buf in pair]
+    assert scratch
+    for out in outputs:
+        assert not any(np.shares_memory(out, buf) for buf in scratch)
+
+
+def test_linearize_is_thread_safe():
+    # exactly two threads, each with its own input, must reproduce the
+    # sequential results bit for bit
+    ext = random_extractor(8, 8, num_layers=4, channels=8, seed=1)
+    rng = np.random.default_rng(23)
+    inputs = [
+        (TwoBlockPoint(rng.normal(size=64), rng.normal(size=64)), rng.normal(size=(64, 8)))
+        for _ in range(2)
+    ]
+
+    def run(X, w):
+        feats, pullback = ext.linearize(X)
+        g = pullback(w)
+        return feats, g.x1, g.x2
+
+    expected = [run(X, w) for X, w in inputs]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        results[i] = [run(*inputs[i]) for _ in range(20)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        for got in results[i]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected[i]))
 
 
 @pytest.mark.parametrize("kernel", [(1, 1), (3, 3), (5, 5), (5, 3)])

@@ -65,6 +65,33 @@ def test_precomputed_norms_give_the_same_values(d):
         assert np.array_equal(g.x1, grad_r_eps(f, flat_vjp, eps).x1)
 
 
+def _masked_r_eps(norms, eps):
+    # the boolean-mask formula that r_eps's index take must match bit for bit
+    inside = norms <= eps
+    return float(np.sum(norms[inside] ** 2) / (2.0 * eps) + np.sum(norms[~inside] - eps / 2.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_r_eps_bit_identical_to_boolean_mask(d):
+    rng = np.random.default_rng(20 + d)
+    f = rng.normal(size=(3000, d)) * 10.0 ** rng.uniform(-3, 1, size=(3000, 1))
+    f[::7] = 0.0  # zero groups
+    # ties at exactly eps, interleaved with groups on both sides
+    mid = np.argsort(group_norms(f))[len(f) // 2]
+    f[::11] = f[mid]
+    norms = group_norms(f)
+    eps = float(norms[mid])
+    assert np.any(norms == eps) and np.any(norms < eps) and np.any(norms > eps)
+    for e in (eps, 1e-9, 1e9):  # mixed, all outside but the zero groups, all inside
+        assert r_eps(f, e, norms) == _masked_r_eps(norms, e)
+    # all outside, no zero groups
+    g = f[norms > 0]
+    assert r_eps(g, 1e-12) == _masked_r_eps(group_norms(g), 1e-12)
+    # zero groups only
+    z = np.zeros((5, d))
+    assert r_eps(z, 0.5) == _masked_r_eps(group_norms(z), 0.5) == 0.0
+
+
 def test_grad_weights_at_tie_and_zero_rows():
     # rows with ||g_i|| = eps, zero rows, one row inside and one outside
     eps = 5.0
