@@ -37,29 +37,23 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> JSON kind; the solver section's kinds are LpamConfig's
-# field annotations
+# section -> key -> JSON kind; the instance and solver sections' kinds are
+# InstanceSpec's and LpamConfig's field annotations
 _SCHEMA = {
-    "instance": {
-        "height": "int",
-        "width": "int",
-        "mask_type": "str",
-        "ratio": "float",
-        "noise_std": "float",
-        "phantom": "str",
-        "seed": "int",
-    },
+    "instance": {f.name: f.type for f in dataclasses.fields(InstanceSpec)} | {"seed": "int"},
     "objective": {"kind": "str", "weights_file": "str|null", "act_delta": "float", "lam": "float"},
     "solver": {f.name: f.type for f in dataclasses.fields(LpamConfig)},
-    "audits": {"decrease": "bool", "segments": "bool", "lmax": "bool"},
 }
 
 _KINDS = {  # JSON kind other than a number or list: (accepted types, description)
     "int": ((int,), "an integer"),
     "str": ((str,), "a string"),
     "str|null": ((str, type(None)), "a string or null"),
-    "bool": ((bool,), "true or false"),
 }
+
+# the instance's arrays, one ``<name>.arr`` file each, in the order
+# cmd_generate writes them and _load_instance reads them
+_INSTANCE_FILES = ("truth1", "truth2", "mask", "kspace1", "kspace2")
 
 
 @dataclasses.dataclass
@@ -73,7 +67,6 @@ class RunConfig:
     act_delta: float
     lam: float
     solver: LpamConfig
-    audits: dict
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
@@ -96,8 +89,6 @@ class RunConfig:
         solver = LpamConfig(**_section(raw, "solver"))
         solver.validate()
 
-        audits = dict.fromkeys(_SCHEMA["audits"], True) | _section(raw, "audits")
-
         spec.validate()
         return RunConfig(
             instance=spec,
@@ -107,7 +98,6 @@ class RunConfig:
             act_delta=objc.get("act_delta", 0.01),
             lam=lam,
             solver=solver,
-            audits=audits,
         )
 
 
@@ -115,7 +105,7 @@ def _section(raw: dict, name: str) -> dict:
     """The values given in config section ``name``, each checked against
     its JSON kind in :data:`_SCHEMA`; absent keys take their defaults later.
 
-    Booleans count only as "bool" (JSON values have exact builtin types).
+    JSON values have exact builtin types, so a boolean is never an "int".
     A "float" is any finite JSON number and comes back as a float; a
     "Sequence[float]" is a list of them and comes back as a tuple.
     """
@@ -215,7 +205,7 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
         return None
     shape = (cfg.instance.height, cfg.instance.width)
     arrays = []
-    for name in ("truth1", "truth2", "mask", "kspace1", "kspace2"):
+    for name in _INSTANCE_FILES:
         path = out / f"{name}.arr"
         arr = fileio.read_array(path)
         if arr.shape != shape:
@@ -225,7 +215,7 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
             )
         arrays.append(arr)
     truth1, truth2, mask, f1, f2 = arrays
-    return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2), cfg.seed)
+    return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2))
 
 
 def _dump_json(path: Path, obj: dict) -> None:
@@ -237,15 +227,9 @@ def _dump_json(path: Path, obj: dict) -> None:
 def cmd_generate(cfg: RunConfig, out: Path) -> int:
     inst = generate_instance(cfg.instance, cfg.seed)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        fileio.write_array(out / "truth1.arr", inst.truth1)
-        fileio.write_array(out / "truth2.arr", inst.truth2)
-        fileio.write_array(out / "mask.arr", inst.dft.mask)
-        fileio.write_array(out / "kspace1.arr", inst.kspace.f1)
-        fileio.write_array(out / "kspace2.arr", inst.kspace.f2)
-    except OSError as exc:
-        print(f"error: cannot write to {out}: {exc}", file=sys.stderr)
-        return 3
+    arrays = (inst.truth1, inst.truth2, inst.dft.mask, inst.kspace.f1, inst.kspace.f2)
+    for name, arr in zip(_INSTANCE_FILES, arrays):
+        fileio.write_array(out / f"{name}.arr", arr)
     manifest = {
         "seed": cfg.seed,
         "height": cfg.instance.height,
@@ -295,14 +279,11 @@ def cmd_audit(cfg: RunConfig, out: Path, trace_path: Path | None) -> int:
     path = trace_path or (out / "trace.csv")
     trace = read_trace_csv(path)
     obj = build_objective(cfg, _load_instance(cfg, out))
-    report = audit_report(
-        trace,
-        cfg.solver,
-        obj.lipschitz_estimate,
-        check_decrease=cfg.audits["decrease"],
-        check_segments=cfg.audits["segments"],
-        check_lmax=cfg.audits["lmax"],
-    )
+    try:
+        report = audit_report(trace, cfg.solver, obj.lipschitz_estimate)
+    except ArithmeticError as exc:  # a bound overflows, or divides by one that underflows
+        print(f"error: audit bounds out of floating-point range: {exc}", file=sys.stderr)
+        return 2
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "report.json", report)
     print(json.dumps({"passed": report["passed"]}, sort_keys=True))

@@ -20,6 +20,8 @@ def lmax_bound(
     floor(log((L/2 + delta) * max(alpha_bar, beta_bar)) / log(1/rho)) + 1,
     clamped below at 0.
     """
+    if not math.isfinite(L_eps):
+        raise ValueError(f"Lipschitz estimate must be finite, got {L_eps}")
     if L_eps <= 0 or ls_delta <= 0 or alpha_bar <= 0 or beta_bar <= 0:
         raise ValueError("all inputs must be positive")
     if not (0 < rho < 1):
@@ -49,13 +51,13 @@ def segment_bound(
     trace: Sequence[IterateRecord],
     L_eps_fn: Callable[[float], float],
     config: LpamConfig,
-    phi_star: float = 0.0,
 ) -> list[SegmentReport]:
     """Per-segment iteration counts against the complexity bound.
 
     A segment runs from one reduction event to the next; the bound
     combines the safeguard and line-search decrease rates with the
-    gradient threshold of the segment.
+    gradient threshold of the segment.  Both objectives are nonnegative,
+    so 0 stands in for the optimal value.
     """
     events = [r.k for r in trace if r.reduced]
     if not events:
@@ -73,7 +75,7 @@ def segment_bound(
         rate = 2.0 / config.a**3 + 4.0 * sb**2 * L**2 / (
             config.ls_delta * si**2 * config.rho**2
         )
-        bound = rate * (first.phi_pre - phi_star + 1.0) / eta**2
+        bound = rate * (first.phi_pre + 1.0) / eta**2
         reports.append(
             SegmentReport(
                 l=l,
@@ -187,25 +189,27 @@ def audit_report(
     trace: Sequence[IterateRecord],
     config: LpamConfig,
     L_eps_fn: Callable[[float], float],
-    check_decrease: bool = True,
-    check_segments: bool = True,
-    check_lmax: bool = True,
 ) -> dict:
-    """Combined audit as a JSON-ready dict with an overall ``passed`` flag."""
-    report: dict = {"passed": True}
-
-    if check_decrease:
-        ok, failures = decrease_audit(trace, config, L_eps_fn)
-        report["decrease_audit"] = {
+    """Decrease, segment and ``lmax`` audits as a JSON-ready dict with an
+    overall ``passed`` flag."""
+    ok, failures = decrease_audit(trace, config, L_eps_fn)
+    segs = segment_bound(trace, L_eps_fn, config)
+    violations = []
+    for r in trace:
+        if r.branch != "v":
+            continue
+        cap = lmax_bound(
+            L_eps_fn(r.eps), config.ls_delta, config.alpha_bar, config.beta_bar, config.rho
+        )
+        if r.ls_count > cap:
+            violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
+    return {
+        "passed": ok and all(s.ok for s in segs) and not violations,
+        "decrease_audit": {
             "passed": ok,
             "failures": [{"k": f.k, "reason": f.reason} for f in failures],
-        }
-        report["passed"] = report["passed"] and ok
-
-    if check_segments:
-        segs = segment_bound(trace, L_eps_fn, config)
-        seg_ok = all(s.ok for s in segs)
-        report["segments"] = [
+        },
+        "segments": [
             {
                 "l": s.l,
                 "k_start": s.k_start,
@@ -216,20 +220,6 @@ def audit_report(
                 "ok": s.ok,
             }
             for s in segs
-        ]
-        report["passed"] = report["passed"] and seg_ok
-
-    if check_lmax:
-        violations = []
-        for r in trace:
-            if r.branch != "v":
-                continue
-            cap = lmax_bound(
-                L_eps_fn(r.eps), config.ls_delta, config.alpha_bar, config.beta_bar, config.rho
-            )
-            if r.ls_count > cap:
-                violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
-        report["lmax"] = {"passed": not violations, "violations": violations}
-        report["passed"] = report["passed"] and not violations
-
-    return report
+        ],
+        "lmax": {"passed": not violations, "violations": violations},
+    }

@@ -14,12 +14,13 @@ import numpy as np
 WEIGHTS_MAGIC = b"FEXWTS01"
 ARRAY_MAGIC = b"ARRDAT01"
 
-_DTYPE_TAGS = {
-    np.dtype(np.float64): b"f64 ",
-    np.dtype(np.complex128): b"c128",
-    np.dtype(np.bool_): b"bool",
+# array dtype -> (header tag, little-endian dtype of the payload)
+_WIRE = {
+    np.dtype(np.float64): (b"f64 ", np.dtype("<f8")),
+    np.dtype(np.complex128): (b"c128", np.dtype("<c16")),
+    np.dtype(np.bool_): (b"bool", np.dtype("<u1")),
 }
-_TAG_DTYPES = {v: k for k, v in _DTYPE_TAGS.items()}
+_BY_TAG = {tag: (dtype, wire) for dtype, (tag, wire) in _WIRE.items()}
 
 
 class FormatError(ValueError):
@@ -67,18 +68,14 @@ def write_array(path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr)
     if arr.ndim != 2:
         raise ValueError("only 2-d arrays are supported")
-    if arr.dtype not in _DTYPE_TAGS:
+    if arr.dtype not in _WIRE:
         raise ValueError(f"unsupported dtype {arr.dtype}")
+    tag, wire = _WIRE[arr.dtype]
     with open(path, "wb") as fh:
         fh.write(ARRAY_MAGIC)
-        fh.write(_DTYPE_TAGS[arr.dtype])
+        fh.write(tag)
         fh.write(struct.pack("<2i", arr.shape[0], arr.shape[1]))
-        if arr.dtype == np.bool_:
-            fh.write(arr.astype("<u1").tobytes())
-        elif arr.dtype == np.complex128:
-            fh.write(arr.astype("<c16").tobytes())
-        else:
-            fh.write(arr.astype("<f8").tobytes())
+        fh.write(arr.astype(wire).tobytes())
 
 
 def read_array(path) -> np.ndarray:
@@ -86,20 +83,13 @@ def read_array(path) -> np.ndarray:
         if fh.read(8) != ARRAY_MAGIC:
             raise FormatError(f"bad magic in array file {path}")
         tag = fh.read(4)
-        if tag not in _TAG_DTYPES:
+        if tag not in _BY_TAG:
             raise FormatError(f"unknown dtype tag {tag!r} in {path}")
+        dtype, wire = _BY_TAG[tag]
         rows, cols = struct.unpack("<2i", _must_read(fh, 8, path))
         _check_dims((rows, cols), path)
-        dtype = _TAG_DTYPES[tag]
-        if dtype == np.dtype(np.bool_):
-            raw = np.frombuffer(_must_read(fh, rows * cols, path), dtype="<u1")
-            arr = raw.astype(bool)
-        elif dtype == np.dtype(np.complex128):
-            raw = np.frombuffer(_must_read(fh, rows * cols * 16, path), dtype="<c16")
-            arr = raw.astype(np.complex128)
-        else:
-            raw = np.frombuffer(_must_read(fh, rows * cols * 8, path), dtype="<f8")
-            arr = raw.astype(np.float64)
+        raw = _must_read(fh, rows * cols * wire.itemsize, path)
+        arr = np.frombuffer(raw, dtype=wire).astype(dtype)
         if fh.read(1):
             raise FormatError(f"trailing bytes in array file {path}")
     return arr.reshape(rows, cols)

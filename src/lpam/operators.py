@@ -195,7 +195,6 @@ class InstanceSpec:
     mask_type: str = "radial"  # "radial" | "uniform"
     ratio: float = 0.3
     noise_std: float = 0.0
-    phantom: str = "shared"
 
     def validate(self) -> None:
         _check_ratio(self.ratio)
@@ -203,8 +202,6 @@ class InstanceSpec:
             raise ValueError("image dimensions must be at least 2x2")
         if self.mask_type not in ("radial", "uniform"):
             raise ValueError(f"unknown mask type {self.mask_type!r}")
-        if self.phantom != "shared":
-            raise ValueError(f"unknown phantom type {self.phantom!r}")
         if self.noise_std < 0:
             raise ValueError("noise_std must be nonnegative")
 
@@ -215,7 +212,6 @@ class Instance:
     truth2: np.ndarray
     dft: MaskedDft
     kspace: KSpaceData
-    seed: int = 0
 
     @property
     def achieved_ratio(self) -> float:
@@ -242,4 +238,4 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
             )
             f = np.where(mask, f + noise, 0.0)
         chans.append(f)
-    return Instance(truth1, truth2, dft, KSpaceData(chans[0], chans[1]), seed)
+    return Instance(truth1, truth2, dft, KSpaceData(chans[0], chans[1]))

@@ -110,8 +110,12 @@ class SolverState:
 
     X: TwoBlockPoint
     eps: float
-    k: int = 0
     trace: list[IterateRecord] = field(default_factory=list)
+
+    @property
+    def k(self) -> int:
+        """Iterations completed: one trace record each."""
+        return len(self.trace)
 
 
 def u_step(
@@ -174,7 +178,7 @@ def v_step_with_linesearch(
     beta_bar: float,
     rho: float,
     ls_delta: float,
-    ls_max: int = 60,
+    ls_max: int,
 ) -> tuple[TwoBlockPoint, int, float]:
     """Gauss-Seidel fallback step with backtracking on both step sizes.
 
@@ -278,7 +282,6 @@ def lpam_run(
             )
         )
         X = Xn
-        state.k = k + 1
         phi_x, gx, gn_x = phi_n, gn, gn_n
         if reduced:
             state.eps = config.gamma * eps
@@ -290,13 +293,26 @@ def lpam_run(
     return state, exit_reason
 
 
+def _finite(cell: str) -> float:
+    x = float(cell)
+    if not math.isfinite(x):
+        raise ValueError(f"non-finite value {cell!r}")
+    return x
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
 # (format, parse) per IterateRecord field type, floats byte-stable; the
 # trace columns are the record's fields in declaration order
 _CODECS = {
     "int": (str, int),
-    "float": (lambda x: format(x, ".17g"), float),
+    "float": (lambda x: format(x, ".17g"), _finite),
     "str": (str, str),
-    "bool": (lambda b: str(int(b)), lambda s: bool(int(s))),
+    "bool": (lambda b: str(int(b)), _flag),
 }
 _COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(IterateRecord)]
 _HEADER = [name for name, _, _ in _COLUMNS]
@@ -317,23 +333,28 @@ class TraceParseError(ValueError):
 
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
-    audits look rows up by iteration."""
+    audits look rows up by iteration.  Floats must be finite, ``eps``
+    positive and ``reduced`` 0 or 1."""
     records: list[IterateRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _HEADER:
-            raise TraceParseError(f"bad or missing header in {path}")
-        for i, row in enumerate(reader, start=2):
-            try:
+        try:
+            if next(reader, None) != _HEADER:
+                raise ValueError("bad or missing header")
+            for row in reader:
                 if len(row) != len(_HEADER):
                     raise ValueError(f"{len(row)} fields, expected {len(_HEADER)}")
-                values = [parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row)]
-                records.append(IterateRecord(*values))
-                if records[-1].branch not in ("u", "v"):
+                r = IterateRecord(*[parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row)])
+                if r.branch not in ("u", "v"):
                     raise ValueError("branch must be 'u' or 'v'")
-                if records[-1].k != len(records) - 1:
-                    raise ValueError(f"k = {records[-1].k}, expected {len(records) - 1}")
-            except ValueError as exc:
-                raise TraceParseError(f"malformed trace row {i} in {path}: {exc}") from exc
+                if r.k != len(records):
+                    raise ValueError(f"k = {r.k}, expected {len(records)}")
+                if r.eps <= 0:
+                    raise ValueError(f"eps = {r.eps}, expected > 0")
+                records.append(r)
+        except (ValueError, csv.Error) as exc:
+            # one record per line (the writer never quotes a line break);
+            # a missing header is row 1
+            line = max(reader.line_num, 1)
+            raise TraceParseError(f"malformed trace row {line} in {path}: {exc}") from exc
     return records

@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,14 +115,39 @@ def test_audit_corrupted_value_fails(tmp_path):
     assert report["decrease_audit"]["failures"][0]["k"] == 2
 
 
+def _set_cell(column, value, row=3):
+    """A trace edit that writes ``value`` into ``column`` of row ``row``."""
+
+    def edit(lines):
+        cells = lines[row - 1].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        return lines[: row - 1] + [",".join(cells)] + lines[row:]
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "corrupt, row",
     [
         (lambda lines: lines[:2] + ["garbage"] + lines[3:], 3),
         (lambda lines: lines[:2] + lines[3:], 3),  # k jumps from 0 to 2
         (lambda lines: lines[:3] + lines[2:], 4),  # k = 1 twice
+        (_set_cell("eps", "0"), 3),
+        (_set_cell("decrease", "nan"), 3),
+        (_set_cell("grad_norm_pre", "nan"), 3),
+        (_set_cell("reduced", "2"), 3),
+        (_set_cell("phi", "1" * 140_000), 3),  # over the csv module's field limit
     ],
-    ids=["garbage", "gap", "duplicate"],
+    ids=[
+        "garbage",
+        "gap",
+        "duplicate",
+        "eps-zero",
+        "nan-decrease",
+        "nan-grad-norm-pre",
+        "reduced-2",
+        "huge-field",
+    ],
 )
 def test_audit_malformed_trace_exit3(tmp_path, capsys, corrupt, row):
     cfg = write_config(tmp_path / "cfg.json")
@@ -147,17 +173,34 @@ def test_audit_without_events_passes(tmp_path):
     assert report["segments"] == []
 
 
-# old configs may still set "order", the key of a deleted update-order option
+# old configs may still set "order", "audits" or "phantom", keys of deleted options
 @pytest.mark.parametrize(
-    "key, value", [("momentum", 0.9), ("order", "separable-first")], ids=["momentum", "order"]
+    "section, key, value",
+    [
+        ("solver", "momentum", 0.9),
+        ("solver", "order", "separable-first"),
+        (None, "audits", {"decrease": True, "segments": True, "lmax": True}),
+        ("instance", "phantom", "shared"),
+    ],
+    ids=["momentum", "order", "audits", "phantom"],
 )
-def test_unknown_config_key_rejected(tmp_path, capsys, key, value):
+def test_unknown_config_key_rejected(tmp_path, capsys, section, key, value):
     cfg = write_config(tmp_path / "cfg.json")
     raw = json.loads(cfg.read_text())
-    raw["solver"][key] = value
+    (raw if section is None else raw[section])[key] = value
     cfg.write_text(json.dumps(raw))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert key in capsys.readouterr().err
+
+
+def test_readme_config_loads(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "run.json"
+    path.write_text(example)
+    cfg = cli.load_config(str(path), [], None, None)
+    assert cfg.instance.height == 32 and cfg.objective_kind == "identity"
+    assert cfg.solver.step_tau[-1] == 0.1
 
 
 def test_negative_lam_rejected(tmp_path):

@@ -34,6 +34,10 @@ def test_lmax_input_validation():
         lmax_bound(0.0, 0.5, 0.9, 0.9, 0.5)
     with pytest.raises(ValueError):
         lmax_bound(2.0, 0.5, 0.9, 0.9, 1.0)
+    # a trace row with a subnormal eps gives an infinite Lipschitz estimate
+    for L in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            lmax_bound(L, 0.5, 0.9, 0.9, 0.5)
 
 
 def _record(**kw):

@@ -63,6 +63,24 @@ def test_array_roundtrip_bit_exact(tmp_path, arr):
     assert path.read_bytes() == path2.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "arr, tag, payload",
+    [
+        (np.array([[1.5, -2.0, 0.25]]), b"f64 ", struct.pack("<3d", 1.5, -2.0, 0.25)),
+        (np.array([[1 + 2j], [0.5 - 0.25j]]), b"c128", struct.pack("<4d", 1.0, 2.0, 0.5, -0.25)),
+        (np.array([[True, False], [False, True]]), b"bool", struct.pack("<4B", 1, 0, 0, 1)),
+    ],
+    ids=["f64", "c128", "bool"],
+)
+def test_array_golden_bytes(tmp_path, arr, tag, payload):
+    path = tmp_path / "a.arr"
+    write_array(path, arr)
+    golden = b"ARRDAT01" + tag + struct.pack("<2i", *arr.shape) + payload
+    assert path.read_bytes() == golden
+    back = read_array(path)
+    assert back.dtype == arr.dtype and np.array_equal(back, arr)
+
+
 def test_array_rejects_unsupported(tmp_path):
     with pytest.raises(ValueError):
         write_array(tmp_path / "a.arr", np.zeros(4))

@@ -189,5 +189,3 @@ def test_spec_validation():
         InstanceSpec(height=8, width=8, mask_type="spiral").validate()
     with pytest.raises(ValueError):
         InstanceSpec(height=8, width=8, noise_std=-1.0).validate()
-    with pytest.raises(ValueError):
-        InstanceSpec(height=8, width=8, phantom="brain").validate()

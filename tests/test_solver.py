@@ -95,7 +95,7 @@ def test_safeguard_genuine_descent():
 def test_v_step_stationary_accepts_immediately():
     obj = QuadraticToy()
     O = TwoBlockPoint([0.0, 0.0], [0.0, 0.0])
-    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, *at(obj, O, 0.1), 0.9, 0.9, 0.5, 0.1)
+    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, *at(obj, O, 0.1), 0.9, 0.9, 0.5, 0.1, 60)
     assert l == 0
     assert np.allclose(V.x1, 0.0) and np.allclose(V.x2, 0.0)
     assert phi_v == 0.0
@@ -105,7 +105,7 @@ def test_v_step_small_steps_first_try():
     # steps already below 1/(L/2 + delta): acceptance at l = 0
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [2.0])
-    _, l, _ = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), 0.3, 0.3, 0.5, 0.1)
+    _, l, _ = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), 0.3, 0.3, 0.5, 0.1, 60)
     assert l == 0
 
 
@@ -113,7 +113,7 @@ def test_v_step_decreases_objective():
     obj, _ = recovery_objective()
     X0 = obj.zero_filled()
     phi0, g0 = at(obj, X0, 0.01)
-    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, phi0, g0, 0.9, 0.9, 0.5, 0.1)
+    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, phi0, g0, 0.9, 0.9, 0.5, 0.1, 60)
     assert phi_v < phi0
     assert 0 <= l <= 60
 
