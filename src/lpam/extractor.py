@@ -1,9 +1,9 @@
 """Fixed-weight convolutional feature extractors with hand-written VJPs.
 
 The extractor maps a two-block point (two flattened images) to a
-(num_pixels, channels) grouped-feature matrix: stride-1, zero-padded
-convolutions with a smoothed-ReLU activation between layers and a linear
-final layer.  Weights are fixed inputs, never trained here.
+channel-major (channels, num_pixels) grouped-feature matrix: stride-1,
+zero-padded convolutions with a smoothed-ReLU activation between layers
+and a linear final layer.  Weights are fixed inputs, never trained here.
 """
 
 from __future__ import annotations
@@ -149,16 +149,15 @@ class FeatureExtractor:
             z = _conv_forward(a, wk)
             pre_acts.append(z)
             a = smoothed_relu(z, self.act_delta)
-        a = _conv_forward(a, self.weights[-1])
-        feats = a.reshape(self.group_dim, -1).T.copy()
+        feats = _conv_forward(a, self.weights[-1]).reshape(self.group_dim, -1)
 
         def pullback(w: np.ndarray) -> TwoBlockPoint:
             w = np.asarray(w, dtype=np.float64)
-            if w.shape != (self.num_groups, self.group_dim):
+            if w.shape != (self.group_dim, self.num_groups):
                 raise ValueError(
-                    f"weights must have shape {(self.num_groups, self.group_dim)}"
+                    f"weights must have shape {(self.group_dim, self.num_groups)}"
                 )
-            g = w.T.reshape(self.group_dim, self.height, self.width)
+            g = w.reshape(self.group_dim, self.height, self.width)
             g = _conv_backward(g, self.weights[-1])
             for wk, z in zip(reversed(self.weights[:-1]), reversed(pre_acts)):
                 g = _conv_backward(g * smoothed_relu_deriv(z, self.act_delta), wk)
@@ -167,7 +166,7 @@ class FeatureExtractor:
         return feats, pullback
 
     def forward(self, X: TwoBlockPoint) -> np.ndarray:
-        """Grouped features, shape (num_groups, group_dim)."""
+        """Grouped features, shape (group_dim, num_groups)."""
         return self.linearize(X)[0]
 
     def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
@@ -211,7 +210,8 @@ class IdentityExtractor:
     """Per-pixel pairing of the two channels: g(X)_i = (x1_i, x2_i).
 
     The Jacobian is the identity, so the smoothed l2,1 built on it is the
-    plain joint-sparsity regularizer.
+    plain joint-sparsity regularizer.  Features are the two images stacked
+    as rows, and the pullback of weights w is its two rows, as views.
     """
 
     height: int
@@ -229,7 +229,7 @@ class IdentityExtractor:
         n = self.num_groups
         if X.n != n or X.m != n:
             raise ValueError(f"expected two blocks of length {n}")
-        return np.stack([X.x1, X.x2], axis=1)
+        return np.stack([X.x1, X.x2])
 
     def linearize(
         self, X: TwoBlockPoint
@@ -238,9 +238,9 @@ class IdentityExtractor:
 
     def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
         w = np.asarray(w, dtype=np.float64)
-        if w.shape != (self.num_groups, 2):
-            raise ValueError(f"weights must have shape {(self.num_groups, 2)}")
-        return TwoBlockPoint(w[:, 0].copy(), w[:, 1].copy())
+        if w.shape != (2, self.num_groups):
+            raise ValueError(f"weights must have shape {(2, self.num_groups)}")
+        return TwoBlockPoint(w[0], w[1])
 
     def jacobian_norm_bound(self) -> float:
         return 1.0

@@ -63,7 +63,7 @@ def write_array(path, arr: np.ndarray) -> None:
     """2-d array container: magic, dtype tag, int32 (rows, cols), raw data.
 
     Supported dtypes: float64, complex128 (stored as interleaved real
-    pairs) and bool (stored as u8).
+    pairs) and bool (stored as u8 bytes that are each 0 or 1).
     """
     arr = np.ascontiguousarray(arr)
     if arr.ndim != 2:
@@ -88,8 +88,12 @@ def read_array(path) -> np.ndarray:
         dtype, wire = _BY_TAG[tag]
         rows, cols = struct.unpack("<2i", _must_read(fh, 8, path))
         _check_dims((rows, cols), path)
-        raw = _must_read(fh, rows * cols * wire.itemsize, path)
-        arr = np.frombuffer(raw, dtype=wire).astype(dtype)
+        raw = np.frombuffer(_must_read(fh, rows * cols * wire.itemsize, path), dtype=wire)
+        # a bool payload byte is 0 or 1; any other would load as True and
+        # not round-trip
+        if dtype == np.bool_ and np.any(raw > 1):
+            raise FormatError(f"bool payload byte other than 0 or 1 in {path}")
+        arr = raw.astype(dtype)
         if fh.read(1):
             raise FormatError(f"trailing bytes in array file {path}")
     return arr.reshape(rows, cols)

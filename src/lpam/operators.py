@@ -7,14 +7,37 @@ Instances are fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 
+# Per-thread DFT scratch, keyed by image shape: two complex buffers for
+# the masked k-space data and the first of the two per-axis passes.  Like
+# the conv scratch in extractor.py, reusing them keeps the allocator from
+# returning the pages to the OS between calls and faulting them back in.
+_scratch = threading.local()
+
+
+def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None:
+        bufs = _scratch.bufs = {}
+    if shape not in bufs:
+        bufs[shape] = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
+    return bufs[shape]
+
+
 @dataclass(frozen=True)
 class MaskedDft:
-    """Undersampled 2-d DFT measurement operator for one image channel."""
+    """Undersampled 2-d DFT measurement operator for one image channel.
+
+    Each transform is the two per-axis passes ``fft2``/``ifft2`` make,
+    last axis first, so values match them bit for bit; the first pass
+    writes into this thread's scratch, and the returned arrays are
+    always fresh.
+    """
 
     mask: np.ndarray  # boolean, shape (height, width)
 
@@ -23,6 +46,8 @@ class MaskedDft:
         if m.ndim != 2:
             raise ValueError("mask must be a 2-d boolean matrix")
         object.__setattr__(self, "mask", m)
+        # flat indices of the unsampled frequencies, zeroed in place
+        object.__setattr__(self, "_off", np.flatnonzero(~m))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -38,21 +63,38 @@ class MaskedDft:
             raise ValueError(f"expected image vector of length {self.n}, got {x.size}")
         return x.reshape(self.shape)
 
+    def _masked(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Scratch holding f on the sampled frequencies and zero elsewhere,
+        and this thread's second scratch buffer."""
+        buf, spare = _dft_buffers(self.shape)
+        if np.shape(f) != self.shape:
+            raise ValueError("k-space data shape does not match mask")
+        np.copyto(buf, f)
+        buf.reshape(-1)[self._off] = 0.0
+        return buf, spare
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Masked unitary DFT of a flattened image; zero outside the mask."""
-        spec = np.fft.fft2(self._image(x), norm="ortho")
-        return np.where(self.mask, spec, 0.0)
+        buf, _ = _dft_buffers(self.shape)
+        np.fft.fft(self._image(x), axis=1, norm="ortho", out=buf)
+        spec = np.fft.fft(buf, axis=0, norm="ortho")
+        spec.reshape(-1)[self._off] = 0.0
+        return spec
 
     def adjoint(self, f: np.ndarray) -> np.ndarray:
         """Real part of the inverse unitary DFT of masked k-space data."""
-        f = np.asarray(f, dtype=np.complex128)
-        if f.shape != self.shape:
-            raise ValueError("k-space data shape does not match mask")
-        return np.real(np.fft.ifft2(np.where(self.mask, f, 0.0), norm="ortho")).ravel()
+        buf, spare = self._masked(f)
+        np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
+        np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
+        return buf.real.flatten()
 
     def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Masked DFT of x minus the data f on the sampled frequencies."""
-        return self.forward(x) - np.where(self.mask, f, 0.0)
+        resid = self.forward(x)
+        # subtract a masked copy, not f itself: data off the mask, even a
+        # signalling NaN, must neither reach the result nor raise a warning
+        resid -= self._masked(f)[0]
+        return resid
 
     def fidelity(self, x: np.ndarray, f: np.ndarray) -> float:
         """Half squared residual on the sampled frequencies."""

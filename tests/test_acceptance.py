@@ -223,7 +223,7 @@ def test_acceptance_8_operator_adjoints():
     h = 1e-6
     for _ in range(50):
         d1, d2 = rng.normal(size=n), rng.normal(size=n)
-        w = rng.normal(size=(n, 4))
+        w = rng.normal(size=(4, n))
         Xp = TwoBlockPoint(X.x1 + h * d1, X.x2 + h * d2)
         Xm = TwoBlockPoint(X.x1 - h * d1, X.x2 - h * d2)
         jd = (ext.forward(Xp) - ext.forward(Xm)) / (2 * h)

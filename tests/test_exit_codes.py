@@ -118,6 +118,7 @@ def test_config_overrides_keep_the_exit_code_contract(base_run, overrides):
     st.integers(min_value=0),
     st.one_of(st.integers(0, 255), st.none()),  # None: truncate at the position
 )
+@example("mask.arr", -1, 0x60)  # the last mask byte neither 0 nor 1
 def test_corrupted_files_keep_the_exit_code_contract(base_run, name, pos, byte):
     with tempfile.TemporaryDirectory() as tmp:
         out = _copy(base_run, tmp)
@@ -134,6 +135,15 @@ def test_corrupted_files_keep_the_exit_code_contract(base_run, name, pos, byte):
         run("audit", out, *config)
         run("solve", out, *config)
         run("audit", out, *config)
+
+
+def test_mask_byte_other_than_0_or_1_is_a_usage_error(base_run):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _copy(base_run, tmp)
+        data = bytearray((out / "mask.arr").read_bytes())
+        data[-1] = 0x60
+        (out / "mask.arr").write_bytes(bytes(data))
+        assert run("solve", out, "--config", str(out / "run.json")) == 3
 
 
 TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterateRecord)]

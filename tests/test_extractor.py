@@ -119,7 +119,7 @@ def test_outputs_do_not_alias_conv_scratch():
     ext = random_extractor(6, 6, num_layers=3, channels=4, seed=3)
     X = TwoBlockPoint(rng.normal(size=36), rng.normal(size=36))
     feats, pullback = ext.linearize(X)
-    g = pullback(rng.normal(size=(36, 4)))
+    g = pullback(rng.normal(size=(4, 36)))
     x = rng.normal(size=(2, 6, 6))
     conv = _conv_forward(x, ext.weights[0])
     cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
@@ -138,7 +138,7 @@ def test_linearize_is_thread_safe():
     ext = random_extractor(8, 8, num_layers=4, channels=8, seed=1)
     rng = np.random.default_rng(23)
     inputs = [
-        (TwoBlockPoint(rng.normal(size=64), rng.normal(size=64)), rng.normal(size=(64, 8)))
+        (TwoBlockPoint(rng.normal(size=64), rng.normal(size=64)), rng.normal(size=(8, 64)))
         for _ in range(2)
     ]
 
@@ -191,7 +191,7 @@ def test_linearize_matches_forward_and_vjp():
         assert np.array_equal(feats, ext.forward(X))
         # the pullback is reusable: each call sees the same linearization
         for _ in range(2):
-            w = rng.normal(size=(35, ext.group_dim))
+            w = rng.normal(size=(ext.group_dim, 35))
             g, ref = pullback(w), ext.vjp(X, w)
             assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
 
@@ -203,11 +203,11 @@ def test_identity_configuration():
     rng = np.random.default_rng(1)
     X = TwoBlockPoint(rng.normal(size=16), rng.normal(size=16))
     feats = ext.forward(X)
-    assert np.allclose(feats, np.stack([X.x1, X.x2], axis=1))
-    wts = rng.normal(size=(16, 2))
+    assert np.allclose(feats, np.stack([X.x1, X.x2]))
+    wts = rng.normal(size=(2, 16))
     g = ext.vjp(X, wts)
-    assert np.allclose(g.x1, wts[:, 0])
-    assert np.allclose(g.x2, wts[:, 1])
+    assert np.allclose(g.x1, wts[0])
+    assert np.allclose(g.x2, wts[1])
 
 
 def test_zero_input_constant_propagation():
@@ -223,7 +223,7 @@ def test_zero_input_constant_propagation():
 def test_vjp_zero_weights():
     ext = random_extractor(5, 5, num_layers=2, channels=3, seed=2)
     X = TwoBlockPoint(np.ones(25), np.ones(25))
-    g = ext.vjp(X, np.zeros((25, 3)))
+    g = ext.vjp(X, np.zeros((3, 25)))
     assert np.all(g.x1 == 0.0) and np.all(g.x2 == 0.0)
 
 
@@ -234,7 +234,7 @@ def test_vjp_dot_product_adjoint():
     for _ in range(5):
         d1 = rng.normal(size=36)
         d2 = rng.normal(size=36)
-        w = rng.normal(size=(36, 4))
+        w = rng.normal(size=(4, 36))
         h = 1e-6
         Xp = TwoBlockPoint(X.x1 + h * d1, X.x2 + h * d2)
         Xm = TwoBlockPoint(X.x1 - h * d1, X.x2 - h * d2)
@@ -260,11 +260,13 @@ def test_forward_shape_and_errors():
     ext = random_extractor(4, 6, num_layers=2, channels=3, seed=5)
     assert ext.num_groups == 24 and ext.group_dim == 3
     X = TwoBlockPoint(np.zeros(24), np.zeros(24))
-    assert ext.forward(X).shape == (24, 3)
+    assert ext.forward(X).shape == (3, 24)
     with pytest.raises(ValueError):
         ext.forward(TwoBlockPoint(np.zeros(25), np.zeros(25)))
     with pytest.raises(ValueError):
-        ext.vjp(X, np.zeros((24, 2)))
+        ext.vjp(X, np.zeros((2, 24)))
+    with pytest.raises(ValueError):
+        ext.vjp(X, np.zeros((24, 3)))
 
 
 def test_jacobian_bound_dominates_measured_norm():
@@ -291,12 +293,14 @@ def test_identity_extractor():
     rng = np.random.default_rng(8)
     X = TwoBlockPoint(rng.normal(size=16), rng.normal(size=16))
     feats = ext.forward(X)
-    assert np.allclose(feats[:, 0], X.x1)
-    assert np.allclose(feats[:, 1], X.x2)
-    w = rng.normal(size=(16, 2))
+    assert np.allclose(feats[0], X.x1)
+    assert np.allclose(feats[1], X.x2)
+    w = rng.normal(size=(2, 16))
     g = ext.vjp(X, w)
-    assert np.allclose(g.x1, w[:, 0]) and np.allclose(g.x2, w[:, 1])
+    assert np.allclose(g.x1, w[0]) and np.allclose(g.x2, w[1])
     with pytest.raises(ValueError):
         ext.forward(TwoBlockPoint(np.zeros(15), np.zeros(16)))
     with pytest.raises(ValueError):
-        ext.vjp(X, np.zeros((16, 3)))
+        ext.vjp(X, np.zeros((3, 16)))
+    with pytest.raises(ValueError):
+        ext.vjp(X, np.zeros((16, 2)))

@@ -124,6 +124,16 @@ def test_unknown_dtype_tag(tmp_path):
         read_array(path)
 
 
+def test_bool_payload_byte_other_than_0_or_1(tmp_path):
+    path = tmp_path / "mask.arr"
+    write_array(path, np.array([[True, True]]))
+    data = bytearray(path.read_bytes())
+    data[-1] = 0x60
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError, match="bool payload"):
+        read_array(path)
+
+
 # the last inputs are huge dims: the payload they imply is far larger than the file
 @pytest.mark.parametrize("dims", [(-2, -2), (-1, 4), (2**31 - 1, 2**31 - 1)])
 def test_array_negative_dims(tmp_path, dims):

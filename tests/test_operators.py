@@ -1,6 +1,11 @@
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from lpam import operators
 from lpam.operators import (
     InstanceSpec,
     MaskedDft,
@@ -112,7 +117,138 @@ def test_shape_errors():
     with pytest.raises(ValueError):
         op.adjoint(np.zeros((3, 3)))
     with pytest.raises(ValueError):
+        op.residual(np.zeros(16), np.zeros((3, 3)))
+    with pytest.raises(ValueError):
         MaskedDft(np.ones(4, dtype=bool))
+
+
+# the formulas the in-place per-axis transforms must reproduce bit for bit
+def ref_forward(mask, x):
+    return np.where(mask, np.fft.fft2(x.reshape(mask.shape), norm="ortho"), 0.0)
+
+
+def ref_adjoint(mask, f):
+    return np.real(np.fft.ifft2(np.where(mask, f, 0.0), norm="ortho")).ravel()
+
+
+def ref_residual(mask, x, f):
+    return ref_forward(mask, x) - np.where(mask, f, 0.0)
+
+
+def assert_bits_equal(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    gv, rv = got.view(np.float64), ref.view(np.float64)
+    assert np.array_equal(gv, rv, equal_nan=True)
+    assert np.array_equal(np.signbit(gv), np.signbit(rv))
+
+
+def draw(rng, shape):
+    """A mask, an image with some signed zeros and k-space data nonzero everywhere."""
+    mask = rng.random(shape) < 0.4
+    x = rng.normal(size=shape[0] * shape[1])
+    x[::5] = -0.0
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    f.ravel()[::7] = complex(-0.0, -0.0)
+    return mask, x, f
+
+
+SHAPES = [(8, 8), (5, 7), (6, 9), (9, 6), (1, 1), (1, 5)]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_transforms_bit_identical_to_fft2(shape):
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    for trial in range(3):
+        mask, x, f = draw(rng, shape)
+        if trial == 1:
+            mask[:] = True
+        elif trial == 2:
+            mask[:] = False
+        op = MaskedDft(mask)
+        assert_bits_equal(op.forward(x), ref_forward(mask, x))
+        assert_bits_equal(op.adjoint(f), ref_adjoint(mask, f))
+        assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
+        # real data goes through the same casts as in the formulas
+        assert_bits_equal(op.adjoint(f.real), ref_adjoint(mask, f.real))
+        assert_bits_equal(op.residual(x, f.real), ref_residual(mask, x, f.real))
+
+
+def test_nonfinite_data_off_the_mask_is_ignored_silently():
+    rng = np.random.default_rng(40)
+    mask, x, f = draw(rng, (6, 9))
+    signalling = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+    off = np.flatnonzero(~mask)
+    bad = f.copy()
+    for i, v in zip(off, [np.nan, np.inf, -np.inf, complex(0.0, np.nan), signalling] * len(off)):
+        bad.flat[i] = v
+    op = MaskedDft(mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_bits_equal(op.residual(x, bad), ref_residual(mask, x, f))
+        assert_bits_equal(op.adjoint(bad), ref_adjoint(mask, f))
+        assert op.fidelity(x, bad) == op.fidelity(x, f)
+
+
+def test_dft_scratch_reuse_across_shapes():
+    # interleaved shapes share no buffer, and a repeated shape sees nothing
+    # left over from a call on other data
+    rng = np.random.default_rng(41)
+    for _ in range(2):
+        for shape in SHAPES + SHAPES[::-1]:
+            mask, x, f = draw(rng, shape)
+            op = MaskedDft(mask)
+            assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
+            assert_bits_equal(op.grad_fidelity(x, f), ref_adjoint(mask, ref_residual(mask, x, f)))
+            assert_bits_equal(op.forward(x), ref_forward(mask, x))
+
+
+def test_outputs_do_not_alias_dft_scratch():
+    rng = np.random.default_rng(42)
+    outputs = []
+    for shape in SHAPES:
+        mask, x, f = draw(rng, shape)
+        op = MaskedDft(mask)
+        outputs += [op.forward(x), op.adjoint(f), op.residual(x, f), op.grad_fidelity(x, f)]
+    scratch = [buf for pair in operators._scratch.bufs.values() for buf in pair]
+    assert scratch
+    for out in outputs:
+        assert not any(np.shares_memory(out, buf) for buf in scratch)
+
+
+def test_transforms_are_thread_safe():
+    # exactly two threads, each with its own operator and data, must
+    # reproduce the sequential results bit for bit
+    rng = np.random.default_rng(43)
+    cases = [draw(rng, (16, 12)) for _ in range(2)]
+
+    def run(mask, x, f):
+        op = MaskedDft(mask)
+        return op.forward(x), op.adjoint(f), op.residual(x, f), op.grad_fidelity(x, f)
+
+    expected = [run(*case) for case in cases]
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        results[i] = [run(*cases[i]) for _ in range(50)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between most numpy calls
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        for got in results[i]:
+            for a, b in zip(got, expected[i]):
+                assert_bits_equal(a, b)
 
 
 @pytest.mark.parametrize("maker", [uniform_mask, radial_mask])

@@ -19,12 +19,12 @@ from lpam.smoothing import (
 
 
 def identity_vjp(w):
-    # one scalar feature per group: pullback is the weight column itself
-    return TwoBlockPoint(w[:, 0].copy(), np.zeros(0))
+    # one scalar feature per group: pullback is the weight row itself
+    return TwoBlockPoint(w[0].copy(), np.zeros(0))
 
 
 def test_group_norms_rows():
-    f = np.array([[3.0, 4.0], [0.0, 0.0]])
+    f = np.array([[3.0, 0.0], [4.0, 0.0]])
     assert np.allclose(group_norms(f), [5.0, 0.0])
     with pytest.raises(ValueError):
         group_norms(np.zeros(3))
@@ -37,27 +37,32 @@ def flat_vjp(w):
 
 def _masked_weights(features, eps):
     # the branchwise weighting: 1/eps inside the eps-ball, 1/||g_i|| outside
-    norms = np.sqrt(np.sum(features * features, axis=1))
+    g = np.ascontiguousarray(features.T)  # group-major, as np.sum adds it
+    norms = np.sqrt(np.sum(g * g, axis=1))
     scale = np.empty_like(norms)
     inside = norms <= eps
     scale[inside] = 1.0 / eps
     scale[~inside] = 1.0 / norms[~inside]
-    return features * scale[:, None]
+    return features * scale
 
 
-@pytest.mark.parametrize("d", range(1, 11))
+@pytest.mark.parametrize("d", [*range(1, 21), 64, 128, 129, 200])
 def test_group_norms_bit_identical_to_numpy_sum(d):
-    # the column kernel for short rows relies on np.sum adding them in order
+    # the row kernel reproduces the order in which np.sum adds each group
+    # stored group-major: in order below 8 terms, 8 pairwise-combined
+    # accumulators up to 128, and np.sum itself above that
     rng = np.random.default_rng(d)
     f = rng.normal(size=(4000, d)) * 10.0 ** rng.uniform(-150, 150, size=(4000, d))
     f[::97] = 0.0
-    assert np.array_equal(group_norms(f), np.sqrt(np.sum(f * f, axis=1)))
+    got = group_norms(np.ascontiguousarray(f.T))
+    ref = np.sqrt(np.sum(f * f, axis=1))
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_precomputed_norms_give_the_same_values(d):
     rng = np.random.default_rng(10 + d)
-    f = rng.normal(size=(50, d)) * 0.1
+    f = rng.normal(size=(d, 50)) * 0.1
     norms = group_norms(f)
     for eps in (0.01, 0.1, 1.0):
         assert r_eps(f, eps, norms) == r_eps(f, eps)
@@ -74,28 +79,28 @@ def _masked_r_eps(norms, eps):
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_r_eps_bit_identical_to_boolean_mask(d):
     rng = np.random.default_rng(20 + d)
-    f = rng.normal(size=(3000, d)) * 10.0 ** rng.uniform(-3, 1, size=(3000, 1))
-    f[::7] = 0.0  # zero groups
+    f = rng.normal(size=(d, 3000)) * 10.0 ** rng.uniform(-3, 1, size=(1, 3000))
+    f[:, ::7] = 0.0  # zero groups
     # ties at exactly eps, interleaved with groups on both sides
-    mid = np.argsort(group_norms(f))[len(f) // 2]
-    f[::11] = f[mid]
+    mid = np.argsort(group_norms(f))[f.shape[1] // 2]
+    f[:, ::11] = f[:, mid : mid + 1]
     norms = group_norms(f)
     eps = float(norms[mid])
     assert np.any(norms == eps) and np.any(norms < eps) and np.any(norms > eps)
     for e in (eps, 1e-9, 1e9):  # mixed, all outside but the zero groups, all inside
         assert r_eps(f, e, norms) == _masked_r_eps(norms, e)
     # all outside, no zero groups
-    g = f[norms > 0]
+    g = f[:, norms > 0]
     assert r_eps(g, 1e-12) == _masked_r_eps(group_norms(g), 1e-12)
     # zero groups only
-    z = np.zeros((5, d))
+    z = np.zeros((d, 5))
     assert r_eps(z, 0.5) == _masked_r_eps(group_norms(z), 0.5) == 0.0
 
 
 def test_grad_weights_at_tie_and_zero_rows():
-    # rows with ||g_i|| = eps, zero rows, one row inside and one outside
+    # groups with ||g_i|| = eps, zero groups, one group inside and one outside
     eps = 5.0
-    f = np.array([[3.0, 4.0], [0.0, 0.0], [-4.0, 3.0], [1.0, 2.0], [6.0, 8.0], [0.0, 0.0]])
+    f = np.array([[3.0, 0.0, -4.0, 1.0, 6.0, 0.0], [4.0, 0.0, 3.0, 2.0, 8.0, 0.0]])
     assert group_norms(f)[0] == eps
     with np.errstate(all="raise"):
         g = grad_r_eps(f, flat_vjp, eps)
@@ -121,13 +126,13 @@ def test_r_eps_continuous_at_tie():
 
 def test_grad_sign_vector_outside():
     x = np.array([2.0, -3.0, 1.5])
-    g = grad_r_eps(x[:, None], identity_vjp, 0.5)
+    g = grad_r_eps(x[None, :], identity_vjp, 0.5)
     assert np.allclose(g.x1, np.sign(x))
 
 
 def test_grad_scaled_inside():
     x = np.array([0.1, -0.2, 0.05])
-    g = grad_r_eps(x[:, None], identity_vjp, 0.5)
+    g = grad_r_eps(x[None, :], identity_vjp, 0.5)
     assert np.allclose(g.x1, x / 0.5)
 
 
@@ -135,13 +140,13 @@ def test_grad_matches_value_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=6)
     eps = 0.05
-    g = grad_r_eps(x[:, None], identity_vjp, eps)
+    g = grad_r_eps(x[None, :], identity_vjp, eps)
     h = 1e-7
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fd = (r_eps(xp[:, None], eps) - r_eps(xm[:, None], eps)) / (2 * h)
+        fd = (r_eps(xp[None, :], eps) - r_eps(xm[None, :], eps)) / (2 * h)
         assert g.x1[i] == pytest.approx(fd, rel=1e-5)
 
 
@@ -149,10 +154,10 @@ def test_grad_matches_value_finite_differences():
 @given(st.integers(0, 2**31 - 1), st.floats(1e-3, 10.0))
 def test_bracketing_property(seed, eps):
     rng = np.random.default_rng(seed)
-    f = rng.normal(size=(8, 3))
+    f = rng.normal(size=(3, 8))
     r = l21_norm(f)
     re = r_eps(f, eps)
-    n = f.shape[0]
+    n = f.shape[1]
     assert r - n * eps / 2.0 - 1e-12 <= re <= r + 1e-12
     # uniform closeness bound
     assert abs(re - r) <= n * eps / 2.0 + 1e-12
@@ -215,17 +220,17 @@ def test_c3_detects_missing_m():
 
 def test_c4_all_groups_active():
     x = np.array([1.0, -1.0, 1.0])
-    assert check_c4_stable_branch(x[:, None], identity_vjp, 0.1, 0.01)
+    assert check_c4_stable_branch(x[None, :], identity_vjp, 0.1, 0.01)
 
 
 def test_c4_detects_inside_group():
     x = np.array([1.0, 0.05, 1.0])  # middle group inside the 0.1-ball
-    assert not check_c4_stable_branch(x[:, None], identity_vjp, 0.1, 0.01)
+    assert not check_c4_stable_branch(x[None, :], identity_vjp, 0.1, 0.01)
 
 
 def test_c4_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        check_c4_stable_branch(np.ones((2, 1)), identity_vjp, 0.0, 0.1)
+        check_c4_stable_branch(np.ones((1, 2)), identity_vjp, 0.0, 0.1)
 
 
 def test_c4_rescaled_extractor_point():
@@ -244,7 +249,7 @@ def test_grad_norm_bounded_by_group_count():
     # identity pullback: every group weight has norm at most 1
     rng = np.random.default_rng(6)
     for _ in range(20):
-        f = rng.normal(size=(10, 2))
-        vjp = lambda w: TwoBlockPoint(w[:, 0].copy(), w[:, 1].copy())
+        f = rng.normal(size=(2, 10))
+        vjp = lambda w: TwoBlockPoint(w[0].copy(), w[1].copy())
         g = grad_r_eps(f, vjp, 0.05)
         assert g.norm() <= np.sqrt(10) + 1e-12
