@@ -3,7 +3,7 @@
 Subcommands write plain files (binary arrays, CSV traces, JSON reports)
 into an output directory; exit codes are 0 on success, 1 on audit
 failure, 2 on solver numeric failure and 3 on usage or parse errors
-(an instance too large to allocate included).
+(a malformed command line and an instance too large to allocate included).
 """
 
 from __future__ import annotations
@@ -298,8 +298,15 @@ def cmd_metrics(x_path: str, y_path: str, squared_peak: bool) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line, in any subcommand, as a ConfigError."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lpam", description=__doc__)
+    p = _Parser(prog="lpam", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -328,20 +335,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
-        if args.command == "metrics":
-            return cmd_metrics(args.recon, args.truth, args.squared_peak)
-        cfg = load_config(args.config, args.override, args.mode, args.seed)
-        out = Path(args.out)
-        if args.command == "generate":
-            return cmd_generate(cfg, out)
-        if args.command == "solve":
-            return cmd_solve(cfg, out)
-        if args.command == "audit":
-            trace = Path(args.trace) if args.trace else None
-            return cmd_audit(cfg, out, trace)
-        raise AssertionError(args.command)
+        args = _parser().parse_args(argv)
+        # every non-finite value is caught by an explicit check, so numpy's
+        # floating-point warnings would only repeat it on stderr
+        with np.errstate(all="ignore"):
+            if args.command == "metrics":
+                return cmd_metrics(args.recon, args.truth, args.squared_peak)
+            cfg = load_config(args.config, args.override, args.mode, args.seed)
+            out = Path(args.out)
+            if args.command == "generate":
+                return cmd_generate(cfg, out)
+            if args.command == "solve":
+                return cmd_solve(cfg, out)
+            if args.command == "audit":
+                trace = Path(args.trace) if args.trace else None
+                return cmd_audit(cfg, out, trace)
+            raise AssertionError(args.command)
     except (ConfigError, fileio.FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,6 +7,7 @@ live in :mod:`lpam.objectives`.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +18,29 @@ class NumericError(RuntimeError):
     """A solver-fatal non-finite value was produced, named by its source."""
 
 
-@dataclass(frozen=True)
+class _ScratchPool(threading.local):
+    """Per-thread scratch arrays of the convolutions and DFTs.  Reusing them
+    keeps the allocator from returning the pages to the OS between calls
+    and faulting them back in."""
+
+    def __init__(self):
+        self.bufs: dict = {}
+
+
+_scratch = _ScratchPool()
+
+
+def scratch(key: tuple, make: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """This thread's buffers for ``key``, made by ``make()`` on first use.  A
+    key starts with its user's tag, ``"conv"`` or ``"dft"``, so no two
+    users share a buffer."""
+    bufs = _scratch.bufs
+    if key not in bufs:
+        bufs[key] = make()
+    return bufs[key]
+
+
+@dataclass(frozen=True, eq=False)
 class TwoBlockPoint:
     """The iterate X = (x1, x2), two real vectors of fixed lengths.
 

@@ -31,6 +31,15 @@ def lmax_bound(
     return max(0, val)
 
 
+def _rates(config: LpamConfig, L: float) -> tuple[float, float]:
+    """The safeguard and line-search decrease rates for Lipschitz estimate L,
+    2/a^3 and 4 sb^2 L^2 / (ls_delta si^2 rho^2), where sb and si are the
+    larger and the smaller of alpha_bar and beta_bar."""
+    sb = max(config.alpha_bar, config.beta_bar)
+    si = min(config.alpha_bar, config.beta_bar)
+    return 2.0 / config.a**3, 4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2)
+
+
 @dataclass
 class SegmentReport:
     """One fixed-smoothing segment of a run versus its theoretical length bound."""
@@ -65,17 +74,13 @@ def segment_bound(
     by_k = {r.k: r for r in trace}
     reports = []
     prev = -1
-    sb = max(config.alpha_bar, config.beta_bar)
-    si = min(config.alpha_bar, config.beta_bar)
     for l, k_end in enumerate(events):
         eps_l = config.eps0 * config.gamma**l
         first = by_k[prev + 1]
         L = L_eps_fn(eps_l)
         eta = config.eps_sigma * config.eps0 * config.gamma ** (l + 1)
-        rate = 2.0 / config.a**3 + 4.0 * sb**2 * L**2 / (
-            config.ls_delta * si**2 * config.rho**2
-        )
-        bound = rate * (first.phi_pre + 1.0) / eta**2
+        safeguard, line_search = _rates(config, L)
+        bound = (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
         reports.append(
             SegmentReport(
                 l=l,
@@ -108,18 +113,12 @@ def decrease_audit(
     gradient norm must be bounded by b2 times the achieved decrease,
     where b2 combines the safeguard and line-search rates.
     """
-    sb = max(config.alpha_bar, config.beta_bar)
-    si = min(config.alpha_bar, config.beta_bar)
     failures = []
     for r in trace:
         if r.decrease < -slack:
             failures.append(AuditFailure(r.k, f"objective increased by {-r.decrease}"))
             continue
-        L = L_eps_fn(r.eps)
-        b2 = max(
-            2.0 / config.a**3,
-            4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2),
-        )
+        b2 = max(_rates(config, L_eps_fn(r.eps)))
         if r.grad_norm_pre**2 > b2 * r.decrease + slack:
             failures.append(
                 AuditFailure(
@@ -158,6 +157,8 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
     if ynorm2 == 0.0:
         raise ValueError("ground truth must not be all zero")
     err2 = float(np.sum((x - y) ** 2))
+    if not math.isfinite(err2):
+        raise ValueError(f"squared error is not finite: {err2}")
     mse = err2 / x.size
     rmse = math.sqrt(mse)
     nmse = err2 / ynorm2

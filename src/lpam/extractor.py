@@ -8,13 +8,12 @@ and a linear final layer.  Weights are fixed inputs, never trained here.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import TwoBlockPoint
+from .core import TwoBlockPoint, scratch
 
 
 def smoothed_relu(x, act_delta: float):
@@ -37,26 +36,6 @@ def smoothed_relu_deriv(x, act_delta: float):
     return np.clip(x / (2.0 * act_delta) + 0.5, 0.0, 1.0)
 
 
-# Per-thread conv scratch, keyed by (in_ch, kh, kw, h, w): the zero-padded
-# input and the column matrix.  Reusing them keeps the allocator from
-# returning the pages to the OS between calls and faulting them back in.
-_scratch = threading.local()
-
-
-def _conv_buffers(in_ch: int, kh: int, kw: int, h: int, wd: int):
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None:
-        bufs = _scratch.bufs = {}
-    key = (in_ch, kh, kw, h, wd)
-    if key not in bufs:
-        # the padded border is zeroed here once and never written again
-        bufs[key] = (
-            np.zeros((in_ch, h + 2 * (kh // 2), wd + 2 * (kw // 2))),
-            np.empty((in_ch, kh, kw, h, wd)),
-        )
-    return bufs[key]
-
-
 def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Stride-1 zero-padded correlation: (in,h,w) x (out,in,kh,kw) -> (out,h,w).
 
@@ -68,7 +47,12 @@ def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     out_ch, in_ch, kh, kw = w.shape
     _, h, wd = x.shape
     py, px = kh // 2, kw // 2
-    xp, cols = _conv_buffers(in_ch, kh, kw, h, wd)
+    # the padded input and the column matrix; the padded border is zeroed
+    # once, when the buffer is made, and never written again
+    xp, cols = scratch(
+        ("conv", in_ch, kh, kw, h, wd),
+        lambda: (np.zeros((in_ch, h + 2 * py, wd + 2 * px)), np.empty((in_ch, kh, kw, h, wd))),
+    )
     xp[:, py : py + h, px : px + wd] = x
     for dy in range(kh):
         for dx in range(kw):

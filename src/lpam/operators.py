@@ -7,29 +7,22 @@ Instances are fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-
-# Per-thread DFT scratch, keyed by image shape: two complex buffers for
-# the masked k-space data and the first of the two per-axis passes.  Like
-# the conv scratch in extractor.py, reusing them keeps the allocator from
-# returning the pages to the OS between calls and faulting them back in.
-_scratch = threading.local()
+from .core import scratch
 
 
 def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None:
-        bufs = _scratch.bufs = {}
-    if shape not in bufs:
-        bufs[shape] = (np.empty(shape, np.complex128), np.empty(shape, np.complex128))
-    return bufs[shape]
+    # per image shape: the masked k-space data and the first per-axis pass
+    return scratch(
+        ("dft", shape),
+        lambda: (np.empty(shape, np.complex128), np.empty(shape, np.complex128)),
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MaskedDft:
     """Undersampled 2-d DFT measurement operator for one image channel.
 
@@ -110,7 +103,7 @@ def residual_energy(resid: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(resid) ** 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KSpaceData:
     """Sampled k-space data for the two channels; zero outside the mask."""
 
@@ -248,7 +241,7 @@ class InstanceSpec:
             raise ValueError("noise_std must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     truth1: np.ndarray
     truth2: np.ndarray

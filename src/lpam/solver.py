@@ -174,24 +174,20 @@ def v_step_with_linesearch(
     eps: float,
     phi_x: float,
     grad_x: TwoBlockPoint,
-    alpha_bar: float,
-    beta_bar: float,
-    rho: float,
-    ls_delta: float,
-    ls_max: int,
+    config: LpamConfig,
 ) -> tuple[TwoBlockPoint, int, float]:
     """Gauss-Seidel fallback step with backtracking on both step sizes.
 
     ``phi_x`` and ``grad_x`` are the objective and its full gradient at X.
     Returns (accepted point, evaluated; backtrack count; objective at the
-    accepted point).  Step sizes start from (alpha_bar, beta_bar) every
-    call and are both shrunk by rho until the sufficient-decrease
-    condition holds.
+    accepted point).  Step sizes start from ``config``'s (alpha_bar,
+    beta_bar) every call and are both shrunk by rho until the
+    sufficient-decrease condition with ls_delta holds, at most ls_max times.
     """
     x1, x2 = X.x1, X.x2
     gh2 = obj.evaluate(X).grad_h2(eps)
-    al, be = alpha_bar, beta_bar
-    for l in range(ls_max + 1):
+    al, be = config.alpha_bar, config.beta_bar
+    for l in range(config.ls_max + 1):
         v1 = x1 - al * grad_x.x1
         v2 = x2 - be * (gh2 + obj.grad2_h(v1, x2, eps))
         V = obj.point(v1, v2)
@@ -199,11 +195,11 @@ def v_step_with_linesearch(
             raise NumericError("non-finite fallback candidate")
         phi_v = phi_eps(obj, V, eps)
         d1, d2 = V.diff_norms(X)
-        if phi_v - phi_x <= -ls_delta * (d1 * d1 + d2 * d2):
+        if phi_v - phi_x <= -config.ls_delta * (d1 * d1 + d2 * d2):
             return V, l, phi_v
-        al *= rho
-        be *= rho
-    raise LineSearchError(f"no sufficient decrease within {ls_max} backtracks")
+        al *= config.rho
+        be *= config.rho
+    raise LineSearchError(f"no sufficient decrease within {config.ls_max} backtracks")
 
 
 def lpam_run(
@@ -245,18 +241,7 @@ def lpam_run(
                 accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config.a)
             if not accepted:
                 Xn = None  # frees the rejected candidate's cache during the line search
-                Xn, ls_count, phi_n = v_step_with_linesearch(
-                    obj,
-                    X,
-                    eps,
-                    phi_x,
-                    gx,
-                    config.alpha_bar,
-                    config.beta_bar,
-                    config.rho,
-                    config.ls_delta,
-                    config.ls_max,
-                )
+                Xn, ls_count, phi_n = v_step_with_linesearch(obj, X, eps, phi_x, gx, config)
             gn = grad_phi_eps(obj, Xn, eps)
             gn_n = gn.norm()
         except NumericError:

@@ -351,3 +351,32 @@ def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, command, 
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["solve", "--out", "o"],
+        ["solve", "--config", "c.json"],
+        ["solve", "--config", "c.json", "--out", "o", "--mode", "foo"],
+        ["generate", "--config", "c.json", "--out", "o", "--seed", "abc"],
+        ["metrics", "recon.arr"],
+    ],
+    ids=["no-command", "unknown-command", "no-config", "no-out", "bad-mode", "bad-seed", "no-truth"],
+)
+def test_malformed_command_line_is_a_usage_error(capsys, argv):
+    # parsed inside main, so argparse's own exit status 2 (reserved for
+    # numeric failure) never escapes
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: lpam") and "usage: lpam" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: lpam" in capsys.readouterr().out

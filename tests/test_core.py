@@ -1,4 +1,5 @@
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -11,9 +12,10 @@ from lpam.core import (
     finite_difference_grad,
     grad_phi_eps,
     phi_eps,
+    scratch,
 )
 from lpam.objectives import JointRecovery, QuadraticToy
-from lpam.operators import InstanceSpec, MaskedDft, generate_instance
+from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run
 
 
@@ -216,3 +218,38 @@ def test_run_hands_back_plain_points():
     obj = _identity_objective()
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=3))
     assert type(state.X) is TwoBlockPoint
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: TwoBlockPoint(np.zeros(2), np.zeros(2)),
+        lambda: MaskedDft(np.ones((2, 2), dtype=bool)),
+        lambda: KSpaceData(np.zeros((2, 2)), np.zeros((2, 2))),
+        lambda: generate_instance(InstanceSpec(height=4, width=4), 0),
+    ],
+    ids=["TwoBlockPoint", "MaskedDft", "KSpaceData", "Instance"],
+)
+def test_array_holders_compare_by_identity(make):
+    # equal arrays in distinct holders: == and hash must not reach the arrays
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
+def test_scratch_is_made_once_per_key_and_thread():
+    made = []
+
+    def make():
+        made.append(None)
+        return (np.empty(3),)
+
+    first = scratch(("test", 3), make)
+    assert scratch(("test", 3), make) is first and len(made) == 1
+    assert scratch(("other", 3), make) is not first and len(made) == 2
+    elsewhere = []
+    t = threading.Thread(target=lambda: elsewhere.append(scratch(("test", 3), make)))
+    t.start()
+    t.join(timeout=60)
+    assert elsewhere[0] is not first and len(made) == 3

@@ -178,6 +178,36 @@ def test_metrics_errors():
         metrics(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         metrics(np.ones((2, 2)), np.zeros((2, 2)))
+    # an entry whose square overflows is named, not passed on to log10(0)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared error"):
+        metrics(np.full((2, 2), 1e158), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="squared error"):
+        metrics(np.full((2, 2), np.nan), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("alpha_bar, beta_bar, L", [(0.9, 0.3, 2.0), (0.2, 0.7, 50.0)])
+def test_audit_rates_match_the_formulas(alpha_bar, beta_bar, L):
+    # the decrease audit takes the larger of the safeguard and line-search
+    # rates, the segment bound their sum, bit for bit
+    cfg = LpamConfig(
+        eps0=1.0,
+        gamma=0.5,
+        eps_sigma=2.0,
+        a=0.5,
+        ls_delta=0.3,
+        rho=0.4,
+        alpha_bar=alpha_bar,
+        beta_bar=beta_bar,
+    )
+    sb, si = max(alpha_bar, beta_bar), min(alpha_bar, beta_bar)
+    safeguard = 2.0 / cfg.a**3
+    line_search = 4.0 * sb**2 * L**2 / (cfg.ls_delta * si**2 * cfg.rho**2)
+    trace = [_record(k=0, phi_pre=1.0, decrease=1e-9, grad_norm_pre=1e3, reduced=True)]
+    (report,) = segment_bound(trace, lambda _e: L, cfg)
+    assert report.bound == (safeguard + line_search) * 2.0 / 1.0**2
+    ok, (failure,) = decrease_audit(trace, cfg, lambda _e: L)
+    assert not ok
+    assert failure.reason.endswith(f"b2 * decrease = {max(safeguard, line_search) * 1e-9}")
 
 
 def test_ssim_symmetric_and_bounded():

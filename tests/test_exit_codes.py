@@ -33,17 +33,15 @@ CORRUPTIBLE = [f"{name}.arr" for name in cli._INSTANCE_FILES] + [
 def run(command: str, out: Path, *options: str) -> int:
     """One CLI command on ``out``; its exit code, checked against the contract.
 
-    numpy's overflow and invalid-value warnings on garbage input are not
-    failures of the contract, so they are ignored here.
+    Warnings are errors in the test suite, so a command that lets one of
+    numpy's floating-point warnings through fails here too.
     """
     if command == "metrics":
         argv = ["metrics", str(out / "recon1.arr"), str(out / "truth1.arr")]
     else:
         argv = [command, "--out", str(out), *options]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code = cli.main(argv)
+        code = cli.main(argv)
     assert code in (0, 1, 2, 3)
     if code == 1:
         assert command == "audit"
@@ -144,6 +142,29 @@ def test_mask_byte_other_than_0_or_1_is_a_usage_error(base_run):
         data[-1] = 0x60
         (out / "mask.arr").write_bytes(bytes(data))
         assert run("solve", out, "--config", str(out / "run.json")) == 3
+
+
+@pytest.mark.parametrize("name, command", [("recon1", "metrics"), ("kspace1", "solve")])
+def test_overflowing_entry_is_reported_without_warnings(base_run, name, command):
+    # an entry of 1e158 overflows when squared; the command exits 3 with
+    # its one-line message and numpy's overflow warning never surfaces
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _copy(base_run, tmp)
+        arr = fileio.read_array(out / f"{name}.arr")
+        arr[0, 0] = 1e158
+        fileio.write_array(out / f"{name}.arr", arr)
+        if command == "metrics":
+            argv = ["metrics", str(out / "recon1.arr"), str(out / "truth1.arr")]
+        else:
+            argv = [command, "--out", str(out), "--config", str(out / "run.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = cli.main(argv)
+    assert code == 3
+    assert caught == []
+    assert err.getvalue() == "error: squared error is not finite: inf\n"
 
 
 TRACE_COLUMNS = [f.name for f in dataclasses.fields(IterateRecord)]

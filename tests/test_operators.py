@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lpam import operators
+from lpam import core
+from lpam.extractor import _conv_forward
 from lpam.operators import (
     InstanceSpec,
     MaskedDft,
@@ -203,6 +204,33 @@ def test_dft_scratch_reuse_across_shapes():
             assert_bits_equal(op.forward(x), ref_forward(mask, x))
 
 
+def ref_conv(x, w):
+    """The column-matrix product of ``_conv_forward`` on freshly made arrays."""
+    out_ch, in_ch, kh, kw = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    cols = np.stack([xp[:, dy : dy + h, dx : dx + wd] for dy in range(kh) for dx in range(kw)], 1)
+    return (w.reshape(out_ch, -1) @ cols.reshape(-1, h * wd)).reshape(out_ch, h, wd)
+
+
+def test_conv_and_dft_share_the_pool_without_interfering():
+    # convolutions and DFTs of the same image sizes, interleaved on one
+    # thread, each keep to their own tagged buffers in the one pool
+    rng = np.random.default_rng(44)
+    for _ in range(2):
+        for shape in SHAPES + SHAPES[::-1]:
+            mask, x, f = draw(rng, shape)
+            op = MaskedDft(mask)
+            img = rng.normal(size=(2, *shape)) + 10.0
+            w = rng.normal(size=(3, 2, 3, 3))
+            assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
+            assert_bits_equal(_conv_forward(img, w), ref_conv(img, w))
+            assert_bits_equal(op.adjoint(f), ref_adjoint(mask, f))
+            assert_bits_equal(_conv_forward(img[:1], w[:, :1]), ref_conv(img[:1], w[:, :1]))
+            assert_bits_equal(op.forward(x), ref_forward(mask, x))
+    assert {key[0] for key in core._scratch.bufs} >= {"conv", "dft"}
+
+
 def test_outputs_do_not_alias_dft_scratch():
     rng = np.random.default_rng(42)
     outputs = []
@@ -210,8 +238,9 @@ def test_outputs_do_not_alias_dft_scratch():
         mask, x, f = draw(rng, shape)
         op = MaskedDft(mask)
         outputs += [op.forward(x), op.adjoint(f), op.residual(x, f), op.grad_fidelity(x, f)]
-    scratch = [buf for pair in operators._scratch.bufs.values() for buf in pair]
-    assert scratch
+    pool = core._scratch.bufs
+    assert any(key[0] == "dft" for key in pool)
+    scratch = [buf for bufs in pool.values() for buf in bufs]
     for out in outputs:
         assert not any(np.shares_memory(out, buf) for buf in scratch)
 

@@ -36,6 +36,9 @@ QUAD_STATIONARITY = LpamConfig(
     max_iter=2000,
 )
 
+# the fallback line search's parameters (the defaults, spelled out)
+LINE_SEARCH = LpamConfig(alpha_bar=0.9, beta_bar=0.9, rho=0.5, ls_delta=0.1, ls_max=60)
+
 
 def recovery_objective(size=8, seed=0, lam=0.0093):
     inst = generate_instance(InstanceSpec(height=size, width=size), seed)
@@ -95,7 +98,7 @@ def test_safeguard_genuine_descent():
 def test_v_step_stationary_accepts_immediately():
     obj = QuadraticToy()
     O = TwoBlockPoint([0.0, 0.0], [0.0, 0.0])
-    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, *at(obj, O, 0.1), 0.9, 0.9, 0.5, 0.1, 60)
+    V, l, phi_v = v_step_with_linesearch(obj, O, 0.1, *at(obj, O, 0.1), LINE_SEARCH)
     assert l == 0
     assert np.allclose(V.x1, 0.0) and np.allclose(V.x2, 0.0)
     assert phi_v == 0.0
@@ -105,7 +108,8 @@ def test_v_step_small_steps_first_try():
     # steps already below 1/(L/2 + delta): acceptance at l = 0
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [2.0])
-    _, l, _ = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), 0.3, 0.3, 0.5, 0.1, 60)
+    small = dataclasses.replace(LINE_SEARCH, alpha_bar=0.3, beta_bar=0.3)
+    _, l, _ = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), small)
     assert l == 0
 
 
@@ -113,7 +117,7 @@ def test_v_step_decreases_objective():
     obj, _ = recovery_objective()
     X0 = obj.zero_filled()
     phi0, g0 = at(obj, X0, 0.01)
-    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, phi0, g0, 0.9, 0.9, 0.5, 0.1, 60)
+    V, l, phi_v = v_step_with_linesearch(obj, X0, 0.01, phi0, g0, LINE_SEARCH)
     assert phi_v < phi0
     assert 0 <= l <= 60
 
