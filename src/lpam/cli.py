@@ -2,8 +2,9 @@
 
 Subcommands write plain files (binary arrays, CSV traces, JSON reports)
 into an output directory; exit codes are 0 on success, 1 on audit
-failure, 2 on solver numeric failure and 3 on usage or parse errors
-(a malformed command line and an instance too large to allocate included).
+failure, 2 on a numeric failure (of the solver, of an audit bound or of
+the metrics of a reconstruction) and 3 on usage or parse errors (a
+malformed command line and an instance too large to allocate included).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .core import TwoBlockPoint
+from .core import NumericError, TwoBlockPoint
 from .diagnostics import audit_report, metrics
 from .extractor import FeatureExtractor, IdentityExtractor
 from .objectives import JointRecovery, QuadraticToy
@@ -352,6 +353,9 @@ def main(argv: list[str] | None = None) -> int:
                 trace = Path(args.trace) if args.trace else None
                 return cmd_audit(cfg, out, trace)
             raise AssertionError(args.command)
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, fileio.FormatError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -9,6 +9,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .core import NumericError
 from .solver import IterateRecord, LpamConfig
 
 
@@ -147,7 +148,9 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
     PSNR uses peak/MSE with the peak taken from the ground truth; the
     conventional peak^2/MSE variant sits behind ``squared_peak``.  SSIM
     is computed from global image statistics with k1 = 0.01, k2 = 0.03
-    and the dynamic range of the ground truth.
+    and the dynamic range of the ground truth.  A squared error that is
+    not finite, from a NaN entry or one whose square overflows, raises
+    :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -158,7 +161,7 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
         raise ValueError("ground truth must not be all zero")
     err2 = float(np.sum((x - y) ** 2))
     if not math.isfinite(err2):
-        raise ValueError(f"squared error is not finite: {err2}")
+        raise NumericError(f"squared error is not finite: {err2}")
     mse = err2 / x.size
     rmse = math.sqrt(mse)
     nmse = err2 / ynorm2

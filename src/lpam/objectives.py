@@ -53,16 +53,17 @@ class QuadraticToy(SmoothedObjective):
 class RecoveryPoint(EvaluatedPoint):
     """A point of :class:`JointRecovery` that does its eps-independent work once.
 
-    Both k-space residuals, both fidelity values and gradients, the
-    extractor's features and pullback and the features' group norms are
-    computed on first use and kept, so a new eps costs one r_eps
-    weighting and one pullback.
+    Both k-space residuals (on the sampled frequencies, from one paired
+    transform), both fidelity values and gradients (from one paired
+    inverse transform), the extractor's features and pullback and the
+    features' group norms are computed on first use and kept, so a new
+    eps costs one r_eps weighting and one pullback.
     """
 
     @cached_property
     def _residuals(self) -> tuple[np.ndarray, np.ndarray]:
-        dft, data = self.obj.dft, self.obj.kspace
-        return dft.residual(self.x1, data.f1), dft.residual(self.x2, data.f2)
+        data = self.obj.kspace
+        return self.obj.dft.residual_pair(self.x1, self.x2, data.f1, data.f2)
 
     @cached_property
     def _fidelities(self) -> tuple[float, float]:
@@ -70,7 +71,7 @@ class RecoveryPoint(EvaluatedPoint):
 
     @cached_property
     def _fidelity_grads(self) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(self.obj.dft.adjoint(r) for r in self._residuals)
+        return self.obj.dft.adjoint_pair(*self._residuals)
 
     @cached_property
     def _linearization(self):

@@ -7,6 +7,7 @@ Instances are fully deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ from .core import scratch
 
 
 def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    # per image shape: the masked k-space data and the first per-axis pass
+    # per image shape: the masked k-space data and the first per-axis pass,
+    # or the two passes of a pair transform in turn
     return scratch(
         ("dft", shape),
         lambda: (np.empty(shape, np.complex128), np.empty(shape, np.complex128)),
@@ -30,6 +32,11 @@ class MaskedDft:
     last axis first, so values match them bit for bit; the first pass
     writes into this thread's scratch, and the returned arrays are
     always fresh.
+
+    The pair kernels serve two real channels with one complex transform:
+    their residuals are vectors over the sampled frequencies in flat
+    (row-major) order, and they agree with the one-channel methods to
+    rounding, relative to each channel's own norm.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
@@ -39,8 +46,14 @@ class MaskedDft:
         if m.ndim != 2:
             raise ValueError("mask must be a 2-d boolean matrix")
         object.__setattr__(self, "mask", m)
-        # flat indices of the unsampled frequencies, zeroed in place
+        # flat indices of the unsampled frequencies, zeroed in place, of
+        # the sampled ones k, and of their mirrors -k (mod the shape)
+        h, w = m.shape
+        on = np.flatnonzero(m)
+        mirror = (-np.arange(h) % h)[:, None] * w + (-np.arange(w) % w)
         object.__setattr__(self, "_off", np.flatnonzero(~m))
+        object.__setattr__(self, "_on", on)
+        object.__setattr__(self, "_mirror", mirror.reshape(-1)[on])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -89,6 +102,83 @@ class MaskedDft:
         resid -= self._masked(f)[0]
         return resid
 
+    def _data_on_mask(self, f: np.ndarray) -> np.ndarray:
+        """The entries of k-space data f on the sampled frequencies only."""
+        if np.shape(f) != self.shape:
+            raise ValueError("k-space data shape does not match mask")
+        return np.asarray(f).reshape(-1)[self._on]
+
+    def _sampled(self, r: np.ndarray) -> np.ndarray:
+        """A residual over the sampled frequencies as a complex vector."""
+        r = np.ascontiguousarray(r, dtype=np.complex128)
+        if r.shape != self._on.shape:
+            raise ValueError(f"expected {self._on.size} sampled frequencies, got shape {r.shape}")
+        return r
+
+    def residual_pair(
+        self, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The residuals of two real images against their data, on the
+        sampled frequencies only, from one transform of x1 + i s x2.
+
+        A real signal's spectrum is Hermitian, so the packed spectrum Z
+        splits as F1[k] = (Z[k] + conj Z[-k]) / 2 and
+        s F2[k] = -i (Z[k] - conj Z[-k]) / 2.  The data are read on the
+        sampled frequencies only, so what lies off the mask is never read.
+        """
+        x1, x2 = self._image(x1), self._image(x2)
+        f1, f2 = self._data_on_mask(f1), self._data_on_mask(f2)
+        s, w1, w2 = _balance(x1.reshape(-1), x2.reshape(-1))
+        buf, spare = _dft_buffers(self.shape)
+        np.copyto(buf.real, x1)
+        np.multiply(x2, s, out=buf.imag)
+        np.fft.fft(buf, axis=1, norm="ortho", out=spare)
+        np.fft.fft(spare, axis=0, norm="ortho", out=buf)
+        z = buf.reshape(-1)
+        zk, zm = z[self._on], z[self._mirror]
+        r1 = zk + zm.conj()
+        r2 = np.empty_like(zk)
+        np.add(zk.imag, zm.imag, out=r2.real)
+        np.subtract(zm.real, zk.real, out=r2.imag)
+        r1.view(np.float64)[:] *= 0.5 * w1
+        r2.view(np.float64)[:] *= 0.5 * w2
+        r1 -= f1
+        r2 -= f2
+        return r1, r2
+
+    def adjoint_pair(self, r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The adjoints of two residuals from :meth:`residual_pair`, real
+        image vectors, from one inverse transform.
+
+        The spectrum holds the Hermitian parts of both, (R1 + i s R2) / 2
+        at k plus (conj R1 + i s conj R2) / 2 at -k, so the real part of
+        its inverse is the first adjoint and the imaginary part s times
+        the second.
+        """
+        r1, r2 = self._sampled(r1), self._sampled(r2)
+        s, w1, w2 = _balance(r1.view(np.float64), r2.view(np.float64))
+        t = (r2.view(np.float64) * s).view(np.complex128) if s != 1.0 else r2
+        at_k, at_mirror = np.empty_like(r1), np.empty_like(r1)
+        np.subtract(r1.real, t.imag, out=at_k.real)
+        np.add(r1.imag, t.real, out=at_k.imag)
+        np.add(r1.real, t.imag, out=at_mirror.real)
+        np.subtract(t.real, r1.imag, out=at_mirror.imag)
+        at_k.view(np.float64)[:] *= 0.5
+        at_mirror.view(np.float64)[:] *= 0.5
+        buf, spare = _dft_buffers(self.shape)
+        spec = buf.reshape(-1)
+        spec.fill(0.0)
+        spec[self._on] = at_k
+        spec[self._mirror] += at_mirror  # mirrors are distinct: no lost updates
+        np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
+        np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
+        g1, g2 = buf.real.flatten(), buf.imag.flatten()
+        if w1 != 1.0:
+            g1 *= w1
+        if w2 != 1.0:
+            g2 *= w2
+        return g1, g2
+
     def fidelity(self, x: np.ndarray, f: np.ndarray) -> float:
         """Half squared residual on the sampled frequencies."""
         return residual_energy(self.residual(x, f))
@@ -99,8 +189,47 @@ class MaskedDft:
 
 
 def residual_energy(resid: np.ndarray) -> float:
-    """Half squared norm of a k-space residual: the fidelity value."""
-    return 0.5 * float(np.sum(np.abs(resid) ** 2))
+    """Half squared norm of a k-space residual, full or on the sampled
+    frequencies: the fidelity value."""
+    v = np.ascontiguousarray(resid).reshape(-1).view(np.float64)
+    return 0.5 * float(np.dot(v, v))
+
+
+def _log2_norm(v: np.ndarray) -> float:
+    """The binary exponent of the 2-norm of a real vector, about log2 of
+    it: -inf when the vector is zero, NaN when it is not finite."""
+    with np.errstate(over="ignore"):
+        n2 = float(np.dot(v, v))
+        shift = 0
+        if n2 == math.inf or (n2 == 0.0 and v.any()):
+            # the squares overflow or underflow: count them rescaled
+            shift = 600 if n2 else -600
+            v = np.ldexp(v, -shift)
+            n2 = float(np.dot(v, v))
+    if n2 == 0.0:
+        return -math.inf
+    if not n2 < math.inf:
+        return math.nan
+    return (math.frexp(n2)[1] + 1) // 2 + shift
+
+
+def _balance(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float, float]:
+    """How two real vectors share one transform, as v1 + i s v2: the
+    factor s and the factors w1, w2 that take each channel back out.
+
+    s is a power of two that brings the norm of s v2 near that of v1, so
+    each channel's rounding error stays relative to its own norm; it is
+    clamped so that s v2 and 1/s stay finite, and scaling by it is exact.
+    w1 is 1 and w2 is 1/s, but 0 for a zero vector, whose part is then
+    exactly zero.  s, w1 and w2 are all 1 when either vector is not finite.
+    """
+    e1, e2 = _log2_norm(v1), _log2_norm(v2)
+    if math.isnan(e1) or math.isnan(e2):
+        return 1.0, 1.0, 1.0
+    s = 1.0
+    if e1 > -math.inf and e2 > -math.inf:
+        s = math.ldexp(1.0, min(max(e1 - e2, -1022), 1000 - e2, 1023))
+    return s, float(e1 > -math.inf), 1.0 / s if e2 > -math.inf else 0.0
 
 
 @dataclass(frozen=True, eq=False)

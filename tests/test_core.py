@@ -173,30 +173,47 @@ def test_reducing_residual_iterations_reuse_features(monkeypatch):
     assert len(backward) == 4 * 8 * (layers - 1)
 
 
-def test_identity_residual_iterations_run_two_dfts_per_point(monkeypatch):
-    # the k-space residuals at X0 and at each accepted U, nothing more
+def test_identity_residual_iterations_run_one_residual_pair_per_point(monkeypatch):
+    # the k-space residuals at X0 and at each accepted U, both channels from
+    # one transform, nothing more; no single-channel transform runs
     obj = _identity_objective()
-    calls = _count_calls(monkeypatch, MaskedDft, "forward")
+    calls = _count_calls(monkeypatch, MaskedDft, "residual_pair")
+    single = _count_calls(monkeypatch, MaskedDft, "forward")
     k = 6
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=k))
     assert [r.branch for r in state.trace] == ["u"] * k
-    assert len(calls) == 2 * (k + 1)
+    assert len(calls) == k + 1
+    assert single == []
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
 def test_evaluated_point_matches_per_call_methods(make):
+    # the joint term goes through the same code both ways, so it is exact;
+    # the point's fidelities come from one paired transform per direction,
+    # which agrees with the one-channel MaskedDft methods within rtol
+    rtol = 1e-13
     obj = make()
     rng = np.random.default_rng(2)
     x1, x2 = rng.normal(size=64), rng.normal(size=64)
     P = obj.evaluate(TwoBlockPoint(x1, x2))
     assert obj.evaluate(P) is P
+    dft, data = obj.dft, obj.kspace
+    for fid, grad, x, f in (
+        (P.h1, P.grad_h1, x1, data.f1),
+        (P.h2, P.grad_h2, x2, data.f2),
+    ):
+        assert fid(0.05) == pytest.approx(dft.fidelity(x, f), rel=rtol)
+        ref = dft.grad_fidelity(x, f)
+        assert np.linalg.norm(grad(0.05) - ref) <= rtol * np.linalg.norm(ref)
     for eps in (0.05, 0.05 * 0.9):
-        phi = obj.h1(x1, eps) + obj.h2(x2, eps) + obj.h(x1, x2, eps)
-        g1 = obj.grad_h1(x1, eps) + obj.grad1_h(x1, x2, eps)
-        g2 = obj.grad_h2(x2, eps) + obj.grad2_h(x1, x2, eps)
-        assert phi_eps(obj, P, eps) == phi
+        assert P.h(eps) == obj.h(x1, x2, eps)
+        gh = P.grad_h(eps)
+        assert np.array_equal(gh[0], obj.grad1_h(x1, x2, eps))
+        assert np.array_equal(gh[1], obj.grad2_h(x1, x2, eps))
+        assert phi_eps(obj, P, eps) == P.h1(eps) + P.h2(eps) + P.h(eps)
         G = grad_phi_eps(obj, P, eps)
-        assert np.array_equal(G.x1, g1) and np.array_equal(G.x2, g2)
+        assert np.array_equal(G.x1, P.grad_h1(eps) + gh[0])
+        assert np.array_equal(G.x2, P.grad_h2(eps) + gh[1])
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])

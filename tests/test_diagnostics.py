@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from lpam.core import TwoBlockPoint
+from lpam.core import NumericError, TwoBlockPoint
 from lpam.diagnostics import (
     audit_report,
     decrease_audit,
@@ -178,10 +178,11 @@ def test_metrics_errors():
         metrics(np.zeros((2, 2)), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         metrics(np.ones((2, 2)), np.zeros((2, 2)))
-    # an entry whose square overflows is named, not passed on to log10(0)
-    with np.errstate(over="ignore"), pytest.raises(ValueError, match="squared error"):
+    # an entry whose square overflows is a numeric failure that is named,
+    # not passed on to log10(0)
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="squared error"):
         metrics(np.full((2, 2), 1e158), np.ones((2, 2)))
-    with pytest.raises(ValueError, match="squared error"):
+    with pytest.raises(NumericError, match="squared error"):
         metrics(np.full((2, 2), np.nan), np.ones((2, 2)))
 
 

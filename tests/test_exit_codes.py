@@ -146,8 +146,9 @@ def test_mask_byte_other_than_0_or_1_is_a_usage_error(base_run):
 
 @pytest.mark.parametrize("name, command", [("recon1", "metrics"), ("kspace1", "solve")])
 def test_overflowing_entry_is_reported_without_warnings(base_run, name, command):
-    # an entry of 1e158 overflows when squared; the command exits 3 with
-    # its one-line message and numpy's overflow warning never surfaces
+    # an entry of 1e158 overflows when squared: a numeric failure of input
+    # that parsed, so the command exits 2 with its one-line message, and
+    # numpy's overflow warning never surfaces
     with tempfile.TemporaryDirectory() as tmp:
         out = _copy(base_run, tmp)
         arr = fileio.read_array(out / f"{name}.arr")
@@ -162,7 +163,7 @@ def test_overflowing_entry_is_reported_without_warnings(base_run, name, command)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = cli.main(argv)
-    assert code == 3
+    assert code == 2
     assert caught == []
     assert err.getvalue() == "error: squared error is not finite: inf\n"
 

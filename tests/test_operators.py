@@ -12,6 +12,7 @@ from lpam.operators import (
     MaskedDft,
     generate_instance,
     radial_mask,
+    residual_energy,
     shared_structure_phantom,
     uniform_mask,
 )
@@ -204,6 +205,150 @@ def test_dft_scratch_reuse_across_shapes():
             assert_bits_equal(op.forward(x), ref_forward(mask, x))
 
 
+# the pair kernels agree with the one-channel formulas to rounding, relative
+# to each channel's own norm: measured about 3e-16, stated as PAIR_RTOL
+PAIR_RTOL = 1e-13
+
+
+def norm(v):
+    """2-norm without overflow or underflow of the squares."""
+    top = np.max(np.abs(v), initial=0.0)
+    return top * np.linalg.norm(np.asarray(v) / top) if top else 0.0
+
+
+def assert_adjoint_pair_matches(op, r1, r2):
+    g1, g2 = op.adjoint_pair(r1, r2)
+    for r, g in ((r1, g1), (r2, g2)):
+        full = np.zeros(op.shape, np.complex128)
+        full[op.mask] = r
+        assert g.dtype == np.float64 and g.shape == (op.n,)
+        assert norm(g - ref_adjoint(op.mask, full)) <= PAIR_RTOL * norm(r)
+    return g1, g2
+
+
+def assert_pair_matches(mask, x1, x2, f1, f2):
+    """The pair kernels against ``ref_residual`` and ``ref_adjoint`` per channel."""
+    op = MaskedDft(mask)
+    r1, r2 = op.residual_pair(x1, x2, f1, f2)
+    for x, f, r in ((x1, f1, r1), (x2, f2, r2)):
+        assert r.dtype == np.complex128 and r.shape == (mask.sum(),)
+        ref = ref_residual(mask, x, f)[mask]
+        assert norm(r - ref) <= PAIR_RTOL * (norm(x) + norm(np.asarray(f)[mask]))
+    return (r1, r2), assert_adjoint_pair_matches(op, r1, r2)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_pair_kernels_match_the_one_channel_formulas(shape):
+    rng = np.random.default_rng(shape[0] * 37 + shape[1])
+    for trial in range(4):
+        mask, x1, f1 = draw(rng, shape)
+        _, x2, f2 = draw(rng, shape)
+        if trial == 1:
+            mask[:] = True
+        elif trial == 2:
+            mask[:] = False
+        elif trial == 3:
+            f1, f2 = f1.real, f2.real
+        assert_pair_matches(mask, x1, x2, f1, f2)
+
+
+@pytest.mark.parametrize("ratio", [1e-12, 1e12, 1e-160, 1e160])
+def test_pair_kernels_keep_each_channel_to_its_own_norm(ratio):
+    # one channel scaled far from the other; unbalanced, the small channel's
+    # error would be relative to the large one (1e-5 to 2e-4 at ratio 1e-12),
+    # and at 1e+-160 the squared norms leave the float range
+    rng = np.random.default_rng(45)
+    for shape in [(8, 8), (6, 9), (16, 12)]:
+        mask, x1, f1 = draw(rng, shape)
+        _, x2, f2 = draw(rng, shape)
+        assert_pair_matches(mask, x1, ratio * x2, f1, ratio * f2)
+        assert_pair_matches(mask, ratio * x1, x2, ratio * f1, f2)
+
+
+def test_pair_kernels_leave_a_zero_channel_exactly_zero():
+    rng = np.random.default_rng(46)
+    for shape in SHAPES:
+        mask, x, f = draw(rng, shape)
+        op = MaskedDft(mask)
+        zero = np.zeros(mask.size)
+        (_, r2), _ = assert_pair_matches(mask, x, zero, f, f)
+        assert np.array_equal(r2, -f[mask])
+        (r1, _), _ = assert_pair_matches(mask, zero, x, f, f)
+        assert np.array_equal(r1, -f[mask])
+        r = ref_residual(mask, x, f)[mask]
+        none = np.zeros(mask.sum(), np.complex128)
+        assert not np.any(assert_adjoint_pair_matches(op, r, none)[1])
+        assert not np.any(assert_adjoint_pair_matches(op, none, r)[0])
+
+
+def test_pair_kernels_ignore_nonfinite_data_off_the_mask_silently():
+    rng = np.random.default_rng(47)
+    mask, x1, f1 = draw(rng, (6, 9))
+    _, x2, f2 = draw(rng, (6, 9))
+    signalling = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+    off = np.flatnonzero(~mask)
+    bad1, bad2 = f1.copy(), f2.copy()
+    for i, v in zip(off, [np.nan, np.inf, -np.inf, complex(0.0, np.nan), signalling] * len(off)):
+        bad1.flat[i] = v
+        bad2.flat[i] = np.conj(v)
+    op = MaskedDft(mask)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clean = op.residual_pair(x1, x2, f1, f2)
+        for got, ref in zip(op.residual_pair(x1, x2, bad1, bad2), clean):
+            assert_bits_equal(got, ref)
+
+
+def test_residual_energy_is_one_kernel_for_full_and_sampled_residuals():
+    rng = np.random.default_rng(49)
+    for shape in SHAPES:
+        mask, x, f = draw(rng, shape)
+        full = ref_residual(mask, x, f)
+        half_sq = 0.5 * np.sum(np.abs(full) ** 2)
+        for resid, ref in (
+            (full, half_sq),
+            (full.T, half_sq),  # not contiguous
+            (full[mask], half_sq),
+            (full.real, 0.5 * np.sum(full.real**2)),
+        ):
+            assert residual_energy(resid) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+def test_pair_kernels_reject_mismatched_shapes():
+    op = MaskedDft(np.eye(4, dtype=bool))
+    x, f, r = np.zeros(16), np.zeros((4, 4)), np.zeros(4, np.complex128)
+    with pytest.raises(ValueError):
+        op.residual_pair(x, np.zeros(15), f, f)
+    with pytest.raises(ValueError):
+        op.residual_pair(x, x, f, np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        op.adjoint_pair(r, np.zeros(5, np.complex128))
+    with pytest.raises(ValueError):
+        op.adjoint_pair(np.zeros((2, 2), np.complex128), r)
+
+
+def test_pair_outputs_alias_neither_scratch_nor_inputs():
+    rng = np.random.default_rng(48)
+    outputs = []
+    for shape in SHAPES:
+        mask, x1, f1 = draw(rng, shape)
+        _, x2, f2 = draw(rng, shape)
+        inputs = [x1, x2, f1, f2]
+        kept = [a.copy() for a in inputs]
+        op = MaskedDft(mask)
+        r = op.residual_pair(x1, x2, f1, f2)
+        kept_r = [a.copy() for a in r]
+        g = op.adjoint_pair(*r)
+        for a, b in zip(inputs + list(r), kept + kept_r):
+            assert_bits_equal(a, b)
+        assert not any(np.shares_memory(out, a) for out in r + g for a in inputs)
+        assert not any(np.shares_memory(a, b) for a in g for b in r)
+        outputs += [*r, *g]
+    scratch = [buf for bufs in core._scratch.bufs.values() for buf in bufs]
+    for out in outputs:
+        assert not any(np.shares_memory(out, buf) for buf in scratch)
+
+
 def ref_conv(x, w):
     """The column-matrix product of ``_conv_forward`` on freshly made arrays."""
     out_ch, in_ch, kh, kw = w.shape
@@ -253,7 +398,15 @@ def test_transforms_are_thread_safe():
 
     def run(mask, x, f):
         op = MaskedDft(mask)
-        return op.forward(x), op.adjoint(f), op.residual(x, f), op.grad_fidelity(x, f)
+        pair = op.residual_pair(x, x[::-1], f, f[::-1])
+        return (
+            op.forward(x),
+            op.adjoint(f),
+            op.residual(x, f),
+            op.grad_fidelity(x, f),
+            *pair,
+            *op.adjoint_pair(*pair),
+        )
 
     expected = [run(*case) for case in cases]
     results = [None, None]
