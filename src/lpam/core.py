@@ -7,6 +7,7 @@ live in :mod:`lpam.objectives`.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -69,7 +70,14 @@ class TwoBlockPoint:
         return TwoBlockPoint(self.x1.copy(), self.x2.copy())
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.x1)) and np.all(np.isfinite(self.x2)))
+        """No entry of either block is NaN or infinite."""
+        # a finite sum of squares rules out NaN and infinity in one pass;
+        # one that is not (an overflow, or a bad entry) has each entry tested
+        with np.errstate(over="ignore", invalid="ignore"):
+            return all(
+                math.isfinite(np.dot(x, x)) or bool(np.isfinite(x).all())
+                for x in (self.x1, self.x2)
+            )
 
     def norm(self) -> float:
         """l2 norm of the concatenated vector."""
@@ -77,10 +85,9 @@ class TwoBlockPoint:
 
     def diff_norms(self, other: "TwoBlockPoint") -> tuple[float, float]:
         """(||x1 - y1||, ||x2 - y2||)."""
-        return (
-            float(np.linalg.norm(self.x1 - other.x1)),
-            float(np.linalg.norm(self.x2 - other.x2)),
-        )
+        # sqrt(dot(d, d)) is what np.linalg.norm computes for a real vector
+        d1, d2 = self.x1 - other.x1, self.x2 - other.x2
+        return math.sqrt(np.dot(d1, d1)), math.sqrt(np.dot(d2, d2))
 
     @staticmethod
     def zeros(n: int, m: int) -> "TwoBlockPoint":
@@ -192,11 +199,14 @@ def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     P = obj.evaluate(X)
-    terms = {"h1": P.h1(eps), "h2": P.h2(eps), "h": P.h(eps)}
-    for name, val in terms.items():
-        if not np.isfinite(val):
-            raise NumericError(f"non-finite objective term {name!r}: {val}")
-    return terms["h1"] + terms["h2"] + terms["h"]
+    h1, h2, h = P.h1(eps), P.h2(eps), P.h(eps)
+    total = h1 + h2 + h
+    # a finite total has three finite terms; otherwise name the first bad one
+    if not math.isfinite(total):
+        for name, val in (("h1", h1), ("h2", h2), ("h", h)):
+            if not np.isfinite(val):
+                raise NumericError(f"non-finite objective term {name!r}: {val}")
+    return total
 
 
 def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlockPoint:

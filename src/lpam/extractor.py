@@ -12,63 +12,105 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .core import TwoBlockPoint, scratch
 
 
 def smoothed_relu(x, act_delta: float):
-    """C1 piecewise-quadratic ReLU surrogate with transition width act_delta."""
-    if act_delta <= 0:
-        raise ValueError("act_delta must be positive")
+    """C1 piecewise-quadratic ReLU surrogate with transition width act_delta.
+
+    0 below -act_delta, x above act_delta and (x + act_delta)^2/(4 act_delta)
+    in between, evaluated as max(x, act_delta * s^2) with s the derivative
+    from :func:`smoothed_relu_deriv`: exact outside the band, and within a
+    few ulps of act_delta of the quadratic inside it.
+    """
     x = np.asarray(x, dtype=np.float64)
-    d = act_delta
-    mid = x * x / (4.0 * d) + 0.5 * x + d / 4.0
-    return np.where(x <= -d, 0.0, np.where(x >= d, x, mid))
+    return _activate(x, smoothed_relu_deriv(x, act_delta), act_delta)
 
 
 def smoothed_relu_deriv(x, act_delta: float):
-    """Derivative of :func:`smoothed_relu`; continuous at both breakpoints."""
+    """Derivative of :func:`smoothed_relu`; continuous at both breakpoints.
+
+    Always a fresh array.
+    """
     if act_delta <= 0:
         raise ValueError("act_delta must be positive")
     x = np.asarray(x, dtype=np.float64)
     # the mid-branch line reads exactly 0 at -d and 1 at d, so clipping it
     # equals the three-branch form bit for bit
-    return np.clip(x / (2.0 * act_delta) + 0.5, 0.0, 1.0)
+    s = np.divide(x, 2.0 * act_delta, out=np.empty(x.shape))
+    s += 0.5
+    return np.clip(s, 0.0, 1.0, out=s)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Stride-1 zero-padded correlation: (in,h,w) x (out,in,kh,kw) -> (out,h,w).
+def _activate(z: np.ndarray, s: np.ndarray, act_delta: float) -> np.ndarray:
+    """The smoothed ReLU of z from its derivative s at z, as a fresh array."""
+    a = np.multiply(s, s, out=np.empty(s.shape))
+    a *= act_delta
+    return np.maximum(z, a, out=a)
 
-    One GEMM: the kh*kw shifted windows of the padded input are copied
-    into an (in*kh*kw, h*w) column matrix that the flattened kernel
-    multiplies.  Both live in this thread's reusable scratch; the
-    returned array is always fresh.
+
+def _conv(x: np.ndarray, w: np.ndarray, pitch: int) -> np.ndarray:
+    """Stride-1 zero-padded correlation of (in,h,wd) by (out,in,kh,kw), as
+    the first wd columns of an (out, h, pitch) array; pitch >= wd + kw - 1.
+
+    One GEMM over a column matrix of the kh*kw shifted windows.  Each
+    input channel is stored zero-padded and flattened in rows of pitch
+    values, so the window of tap (dy, dx) is the contiguous slice of
+    h*pitch values from dy*pitch + dx, and all windows are one strided
+    view, copied into the column matrix in one call.  The GEMM also
+    computes pitch - wd columns per row whose windows wrap around into the
+    padding and the next row; their values are never used.  The padded input, the column matrix and the GEMM output
+    live in this thread's scratch, and the result is that output: the
+    next convolution with the same output shape overwrites it.
     """
     out_ch, in_ch, kh, kw = w.shape
     _, h, wd = x.shape
-    py, px = kh // 2, kw // 2
-    # the padded input and the column matrix; the padded border is zeroed
-    # once, when the buffer is made, and never written again
-    xp, cols = scratch(
-        ("conv", in_ch, kh, kw, h, wd),
-        lambda: (np.zeros((in_ch, h + 2 * py, wd + 2 * px)), np.empty((in_ch, kh, kw, h, wd))),
-    )
-    xp[:, py : py + h, px : px + wd] = x
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, dy, dx] = xp[:, dy : dy + h, dx : dx + wd]
-    out = w.reshape(out_ch, -1) @ cols.reshape(in_ch * kh * kw, h * wd)
-    return out.reshape(out_ch, h, wd)
+    if pitch < wd + kw - 1:
+        raise ValueError(f"pitch {pitch} is below {wd + kw - 1}")
+    n = h * pitch
+
+    def make():
+        # the last window ends kw - 1 values past the padded rows; the
+        # border and that tail are zeroed once and never written again
+        flat = np.zeros((in_ch, (h + kh - 1) * pitch + kw - 1))
+        padded = flat[:, : (h + kh - 1) * pitch].reshape(in_ch, h + kh - 1, pitch)
+        step = flat.itemsize
+        windows = as_strided(
+            flat, (in_ch, kh, kw, n), (flat.strides[0], pitch * step, step, step), writeable=False
+        )
+        return padded, windows, np.empty((in_ch, kh, kw, n))
+
+    # the GEMM output has its own key, so convolutions that differ only in
+    # their output channels share the larger input buffers
+    padded, windows, cols = scratch(("conv", in_ch, kh, kw, h, wd, pitch), make)
+    (out,) = scratch(("conv", out_ch, h, pitch), lambda: (np.empty((out_ch, h, pitch)),))
+    padded[:, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + wd] = x
+    np.copyto(cols, windows)
+    np.matmul(w.reshape(out_ch, -1), cols.reshape(-1, n), out=out.reshape(out_ch, n))
+    return out
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The correlation of :func:`_conv` at its narrowest pitch, as a fresh array."""
+    wd = x.shape[2]
+    return _conv(x, w, wd + w.shape[3] - 1)[:, :, :wd].copy()
+
+
+def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
+    """The kernel whose correlation is the adjoint of correlating with w.
+
+    For odd kernel sides under "same" zero padding that is w flipped in
+    space with its channel axes swapped.  A view of w, so it follows
+    in-place changes to w.
+    """
+    return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
 
 def _conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`_conv_forward` with respect to the input.
-
-    For odd kernel sides under "same" zero padding the adjoint is the
-    same correlation with the kernel flipped in space and its channel
-    axes swapped.
-    """
-    return _conv_forward(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    """Exact adjoint of :func:`_conv_forward` with respect to the input."""
+    return _conv_forward(g, _adjoint_kernel(w))
 
 
 class FeatureExtractor:
@@ -77,7 +119,8 @@ class FeatureExtractor:
     ``weights`` is a list of (out_ch, in_ch, kh, kw) kernels; the first
     layer must take 2 input channels and kernel sides must be odd so the
     adjoint of each zero-padded correlation is the flipped-kernel
-    correlation.
+    correlation.  The kernels may be changed in place after construction,
+    as :func:`random_extractor` does, but the list must not be rebound.
     """
 
     def __init__(self, height: int, width: int, weights: list[np.ndarray], act_delta: float):
@@ -101,6 +144,9 @@ class FeatureExtractor:
         self.width = int(width)
         self.weights = ws
         self.act_delta = float(act_delta)
+        # views of the weights, so in-place changes to them carry over
+        self._adjoints = [_adjoint_kernel(w) for w in ws]
+        self._pitch = self.width + max(w.shape[3] for w in ws) - 1
 
     @property
     def num_groups(self) -> int:
@@ -123,17 +169,24 @@ class FeatureExtractor:
     ) -> tuple[np.ndarray, Callable[[np.ndarray], TwoBlockPoint]]:
         """Features at X and the pullback of the extractor Jacobian at X.
 
-        Runs one forward pass and keeps its pre-activations, so the
-        returned pullback (grouped weights w -> TwoBlockPoint) runs only
-        the backward convolutions.
+        Runs one forward pass, which evaluates each hidden layer's
+        activation derivative once and keeps it, so the returned pullback
+        (grouped weights w -> TwoBlockPoint) runs only the adjoint
+        convolutions and the products with the kept derivatives.
         """
+        d, wd, pitch = self.act_delta, self.width, self._pitch
+        # every layer's arrays share one row pitch, so a kept derivative
+        # lines up with the adjoint convolution's output, columns past wd
+        # included, and both are multiplied as contiguous arrays
         a = self._stack(X)
-        pre_acts = []
+        derivs = []
         for wk in self.weights[:-1]:
-            z = _conv_forward(a, wk)
-            pre_acts.append(z)
-            a = smoothed_relu(z, self.act_delta)
-        feats = _conv_forward(a, self.weights[-1]).reshape(self.group_dim, -1)
+            z = _conv(a, wk, pitch)
+            s = smoothed_relu_deriv(z, d)
+            derivs.append(s)
+            a = _activate(z, s, d)[:, :, :wd]
+        feats = _conv(a, self.weights[-1], pitch)[:, :, :wd].copy().reshape(self.group_dim, -1)
+        adjoints = self._adjoints
 
         def pullback(w: np.ndarray) -> TwoBlockPoint:
             w = np.asarray(w, dtype=np.float64)
@@ -141,11 +194,11 @@ class FeatureExtractor:
                 raise ValueError(
                     f"weights must have shape {(self.group_dim, self.num_groups)}"
                 )
-            g = w.reshape(self.group_dim, self.height, self.width)
-            g = _conv_backward(g, self.weights[-1])
-            for wk, z in zip(reversed(self.weights[:-1]), reversed(pre_acts)):
-                g = _conv_backward(g * smoothed_relu_deriv(z, self.act_delta), wk)
-            return TwoBlockPoint(g[0].ravel(), g[1].ravel())
+            g = _conv(w.reshape(self.group_dim, self.height, wd), adjoints[-1], pitch)
+            for wk, s in zip(reversed(adjoints[:-1]), reversed(derivs)):
+                g *= s
+                g = _conv(g[:, :, :wd], wk, pitch)
+            return TwoBlockPoint(g[0, :, :wd].flatten(), g[1, :, :wd].flatten())
 
         return feats, pullback
 

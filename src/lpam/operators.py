@@ -350,9 +350,17 @@ def shared_structure_phantom(
     return img1, img2
 
 
+# the largest image side an instance may have; a larger one is refused
+# before any array is made
+MAX_SIDE = 4096
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Description of a synthetic joint-recovery instance."""
+    """Description of a synthetic joint-recovery instance.
+
+    Image sides run from 2 to :data:`MAX_SIDE`.
+    """
 
     height: int
     width: int
@@ -364,6 +372,10 @@ class InstanceSpec:
         _check_ratio(self.ratio)
         if self.height < 2 or self.width < 2:
             raise ValueError("image dimensions must be at least 2x2")
+        if self.height > MAX_SIDE or self.width > MAX_SIDE:
+            raise ValueError(
+                f"image sides must be at most {MAX_SIDE}, got {self.height}x{self.width}"
+            )
         if self.mask_type not in ("radial", "uniform"):
             raise ValueError(f"unknown mask type {self.mask_type!r}")
         if self.noise_std < 0:

@@ -8,6 +8,7 @@ import pytest
 from lpam import cli
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
+from lpam.operators import MAX_SIDE
 
 
 def write_config(path, **extra):
@@ -278,6 +279,18 @@ def test_instance_shape_mismatch_is_a_usage_error(tmp_path, capsys, command, ove
     assert err.startswith("error: ")
     assert str((16, 16)) in err and str(shape) in err
     assert sorted(p.name for p in out.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "audit"])
+def test_side_above_the_cap_is_a_usage_error(tmp_path, capsys, command):
+    # refused while the config is read, before any array is made
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    assert main(argv + ["--override", f"instance.width={MAX_SIDE + 1}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"at most {MAX_SIDE}" in err
+    assert not out.exists()
 
 
 QUADRATIC = {"objective": {"kind": "quadratic"}, "instance": {"height": 4, "width": 4}}

@@ -44,8 +44,30 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
 
 def _count_forward_passes(monkeypatch) -> list:
-    """Record one entry per smoothed-ReLU call: L-1 per extractor forward pass."""
-    return _count_calls(monkeypatch, extractor, "smoothed_relu")
+    """Record one entry per activation-derivative evaluation: L-1 per
+    extractor forward pass, each hidden layer's derivative once."""
+    return _count_calls(monkeypatch, extractor, "smoothed_relu_deriv")
+
+
+def _count_pullbacks(monkeypatch, derivs: list) -> list:
+    """Record, per call of a convolutional extractor's pullback, how many
+    activation derivatives (entries of ``derivs``) it evaluated."""
+    calls = []
+    real = extractor.FeatureExtractor.linearize
+
+    def linearize(self, X):
+        feats, pullback = real(self, X)
+
+        def counting(w):
+            before = len(derivs)
+            g = pullback(w)
+            calls.append(len(derivs) - before)
+            return g
+
+        return feats, counting
+
+    monkeypatch.setattr(extractor.FeatureExtractor, "linearize", linearize)
+    return calls
 
 
 def test_point_basics():
@@ -60,6 +82,34 @@ def test_point_basics():
     assert Z.norm() == 0.0
     assert X.is_finite()
     assert not TwoBlockPoint([np.inf], [0.0]).is_finite()
+
+
+def test_is_finite_catches_every_nan_and_infinity():
+    # a sum of squares decides the common case in one pass; finite entries
+    # of any size, and empty blocks, must still pass, and any NaN (quiet or
+    # signalling) or infinity must fail, without a floating-point warning
+    rng = np.random.default_rng(5)
+    snan = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+    for n in (0, 1, 7, 1000):
+        for scale in (5e-324, 1e-300, 1.0, 1e154, 1.7e308):
+            x = rng.uniform(-1.0, 1.0, size=n) * scale
+            assert TwoBlockPoint(x, x[::-1].copy()).is_finite()
+            assert TwoBlockPoint(x, np.zeros(0)).is_finite()
+            for bad in (np.nan, -np.nan, np.inf, -np.inf, snan):
+                for pos in {0, n // 2, n - 1} if n else ():
+                    y = x.copy()
+                    y[pos] = bad
+                    assert not TwoBlockPoint(y, x).is_finite()
+                    assert not TwoBlockPoint(x, y).is_finite()
+
+
+def test_diff_norms_equal_numpy_norm():
+    rng = np.random.default_rng(6)
+    for n in (0, 1, 5, 4096):
+        X = TwoBlockPoint(rng.normal(size=n) * 1e100, rng.normal(size=n))
+        Y = TwoBlockPoint(rng.normal(size=n) * 1e100, rng.normal(size=n) * 1e-200)
+        ref = (np.linalg.norm(X.x1 - Y.x1), np.linalg.norm(X.x2 - Y.x2))
+        assert X.diff_norms(Y) == ref
 
 
 def test_point_rejects_matrices():
@@ -159,18 +209,24 @@ def test_evaluated_point_computes_group_norms_once(monkeypatch, make):
 
 
 def test_reducing_residual_iterations_reuse_features(monkeypatch):
-    # after a reduction the point's features and pre-activations are
+    # after a reduction the point's features and activation derivatives are
     # reused: each iteration runs 3 forward passes (two partial gradients,
     # U) and 4 backward passes (gradient at X for the new eps, two partial
-    # gradients, gradient at U)
+    # gradients, gradient at U); a forward pass evaluates each hidden
+    # layer's derivative once and a backward pass none, and each pass runs
+    # one convolution per layer
     obj = _cnn_objective()
     layers = len(obj.extractor.weights)
     forward = _count_forward_passes(monkeypatch)
-    backward = _count_calls(monkeypatch, extractor, "smoothed_relu_deriv")
+    backward = _count_pullbacks(monkeypatch, forward)
+    convs = _count_calls(monkeypatch, extractor, "_conv")
+    relu = _count_calls(monkeypatch, extractor, "smoothed_relu")
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=8))
     assert [(r.branch, r.reduced) for r in state.trace] == [("u", True)] * 8
     assert len(forward) == (1 + 3 * 8) * (layers - 1)
-    assert len(backward) == 4 * 8 * (layers - 1)
+    assert backward == [0] * (4 * 8)
+    assert len(convs) == (1 + 3 * 8 + 4 * 8) * layers
+    assert relu == []
 
 
 def test_identity_residual_iterations_run_one_residual_pair_per_point(monkeypatch):

@@ -3,7 +3,8 @@
 Whatever the config overrides or the bytes of its input files, every
 command returns 0, 1, 2 or 3 without raising, and 1 only when ``audit``
 ran and its report failed.  Instances are 8x8 and drawn integers stay
-small, so no case allocates a large instance.
+small, apart from image sides above the size cap, which are refused
+before anything is allocated, so no case allocates a large instance.
 """
 
 import contextlib
@@ -21,6 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from lpam import cli, fileio
+from lpam.operators import MAX_SIDE
 from lpam.solver import IterateRecord
 
 CORRUPTIBLE = [f"{name}.arr" for name in cli._INSTANCE_FILES] + [
@@ -95,9 +97,16 @@ json_values = st.recursive(
 )
 # every schema key, every section, and an unknown key
 override_keys = st.sampled_from(KEYS + list(cli._SCHEMA) + ["solver.momentum"])
+# an image side above the cap, which must be refused before any allocation
+oversized_sides = st.tuples(
+    st.sampled_from(["instance.height", "instance.width"]),
+    st.integers(MAX_SIDE + 1, 2**62),
+)
 
 
-@given(st.lists(st.tuples(override_keys, json_values), max_size=4))
+@given(st.lists(st.tuples(override_keys, json_values) | oversized_sides, max_size=4))
+@example([("instance.height", MAX_SIDE + 1)])
+@example([("instance.width", 2**40), ("instance.height", 2**40)])
 @example([("instance.phantom", "shared")])
 @example([("audits", {"decrease": False})])
 @example([("objective.kind", "identity"), ("solver.eps0", 1e300)])

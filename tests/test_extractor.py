@@ -9,6 +9,7 @@ from lpam.core import TwoBlockPoint
 from lpam.extractor import (
     FeatureExtractor,
     IdentityExtractor,
+    _conv,
     _conv_backward,
     _conv_forward,
     random_extractor,
@@ -79,6 +80,59 @@ def test_smoothed_relu_deriv_clip_form_is_bit_identical(d):
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
 
+def _relu_three_branch(x, d):
+    # the three-branch form the derivative-based evaluation replaces
+    mid = x * x / (4.0 * d) + 0.5 * x + d / 4.0
+    return np.where(x <= -d, 0.0, np.where(x >= d, x, mid))
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-2, 0.5, 3.0])
+def test_smoothed_relu_is_exact_outside_the_band(d):
+    # max(x, d*s^2) is x or +0 outside the band exactly, and inside it a
+    # few ulps of d from the quadratic
+    rng = np.random.default_rng(18)
+    edges = [d, -d, 0.0, -0.0, np.inf, -np.inf, 1e300, -1e300]
+    for p in (d, -d):
+        edges += [np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
+    x = np.concatenate([edges, rng.uniform(-3.0 * d, 3.0 * d, size=100_000)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = smoothed_relu(x, d)
+    outside = np.abs(x) >= d
+    ref = np.where(x >= d, x, 0.0)
+    assert np.array_equal(got[outside], ref[outside])
+    assert not np.any(np.signbit(got))
+    band = x[~outside]
+    assert band.size > 10_000
+    assert np.max(np.abs(got[~outside] - _relu_three_branch(band, d))) <= 1e-15 * d
+
+
+def test_linearize_activations_match_smoothed_relu():
+    # one activation formula: a two-layer extractor whose last layer is the
+    # identity returns the smoothed ReLU of the first layer's output
+    rng = np.random.default_rng(19)
+    w1 = rng.normal(size=(2, 2, 3, 3))
+    ext = FeatureExtractor(5, 4, [w1, np.eye(2).reshape(2, 2, 1, 1)], act_delta=0.05)
+    X = TwoBlockPoint(rng.normal(size=20), rng.normal(size=20))
+    z = _conv_forward(ext._stack(X), w1)
+    assert np.array_equal(ext.forward(X), smoothed_relu(z, 0.05).reshape(2, -1))
+
+
+def test_pullback_follows_weights_rescaled_in_place():
+    # random_extractor rescales the weights after construction; the adjoint
+    # convolutions must see the rescaled weights, as a fresh extractor does
+    rng = np.random.default_rng(24)
+    ext = random_extractor(6, 5, num_layers=3, channels=4, seed=6)
+    for w in ext.weights:
+        w *= rng.uniform(0.5, 2.0)
+    fresh = FeatureExtractor(6, 5, [w.copy() for w in ext.weights], ext.act_delta)
+    X = TwoBlockPoint(rng.normal(size=30), rng.normal(size=30))
+    wts = rng.normal(size=(4, 30))
+    assert np.array_equal(ext.forward(X), fresh.forward(X))
+    g, ref = ext.vjp(X, wts), fresh.vjp(X, wts)
+    assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
+
+
 def test_smoothed_relu_rejects_bad_delta():
     with pytest.raises(ValueError):
         smoothed_relu(1.0, 0.0)
@@ -115,19 +169,28 @@ def test_conv_scratch_reuse_across_shapes():
 
 
 def test_outputs_do_not_alias_conv_scratch():
+    # features, pullback results, the kept activation derivatives and the
+    # fresh convolution results share no memory with any scratch buffer, the
+    # GEMM output included; with 1x1 kernels the GEMM output's valid
+    # columns are contiguous, so a missing copy would hand out a plain view
     rng = np.random.default_rng(22)
-    ext = random_extractor(6, 6, num_layers=3, channels=4, seed=3)
-    X = TwoBlockPoint(rng.normal(size=36), rng.normal(size=36))
-    feats, pullback = ext.linearize(X)
-    g = pullback(rng.normal(size=(4, 36)))
-    x = rng.normal(size=(2, 6, 6))
-    conv = _conv_forward(x, ext.weights[0])
-    cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
-    pre_acts = cells["pre_acts"].cell_contents
-    assert len(pre_acts) == 2
-    outputs = [feats, g.x1, g.x2, conv, *pre_acts]
+    outputs = []
+    for kernel in (3, 1):
+        ext = random_extractor(6, 6, num_layers=3, channels=4, kernel=kernel, seed=3)
+        X = TwoBlockPoint(rng.normal(size=36), rng.normal(size=36))
+        feats, pullback = ext.linearize(X)
+        g = pullback(rng.normal(size=(4, 36)))
+        cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
+        derivs = cells["derivs"].cell_contents
+        assert len(derivs) == 2
+        x = rng.normal(size=(2, 6, 6))
+        conv = _conv_forward(x, ext.weights[0])
+        adjoint = _conv_backward(rng.normal(size=(4, 6, 6)), ext.weights[0])
+        outputs += [feats, g.x1, g.x2, conv, adjoint, *derivs]
     pool = core._scratch.bufs
-    assert any(key[0] == "conv" for key in pool)
+    scratch = [buf for key, bufs in pool.items() if key[0] == "conv" for buf in bufs]
+    # the check sees the GEMM output: the unfreshened result lies in it
+    assert any(np.shares_memory(_conv(x, ext.weights[0], 6), buf) for buf in scratch)
     scratch = [buf for bufs in pool.values() for buf in bufs]
     for out in outputs:
         assert not any(np.shares_memory(out, buf) for buf in scratch)
@@ -195,6 +258,32 @@ def test_linearize_matches_forward_and_vjp():
             w = rng.normal(size=(ext.group_dim, 35))
             g, ref = pullback(w), ext.vjp(X, w)
             assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
+
+
+def test_mixed_kernels_match_naive_layers():
+    # layers of different kernel widths share the widest one's row pitch;
+    # features match the layer-by-layer naive composition and the pullback
+    # is the adjoint of the Jacobian
+    rng = np.random.default_rng(13)
+    shapes = [(3, 2, 5, 3), (4, 3, 1, 1), (2, 4, 3, 5)]
+    weights = [rng.normal(size=s) * 0.5 for s in shapes]
+    ext = FeatureExtractor(6, 7, weights, act_delta=0.1)
+    X = TwoBlockPoint(rng.normal(size=42), rng.normal(size=42))
+    a = np.stack([X.x1.reshape(6, 7), X.x2.reshape(6, 7)])
+    for w in weights[:-1]:
+        a = smoothed_relu(naive_conv(a, w), 0.1)
+    ref = naive_conv(a, weights[-1]).reshape(2, -1)
+    assert np.allclose(ext.forward(X), ref, rtol=0.0, atol=1e-12)
+    pullback = ext.linearize(X)[1]
+    d1, d2 = rng.normal(size=42), rng.normal(size=42)
+    wts = rng.normal(size=(2, 42))
+    h = 1e-6
+    jd = (
+        ext.forward(TwoBlockPoint(X.x1 + h * d1, X.x2 + h * d2))
+        - ext.forward(TwoBlockPoint(X.x1 - h * d1, X.x2 - h * d2))
+    ) / (2 * h)
+    g = pullback(wts)
+    assert float(np.sum(jd * wts)) == pytest.approx(np.dot(d1, g.x1) + np.dot(d2, g.x2), rel=1e-6)
 
 
 def test_identity_configuration():

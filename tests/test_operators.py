@@ -8,6 +8,7 @@ import pytest
 from lpam import core
 from lpam.extractor import _conv_forward
 from lpam.operators import (
+    MAX_SIDE,
     InstanceSpec,
     MaskedDft,
     generate_instance,
@@ -350,12 +351,16 @@ def test_pair_outputs_alias_neither_scratch_nor_inputs():
 
 
 def ref_conv(x, w):
-    """The column-matrix product of ``_conv_forward`` on freshly made arrays."""
+    """The row-padded column-matrix product of ``_conv_forward`` on freshly made arrays."""
     out_ch, in_ch, kh, kw = w.shape
     _, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    cols = np.stack([xp[:, dy : dy + h, dx : dx + wd] for dy in range(kh) for dx in range(kw)], 1)
-    return (w.reshape(out_ch, -1) @ cols.reshape(-1, h * wd)).reshape(out_ch, h, wd)
+    wp = wd + kw - 1
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2))).reshape(in_ch, -1)
+    xp = np.pad(xp, ((0, 0), (0, kw - 1)))
+    starts = [dy * wp + dx for dy in range(kh) for dx in range(kw)]
+    cols = np.stack([xp[:, t : t + h * wp] for t in starts], 1)
+    out = w.reshape(out_ch, -1) @ cols.reshape(-1, h * wp)
+    return out.reshape(out_ch, h, wp)[:, :, :wd]
 
 
 def test_conv_and_dft_share_the_pool_without_interfering():
@@ -507,3 +512,10 @@ def test_spec_validation():
         InstanceSpec(height=8, width=8, mask_type="spiral").validate()
     with pytest.raises(ValueError):
         InstanceSpec(height=8, width=8, noise_std=-1.0).validate()
+    # the side cap: refused before generate_instance makes any array
+    InstanceSpec(height=MAX_SIDE, width=MAX_SIDE).validate()
+    for h, w in ((MAX_SIDE + 1, 8), (8, MAX_SIDE + 1), (2**40, 2**40)):
+        with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
+            InstanceSpec(height=h, width=w).validate()
+        with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
+            generate_instance(InstanceSpec(height=h, width=w), 0)
