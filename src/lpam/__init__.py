@@ -13,7 +13,6 @@ from .core import (
     NumericError,
     SmoothedObjective,
     TwoBlockPoint,
-    finite_difference_grad,
     grad_phi_eps,
     phi_eps,
 )
@@ -40,12 +39,8 @@ from .operators import (
     uniform_mask,
 )
 from .smoothing import (
-    check_c3,
-    check_c4_stable_branch,
     grad_r_eps,
     group_norms,
-    half_count_m,
-    l21_norm,
     r_eps,
 )
 from .solver import (
@@ -73,7 +68,6 @@ __all__ = [
     "NumericError",
     "SmoothedObjective",
     "TwoBlockPoint",
-    "finite_difference_grad",
     "grad_phi_eps",
     "phi_eps",
     "AuditFailure",
@@ -98,12 +92,8 @@ __all__ = [
     "radial_mask",
     "shared_structure_phantom",
     "uniform_mask",
-    "check_c3",
-    "check_c4_stable_branch",
     "grad_r_eps",
     "group_norms",
-    "half_count_m",
-    "l21_norm",
     "r_eps",
     "EXIT_ITERATION_CAP",
     "EXIT_LINE_SEARCH",

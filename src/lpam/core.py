@@ -133,10 +133,10 @@ class SmoothedObjective:
     """Contract for a smoothed two-block objective.
 
     For every eps > 0 the implementor supplies the separable terms, the
-    joint term, their gradients, a Lipschitz estimate for the full
-    gradient and the monotonicity function m.  Implementations must be
-    immutable after construction and all calls pure.  :func:`phi_eps`
-    and :func:`grad_phi_eps` read the terms from :meth:`evaluate`.
+    joint term, their gradients and a Lipschitz estimate for the full
+    gradient.  Implementations must be immutable after construction and
+    all calls pure.  :func:`phi_eps` and :func:`grad_phi_eps` read the
+    terms from :meth:`evaluate`.
     """
 
     def point(self, x1: np.ndarray, x2: np.ndarray) -> EvaluatedPoint:
@@ -188,11 +188,6 @@ class SmoothedObjective:
         """Upper bound on the sum of the three gradient Lipschitz constants."""
         raise NotImplementedError
 
-    def m_function(self) -> Callable[[float], float]:
-        """The monotonicity correction m: a continuous nonnegative function
-        of eps with m(0) = 0, as used by :func:`lpam.smoothing.check_c3`."""
-        raise NotImplementedError
-
 
 def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:
     """Smoothed objective value: the three-term sum at X."""
@@ -225,31 +220,3 @@ def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlo
     if not G.is_finite():
         raise NumericError("non-finite entries in objective gradient")
     return G
-
-
-def finite_difference_grad(
-    obj: SmoothedObjective, X: TwoBlockPoint, eps: float, step: float = 1e-6
-) -> TwoBlockPoint:
-    """Central finite differences of phi_eps, the independent gradient oracle.
-
-    Per-coordinate step is step*max(1, |x_i|).
-    """
-    out = []
-    for which in (0, 1):
-        base = X.x1 if which == 0 else X.x2
-        g = np.zeros_like(base)
-        for i in range(base.size):
-            h = step * max(1.0, abs(base[i]))
-            xp = base.copy()
-            xm = base.copy()
-            xp[i] += h
-            xm[i] -= h
-            if which == 0:
-                fp = phi_eps(obj, TwoBlockPoint(xp, X.x2), eps)
-                fm = phi_eps(obj, TwoBlockPoint(xm, X.x2), eps)
-            else:
-                fp = phi_eps(obj, TwoBlockPoint(X.x1, xp), eps)
-                fm = phi_eps(obj, TwoBlockPoint(X.x1, xm), eps)
-            g[i] = (fp - fm) / (2.0 * h)
-        out.append(g)
-    return TwoBlockPoint(out[0], out[1])

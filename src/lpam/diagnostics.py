@@ -13,22 +13,19 @@ from .core import NumericError
 from .solver import IterateRecord, LpamConfig
 
 
-def lmax_bound(
-    L_eps: float, ls_delta: float, alpha_bar: float, beta_bar: float, rho: float
-) -> int:
+def lmax_bound(config: LpamConfig, L_eps: float) -> int:
     """Worst-case backtrack count for the fallback line search.
 
     floor(log((L/2 + delta) * max(alpha_bar, beta_bar)) / log(1/rho)) + 1,
-    clamped below at 0.
+    clamped below at 0, with delta, alpha_bar, beta_bar and rho read off
+    ``config``, which must be valid (see :meth:`LpamConfig.validate`).
     """
     if not math.isfinite(L_eps):
         raise ValueError(f"Lipschitz estimate must be finite, got {L_eps}")
-    if L_eps <= 0 or ls_delta <= 0 or alpha_bar <= 0 or beta_bar <= 0:
-        raise ValueError("all inputs must be positive")
-    if not (0 < rho < 1):
-        raise ValueError("rho must lie in (0, 1)")
-    arg = (L_eps / 2.0 + ls_delta) * max(alpha_bar, beta_bar)
-    val = math.floor(math.log(arg) / math.log(1.0 / rho)) + 1
+    if L_eps <= 0:
+        raise ValueError("Lipschitz estimate must be positive")
+    arg = (L_eps / 2.0 + config.ls_delta) * max(config.alpha_bar, config.beta_bar)
+    val = math.floor(math.log(arg) / math.log(1.0 / config.rho)) + 1
     return max(0, val)
 
 
@@ -146,7 +143,8 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
     """Image quality of reconstruction x against ground truth y.
 
     PSNR uses peak/MSE with the peak taken from the ground truth; the
-    conventional peak^2/MSE variant sits behind ``squared_peak``.  SSIM
+    conventional peak^2/MSE variant sits behind ``squared_peak``.  A
+    peak that is not positive raises ``ValueError``.  SSIM
     is computed from global image statistics with k1 = 0.01, k2 = 0.03
     and the dynamic range of the ground truth.  A squared error that is
     not finite, from a NaN entry or one whose square overflows, raises
@@ -169,8 +167,13 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
         psnr = math.inf
         ssim = 1.0
     else:
-        peak = float(np.max(y))
-        psnr = 10.0 * math.log10((peak * peak if squared_peak else peak) / mse)
+        y_max = float(np.max(y))
+        peak = y_max * y_max if squared_peak else y_max
+        if not peak > 0.0:
+            raise ValueError(
+                f"PSNR needs a positive peak, got {peak} from a ground-truth maximum of {y_max}"
+            )
+        psnr = 10.0 * math.log10(peak / mse)
         ssim = _ssim_global(x, y)
     return MetricsReport(psnr=psnr, ssim=ssim, nmse=nmse, rmse=rmse)
 
@@ -195,16 +198,15 @@ def audit_report(
     L_eps_fn: Callable[[float], float],
 ) -> dict:
     """Decrease, segment and ``lmax`` audits as a JSON-ready dict with an
-    overall ``passed`` flag."""
+    overall ``passed`` flag.  An invalid ``config`` raises ``ValueError``."""
+    config.validate()
     ok, failures = decrease_audit(trace, config, L_eps_fn)
     segs = segment_bound(trace, L_eps_fn, config)
     violations = []
     for r in trace:
         if r.branch != "v":
             continue
-        cap = lmax_bound(
-            L_eps_fn(r.eps), config.ls_delta, config.alpha_bar, config.beta_bar, config.rho
-        )
+        cap = lmax_bound(config, L_eps_fn(r.eps))
         if r.ls_count > cap:
             violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
     return {

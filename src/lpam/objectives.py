@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable
-
 import numpy as np
 
 from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
 from .operators import KSpaceData, MaskedDft, residual_energy
-from .smoothing import grad_r_eps, group_norms, half_count_m, r_eps
+from .smoothing import grad_r_eps, group_norms, r_eps
 
 
 class QuadraticToy(SmoothedObjective):
@@ -45,9 +43,6 @@ class QuadraticToy(SmoothedObjective):
     def lipschitz_estimate(self, eps: float) -> float:
         # 1 + 1 + 2: each separable block plus the joint coupling
         return 4.0
-
-    def m_function(self) -> Callable[[float], float]:
-        return lambda eps: 0.0
 
 
 class RecoveryPoint(EvaluatedPoint):
@@ -90,7 +85,7 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelities[1]
 
     def h(self, eps):
-        return self.obj.lam * r_eps(self._linearization[0], eps, self._norms)
+        return self.obj.lam * r_eps(self._norms, eps)
 
     def grad_h1(self, eps):
         return self._fidelity_grads[0]
@@ -154,9 +149,6 @@ class JointRecovery(SmoothedObjective):
         jac = self.extractor.jacobian_norm_bound()
         curv = self.extractor.curvature_bound()
         return 2.0 + self.lam * (jac * jac / eps + curv)
-
-    def m_function(self) -> Callable[[float], float]:
-        return half_count_m(self.extractor.num_groups, self.lam)
 
     def zero_filled(self) -> TwoBlockPoint:
         """Adjoint reconstruction of the measured data, the standard

@@ -1,0 +1,101 @@
+"""Test oracles: the paper's smoothing conditions and a gradient by finite differences.
+
+C3 is the near-monotonicity of the smoothed family in eps with a
+correction m(eps); C4 is the eps-independence of the regularizer
+gradient when every group is active.  Neither a solve nor an audit
+needs them, so they live with the tests that check the package against
+them.
+"""
+
+from __future__ import annotations
+
+from typing import Callable
+
+import numpy as np
+
+from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
+from lpam.smoothing import grad_r_eps, group_norms
+
+
+def finite_difference_grad(
+    obj: SmoothedObjective, X: TwoBlockPoint, eps: float, step: float = 1e-6
+) -> TwoBlockPoint:
+    """Central finite differences of phi_eps, the independent gradient oracle.
+
+    Per-coordinate step is step*max(1, |x_i|).
+    """
+    out = []
+    for which in (0, 1):
+        base = X.x1 if which == 0 else X.x2
+        g = np.zeros_like(base)
+        for i in range(base.size):
+            h = step * max(1.0, abs(base[i]))
+            xp = base.copy()
+            xm = base.copy()
+            xp[i] += h
+            xm[i] -= h
+            if which == 0:
+                fp = phi_eps(obj, TwoBlockPoint(xp, X.x2), eps)
+                fm = phi_eps(obj, TwoBlockPoint(xm, X.x2), eps)
+            else:
+                fp = phi_eps(obj, TwoBlockPoint(X.x1, xp), eps)
+                fm = phi_eps(obj, TwoBlockPoint(X.x1, xm), eps)
+            g[i] = (fp - fm) / (2.0 * h)
+        out.append(g)
+    return TwoBlockPoint(out[0], out[1])
+
+
+def half_count_m(num_groups: int, weight: float = 1.0) -> Callable[[float], float]:
+    """The monotonicity function for the l2,1 smoothing: weight*n*eps/2."""
+    return lambda eps: 0.5 * weight * num_groups * eps
+
+
+def check_c3(
+    obj: SmoothedObjective,
+    m: Callable[[float], float],
+    X: TwoBlockPoint,
+    eps: float,
+    delta: float,
+) -> bool:
+    """Near-monotonicity of the smoothed family in the smoothing parameter.
+
+    True iff phi_eps(X) + m(eps) <= phi_delta(X) + m(delta) up to 1e-12
+    relative slack, for 0 < eps <= delta.
+    """
+    if not (0 < eps <= delta):
+        raise ValueError("require 0 < eps <= delta")
+    P = obj.evaluate(X)
+    lhs = phi_eps(obj, P, eps) + m(eps)
+    rhs = phi_eps(obj, P, delta) + m(delta)
+    slack = 1e-12 * max(1.0, abs(lhs), abs(rhs))
+    return lhs <= rhs + slack
+
+
+def check_c4_stable_branch(
+    features: np.ndarray,
+    vjp: Callable[[np.ndarray], TwoBlockPoint],
+    eps1: float,
+    eps2: float,
+    tol: float = 1e-12,
+) -> bool:
+    """eps-independence of the regularizer gradient when all groups are active.
+
+    With both smoothing parameters strictly below every group norm the
+    linear branch carries no eps, so the two gradients must coincide to
+    ``tol``; a group caught inside either eps-ball makes the gradients
+    differ and the check report False.  This is the finite, testable
+    shadow of the limiting stationarity condition.
+    """
+    if eps1 <= 0 or eps2 <= 0:
+        raise ValueError("smoothing parameters must be positive")
+    norms = group_norms(features)
+    g1 = grad_r_eps(features, vjp, eps1, norms)
+    g2 = grad_r_eps(features, vjp, eps2, norms)
+    d1 = np.max(np.abs(g1.x1 - g2.x1)) if g1.x1.size else 0.0
+    d2 = np.max(np.abs(g1.x2 - g2.x2)) if g1.x2.size else 0.0
+    return bool(max(d1, d2) <= tol)
+
+
+def l21_norm(features: np.ndarray) -> float:
+    """Unsmoothed l2,1 norm, used to test the pointwise bracketing of r_eps."""
+    return float(np.sum(group_norms(features)))

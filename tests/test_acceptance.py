@@ -11,15 +11,16 @@ import time
 
 import numpy as np
 
-from lpam.core import TwoBlockPoint, finite_difference_grad, grad_phi_eps
+from lpam.core import TwoBlockPoint, grad_phi_eps
 from lpam.cli import main as cli_main
 from lpam.diagnostics import decrease_audit, lmax_bound, metrics, segment_bound
 from lpam.extractor import IdentityExtractor, random_extractor
 from lpam.fileio import read_array, read_weights, write_array, write_weights
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance, uniform_mask
-from lpam.smoothing import check_c3
 from lpam.solver import EXIT_TOLERANCE, LpamConfig, lpam_run
+
+from tests.oracles import check_c3, finite_difference_grad, half_count_m
 
 SIZE = 6
 
@@ -74,7 +75,7 @@ def test_acceptance_2_near_monotonicity():
     t0 = time.monotonic()
     inst = generate_instance(InstanceSpec(height=8, width=8), 2)
     obj = JointRecovery(inst.dft, inst.kspace, IdentityExtractor(8, 8), 0.0093)
-    m = obj.m_function()
+    m = half_count_m(obj.extractor.num_groups, obj.lam)
     rng = np.random.default_rng(11)
     for _ in range(1000):
         X = TwoBlockPoint(rng.normal(size=64), rng.normal(size=64))
@@ -118,10 +119,7 @@ def test_acceptance_4_line_search_bound():
         for r in state.trace:
             if r.branch != "v":
                 continue
-            cap = lmax_bound(
-                4.0, QUAD_CONFIG.ls_delta, QUAD_CONFIG.alpha_bar,
-                QUAD_CONFIG.beta_bar, QUAD_CONFIG.rho,
-            )
+            cap = lmax_bound(QUAD_CONFIG, 4.0)
             checked += 1
             violations += r.ls_count > cap
     for seed in range(10):
@@ -132,10 +130,7 @@ def test_acceptance_4_line_search_bound():
         for r in state.trace:
             if r.branch != "v":
                 continue
-            cap = lmax_bound(
-                obj.lipschitz_estimate(r.eps), cfg.ls_delta, cfg.alpha_bar,
-                cfg.beta_bar, cfg.rho,
-            )
+            cap = lmax_bound(cfg, obj.lipschitz_estimate(r.eps))
             checked += 1
             violations += r.ls_count > cap
     assert checked > 0

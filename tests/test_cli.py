@@ -337,6 +337,16 @@ def test_metrics_subcommand(tmp_path, capsys):
     assert rep["ssim"] == 1.0 and rep["nmse"] == 0.0
 
 
+def test_metrics_nonpositive_peak_exit3(tmp_path, capsys):
+    # a ground truth of -1s has no positive peak to take the PSNR from
+    recon, truth = tmp_path / "recon.arr", tmp_path / "truth.arr"
+    write_array(recon, np.zeros((4, 4)))
+    write_array(truth, -np.ones((4, 4)))
+    assert main(["metrics", str(recon), str(truth)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "positive peak" in err and "-1.0" in err
+
+
 def test_metrics_huge_header_exit3(tmp_path, capsys):
     # a header claiming (2^31 - 1)^2 float64 entries must not reach read()
     path = tmp_path / "a.arr"

@@ -9,7 +9,6 @@ from lpam import extractor, objectives, smoothing
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
-    finite_difference_grad,
     grad_phi_eps,
     phi_eps,
     scratch,
@@ -17,6 +16,8 @@ from lpam.core import (
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run
+
+from tests.oracles import finite_difference_grad
 
 
 def _cnn_objective(num_layers=4):

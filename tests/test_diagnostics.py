@@ -18,26 +18,37 @@ from lpam.solver import IterateRecord, LpamConfig, lpam_run
 from tests.test_solver import QUAD_STATIONARITY, recovery_objective
 
 
+def _ls_config(ls_delta, alpha_bar, beta_bar, rho):
+    # LpamConfig(...) is not validated on construction, so alpha_bar = 1.0 runs
+    return LpamConfig(ls_delta=ls_delta, alpha_bar=alpha_bar, beta_bar=beta_bar, rho=rho)
+
+
 def test_lmax_hand_value():
-    assert lmax_bound(2.0, 0.5, 1.0, 1.0, 0.5) == 1
+    assert lmax_bound(_ls_config(0.5, 1.0, 1.0, 0.5), 2.0) == 1
     # initial steps already below 1/(L/2 + delta): no backtracking needed
-    assert lmax_bound(2.0, 0.1, 0.9, 0.9, 0.5) == 0
+    assert lmax_bound(_ls_config(0.1, 0.9, 0.9, 0.5), 2.0) == 0
 
 
 def test_lmax_clamps_at_zero():
     # (L/2 + delta) * max step well below 1: negative before clamping
-    assert lmax_bound(0.1, 0.05, 0.1, 0.1, 0.5) == 0
+    assert lmax_bound(_ls_config(0.05, 0.1, 0.1, 0.5), 0.1) == 0
 
 
 def test_lmax_input_validation():
-    with pytest.raises(ValueError):
-        lmax_bound(0.0, 0.5, 0.9, 0.9, 0.5)
-    with pytest.raises(ValueError):
-        lmax_bound(2.0, 0.5, 0.9, 0.9, 1.0)
+    cfg = _ls_config(0.5, 0.9, 0.9, 0.5)
+    with pytest.raises(ValueError, match="positive"):
+        lmax_bound(cfg, 0.0)
     # a trace row with a subnormal eps gives an infinite Lipschitz estimate
     for L in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
-            lmax_bound(L, 0.5, 0.9, 0.9, 0.5)
+            lmax_bound(cfg, L)
+
+
+def test_audit_report_rejects_an_invalid_config():
+    # the line-search fields lmax_bound reads are checked once per audit
+    trace = [_record(k=0)]
+    with pytest.raises(ValueError, match="rho"):
+        audit_report(trace, _ls_config(0.5, 0.9, 0.9, 1.0), lambda _e: 4.0)
 
 
 def _record(**kw):
@@ -184,6 +195,14 @@ def test_metrics_errors():
         metrics(np.full((2, 2), 1e158), np.ones((2, 2)))
     with pytest.raises(NumericError, match="squared error"):
         metrics(np.full((2, 2), np.nan), np.ones((2, 2)))
+    # PSNR takes the log of the peak over the MSE, so the peak must be
+    # positive: a truth of -1s, or of 0s and -1s under the squared peak
+    with pytest.raises(ValueError, match="positive peak"):
+        metrics(np.zeros((2, 2)), -np.ones((2, 2)))
+    with pytest.raises(ValueError, match="positive peak"):
+        metrics(np.ones((2, 2)), np.array([[0.0, -1.0], [-1.0, 0.0]]), squared_peak=True)
+    # a negative peak squares to a positive one
+    assert math.isfinite(metrics(np.zeros((2, 2)), -np.ones((2, 2)), squared_peak=True).psnr)
 
 
 @pytest.mark.parametrize("alpha_bar, beta_bar, L", [(0.9, 0.3, 2.0), (0.2, 0.7, 50.0)])
@@ -245,7 +264,5 @@ def test_lmax_holds_on_recovery_run():
     for r in state.trace:
         if r.branch != "v":
             continue
-        cap = lmax_bound(
-            obj.lipschitz_estimate(r.eps), cfg.ls_delta, cfg.alpha_bar, cfg.beta_bar, cfg.rho
-        )
+        cap = lmax_bound(cfg, obj.lipschitz_estimate(r.eps))
         assert r.ls_count <= cap

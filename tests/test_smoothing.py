@@ -4,23 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpam.core import TwoBlockPoint
-from lpam.objectives import JointRecovery, QuadraticToy
+from lpam.objectives import JointRecovery
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.extractor import IdentityExtractor, random_extractor
-from lpam.smoothing import (
-    check_c3,
-    check_c4_stable_branch,
-    grad_r_eps,
-    group_norms,
-    half_count_m,
-    l21_norm,
-    r_eps,
-)
+from lpam.smoothing import grad_r_eps, group_norms, r_eps
+
+from tests.oracles import check_c3, check_c4_stable_branch, half_count_m, l21_norm
 
 
 def identity_vjp(w):
     # one scalar feature per group: pullback is the weight row itself
     return TwoBlockPoint(w[0].copy(), np.zeros(0))
+
+
+def r_of(features, eps):
+    return r_eps(group_norms(features), eps)
+
+
+def grad_of(features, vjp, eps):
+    return grad_r_eps(features, vjp, eps, group_norms(features))
 
 
 def test_group_norms_rows():
@@ -80,21 +82,30 @@ def test_group_norms_close_to_numpy_sum(d):
     assert np.max(np.abs(got[nz] - ref[nz]) / ref[nz]) <= 1e-15
 
 
-@pytest.mark.parametrize("d", [1, 2, 8])
-def test_precomputed_norms_give_the_same_values(d):
-    rng = np.random.default_rng(10 + d)
-    f = rng.normal(size=(d, 50)) * 0.1
-    norms = group_norms(f)
-    for eps in (0.01, 0.1, 1.0):
-        assert r_eps(f, eps, norms) == r_eps(f, eps)
-        g = grad_r_eps(f, flat_vjp, eps, norms)
-        assert np.array_equal(g.x1, grad_r_eps(f, flat_vjp, eps).x1)
-
-
 def _masked_r_eps(norms, eps):
     # the boolean-mask formula that r_eps's index take must match bit for bit
     inside = norms <= eps
     return float(np.sum(norms[inside] ** 2) / (2.0 * eps) + np.sum(norms[~inside] - eps / 2.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 8])
+def test_precomputed_norms_give_the_same_values(d):
+    # r_eps and grad_r_eps read the group norms they are given; from
+    # group_norms they agree with the branchwise formulas on norms that
+    # np.sum takes from the features, bit for bit below 8 channels
+    rng = np.random.default_rng(10 + d)
+    f = rng.normal(size=(d, 50)) * 0.1
+    norms = group_norms(f)
+    ref_norms = np.sqrt(np.sum(np.ascontiguousarray(f.T) ** 2, axis=1))
+    for eps in (0.01, 0.1, 1.0):
+        value = r_eps(norms, eps)
+        g = grad_r_eps(f, flat_vjp, eps, norms)
+        if d <= 7:
+            assert value == _masked_r_eps(ref_norms, eps)
+            assert np.array_equal(g.x1, _masked_weights(f, eps).ravel())
+        else:
+            assert value == pytest.approx(_masked_r_eps(ref_norms, eps), rel=1e-14)
+            assert np.allclose(g.x1, _masked_weights(f, eps).ravel(), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
@@ -109,13 +120,13 @@ def test_r_eps_bit_identical_to_boolean_mask(d):
     eps = float(norms[mid])
     assert np.any(norms == eps) and np.any(norms < eps) and np.any(norms > eps)
     for e in (eps, 1e-9, 1e9):  # mixed, all outside but the zero groups, all inside
-        assert r_eps(f, e, norms) == _masked_r_eps(norms, e)
+        assert r_eps(norms, e) == _masked_r_eps(norms, e)
     # all outside, no zero groups
     g = f[:, norms > 0]
-    assert r_eps(g, 1e-12) == _masked_r_eps(group_norms(g), 1e-12)
+    assert r_of(g, 1e-12) == _masked_r_eps(group_norms(g), 1e-12)
     # zero groups only
     z = np.zeros((d, 5))
-    assert r_eps(z, 0.5) == _masked_r_eps(group_norms(z), 0.5) == 0.0
+    assert r_of(z, 0.5) == _masked_r_eps(group_norms(z), 0.5) == 0.0
 
 
 def test_grad_weights_at_tie_and_zero_rows():
@@ -124,36 +135,35 @@ def test_grad_weights_at_tie_and_zero_rows():
     f = np.array([[3.0, 0.0, -4.0, 1.0, 6.0, 0.0], [4.0, 0.0, 3.0, 2.0, 8.0, 0.0]])
     assert group_norms(f)[0] == eps
     with np.errstate(all="raise"):
-        g = grad_r_eps(f, flat_vjp, eps)
+        g = grad_of(f, flat_vjp, eps)
         expected = _masked_weights(f, eps)
     assert np.array_equal(g.x1, expected.ravel())
 
 
 def test_r_eps_branch_values():
     # single group, norm 1, eps 0.5: linear branch gives 1 - 0.25
-    assert r_eps(np.array([[1.0]]), 0.5) == pytest.approx(0.75)
+    assert r_eps(np.array([1.0]), 0.5) == pytest.approx(0.75)
     # norm 0.3 inside eps 0.5: quadratic branch 0.09 / (2 * 0.5)
-    assert r_eps(np.array([[0.3]]), 0.5) == pytest.approx(0.09)
+    assert r_eps(np.array([0.3]), 0.5) == pytest.approx(0.09)
     with pytest.raises(ValueError):
-        r_eps(np.array([[1.0]]), 0.0)
+        r_eps(np.array([1.0]), 0.0)
 
 
 def test_r_eps_continuous_at_tie():
     # both branches agree when the group norm equals eps
     eps = 0.7
-    f = np.array([[eps]])
-    assert r_eps(f, eps) == pytest.approx(eps / 2.0)
+    assert r_eps(np.array([eps]), eps) == pytest.approx(eps / 2.0)
 
 
 def test_grad_sign_vector_outside():
     x = np.array([2.0, -3.0, 1.5])
-    g = grad_r_eps(x[None, :], identity_vjp, 0.5)
+    g = grad_of(x[None, :], identity_vjp, 0.5)
     assert np.allclose(g.x1, np.sign(x))
 
 
 def test_grad_scaled_inside():
     x = np.array([0.1, -0.2, 0.05])
-    g = grad_r_eps(x[None, :], identity_vjp, 0.5)
+    g = grad_of(x[None, :], identity_vjp, 0.5)
     assert np.allclose(g.x1, x / 0.5)
 
 
@@ -161,13 +171,13 @@ def test_grad_matches_value_finite_differences():
     rng = np.random.default_rng(1)
     x = rng.normal(size=6)
     eps = 0.05
-    g = grad_r_eps(x[None, :], identity_vjp, eps)
+    g = grad_of(x[None, :], identity_vjp, eps)
     h = 1e-7
     for i in range(x.size):
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
-        fd = (r_eps(xp[None, :], eps) - r_eps(xm[None, :], eps)) / (2 * h)
+        fd = (r_of(xp[None, :], eps) - r_of(xm[None, :], eps)) / (2 * h)
         assert g.x1[i] == pytest.approx(fd, rel=1e-5)
 
 
@@ -177,7 +187,7 @@ def test_bracketing_property(seed, eps):
     rng = np.random.default_rng(seed)
     f = rng.normal(size=(3, 8))
     r = l21_norm(f)
-    re = r_eps(f, eps)
+    re = r_of(f, eps)
     n = f.shape[1]
     assert r - n * eps / 2.0 - 1e-12 <= re <= r + 1e-12
     # uniform closeness bound
@@ -187,19 +197,33 @@ def test_bracketing_property(seed, eps):
 def test_half_count_m():
     m = half_count_m(10, 0.5)
     assert m(0.2) == pytest.approx(0.5)
-    assert QuadraticToy().m_function()(1.0) == 0.0
 
 
-def _recovery_obj(seed=0, lam=0.01, size=8):
-    inst = generate_instance(InstanceSpec(height=size, width=size), seed)
-    obj = JointRecovery(inst.dft, inst.kspace, IdentityExtractor(size, size), lam)
-    return obj
+def _recovery_obj(seed=0, lam=0.01, extractor=None):
+    inst = generate_instance(InstanceSpec(height=8, width=8), seed)
+    return JointRecovery(inst.dft, inst.kspace, extractor or IdentityExtractor(8, 8), lam)
+
+
+def _m(obj):
+    return half_count_m(obj.extractor.num_groups, obj.lam)
+
+
+def _c3_draws(obj, m, seed, draws, scale=1.0):
+    # check_c3 at random points and eps <= delta
+    rng = np.random.default_rng(seed)
+    results = []
+    for _ in range(draws):
+        X = TwoBlockPoint(scale * rng.normal(size=64), scale * rng.normal(size=64))
+        eps = float(rng.uniform(1e-3, 1.0))
+        delta = float(rng.uniform(eps, 2.0))
+        results.append(check_c3(obj, m, X, eps, delta))
+    return results
 
 
 def test_c3_equality_case():
     obj = _recovery_obj()
     X = TwoBlockPoint.zeros(64, 64)
-    assert check_c3(obj, obj.m_function(), X, 0.3, 0.3)
+    assert check_c3(obj, _m(obj), X, 0.3, 0.3)
 
 
 def test_c3_hand_case_boundary():
@@ -207,8 +231,8 @@ def test_c3_hand_case_boundary():
     # (1 - 0.25) + 0.25 = 1, quadratic branch at eps = 2 gives
     # 1/4 + 1 = 1.25, so the corrected values are ordered
     f = np.array([[1.0]])
-    lhs = r_eps(f, 0.5) + 0.5 / 2.0
-    rhs = r_eps(f, 2.0) + 2.0 / 2.0
+    lhs = r_of(f, 0.5) + 0.5 / 2.0
+    rhs = r_of(f, 2.0) + 2.0 / 2.0
     assert lhs == pytest.approx(1.0)
     assert rhs == pytest.approx(1.25)
     assert lhs <= rhs + 1e-12
@@ -216,19 +240,13 @@ def test_c3_hand_case_boundary():
 
 def test_c3_random_sweep():
     obj = _recovery_obj(seed=2)
-    m = obj.m_function()
-    rng = np.random.default_rng(3)
-    for _ in range(200):
-        X = TwoBlockPoint(rng.normal(size=64), rng.normal(size=64))
-        eps = float(rng.uniform(1e-3, 1.0))
-        delta = float(rng.uniform(eps, 2.0))
-        assert check_c3(obj, m, X, eps, delta)
+    assert all(_c3_draws(obj, _m(obj), seed=3, draws=200))
 
 
 def test_c3_rejects_bad_order():
     obj = _recovery_obj()
     with pytest.raises(ValueError):
-        check_c3(obj, obj.m_function(), TwoBlockPoint.zeros(64, 64), 0.5, 0.1)
+        check_c3(obj, _m(obj), TwoBlockPoint.zeros(64, 64), 0.5, 0.1)
 
 
 def test_c3_detects_missing_m():
@@ -237,6 +255,22 @@ def test_c3_detects_missing_m():
     obj = _recovery_obj(lam=1.0)
     X = TwoBlockPoint(np.ones(64), np.ones(64))
     assert not check_c3(obj, lambda eps: 0.0, X, 1e-3, 0.5)
+
+
+def test_c3_random_sweep_cnn():
+    # r_eps(g) + n*eps/2 is nondecreasing in eps group by group, whatever
+    # extractor made the features, so m = lam*n*eps/2 holds for a CNN too
+    # its feature norms are about 1e-3 of the input's scale: at scale 1 all
+    # groups sit inside the eps-ball, at scale 1000 they straddle it and the
+    # bound is tight (0.9 m fails 16 of those 200 draws)
+    obj = _recovery_obj(seed=2, extractor=random_extractor(8, 8, seed=1))
+    for scale in (1.0, 1000.0):
+        assert all(_c3_draws(obj, _m(obj), seed=7, draws=200, scale=scale))
+
+
+def test_c3_detects_missing_m_cnn():
+    obj = _recovery_obj(extractor=random_extractor(8, 8, seed=1))
+    assert not any(_c3_draws(obj, lambda eps: 0.0, seed=8, draws=20, scale=10.0))
 
 
 def test_c4_all_groups_active():
@@ -272,5 +306,5 @@ def test_grad_norm_bounded_by_group_count():
     for _ in range(20):
         f = rng.normal(size=(2, 10))
         vjp = lambda w: TwoBlockPoint(w[0].copy(), w[1].copy())
-        g = grad_r_eps(f, vjp, 0.05)
+        g = grad_of(f, vjp, 0.05)
         assert g.norm() <= np.sqrt(10) + 1e-12

@@ -24,6 +24,8 @@ from lpam.solver import (
     write_trace_csv,
 )
 
+from tests.oracles import half_count_m
+
 QUAD_STATIONARITY = LpamConfig(
     eps0=1.0,
     gamma=0.5,
@@ -252,7 +254,7 @@ def test_monotone_decrease_within_segments():
 
 def test_cross_segment_lyapunov():
     obj, _ = recovery_objective()
-    m = obj.m_function()
+    m = half_count_m(obj.extractor.num_groups, obj.lam)
     state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=40))
     vals = [r.phi + m(r.eps) for r in state.trace]
     for a, b in zip(vals, vals[1:]):
