@@ -17,9 +17,7 @@ from .core import (
     phi_eps,
 )
 from .diagnostics import (
-    AuditFailure,
     MetricsReport,
-    SegmentReport,
     audit_report,
     decrease_audit,
     lmax_bound,
@@ -70,9 +68,7 @@ __all__ = [
     "TwoBlockPoint",
     "grad_phi_eps",
     "phi_eps",
-    "AuditFailure",
     "MetricsReport",
-    "SegmentReport",
     "audit_report",
     "decrease_audit",
     "lmax_bound",

@@ -38,74 +38,55 @@ def _rates(config: LpamConfig, L: float) -> tuple[float, float]:
     return 2.0 / config.a**3, 4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2)
 
 
-@dataclass
-class SegmentReport:
-    """One fixed-smoothing segment of a run versus its theoretical length bound."""
-
-    l: int  # segment index
-    k_start: int  # iteration of the previous reduction event (-1 for none)
-    k_end: int  # iteration of this segment's reduction event
-    eps: float
-    observed: int
-    bound: float
-
-    @property
-    def ok(self) -> bool:
-        return self.observed <= self.bound
-
-
 def segment_bound(
     trace: Sequence[IterateRecord],
-    L_eps_fn: Callable[[float], float],
     config: LpamConfig,
-) -> list[SegmentReport]:
-    """Per-segment iteration counts against the complexity bound.
+    L_eps_fn: Callable[[float], float],
+) -> list[dict]:
+    """Per-segment iteration counts against the complexity bound, one
+    ``report.json`` segment record each.
 
     A segment runs from one reduction event to the next; the bound
     combines the safeguard and line-search decrease rates with the
     gradient threshold of the segment.  Both objectives are nonnegative,
     so 0 stands in for the optimal value.
     """
-    events = [r.k for r in trace if r.reduced]
-    if not events:
-        return []
     by_k = {r.k: r for r in trace}
     reports = []
     prev = -1
-    for l, k_end in enumerate(events):
+    for l, k_end in enumerate(r.k for r in trace if r.reduced):
         eps_l = config.eps0 * config.gamma**l
         first = by_k[prev + 1]
         L = L_eps_fn(eps_l)
         eta = config.eps_sigma * config.eps0 * config.gamma ** (l + 1)
         safeguard, line_search = _rates(config, L)
         bound = (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
+        observed = k_end - prev
         reports.append(
-            SegmentReport(
-                l=l,
-                k_start=prev,
-                k_end=k_end,
-                eps=eps_l,
-                observed=k_end - prev,
-                bound=bound,
-            )
+            {
+                "l": l,
+                "k_start": prev,
+                "k_end": k_end,
+                "eps": eps_l,
+                "observed": observed,
+                "bound": bound,
+                "ok": observed <= bound,
+            }
         )
         prev = k_end
     return reports
 
 
-@dataclass
-class AuditFailure:
-    k: int
-    reason: str
+_SLACK = 1e-9  # rounding tolerated in a decrease that is 0 in exact arithmetic
 
 
 def decrease_audit(
     trace: Sequence[IterateRecord],
     config: LpamConfig,
     L_eps_fn: Callable[[float], float],
-    slack: float = 1e-9,
-) -> tuple[bool, list[AuditFailure]]:
-    """Check every accepted step's decrease and gradient-decrease coupling.
+) -> list[dict]:
+    """Check every accepted step's decrease and gradient-decrease coupling,
+    as a list of ``{"k", "reason"}`` failures, empty when the audit passes.
 
     Each step must not increase the objective, and the squared pre-step
     gradient norm must be bounded by b2 times the achieved decrease,
@@ -113,19 +94,19 @@ def decrease_audit(
     """
     failures = []
     for r in trace:
-        if r.decrease < -slack:
-            failures.append(AuditFailure(r.k, f"objective increased by {-r.decrease}"))
+        if r.decrease < -_SLACK:
+            failures.append({"k": r.k, "reason": f"objective increased by {-r.decrease}"})
             continue
         b2 = max(_rates(config, L_eps_fn(r.eps)))
-        if r.grad_norm_pre**2 > b2 * r.decrease + slack:
+        if r.grad_norm_pre**2 > b2 * r.decrease + _SLACK:
             failures.append(
-                AuditFailure(
-                    r.k,
-                    f"grad_norm_pre^2 = {r.grad_norm_pre ** 2} exceeds "
+                {
+                    "k": r.k,
+                    "reason": f"grad_norm_pre^2 = {r.grad_norm_pre ** 2} exceeds "
                     f"b2 * decrease = {b2 * r.decrease}",
-                )
+                }
             )
-    return (not failures, failures)
+    return failures
 
 
 @dataclass
@@ -146,9 +127,9 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
     conventional peak^2/MSE variant sits behind ``squared_peak``.  A
     peak that is not positive raises ``ValueError``.  SSIM
     is computed from global image statistics with k1 = 0.01, k2 = 0.03
-    and the dynamic range of the ground truth.  A squared error that is
-    not finite, from a NaN entry or one whose square overflows, raises
-    :class:`NumericError`.
+    and the dynamic range of the ground truth.  A squared error or SSIM
+    that is not finite, as from a NaN entry or a square that overflows,
+    raises :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -173,7 +154,9 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
             raise ValueError(
                 f"PSNR needs a positive peak, got {peak} from a ground-truth maximum of {y_max}"
             )
-        psnr = 10.0 * math.log10(peak / mse)
+        q = peak / mse
+        # a quotient past the float range is taken apart, not read as 0 or inf
+        psnr = 10.0 * (math.log10(q) if 0.0 < q < math.inf else math.log10(peak) - math.log10(mse))
         ssim = _ssim_global(x, y)
     return MetricsReport(psnr=psnr, ssim=ssim, nmse=nmse, rmse=rmse)
 
@@ -182,14 +165,18 @@ def _ssim_global(x: np.ndarray, y: np.ndarray, k1: float = 0.01, k2: float = 0.0
     L = float(np.max(y) - np.min(y))
     if L == 0.0:
         L = 1.0
-    c1 = (k1 * L) ** 2
-    c2 = (k2 * L) ** 2
     mx, my = float(np.mean(x)), float(np.mean(y))
     vx, vy = float(np.var(x)), float(np.var(y))
     cov = float(np.mean((x - mx) * (y - my)))
-    return ((2 * mx * my + c1) * (2 * cov + c2)) / (
-        (mx * mx + my * my + c1) * (vx + vy + c2)
-    )
+    try:
+        c1 = (k1 * L) ** 2
+        c2 = (k2 * L) ** 2
+        ssim = ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
+    except ArithmeticError as exc:  # a constant overflows, or the denominator underflows to 0
+        raise NumericError(f"SSIM out of floating-point range: {exc}") from None
+    if not math.isfinite(ssim):
+        raise NumericError(f"SSIM is not finite: {ssim}")
+    return ssim
 
 
 def audit_report(
@@ -200,8 +187,8 @@ def audit_report(
     """Decrease, segment and ``lmax`` audits as a JSON-ready dict with an
     overall ``passed`` flag.  An invalid ``config`` raises ``ValueError``."""
     config.validate()
-    ok, failures = decrease_audit(trace, config, L_eps_fn)
-    segs = segment_bound(trace, L_eps_fn, config)
+    failures = decrease_audit(trace, config, L_eps_fn)
+    segs = segment_bound(trace, config, L_eps_fn)
     violations = []
     for r in trace:
         if r.branch != "v":
@@ -210,22 +197,8 @@ def audit_report(
         if r.ls_count > cap:
             violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
     return {
-        "passed": ok and all(s.ok for s in segs) and not violations,
-        "decrease_audit": {
-            "passed": ok,
-            "failures": [{"k": f.k, "reason": f.reason} for f in failures],
-        },
-        "segments": [
-            {
-                "l": s.l,
-                "k_start": s.k_start,
-                "k_end": s.k_end,
-                "eps": s.eps,
-                "observed": s.observed,
-                "bound": s.bound,
-                "ok": s.ok,
-            }
-            for s in segs
-        ],
+        "passed": not failures and all(s["ok"] for s in segs) and not violations,
+        "decrease_audit": {"passed": not failures, "failures": failures},
+        "segments": segs,
         "lmax": {"passed": not violations, "violations": violations},
     }

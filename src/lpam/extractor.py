@@ -9,7 +9,8 @@ and a linear final layer.  Weights are fixed inputs, never trained here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -102,8 +103,7 @@ def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
     """The kernel whose correlation is the adjoint of correlating with w.
 
     For odd kernel sides under "same" zero padding that is w flipped in
-    space with its channel axes swapped.  A view of w, so it follows
-    in-place changes to w.
+    space with its channel axes swapped, as a view of w.
     """
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
 
@@ -113,26 +113,40 @@ def _conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv_forward(g, _adjoint_kernel(w))
 
 
+def _layer_bounds(weights: Sequence[np.ndarray]) -> list[float]:
+    """Spectral-norm bound per layer: the sum over kernel taps of the
+    per-tap (out, in) matrix spectral norm.  Activations are 1-Lipschitz,
+    so they do not enter."""
+    bounds = []
+    for w in weights:
+        taps = w.reshape(w.shape[0], w.shape[1], -1)
+        b = sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2]))
+        bounds.append(b)
+    return bounds
+
+
 class FeatureExtractor:
     """Layered convolution/activation map over the channel-stacked image pair.
 
-    ``weights`` is a list of (out_ch, in_ch, kh, kw) kernels; the first
-    layer must take 2 input channels and kernel sides must be odd so the
-    adjoint of each zero-padded correlation is the flipped-kernel
-    correlation.  The kernels may be changed in place after construction,
-    as :func:`random_extractor` does, but the list must not be rebound.
+    ``weights`` is a sequence of (out_ch, in_ch, kh, kw) kernels; the
+    first layer must take 2 input channels and kernel sides must be odd
+    so the adjoint of each zero-padded correlation is the flipped-kernel
+    correlation.  The kernels are copied read-only at construction, so
+    the map, and with it every bound, is fixed for the extractor's life.
     """
 
-    def __init__(self, height: int, width: int, weights: list[np.ndarray], act_delta: float):
+    def __init__(self, height: int, width: int, weights: Sequence[np.ndarray], act_delta: float):
         if act_delta <= 0:
             raise ValueError("act_delta must be positive")
         if not weights:
             raise ValueError("at least one layer is required")
-        ws = [np.asarray(w, dtype=np.float64) for w in weights]
+        ws = tuple(np.array(w, dtype=np.float64) for w in weights)
         in_ch = 2
         for i, w in enumerate(ws):
             if w.ndim != 4:
                 raise ValueError(f"layer {i}: kernel must be 4-d")
+            if w.shape[0] == 0:
+                raise ValueError(f"layer {i}: kernel must have at least one output channel")
             if w.shape[1] != in_ch:
                 raise ValueError(
                     f"layer {i}: expected {in_ch} input channels, got {w.shape[1]}"
@@ -140,12 +154,12 @@ class FeatureExtractor:
             if w.shape[2] % 2 == 0 or w.shape[3] % 2 == 0:
                 raise ValueError(f"layer {i}: kernel sides must be odd")
             in_ch = w.shape[0]
+            w.flags.writeable = False
         self.height = int(height)
         self.width = int(width)
         self.weights = ws
         self.act_delta = float(act_delta)
-        # views of the weights, so in-place changes to them carry over
-        self._adjoints = [_adjoint_kernel(w) for w in ws]
+        self._adjoints = tuple(_adjoint_kernel(w) for w in ws)
         self._pitch = self.width + max(w.shape[3] for w in ws) - 1
 
     @property
@@ -210,20 +224,14 @@ class FeatureExtractor:
         """Pullback of the extractor Jacobian applied to grouped weights w."""
         return self.linearize(X)[1](w)
 
-    def _layer_bounds(self) -> list[float]:
-        # spectral-norm bound per layer: sum over kernel taps of the
-        # per-tap (out, in) matrix spectral norm; activations are
-        # 1-Lipschitz so they do not enter
-        bounds = []
-        for w in self.weights:
-            taps = w.reshape(w.shape[0], w.shape[1], -1)
-            b = sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2]))
-            bounds.append(b)
-        return bounds
+    @cached_property
+    def _bounds(self) -> list[float]:
+        # on first use, so construction computes no spectral norms
+        return _layer_bounds(self.weights)
 
     def jacobian_norm_bound(self) -> float:
         """Upper bound on the operator norm of the extractor Jacobian."""
-        return float(np.prod(self._layer_bounds()))
+        return float(np.prod(self._bounds))
 
     def curvature_bound(self) -> float:
         """Upper bound on the second derivative of the extractor map.
@@ -232,7 +240,7 @@ class FeatureExtractor:
         scaled by the squared bound of the layers before it and the
         bound of the layers after it.
         """
-        bounds = self._layer_bounds()
+        bounds = self._bounds
         sigma2 = 1.0 / (2.0 * self.act_delta)
         total = 0.0
         for l in range(len(bounds) - 1):  # activation after layer l
@@ -305,9 +313,8 @@ def random_extractor(
         w *= np.sqrt(2.0 / (in_ch * kernel * kernel + out_ch))
         weights.append(w)
         in_ch = out_ch
-    g = FeatureExtractor(height, width, weights, act_delta)
-    # rescale each layer so its operator-norm bound is 1; keeps features
+    # scale each layer so its operator-norm bound is 1; keeps features
     # and the exported Lipschitz estimate at a testable scale
-    for w, b in zip(g.weights, g._layer_bounds()):
+    for w, b in zip(weights, _layer_bounds(weights)):
         w /= b
-    return g
+    return FeatureExtractor(height, width, weights, act_delta)

@@ -104,8 +104,8 @@ def test_acceptance_3_monotone_decrease():
         for r in state.trace:
             if r.grad_norm_pre > 1e-12:
                 assert r.decrease > 0.0, f"no decrease at iteration {r.k}"
-        ok, failures = decrease_audit(state.trace, cfg, obj.lipschitz_estimate)
-        assert ok, failures
+        failures = decrease_audit(state.trace, cfg, obj.lipschitz_estimate)
+        assert not failures, failures
     print("PASS acceptance 3: objective decreases and decrease audit holds on all bundled runs")
 
 
@@ -145,11 +145,11 @@ def test_acceptance_5_segment_bound():
         X0 = TwoBlockPoint(rng.normal(size=4), rng.normal(size=4))
         state, _ = lpam_run(QuadraticToy(), X0, QUAD_CONFIG)
         reports = segment_bound(
-            state.trace, QuadraticToy().lipschitz_estimate, QUAD_CONFIG
+            state.trace, QUAD_CONFIG, QuadraticToy().lipschitz_estimate
         )
         assert reports
         for rep in reports:
-            assert rep.ok, f"seed {seed} segment {rep.l}: {rep.observed} > {rep.bound}"
+            assert rep["ok"], f"seed {seed} segment {rep['l']}: {rep['observed']} > {rep['bound']}"
             total += 1
     print(f"PASS acceptance 5: all {total} segment lengths within the complexity bound")
 

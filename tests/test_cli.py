@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lpam import cli
+from lpam import cli, fileio
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
 from lpam.operators import MAX_SIDE
@@ -345,6 +345,33 @@ def test_metrics_nonpositive_peak_exit3(tmp_path, capsys):
     assert main(["metrics", str(recon), str(truth)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "positive peak" in err and "-1.0" in err
+
+
+def test_metrics_ssim_overflow_exit2(tmp_path, capsys):
+    # a truth whose range squares past the float range has no finite SSIM
+    # constants: a numeric failure, not a traceback
+    truth = np.zeros((4, 4))
+    truth[0, 0] = 1e300
+    recon = truth.copy()
+    recon[1, 1] = 1e-10
+    write_array(tmp_path / "recon.arr", recon)
+    write_array(tmp_path / "truth.arr", truth)
+    assert main(["metrics", str(tmp_path / "recon.arr"), str(tmp_path / "truth.arr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "SSIM" in err
+
+
+def test_weights_without_output_channels_exit3(tmp_path, capsys):
+    weights = tmp_path / "weights.bin"
+    fileio.write_weights(weights, [np.zeros((0, 2, 3, 3))])
+    objective = {"kind": "extractor", "weights_file": str(weights)}
+    cfg = write_config(tmp_path / "cfg.json", objective=objective)
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: layer 0: kernel must have at least one output channel\n"
 
 
 def test_metrics_huge_header_exit3(tmp_path, capsys):

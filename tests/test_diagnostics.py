@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lpam import extractor
 from lpam.core import NumericError, TwoBlockPoint
 from lpam.diagnostics import (
     audit_report,
@@ -12,7 +13,8 @@ from lpam.diagnostics import (
     metrics,
     segment_bound,
 )
-from lpam.objectives import QuadraticToy
+from lpam.objectives import JointRecovery, QuadraticToy
+from lpam.operators import InstanceSpec, generate_instance
 from lpam.solver import IterateRecord, LpamConfig, lpam_run
 
 from tests.test_solver import QUAD_STATIONARITY, recovery_objective
@@ -68,56 +70,78 @@ def _record(**kw):
     return IterateRecord(**base)
 
 
+# a=1, equal initial steps, delta=0.5, rho=0.5, L=1, eta=1,
+# phi(X0) - phi* + 1 = 2: (2 + 4/(0.5*0.25)) * 2 = 68
+SEGMENT_CONFIG = LpamConfig(
+    eps0=1.0,
+    gamma=0.5,
+    eps_sigma=2.0,
+    a=1.0,
+    ls_delta=0.5,
+    rho=0.5,
+    alpha_bar=0.9,
+    beta_bar=0.9,
+)
+SEGMENT_TRACE = [_record(k=0, phi_pre=1.0, reduced=True)]
+
+
 def test_segment_bound_spot_value():
-    # a=1, equal initial steps, delta=0.5, rho=0.5, L=1, eta=1,
-    # phi(X0) - phi* + 1 = 2: (2 + 4/(0.5*0.25)) * 2 = 68
-    cfg = LpamConfig(
-        eps0=1.0,
-        gamma=0.5,
-        eps_sigma=2.0,
-        a=1.0,
-        ls_delta=0.5,
-        rho=0.5,
-        alpha_bar=0.9,
-        beta_bar=0.9,
-    )
-    trace = [_record(k=0, phi_pre=1.0, reduced=True)]
-    reports = segment_bound(trace, lambda _e: 1.0, cfg)
+    reports = segment_bound(SEGMENT_TRACE, SEGMENT_CONFIG, lambda _e: 1.0)
     assert len(reports) == 1
-    assert reports[0].bound == pytest.approx(68.0)
-    assert reports[0].observed == 1
-    assert reports[0].ok
+    assert reports[0]["bound"] == pytest.approx(68.0)
+    assert reports[0]["observed"] == 1
+    assert reports[0]["ok"]
+
+
+def test_audit_report_layout():
+    # the report.json layout, pinned on the one-row segment case above
+    rep = audit_report(SEGMENT_TRACE, SEGMENT_CONFIG, lambda _e: 1.0)
+    assert rep == {
+        "passed": True,
+        "decrease_audit": {"passed": True, "failures": []},
+        "segments": [
+            {
+                "l": 0,
+                "k_start": -1,
+                "k_end": 0,
+                "eps": 1.0,
+                "observed": 1,
+                "bound": 68.0,
+                "ok": True,
+            }
+        ],
+        "lmax": {"passed": True, "violations": []},
+    }
 
 
 def test_segment_bound_empty_without_events():
     trace = [_record(reduced=False)]
-    assert segment_bound(trace, lambda _e: 1.0, LpamConfig()) == []
+    assert segment_bound(trace, LpamConfig(), lambda _e: 1.0) == []
 
 
 def test_segment_bound_on_quadratic_run():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
     reports = segment_bound(
-        state.trace, QuadraticToy().lipschitz_estimate, QUAD_STATIONARITY
+        state.trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate
     )
     assert reports
     for rep in reports:
-        assert rep.ok
+        assert rep["ok"]
 
 
 def test_decrease_audit_passes_on_quadratic():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
-    ok, failures = decrease_audit(
+    failures = decrease_audit(
         state.trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate
     )
-    assert ok and not failures
+    assert failures == []
 
 
 def test_decrease_audit_stationary_trivial():
     trace = [_record(decrease=0.0, grad_norm_pre=0.0, phi_pre=0.5)]
-    ok, _ = decrease_audit(trace, LpamConfig(), lambda _e: 4.0)
-    assert ok
+    assert decrease_audit(trace, LpamConfig(), lambda _e: 4.0) == []
 
 
 def test_decrease_audit_catches_corruption():
@@ -125,15 +149,15 @@ def test_decrease_audit_catches_corruption():
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
     trace = [dataclasses.replace(r) for r in state.trace]
     trace[4].decrease = 0.0  # non-stationary step claiming no progress
-    ok, failures = decrease_audit(trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate)
-    assert not ok
-    assert any(f.k == 4 for f in failures)
+    failures = decrease_audit(trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate)
+    assert failures
+    assert any(f["k"] == 4 for f in failures)
 
 
 def test_decrease_audit_catches_increase():
     trace = [_record(decrease=-0.5)]
-    ok, failures = decrease_audit(trace, LpamConfig(), lambda _e: 4.0)
-    assert not ok and "increased" in failures[0].reason
+    failures = decrease_audit(trace, LpamConfig(), lambda _e: 4.0)
+    assert failures and "increased" in failures[0]["reason"]
 
 
 def test_audit_report_all_sections():
@@ -144,6 +168,27 @@ def test_audit_report_all_sections():
     assert rep["decrease_audit"]["passed"]
     assert rep["lmax"]["passed"]
     assert all(s["ok"] is not False for s in rep["segments"])
+
+
+def test_audit_computes_layer_bounds_once(monkeypatch):
+    # the extractor's weights are fixed, so an audit of a CNN run takes the
+    # spectral norms of its kernels once, not once per trace row
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    ext = extractor.random_extractor(8, 8, num_layers=3, channels=4, seed=1)
+    obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
+    calls = []
+    real = extractor._layer_bounds
+
+    def counting(weights):
+        calls.append(None)
+        return real(weights)
+
+    monkeypatch.setattr(extractor, "_layer_bounds", counting)
+    cfg = LpamConfig(max_iter=5)
+    state, _ = lpam_run(obj, obj.zero_filled(), cfg)
+    rep = audit_report(state.trace, cfg, obj.lipschitz_estimate)
+    assert rep["passed"] and len(state.trace) == 5
+    assert len(calls) == 1
 
 
 def test_audit_report_flags_lmax_violation():
@@ -203,6 +248,28 @@ def test_metrics_errors():
         metrics(np.ones((2, 2)), np.array([[0.0, -1.0], [-1.0, 0.0]]), squared_peak=True)
     # a negative peak squares to a positive one
     assert math.isfinite(metrics(np.zeros((2, 2)), -np.ones((2, 2)), squared_peak=True).psnr)
+    # a peak over the MSE that underflows or overflows is taken as a
+    # difference of logs, not as log10(0) or an infinite PSNR
+    rep = metrics(np.full((4, 4), 1e100), np.full((4, 4), 1e-150))
+    assert rep.psnr == pytest.approx(10 * (-150 - 200))
+    y = np.zeros((4, 4))
+    y[0, 0] = 1e10
+    x = y.copy()
+    x[1, 1] = 1e-150
+    rep = metrics(x, y)
+    assert rep.rmse == pytest.approx(2.5e-151)
+    assert rep.psnr == pytest.approx(10 * (10 - math.log10(1e-300 / 16)))
+    # an SSIM constant whose square overflows is a numeric failure
+    y[0, 0] = 1e300
+    x = y.copy()
+    x[1, 1] = 1e-10
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="SSIM"):
+        metrics(x, y)
+    # and so is one whose denominator underflows to 0
+    y, x = np.zeros((2, 2)), np.zeros((2, 2))
+    y[0, 0], x[0, 0] = 1e-161, 1e-175
+    with np.errstate(under="ignore"), pytest.raises(NumericError, match="SSIM"):
+        metrics(x, y)
 
 
 @pytest.mark.parametrize("alpha_bar, beta_bar, L", [(0.9, 0.3, 2.0), (0.2, 0.7, 50.0)])
@@ -223,11 +290,10 @@ def test_audit_rates_match_the_formulas(alpha_bar, beta_bar, L):
     safeguard = 2.0 / cfg.a**3
     line_search = 4.0 * sb**2 * L**2 / (cfg.ls_delta * si**2 * cfg.rho**2)
     trace = [_record(k=0, phi_pre=1.0, decrease=1e-9, grad_norm_pre=1e3, reduced=True)]
-    (report,) = segment_bound(trace, lambda _e: L, cfg)
-    assert report.bound == (safeguard + line_search) * 2.0 / 1.0**2
-    ok, (failure,) = decrease_audit(trace, cfg, lambda _e: L)
-    assert not ok
-    assert failure.reason.endswith(f"b2 * decrease = {max(safeguard, line_search) * 1e-9}")
+    (report,) = segment_bound(trace, cfg, lambda _e: L)
+    assert report["bound"] == (safeguard + line_search) * 2.0 / 1.0**2
+    (failure,) = decrease_audit(trace, cfg, lambda _e: L)
+    assert failure["reason"].endswith(f"b2 * decrease = {max(safeguard, line_search) * 1e-9}")
 
 
 def test_ssim_symmetric_and_bounded():

@@ -118,18 +118,27 @@ def test_linearize_activations_match_smoothed_relu():
     assert np.array_equal(ext.forward(X), smoothed_relu(z, 0.05).reshape(2, -1))
 
 
-def test_pullback_follows_weights_rescaled_in_place():
-    # random_extractor rescales the weights after construction; the adjoint
-    # convolutions must see the rescaled weights, as a fresh extractor does
-    rng = np.random.default_rng(24)
+def test_kernels_are_read_only():
     ext = random_extractor(6, 5, num_layers=3, channels=4, seed=6)
+    assert isinstance(ext.weights, tuple)
     for w in ext.weights:
-        w *= rng.uniform(0.5, 2.0)
-    fresh = FeatureExtractor(6, 5, [w.copy() for w in ext.weights], ext.act_delta)
+        with pytest.raises(ValueError, match="read-only"):
+            w *= 2.0
+
+
+def test_kernels_are_copied_at_construction():
+    # changing the caller's arrays afterwards changes neither the features
+    # nor the pullback
+    rng = np.random.default_rng(24)
+    weights = [w.copy() for w in random_extractor(6, 5, num_layers=3, channels=4, seed=6).weights]
+    ext = FeatureExtractor(6, 5, weights, 0.01)
     X = TwoBlockPoint(rng.normal(size=30), rng.normal(size=30))
     wts = rng.normal(size=(4, 30))
-    assert np.array_equal(ext.forward(X), fresh.forward(X))
-    g, ref = ext.vjp(X, wts), fresh.vjp(X, wts)
+    feats, g = ext.forward(X), ext.vjp(X, wts)
+    for w in weights:
+        w *= rng.uniform(0.5, 2.0)
+    assert np.array_equal(ext.forward(X), feats)
+    ref = ext.vjp(X, wts)
     assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
 
 
@@ -344,6 +353,8 @@ def test_constructor_validation():
         FeatureExtractor(4, 4, [np.zeros((2, 2, 2, 3))], act_delta=0.01)
     with pytest.raises(ValueError):
         FeatureExtractor(4, 4, [np.zeros((2, 2, 3, 3))], act_delta=0.0)
+    with pytest.raises(ValueError, match="layer 0: kernel must have at least one output channel"):
+        FeatureExtractor(4, 4, [np.zeros((0, 2, 3, 3))], act_delta=0.01)
 
 
 def test_forward_shape_and_errors():
