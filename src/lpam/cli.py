@@ -38,35 +38,54 @@ class ConfigError(ValueError):
     pass
 
 
-# section -> key -> JSON kind; the instance and solver sections' kinds are
-# InstanceSpec's and LpamConfig's field annotations
+@dataclasses.dataclass(frozen=True)
+class ObjectiveSpec:
+    """The objective section of a run configuration, checked when it is made."""
+
+    kind: str = "identity"  # "quadratic" | "identity" | "extractor"
+    weights_file: str | None = None
+    act_delta: float = 0.01
+    lam: float = 0.0093
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("quadratic", "identity", "extractor"):
+            raise ConfigError(f"unknown objective kind {self.kind!r}")
+        if not self.lam >= 0:
+            raise ConfigError("objective.lam must be nonnegative")
+        if not self.act_delta > 0:
+            raise ConfigError("objective.act_delta must be positive")
+        if self.kind == "extractor" and not self.weights_file:
+            raise ConfigError("objective.weights_file required for kind 'extractor'")
+
+
+# section -> key -> JSON kind: the field annotations of the section's spec
 _SCHEMA = {
     "instance": {f.name: f.type for f in dataclasses.fields(InstanceSpec)} | {"seed": "int"},
-    "objective": {"kind": "str", "weights_file": "str|null", "act_delta": "float", "lam": "float"},
+    "objective": {f.name: f.type for f in dataclasses.fields(ObjectiveSpec)},
     "solver": {f.name: f.type for f in dataclasses.fields(LpamConfig)},
 }
 
 _KINDS = {  # JSON kind other than a number or list: (accepted types, description)
     "int": ((int,), "an integer"),
     "str": ((str,), "a string"),
-    "str|null": ((str, type(None)), "a string or null"),
+    "str | None": ((str, type(None)), "a string or null"),
 }
 
-# the instance's arrays, one ``<name>.arr`` file each, in the order
-# cmd_generate writes them and _load_instance reads them
-_INSTANCE_FILES = ("truth1", "truth2", "mask", "kspace1", "kspace2")
+# the instance's arrays, one ``<name>.arr`` file each, and the dtype each
+# must have, in the order cmd_generate writes them and _load_instance reads them
+_INSTANCE_FILES = {
+    "truth1": "float64", "truth2": "float64", "mask": "bool",
+    "kspace1": "complex128", "kspace2": "complex128",
+}
 
 
 @dataclasses.dataclass
 class RunConfig:
-    """Parsed and validated configuration for one CLI invocation."""
+    """Configuration for one CLI invocation, one checked spec per section."""
 
     instance: InstanceSpec
     seed: int
-    objective_kind: str  # "quadratic" | "identity" | "extractor"
-    weights_file: str | None
-    act_delta: float
-    lam: float
+    objective: ObjectiveSpec
     solver: LpamConfig
 
     @staticmethod
@@ -74,31 +93,11 @@ class RunConfig:
         _reject_unknown(raw, _SCHEMA.keys(), "top level")
         inst = _section(raw, "instance")
         seed = inst.pop("seed", 0)
-        spec = InstanceSpec(**{"height": 32, "width": 32, **inst})
-
-        objc = _section(raw, "objective")
-        kind = objc.get("kind", "identity")
-        if kind not in ("quadratic", "identity", "extractor"):
-            raise ConfigError(f"unknown objective kind {kind!r}")
-        lam = objc.get("lam", 0.0093)
-        if lam < 0:
-            raise ConfigError("objective.lam must be nonnegative")
-        weights_file = objc.get("weights_file")
-        if kind == "extractor" and not weights_file:
-            raise ConfigError("objective.weights_file required for kind 'extractor'")
-
-        solver = LpamConfig(**_section(raw, "solver"))
-        solver.validate()
-
-        spec.validate()
         return RunConfig(
-            instance=spec,
+            instance=InstanceSpec(**{"height": 32, "width": 32, **inst}),
             seed=seed,
-            objective_kind=kind,
-            weights_file=weights_file,
-            act_delta=objc.get("act_delta", 0.01),
-            lam=lam,
-            solver=solver,
+            objective=ObjectiveSpec(**_section(raw, "objective")),
+            solver=LpamConfig(**_section(raw, "solver")),
         )
 
 
@@ -184,29 +183,30 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
 
 
 def build_objective(cfg: RunConfig, instance: Instance | None):
-    if cfg.objective_kind == "quadratic":
+    if cfg.objective.kind == "quadratic":
         return QuadraticToy()
     assert instance is not None
     h, w = cfg.instance.height, cfg.instance.width
-    if cfg.objective_kind == "identity":
+    if cfg.objective.kind == "identity":
         extractor = IdentityExtractor(h, w)
     else:
-        weights = fileio.read_weights(cfg.weights_file)
-        extractor = FeatureExtractor(h, w, weights, cfg.act_delta)
-    return JointRecovery(instance.dft, instance.kspace, extractor, cfg.lam)
+        weights = fileio.read_weights(cfg.objective.weights_file)
+        extractor = FeatureExtractor(h, w, weights, cfg.objective.act_delta)
+    return JointRecovery(instance.dft, instance.kspace, extractor, cfg.objective.lam)
 
 
 def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
     """The generated instance in ``out``; None for the quadratic toy, which has none.
 
-    Every array must have the configured (height, width) shape, else
-    :class:`ConfigError`, before anything is solved or written.
+    Every array must have the configured (height, width) shape and its
+    dtype in :data:`_INSTANCE_FILES`, else :class:`ConfigError`, before
+    anything is solved or written.
     """
-    if cfg.objective_kind == "quadratic":
+    if cfg.objective.kind == "quadratic":
         return None
     shape = (cfg.instance.height, cfg.instance.width)
     arrays = []
-    for name in _INSTANCE_FILES:
+    for name, dtype in _INSTANCE_FILES.items():
         path = out / f"{name}.arr"
         arr = fileio.read_array(path)
         if arr.shape != shape:
@@ -214,6 +214,8 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
                 f"{path} has shape {arr.shape}, but instance.height and "
                 f"instance.width give {shape}"
             )
+        if arr.dtype != dtype:
+            raise ConfigError(f"{path} has dtype {arr.dtype}, but {name} must be {dtype}")
         arrays.append(arr)
     truth1, truth2, mask, f1, f2 = arrays
     return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2))

@@ -17,8 +17,7 @@ def lmax_bound(config: LpamConfig, L_eps: float) -> int:
     """Worst-case backtrack count for the fallback line search.
 
     floor(log((L/2 + delta) * max(alpha_bar, beta_bar)) / log(1/rho)) + 1,
-    clamped below at 0, with delta, alpha_bar, beta_bar and rho read off
-    ``config``, which must be valid (see :meth:`LpamConfig.validate`).
+    clamped below at 0, with delta, alpha_bar, beta_bar and rho read off ``config``.
     """
     if not math.isfinite(L_eps):
         raise ValueError(f"Lipschitz estimate must be finite, got {L_eps}")
@@ -120,6 +119,9 @@ class MetricsReport:
         return {"psnr": self.psnr, "ssim": self.ssim, "nmse": self.nmse, "rmse": self.rmse}
 
 
+_SSIM_K1, _SSIM_K2 = 0.01, 0.03
+
+
 def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> MetricsReport:
     """Image quality of reconstruction x against ground truth y.
 
@@ -128,22 +130,20 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
     peak that is not positive raises ``ValueError``.  SSIM
     is computed from global image statistics with k1 = 0.01, k2 = 0.03
     and the dynamic range of the ground truth.  A squared error or SSIM
-    that is not finite, as from a NaN entry or a square that overflows,
-    raises :class:`NumericError`.
+    that is not finite, or a squared truth norm that is not positive and
+    finite, as from a NaN entry or a square out of range, raises :class:`NumericError`.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise ValueError("images must have identical shapes")
-    ynorm2 = float(np.sum(y * y))
-    if ynorm2 == 0.0:
+    if not y.any():
         raise ValueError("ground truth must not be all zero")
     err2 = float(np.sum((x - y) ** 2))
     if not math.isfinite(err2):
         raise NumericError(f"squared error is not finite: {err2}")
     mse = err2 / x.size
     rmse = math.sqrt(mse)
-    nmse = err2 / ynorm2
     if mse == 0.0:
         psnr = math.inf
         ssim = 1.0
@@ -158,10 +158,13 @@ def metrics(x: np.ndarray, y: np.ndarray, squared_peak: bool = False) -> Metrics
         # a quotient past the float range is taken apart, not read as 0 or inf
         psnr = 10.0 * (math.log10(q) if 0.0 < q < math.inf else math.log10(peak) - math.log10(mse))
         ssim = _ssim_global(x, y)
-    return MetricsReport(psnr=psnr, ssim=ssim, nmse=nmse, rmse=rmse)
+    ynorm2 = float(np.sum(y * y))
+    if not 0.0 < ynorm2 < math.inf:
+        raise NumericError(f"squared norm of the ground truth out of float range: {ynorm2}")
+    return MetricsReport(psnr=psnr, ssim=ssim, nmse=err2 / ynorm2, rmse=rmse)
 
 
-def _ssim_global(x: np.ndarray, y: np.ndarray, k1: float = 0.01, k2: float = 0.03) -> float:
+def _ssim_global(x: np.ndarray, y: np.ndarray) -> float:
     L = float(np.max(y) - np.min(y))
     if L == 0.0:
         L = 1.0
@@ -169,8 +172,8 @@ def _ssim_global(x: np.ndarray, y: np.ndarray, k1: float = 0.01, k2: float = 0.0
     vx, vy = float(np.var(x)), float(np.var(y))
     cov = float(np.mean((x - mx) * (y - my)))
     try:
-        c1 = (k1 * L) ** 2
-        c2 = (k2 * L) ** 2
+        c1 = (_SSIM_K1 * L) ** 2
+        c2 = (_SSIM_K2 * L) ** 2
         ssim = ((2 * mx * my + c1) * (2 * cov + c2)) / ((mx * mx + my * my + c1) * (vx + vy + c2))
     except ArithmeticError as exc:  # a constant overflows, or the denominator underflows to 0
         raise NumericError(f"SSIM out of floating-point range: {exc}") from None
@@ -185,8 +188,7 @@ def audit_report(
     L_eps_fn: Callable[[float], float],
 ) -> dict:
     """Decrease, segment and ``lmax`` audits as a JSON-ready dict with an
-    overall ``passed`` flag.  An invalid ``config`` raises ``ValueError``."""
-    config.validate()
+    overall ``passed`` flag."""
     failures = decrease_audit(trace, config, L_eps_fn)
     segs = segment_bound(trace, config, L_eps_fn)
     violations = []

@@ -357,7 +357,7 @@ MAX_SIDE = 4096
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Description of a synthetic joint-recovery instance.
+    """A synthetic joint-recovery instance, checked when made (``ValueError`` if invalid).
 
     Image sides run from 2 to :data:`MAX_SIDE`.
     """
@@ -368,7 +368,7 @@ class InstanceSpec:
     ratio: float = 0.3
     noise_std: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check_ratio(self.ratio)
         if self.height < 2 or self.width < 2:
             raise ValueError("image dimensions must be at least 2x2")
@@ -396,7 +396,6 @@ class Instance:
 
 def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
     """Deterministically build phantoms, mask and noisy k-space data."""
-    spec.validate()
     rng = np.random.default_rng(seed)
     truth1, truth2 = shared_structure_phantom(spec.height, spec.width, rng)
     if spec.mask_type == "radial":

@@ -32,9 +32,9 @@ class LineSearchError(RuntimeError):
 
 @dataclass(frozen=True)
 class LpamConfig:
-    """All solver hyperparameters.
+    """All solver hyperparameters, checked when made: a bad value raises ``ValueError``.
 
-    Step-size fields holding sequences are per-phase schedules applied by
+    Step-size schedules are kept as tuples and applied per phase by
     clamped index (iteration k beyond the end uses the last entry).
     """
 
@@ -55,7 +55,7 @@ class LpamConfig:
     mode: str = "lpam"  # "bcd" disables the residual branch
     ls_max: int = 60
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not (0 < self.eps0 < math.inf):
             raise ValueError("eps0 must be positive and finite")
         if not (0 < self.gamma < 1):
@@ -73,7 +73,8 @@ class LpamConfig:
         if not (0 < self.alpha_bar < 1 and 0 < self.beta_bar < 1):
             raise ValueError("alpha_bar and beta_bar must lie in (0, 1)")
         for name in ("step_alpha", "step_tau", "step_beta", "step_gamma"):
-            sched = getattr(self, name)
+            sched = tuple(getattr(self, name))
+            object.__setattr__(self, name, sched)
             if len(sched) < 1:
                 raise ValueError(f"{name} schedule must have length >= 1")
         if self.mode not in ("lpam", "bcd"):
@@ -150,21 +151,19 @@ def safeguard_check(
     eps: float,
     phi_x: float,
     grad_norm_x: float,
-    a: float,
+    config: LpamConfig,
 ) -> tuple[bool, float]:
     """Both safeguard inequalities for accepting the residual candidate.
 
     Sufficient decrease proportional to the squared step, and the
-    gradient norm at X bounded by the step lengths scaled by 1/a.
-    ``phi_x`` and ``grad_norm_x`` are the objective and gradient norm at
-    X.  Returns whether U is accepted and the objective at U.
+    gradient norm at X bounded by the step lengths scaled by 1/a, with
+    a = ``config.a``.  ``phi_x`` and ``grad_norm_x`` are the objective and
+    gradient norm at X.  Returns whether U is accepted and the objective at U.
     """
-    if a <= 0:
-        raise ValueError("safeguard constant a must be positive")
     d1, d2 = U.diff_norms(X)
     phi_u = phi_eps(obj, U, eps)
-    cond1 = phi_u - phi_x <= -a * (d1 * d1 + d2 * d2)
-    cond2 = grad_norm_x <= (d1 + d2) / a
+    cond1 = phi_u - phi_x <= -config.a * (d1 * d1 + d2 * d2)
+    cond2 = grad_norm_x <= (d1 + d2) / config.a
     return bool(cond1 and cond2), phi_u
 
 
@@ -214,7 +213,6 @@ def lpam_run(
     the accepted point carry over unless the smoothing parameter shrinks.
     ``state.X`` is a plain point, so what the run cached does not outlive it.
     """
-    config.validate()
     if not X0.is_finite():
         raise ValueError("initial point must be finite")
     state = SolverState(X=X0.copy(), eps=config.eps0)
@@ -238,7 +236,7 @@ def lpam_run(
                     _sched(config.step_gamma, k),
                 )
                 Xn = u_step(obj, X, eps, steps)
-                accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config.a)
+                accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config)
             if not accepted:
                 Xn = None  # frees the rejected candidate's cache during the line search
                 Xn, ls_count, phi_n = v_step_with_linesearch(obj, X, eps, phi_x, gx, config)

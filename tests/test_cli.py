@@ -200,13 +200,24 @@ def test_readme_config_loads(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(example)
     cfg = cli.load_config(str(path), [], None, None)
-    assert cfg.instance.height == 32 and cfg.objective_kind == "identity"
+    assert cfg.instance.height == 32 and cfg.objective.kind == "identity"
     assert cfg.solver.step_tau[-1] == 0.1
 
 
-def test_negative_lam_rejected(tmp_path):
+def test_negative_lam_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", objective={"kind": "identity", "lam": -1.0})
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    # so is an activation width that is not positive, for every kind, while
+    # the config is read: an extractor's generate used to succeed
+    for objective in (
+        {"kind": "identity", "act_delta": 0.0},
+        {"kind": "quadratic", "act_delta": -1.0},
+        {"kind": "extractor", "weights_file": "weights.bin", "act_delta": 0.0},
+    ):
+        cfg = write_config(tmp_path / "cfg.json", objective=objective)
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+        assert "objective.act_delta must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_exit3(tmp_path, capsys):
@@ -359,6 +370,42 @@ def test_metrics_ssim_overflow_exit2(tmp_path, capsys):
     assert main(["metrics", str(tmp_path / "recon.arr"), str(tmp_path / "truth.arr")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "SSIM" in err
+
+
+def test_metrics_truth_norm_out_of_range_exit2(tmp_path, capsys):
+    # a truth whose squared norm overflows has no NMSE: a numeric failure,
+    # not nmse = 0
+    truth = np.full((4, 4), 5e153)
+    recon = truth.copy()
+    recon[0, 0] = 4e153
+    write_array(tmp_path / "recon.arr", recon)
+    write_array(tmp_path / "truth.arr", truth)
+    assert main(["metrics", str(tmp_path / "recon.arr"), str(tmp_path / "truth.arr")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "squared norm of the ground truth" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("name, dtype", [("truth1", "complex128"), ("mask", "float64")])
+def test_instance_dtype_mismatch_is_a_usage_error(tmp_path, capsys, command, name, dtype):
+    # a complex truth would lose its imaginary part, and a float mask of 0s
+    # and 2.5s would be thresholded: both are refused before anything is written
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "audit":
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    path = out / f"{name}.arr"
+    arr = read_array(path)
+    write_array(path, arr + 1j if name == "truth1" else 2.5 * arr)
+    before = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+    needs = {"truth1": "float64", "mask": "bool"}[name]
+    assert f"has dtype {dtype}, but {name} must be {needs}" in err
+    assert sorted(p.name for p in out.iterdir()) == before
 
 
 def test_weights_without_output_channels_exit3(tmp_path, capsys):

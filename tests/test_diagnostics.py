@@ -21,12 +21,11 @@ from tests.test_solver import QUAD_STATIONARITY, recovery_objective
 
 
 def _ls_config(ls_delta, alpha_bar, beta_bar, rho):
-    # LpamConfig(...) is not validated on construction, so alpha_bar = 1.0 runs
     return LpamConfig(ls_delta=ls_delta, alpha_bar=alpha_bar, beta_bar=beta_bar, rho=rho)
 
 
 def test_lmax_hand_value():
-    assert lmax_bound(_ls_config(0.5, 1.0, 1.0, 0.5), 2.0) == 1
+    assert lmax_bound(_ls_config(0.5, 0.9, 0.9, 0.5), 2.0) == 1
     # initial steps already below 1/(L/2 + delta): no backtracking needed
     assert lmax_bound(_ls_config(0.1, 0.9, 0.9, 0.5), 2.0) == 0
 
@@ -47,10 +46,16 @@ def test_lmax_input_validation():
 
 
 def test_audit_report_rejects_an_invalid_config():
-    # the line-search fields lmax_bound reads are checked once per audit
+    # a config is checked when it is made, so no audit sees an invalid one:
+    # rho = 1 would divide by log(1/rho) = 0 in lmax_bound, and a = 0 by a^3
+    # in segment_bound
     trace = [_record(k=0)]
     with pytest.raises(ValueError, match="rho"):
         audit_report(trace, _ls_config(0.5, 0.9, 0.9, 1.0), lambda _e: 4.0)
+    with pytest.raises(ValueError, match="rho"):
+        lmax_bound(LpamConfig(rho=1.0), 4.0)
+    with pytest.raises(ValueError, match="safeguard constant a"):
+        segment_bound(trace, LpamConfig(a=0.0), lambda _e: 4.0)
 
 
 def _record(**kw):
@@ -270,6 +275,19 @@ def test_metrics_errors():
     y[0, 0], x[0, 0] = 1e-161, 1e-175
     with np.errstate(under="ignore"), pytest.raises(NumericError, match="SSIM"):
         metrics(x, y)
+    # NMSE divides by the truth's squared norm, so a norm that overflows
+    # (it read nmse = 0) or underflows to 0 (it read "all zero") is a
+    # numeric failure that is named
+    y = np.full((4, 4), 5e153)
+    x = y.copy()
+    x[0, 0] = 4e153
+    with np.errstate(over="ignore"), pytest.raises(NumericError, match="squared norm"):
+        metrics(x, y)
+    y = np.full((4, 4), 1e-170)
+    with pytest.raises(NumericError, match="squared norm of the ground truth"):
+        metrics(y, y)
+    with pytest.raises(NumericError, match="squared norm of the ground truth"):
+        metrics(np.zeros((4, 4)), y)
 
 
 @pytest.mark.parametrize("alpha_bar, beta_bar, L", [(0.9, 0.3, 2.0), (0.2, 0.7, 50.0)])

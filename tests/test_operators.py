@@ -507,15 +507,13 @@ def test_noise_only_on_mask():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        InstanceSpec(height=1, width=16).validate()
+        InstanceSpec(height=1, width=16)
     with pytest.raises(ValueError):
-        InstanceSpec(height=8, width=8, mask_type="spiral").validate()
+        InstanceSpec(height=8, width=8, mask_type="spiral")
     with pytest.raises(ValueError):
-        InstanceSpec(height=8, width=8, noise_std=-1.0).validate()
-    # the side cap: refused before generate_instance makes any array
-    InstanceSpec(height=MAX_SIDE, width=MAX_SIDE).validate()
+        InstanceSpec(height=8, width=8, noise_std=-1.0)
+    # the side cap: a spec past it cannot be made, so no array is allocated
+    InstanceSpec(height=MAX_SIDE, width=MAX_SIDE)
     for h, w in ((MAX_SIDE + 1, 8), (8, MAX_SIDE + 1), (2**40, 2**40)):
         with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
-            InstanceSpec(height=h, width=w).validate()
-        with pytest.raises(ValueError, match=f"at most {MAX_SIDE}"):
-            generate_instance(InstanceSpec(height=h, width=w), 0)
+            InstanceSpec(height=h, width=w)

@@ -67,15 +67,15 @@ def at(obj, X, eps):
     return phi_eps(obj, X, eps), grad_phi_eps(obj, X, eps)
 
 
-def safeguard(obj, X, U, eps, a):
+def safeguard(obj, X, U, eps, config):
     phi_x, g = at(obj, X, eps)
-    return safeguard_check(obj, X, U, eps, phi_x, g.norm(), a)
+    return safeguard_check(obj, X, U, eps, phi_x, g.norm(), config)
 
 
 def test_safeguard_degenerate_candidate():
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [1.0])
-    accepted, phi_u = safeguard(obj, X, X, 0.1, a=1e-3)
+    accepted, phi_u = safeguard(obj, X, X, 0.1, LpamConfig(a=1e-3))
     assert not accepted
     assert phi_u == phi_eps(obj, X, 0.1)
 
@@ -83,18 +83,18 @@ def test_safeguard_degenerate_candidate():
 def test_safeguard_stationary_point():
     obj = QuadraticToy()
     O = TwoBlockPoint([0.0], [0.0])
-    assert safeguard(obj, O, O, 0.1, a=1e-3) == (True, 0.0)
+    assert safeguard(obj, O, O, 0.1, LpamConfig(a=1e-3)) == (True, 0.0)
 
 
 def test_safeguard_genuine_descent():
     obj = QuadraticToy()
     X = TwoBlockPoint([1.0], [1.0])
     U = u_step(obj, X, 0.1, (0.5, 0.5, 0.5, 0.5))
-    accepted, phi_u = safeguard(obj, X, U, 0.1, a=1e-3)
+    accepted, phi_u = safeguard(obj, X, U, 0.1, LpamConfig(a=1e-3))
     assert accepted
     assert phi_u == phi_eps(obj, U, 0.1)
-    with pytest.raises(ValueError):
-        safeguard(obj, X, U, 0.1, a=0.0)
+    with pytest.raises(ValueError, match="safeguard constant a"):
+        safeguard(obj, X, U, 0.1, LpamConfig(a=0.0))
 
 
 def test_v_step_stationary_accepts_immediately():
@@ -222,7 +222,7 @@ def test_invalid_config_rejected():
         {"ls_max": 0},
     ):
         with pytest.raises(ValueError):
-            LpamConfig(**bad).validate()
+            LpamConfig(**bad)
     with pytest.raises(ValueError):
         lpam_run(QuadraticToy(), TwoBlockPoint([np.inf], [0.0]), QUAD_STATIONARITY)
 
@@ -231,7 +231,19 @@ def test_invalid_config_rejected():
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_nonfinite_config_rejected(field, value):
     with pytest.raises(ValueError, match="finite"):
-        LpamConfig(**{field: value}).validate()
+        LpamConfig(**{field: value})
+
+
+def test_config_keeps_its_schedules():
+    # a schedule is copied into a tuple when the config is made, so the
+    # caller's list can change afterwards without reaching the config
+    alpha = [0.5]
+    cfg = LpamConfig(step_alpha=alpha, max_iter=3)
+    alpha.clear()
+    assert cfg.step_alpha == (0.5,) and isinstance(cfg.step_tau, tuple)
+    assert hash(cfg) == hash(LpamConfig(step_alpha=(0.5,), max_iter=3))
+    state, reason = lpam_run(QuadraticToy(), TwoBlockPoint([1.0], [1.0]), cfg)
+    assert reason == EXIT_ITERATION_CAP and state.k == 3
 
 
 def test_traces_differ_when_u_branch_fires():
