@@ -52,7 +52,12 @@ class RecoveryPoint(EvaluatedPoint):
     transform), both fidelity values and gradients (from one paired
     inverse transform), the extractor's features and pullback and the
     features' group norms are computed on first use and kept, so a new
-    eps costs one r_eps weighting and one pullback.
+    eps costs one r_eps weighting and, for the gradient, at most one
+    pullback.  When every group lies inside the eps-ball (largest norm
+    <= eps) the gradient is the kept pullback of the raw features times
+    lam/eps, within a few ulps of the direct pullback; when every group
+    lies outside (smallest norm > eps) it does not depend on eps and is
+    kept whole.  Other points pull back at each eps.
     """
 
     @cached_property
@@ -78,6 +83,27 @@ class RecoveryPoint(EvaluatedPoint):
     def _norms(self) -> np.ndarray:
         return group_norms(self._linearization[0])
 
+    @cached_property
+    def _norm_range(self) -> tuple[float, float]:
+        return float(self._norms.min()), float(self._norms.max())
+
+    @cached_property
+    def _feature_pullback(self) -> TwoBlockPoint:
+        # every group inside the eps-ball is weighted by 1/eps, and the
+        # pullback is linear in the weights
+        features, pullback = self._linearization
+        return pullback(features)
+
+    @cached_property
+    def _outside_grad(self) -> tuple[np.ndarray, np.ndarray]:
+        # every group outside the eps-ball is weighted by g/||g||: any eps
+        # up to the smallest norm gives these bits
+        return self._direct_grad_h(self._norm_range[0])
+
+    def _direct_grad_h(self, eps):
+        g = grad_r_eps(*self._linearization, eps, self._norms)
+        return self.obj.lam * g.x1, self.obj.lam * g.x2
+
     def h1(self, eps):
         return self._fidelities[0]
 
@@ -94,8 +120,15 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelity_grads[1]
 
     def grad_h(self, eps):
-        g = grad_r_eps(*self._linearization, eps, self._norms)
-        return self.obj.lam * g.x1, self.obj.lam * g.x2
+        # the regime follows from the point's norm range and eps alone, so
+        # the result does not depend on which eps the point served before
+        lo, hi = self._norm_range
+        if hi <= eps:
+            g, scale = self._feature_pullback, self.obj.lam / eps
+            return scale * g.x1, scale * g.x2
+        if lo > eps:
+            return self._outside_grad
+        return self._direct_grad_h(eps)
 
 
 class JointRecovery(SmoothedObjective):

@@ -9,6 +9,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     NumericError,
     SmoothedObjective,
@@ -129,7 +131,8 @@ def u_step(
 
     ``steps`` supplies (alpha, tau, beta, gamma).  Each block takes its
     separable gradient step, then its joint gradient step.  The candidate
-    is returned evaluated, ready for the safeguard.
+    is returned evaluated, ready for the safeguard, which rejects it if it
+    overflowed.
     """
     P = obj.evaluate(X)
     al, tau, be, ga = steps
@@ -138,10 +141,25 @@ def u_step(
     u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
     z2 = x2 - be * P.grad_h2(eps)
     u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
-    U = obj.point(u1, u2)
-    if not U.is_finite():
-        raise NumericError("non-finite candidate produced by residual update")
-    return U
+    return obj.point(u1, u2)
+
+
+def _trial(
+    obj: SmoothedObjective, X: TwoBlockPoint, P: TwoBlockPoint, eps: float
+) -> tuple[float, float, float]:
+    """The objective at trial point P and P's step norms from X.
+
+    A trial that overflows is rejected, not fatal: the objective reads inf
+    when P or the objective at P is not finite, which fails every decrease
+    test.
+    """
+    d1, d2 = P.diff_norms(X)
+    if not P.is_finite():
+        return math.inf, d1, d2
+    try:
+        return phi_eps(obj, P, eps), d1, d2
+    except NumericError:
+        return math.inf, d1, d2
 
 
 def safeguard_check(
@@ -158,10 +176,11 @@ def safeguard_check(
     Sufficient decrease proportional to the squared step, and the
     gradient norm at X bounded by the step lengths scaled by 1/a, with
     a = ``config.a``.  ``phi_x`` and ``grad_norm_x`` are the objective and
-    gradient norm at X.  Returns whether U is accepted and the objective at U.
+    gradient norm at X.  Returns whether U is accepted and the objective at
+    U.  A U that is not finite, or whose objective is not finite, is
+    rejected with objective inf.
     """
-    d1, d2 = U.diff_norms(X)
-    phi_u = phi_eps(obj, U, eps)
+    phi_u, d1, d2 = _trial(obj, X, U, eps)
     cond1 = phi_u - phi_x <= -config.a * (d1 * d1 + d2 * d2)
     cond2 = grad_norm_x <= (d1 + d2) / config.a
     return bool(cond1 and cond2), phi_u
@@ -182,6 +201,7 @@ def v_step_with_linesearch(
     accepted point).  Step sizes start from ``config``'s (alpha_bar,
     beta_bar) every call and are both shrunk by rho until the
     sufficient-decrease condition with ls_delta holds, at most ls_max times.
+    A trial that is not finite, or whose objective is not finite, backtracks.
     """
     x1, x2 = X.x1, X.x2
     gh2 = obj.evaluate(X).grad_h2(eps)
@@ -190,10 +210,7 @@ def v_step_with_linesearch(
         v1 = x1 - al * grad_x.x1
         v2 = x2 - be * (gh2 + obj.grad2_h(v1, x2, eps))
         V = obj.point(v1, v2)
-        if not V.is_finite():
-            raise NumericError("non-finite fallback candidate")
-        phi_v = phi_eps(obj, V, eps)
-        d1, d2 = V.diff_norms(X)
+        phi_v, d1, d2 = _trial(obj, X, V, eps)
         if phi_v - phi_x <= -config.ls_delta * (d1 * d1 + d2 * d2):
             return V, l, phi_v
         al *= config.rho
@@ -218,60 +235,63 @@ def lpam_run(
     state = SolverState(X=X0.copy(), eps=config.eps0)
     X = obj.evaluate(state.X)
     exit_reason = EXIT_ITERATION_CAP
-    for k in range(config.max_iter):
-        eps = state.eps
-        try:
-            if k == 0 or state.trace[-1].reduced:
-                phi_x = phi_eps(obj, X, eps)
-                gx = grad_phi_eps(obj, X, eps)
-                gn_x = gx.norm()
+    # a candidate or line-search trial that overflows is rejected by an
+    # explicit check, and so is every other non-finite value the run meets
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter):
+            eps = state.eps
+            try:
+                if k == 0 or state.trace[-1].reduced:
+                    phi_x = phi_eps(obj, X, eps)
+                    gx = grad_phi_eps(obj, X, eps)
+                    gn_x = gx.norm()
 
-            accepted = False
-            ls_count = 0
-            if config.mode == "lpam":
-                steps = (
-                    _sched(config.step_alpha, k),
-                    _sched(config.step_tau, k),
-                    _sched(config.step_beta, k),
-                    _sched(config.step_gamma, k),
+                accepted = False
+                ls_count = 0
+                if config.mode == "lpam":
+                    steps = (
+                        _sched(config.step_alpha, k),
+                        _sched(config.step_tau, k),
+                        _sched(config.step_beta, k),
+                        _sched(config.step_gamma, k),
+                    )
+                    Xn = u_step(obj, X, eps, steps)
+                    accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config)
+                if not accepted:
+                    Xn = None  # frees the rejected candidate's cache during the line search
+                    Xn, ls_count, phi_n = v_step_with_linesearch(obj, X, eps, phi_x, gx, config)
+                gn = grad_phi_eps(obj, Xn, eps)
+                gn_n = gn.norm()
+            except NumericError:
+                exit_reason = EXIT_NUMERIC
+                break
+            except LineSearchError:
+                exit_reason = EXIT_LINE_SEARCH
+                break
+
+            reduced = gn_n < config.eps_sigma * config.gamma * eps
+            state.trace.append(
+                IterateRecord(
+                    k=k,
+                    eps=eps,
+                    phi=phi_n,
+                    grad_norm=gn_n,
+                    branch="u" if accepted else "v",
+                    ls_count=ls_count,
+                    decrease=phi_x - phi_n,
+                    reduced=reduced,
+                    phi_pre=phi_x,
+                    grad_norm_pre=gn_x,
                 )
-                Xn = u_step(obj, X, eps, steps)
-                accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config)
-            if not accepted:
-                Xn = None  # frees the rejected candidate's cache during the line search
-                Xn, ls_count, phi_n = v_step_with_linesearch(obj, X, eps, phi_x, gx, config)
-            gn = grad_phi_eps(obj, Xn, eps)
-            gn_n = gn.norm()
-        except NumericError:
-            exit_reason = EXIT_NUMERIC
-            break
-        except LineSearchError:
-            exit_reason = EXIT_LINE_SEARCH
-            break
-
-        reduced = gn_n < config.eps_sigma * config.gamma * eps
-        state.trace.append(
-            IterateRecord(
-                k=k,
-                eps=eps,
-                phi=phi_n,
-                grad_norm=gn_n,
-                branch="u" if accepted else "v",
-                ls_count=ls_count,
-                decrease=phi_x - phi_n,
-                reduced=reduced,
-                phi_pre=phi_x,
-                grad_norm_pre=gn_x,
             )
-        )
-        X = Xn
-        phi_x, gx, gn_x = phi_n, gn, gn_n
-        if reduced:
-            state.eps = config.gamma * eps
-        # termination uses the smoothing parameter of this iteration
-        if config.eps_sigma * eps < config.eps_tol:
-            exit_reason = EXIT_TOLERANCE
-            break
+            X = Xn
+            phi_x, gx, gn_x = phi_n, gn, gn_n
+            if reduced:
+                state.eps = config.gamma * eps
+            # termination uses the smoothing parameter of this iteration
+            if config.eps_sigma * eps < config.eps_tol:
+                exit_reason = EXIT_TOLERANCE
+                break
     state.X = TwoBlockPoint(X.x1, X.x2)
     return state, exit_reason
 

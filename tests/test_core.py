@@ -209,25 +209,103 @@ def test_evaluated_point_computes_group_norms_once(monkeypatch, make):
     assert len(calls) == 1
 
 
-def test_reducing_residual_iterations_reuse_features(monkeypatch):
-    # after a reduction the point's features and activation derivatives are
-    # reused: each iteration runs 3 forward passes (two partial gradients,
-    # U) and 4 backward passes (gradient at X for the new eps, two partial
-    # gradients, gradient at U); a forward pass evaluates each hidden
-    # layer's derivative once and a backward pass none, and each pass runs
-    # one convolution per layer
+def _check_pass_counts(monkeypatch, eps0, iters, backward_passes):
     obj = _cnn_objective()
     layers = len(obj.extractor.weights)
     forward = _count_forward_passes(monkeypatch)
     backward = _count_pullbacks(monkeypatch, forward)
     convs = _count_calls(monkeypatch, extractor, "_conv")
     relu = _count_calls(monkeypatch, extractor, "smoothed_relu")
-    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(max_iter=8))
-    assert [(r.branch, r.reduced) for r in state.trace] == [("u", True)] * 8
-    assert len(forward) == (1 + 3 * 8) * (layers - 1)
-    assert backward == [0] * (4 * 8)
-    assert len(convs) == (1 + 3 * 8 + 4 * 8) * layers
+    state, _ = lpam_run(obj, obj.zero_filled(), LpamConfig(eps0=eps0, max_iter=iters))
+    assert [(r.branch, r.reduced) for r in state.trace] == [("u", True)] * iters
+    assert len(forward) == (1 + 3 * iters) * (layers - 1)
+    assert backward == [0] * backward_passes
+    assert len(convs) == (1 + 3 * iters + backward_passes) * layers
     assert relu == []
+
+
+def test_reducing_residual_iterations_reuse_features(monkeypatch):
+    # after a reduction the point's features and activation derivatives are
+    # reused: each iteration runs 3 forward passes (two partial gradients,
+    # U) and 3 backward passes (two partial gradients, gradient at U), plus
+    # in the first iteration the gradient at X0.  Every group lies inside
+    # the eps-ball, so the gradient at X for the new eps reuses X's pullback
+    # of its features.  A forward pass evaluates each hidden layer's
+    # derivative once and a backward pass none, and each pass runs one
+    # convolution per layer
+    _check_pass_counts(monkeypatch, 0.01, 8, 4 + 3 * 7)
+
+
+@pytest.mark.parametrize(
+    "eps0, iters, backward_passes",
+    [
+        (1e-3, 5, 4 * 5),  # some groups inside the eps-ball, some outside
+        (1e-4, 8, 4 + 3 * 7),  # every group outside
+    ],
+)
+def test_reducing_iterations_pull_back_again_only_at_mixed_points(
+    monkeypatch, eps0, iters, backward_passes
+):
+    # a point the eps-ball splits pulls back again at the new eps, a point
+    # with every group outside does not
+    _check_pass_counts(monkeypatch, eps0, iters, backward_passes)
+
+
+# eps values on each side of the group norms at the zero-filled start of
+# the CNN objective, which run from 6.2e-4 to 1.2e-3
+INSIDE, MIXED, OUTSIDE = (0.01, 0.002), (1.1e-3, 8e-4), (5e-4, 1e-4)
+
+
+def _start_and_norms():
+    obj = _cnn_objective()
+    X = obj.zero_filled()
+    norms = smoothing.group_norms(obj.extractor.forward(X))
+    assert max(INSIDE) > min(INSIDE) >= norms.max()
+    assert norms.max() > max(MIXED) > min(MIXED) > norms.min()
+    assert norms.min() > max(OUTSIDE) > min(OUTSIDE)
+    return obj, X, norms
+
+
+def _direct_grad_h(obj, X, eps, norms):
+    g = smoothing.grad_r_eps(*obj.extractor.linearize(X), eps, norms)
+    return obj.lam * g.x1, obj.lam * g.x2
+
+
+def test_all_outside_gradient_is_the_same_at_every_eps():
+    obj, X, norms = _start_and_norms()
+    ref = _direct_grad_h(obj, X, OUTSIDE[0], norms)
+    for eps in OUTSIDE:
+        for g, r in zip(obj.point(X.x1, X.x2).grad_h(eps), ref):
+            assert np.array_equal(g, r)
+
+
+def test_mixed_gradient_is_the_direct_pullback():
+    obj, X, norms = _start_and_norms()
+    for eps in MIXED:
+        for g, r in zip(obj.point(X.x1, X.x2).grad_h(eps), _direct_grad_h(obj, X, eps, norms)):
+            assert np.array_equal(g, r)
+
+
+def test_all_inside_gradient_is_the_rescaled_pullback():
+    # lam/eps times the pullback of the features, not the pullback of the
+    # features times 1/eps: the same up to rounding
+    obj, X, norms = _start_and_norms()
+    for eps in INSIDE:
+        for g, r in zip(obj.point(X.x1, X.x2).grad_h(eps), _direct_grad_h(obj, X, eps, norms)):
+            assert np.linalg.norm(g - r) <= 1e-14 * np.linalg.norm(r)
+
+
+def test_gradient_does_not_depend_on_the_eps_served_before():
+    obj, X, _ = _start_and_norms()
+    every_eps = INSIDE + MIXED + OUTSIDE
+    for eps in every_eps:
+        fresh = obj.point(X.x1, X.x2).grad_h(eps)
+        served = obj.point(X.x1, X.x2)
+        for other in every_eps:
+            if other != eps:
+                served.grad_h(other)
+        for g, r in zip(served.grad_h(eps), fresh):
+            assert np.array_equal(g, r)
 
 
 def test_identity_residual_iterations_run_one_residual_pair_per_point(monkeypatch):

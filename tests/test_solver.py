@@ -159,6 +159,53 @@ def test_numeric_error_exit():
     assert reason == EXIT_NUMERIC
 
 
+class NanGradNearOriginObjective(QuadraticToy):
+    """Finite gradient at the start, NaN wherever x1 has moved toward 0."""
+
+    def grad_h1(self, x1, eps):
+        return np.where(np.abs(x1) < 0.99, np.nan, x1)
+
+
+@pytest.mark.parametrize("mode", ["lpam", "bcd"])
+def test_nonfinite_gradient_at_accepted_point_ends_the_run(mode):
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode=mode)
+    state, reason = lpam_run(NanGradNearOriginObjective(), TwoBlockPoint([1.0], [1.0]), cfg)
+    assert reason == EXIT_NUMERIC
+    assert state.k == 0
+
+
+@pytest.mark.parametrize("tau", [1e200, 1e308])
+def test_overflowing_candidate_is_rejected_by_the_safeguard(tau):
+    # at 1e200 the candidate is finite and its objective overflows; at 1e308
+    # the candidate itself overflows.  Either way the safeguard rejects it
+    # and the fallback step runs, as it does in bcd mode, without a warning
+    X0 = TwoBlockPoint(np.full(16, 4.0), np.ones(16))
+    cfg = LpamConfig(step_tau=(tau,), max_iter=50)
+    state, reason = lpam_run(QuadraticToy(), X0, cfg)
+    assert reason == EXIT_ITERATION_CAP
+    assert [r.branch for r in state.trace] == ["v"] * 50
+    bcd, _ = lpam_run(QuadraticToy(), X0, dataclasses.replace(cfg, mode="bcd"))
+    assert [r.phi for r in state.trace] == [r.phi for r in bcd.trace]
+
+
+class BarrierObjective(QuadraticToy):
+    """The quadratic toy with h1 infinite wherever an entry of x1 is negative."""
+
+    def h1(self, x1, eps):
+        return math.inf if (x1 < 0).any() else super().h1(x1, eps)
+
+
+def test_line_search_backtracks_from_a_nonfinite_trial():
+    # the first trial, x1 = 1 - 0.9 * 2, lies behind the barrier; the
+    # second, with half the steps, does not and decreases enough
+    obj = BarrierObjective()
+    X = TwoBlockPoint([1.0], [0.0])
+    V, l, phi_v = v_step_with_linesearch(obj, X, 0.1, *at(obj, X, 0.1), LINE_SEARCH)
+    assert l == 1
+    assert V.x1[0] == pytest.approx(0.1)
+    assert phi_v == phi_eps(obj, V, 0.1)
+
+
 def test_quadratic_converges_to_origin():
     X0 = TwoBlockPoint(np.ones(4), -np.ones(4))
     state, reason = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
