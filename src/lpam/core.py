@@ -46,7 +46,9 @@ class TwoBlockPoint:
     """The iterate X = (x1, x2), two real vectors of fixed lengths.
 
     For the joint-recovery instantiation both blocks have length
-    height*width and are row-major flattenings of images.
+    height*width and are row-major flattenings of images.  The blocks'
+    squared norms are computed once, on first use by :meth:`is_finite` or
+    :meth:`norm`, so the arrays must not be mutated after either is read.
     """
 
     x1: np.ndarray
@@ -69,19 +71,28 @@ class TwoBlockPoint:
     def copy(self) -> "TwoBlockPoint":
         return TwoBlockPoint(self.x1.copy(), self.x2.copy())
 
+    def _squared_norms(self) -> tuple[np.float64, np.float64]:
+        # kept in the instance dict, as functools.cached_property keeps a
+        # value, without that descriptor's per-call lock
+        sq = self.__dict__.get("_sq")
+        if sq is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sq = self.__dict__["_sq"] = np.dot(self.x1, self.x1), np.dot(self.x2, self.x2)
+        return sq
+
     def is_finite(self) -> bool:
         """No entry of either block is NaN or infinite."""
         # a finite sum of squares rules out NaN and infinity in one pass;
         # one that is not (an overflow, or a bad entry) has each entry tested
-        with np.errstate(over="ignore", invalid="ignore"):
-            return all(
-                math.isfinite(np.dot(x, x)) or bool(np.isfinite(x).all())
-                for x in (self.x1, self.x2)
-            )
+        d1, d2 = self._squared_norms()
+        return (math.isfinite(d1) or bool(np.isfinite(self.x1).all())) and (
+            math.isfinite(d2) or bool(np.isfinite(self.x2).all())
+        )
 
     def norm(self) -> float:
         """l2 norm of the concatenated vector."""
-        return float(np.sqrt(np.dot(self.x1, self.x1) + np.dot(self.x2, self.x2)))
+        d1, d2 = self._squared_norms()
+        return float(np.sqrt(d1 + d2))
 
     def diff_norms(self, other: "TwoBlockPoint") -> tuple[float, float]:
         """(||x1 - y1||, ||x2 - y2||)."""

@@ -16,6 +16,12 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import TwoBlockPoint, scratch
+from .smoothing import group_norms
+
+# r -> J^T(F * r): the extractor Jacobian's pullback of its features F
+# scaled by one factor per group (a scalar scales them all); with the
+# group norms, all the smoothed l2,1 term reads of an extractor
+WeightedPullback = Callable[[np.ndarray], TwoBlockPoint]
 
 
 def smoothed_relu(x, act_delta: float):
@@ -35,7 +41,7 @@ def smoothed_relu_deriv(x, act_delta: float):
 
     Always a fresh array.
     """
-    if act_delta <= 0:
+    if not act_delta > 0:
         raise ValueError("act_delta must be positive")
     x = np.asarray(x, dtype=np.float64)
     # the mid-branch line reads exactly 0 at -d and 1 at d, so clipping it
@@ -113,6 +119,14 @@ def _conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     return _conv_forward(g, _adjoint_kernel(w))
 
 
+def _group_scales(r, num_groups: int) -> np.ndarray:
+    """r as float64: one scale per group, or one scale for all of them."""
+    r = np.asarray(r, dtype=np.float64)
+    if r.shape not in ((), (num_groups,)):
+        raise ValueError(f"scales must be a scalar or have shape {(num_groups,)}")
+    return r
+
+
 def _layer_bounds(weights: Sequence[np.ndarray]) -> list[float]:
     """Spectral-norm bound per layer: the sum over kernel taps of the
     per-tap (out, in) matrix spectral norm.  Activations are 1-Lipschitz,
@@ -136,8 +150,8 @@ class FeatureExtractor:
     """
 
     def __init__(self, height: int, width: int, weights: Sequence[np.ndarray], act_delta: float):
-        if act_delta <= 0:
-            raise ValueError("act_delta must be positive")
+        if not 0 < act_delta < np.inf:
+            raise ValueError("act_delta must be positive and finite")
         if not weights:
             raise ValueError("at least one layer is required")
         ws = tuple(np.array(w, dtype=np.float64) for w in weights)
@@ -216,6 +230,16 @@ class FeatureExtractor:
 
         return feats, pullback
 
+    def linearize_groups(self, X: TwoBlockPoint) -> tuple[np.ndarray, WeightedPullback]:
+        """The group norms at X and the weighted pullback r -> J^T(F * r).
+
+        One forward pass, as :meth:`linearize`; r holds one scale per
+        group (a scalar scales them all), and each call is one pullback.
+        """
+        feats, pullback = self.linearize(X)
+        n = self.num_groups
+        return group_norms(feats), lambda r: pullback(feats * _group_scales(r, n))
+
     def forward(self, X: TwoBlockPoint) -> np.ndarray:
         """Grouped features, shape (group_dim, num_groups)."""
         return self.linearize(X)[0]
@@ -270,16 +294,33 @@ class IdentityExtractor:
     def group_dim(self) -> int:
         return 2
 
-    def forward(self, X: TwoBlockPoint) -> np.ndarray:
+    def _check(self, X: TwoBlockPoint) -> None:
         n = self.num_groups
         if X.n != n or X.m != n:
             raise ValueError(f"expected two blocks of length {n}")
+
+    def forward(self, X: TwoBlockPoint) -> np.ndarray:
+        self._check(X)
         return np.stack([X.x1, X.x2])
 
-    def linearize(
-        self, X: TwoBlockPoint
-    ) -> tuple[np.ndarray, Callable[[np.ndarray], TwoBlockPoint]]:
-        return self.forward(X), lambda w: self.vjp(X, w)
+    def linearize_groups(self, X: TwoBlockPoint) -> tuple[np.ndarray, WeightedPullback]:
+        """The group norms sqrt(x1*x1 + x2*x2) and r -> (x1*r, x2*r).
+
+        Bit for bit what :func:`group_norms` of the stacked features and
+        the pullback of the weighted features give: for two rows its
+        einsum adds the two squares in order.
+        """
+        self._check(X)
+        x1, x2, n = X.x1, X.x2, self.num_groups
+        norms = x1 * x1
+        norms += x2 * x2
+        np.sqrt(norms, out=norms)
+
+        def weighted_pullback(r) -> TwoBlockPoint:
+            r = _group_scales(r, n)
+            return TwoBlockPoint(x1 * r, x2 * r)
+
+        return norms, weighted_pullback
 
     def vjp(self, X: TwoBlockPoint, w: np.ndarray) -> TwoBlockPoint:
         w = np.asarray(w, dtype=np.float64)

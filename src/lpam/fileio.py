@@ -43,6 +43,7 @@ def write_weights(path, weights: list[np.ndarray]) -> None:
 
 
 def read_weights(path) -> list[np.ndarray]:
+    """The layers of a weights container; every kernel entry must be finite."""
     with open(path, "rb") as fh:
         if fh.read(8) != WEIGHTS_MAGIC:
             raise FormatError(f"bad magic in weights file {path}")
@@ -53,6 +54,8 @@ def read_weights(path) -> list[np.ndarray]:
             _check_dims((in_ch, out_ch, kh, kw), path)
             size = out_ch * in_ch * kh * kw * 8
             data = np.frombuffer(_must_read(fh, size, path), dtype="<f8")
+            if not np.isfinite(data).all():
+                raise FormatError(f"non-finite kernel entry in weights file {path}")
             weights.append(data.reshape(out_ch, in_ch, kh, kw).astype(np.float64))
         if fh.read(1):
             raise FormatError(f"trailing bytes in weights file {path}")

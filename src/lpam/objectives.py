@@ -7,7 +7,7 @@ import numpy as np
 
 from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
 from .operators import KSpaceData, MaskedDft, residual_energy
-from .smoothing import grad_r_eps, group_norms, r_eps
+from .smoothing import grad_r_eps, r_eps
 
 
 class QuadraticToy(SmoothedObjective):
@@ -50,14 +50,14 @@ class RecoveryPoint(EvaluatedPoint):
 
     Both k-space residuals (on the sampled frequencies, from one paired
     transform), both fidelity values and gradients (from one paired
-    inverse transform), the extractor's features and pullback and the
-    features' group norms are computed on first use and kept, so a new
-    eps costs one r_eps weighting and, for the gradient, at most one
-    pullback.  When every group lies inside the eps-ball (largest norm
-    <= eps) the gradient is the kept pullback of the raw features times
-    lam/eps, within a few ulps of the direct pullback; when every group
-    lies outside (smallest norm > eps) it does not depend on eps and is
-    kept whole.  Other points pull back at each eps.
+    inverse transform), and the extractor's group norms and weighted
+    pullback are computed on first use and kept, so a new eps costs one
+    r_eps weighting and, for the gradient, at most one pullback.  When
+    every group lies inside the eps-ball (largest norm <= eps) the
+    gradient is the kept weighted pullback of 1 times lam/eps, within a
+    few ulps of the direct pullback; when every group lies outside
+    (smallest norm > eps) it does not depend on eps and is kept whole.
+    Other points pull back at each eps.
     """
 
     @cached_property
@@ -74,25 +74,22 @@ class RecoveryPoint(EvaluatedPoint):
         return self.obj.dft.adjoint_pair(*self._residuals)
 
     @cached_property
-    def _linearization(self):
-        # linearize a plain point: a pullback that referenced self would
-        # make a cycle that only the cyclic garbage collector frees
-        return self.obj.extractor.linearize(TwoBlockPoint(self.x1, self.x2))
-
-    @cached_property
-    def _norms(self) -> np.ndarray:
-        return group_norms(self._linearization[0])
+    def _groups(self):
+        # the group norms and the weighted pullback, taken at a plain point:
+        # a pullback that referenced self would make a cycle that only the
+        # cyclic garbage collector frees
+        return self.obj.extractor.linearize_groups(TwoBlockPoint(self.x1, self.x2))
 
     @cached_property
     def _norm_range(self) -> tuple[float, float]:
-        return float(self._norms.min()), float(self._norms.max())
+        norms = self._groups[0]
+        return float(norms.min()), float(norms.max())
 
     @cached_property
-    def _feature_pullback(self) -> TwoBlockPoint:
+    def _unit_pullback(self) -> TwoBlockPoint:
         # every group inside the eps-ball is weighted by 1/eps, and the
         # pullback is linear in the weights
-        features, pullback = self._linearization
-        return pullback(features)
+        return self._groups[1](1.0)
 
     @cached_property
     def _outside_grad(self) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +98,7 @@ class RecoveryPoint(EvaluatedPoint):
         return self._direct_grad_h(self._norm_range[0])
 
     def _direct_grad_h(self, eps):
-        g = grad_r_eps(*self._linearization, eps, self._norms)
+        g = grad_r_eps(*self._groups, eps)
         return self.obj.lam * g.x1, self.obj.lam * g.x2
 
     def h1(self, eps):
@@ -111,7 +108,7 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelities[1]
 
     def h(self, eps):
-        return self.obj.lam * r_eps(self._norms, eps)
+        return self.obj.lam * r_eps(self._groups[0], eps)
 
     def grad_h1(self, eps):
         return self._fidelity_grads[0]
@@ -124,7 +121,7 @@ class RecoveryPoint(EvaluatedPoint):
         # the result does not depend on which eps the point served before
         lo, hi = self._norm_range
         if hi <= eps:
-            g, scale = self._feature_pullback, self.obj.lam / eps
+            g, scale = self._unit_pullback, self.obj.lam / eps
             return scale * g.x1, scale * g.x2
         if lo > eps:
             return self._outside_grad
@@ -134,14 +131,14 @@ class RecoveryPoint(EvaluatedPoint):
 class JointRecovery(SmoothedObjective):
     """Two masked-DFT fidelities plus a weighted smoothed l2,1 joint term.
 
-    ``extractor`` supplies grouped features and their VJP (identity or
-    convolutional); ``lam`` is the regularization weight multiplying the
-    smoothed l2,1 term.
+    ``extractor`` supplies the group norms and the weighted pullback of
+    its features (identity or convolutional); ``lam`` is the
+    regularization weight multiplying the smoothed l2,1 term.
     """
 
     def __init__(self, dft: MaskedDft, kspace: KSpaceData, extractor, lam: float):
-        if lam < 0:
-            raise ValueError("regularization weight must be nonnegative")
+        if not 0 <= lam < np.inf:
+            raise ValueError("regularization weight must be nonnegative and finite")
         if kspace.f1.shape != dft.shape:
             raise ValueError("k-space shape does not match operator")
         self.dft = dft

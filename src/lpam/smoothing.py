@@ -4,7 +4,10 @@ The regularizer acts on grouped features stored channel-major: a
 (group_dim, num_groups) real matrix whose columns are per-pixel feature
 vectors and whose rows are contiguous channels.  Groups with norm at or
 below eps are penalized quadratically, the rest linearly; ties go to the
-quadratic branch so the gradient stays continuous.
+quadratic branch so the gradient stays continuous.  The value reads only
+the group norms and the gradient only the extractor's weighted pullback
+(see ``linearize_groups`` in :mod:`lpam.extractor`), so neither needs
+the features themselves.
 """
 
 from __future__ import annotations
@@ -44,19 +47,18 @@ def r_eps(norms: np.ndarray, eps: float) -> float:
 
 
 def grad_r_eps(
-    features: np.ndarray,
-    vjp: Callable[[np.ndarray], TwoBlockPoint],
-    eps: float,
     norms: np.ndarray,
+    weighted_pullback: Callable[[np.ndarray], TwoBlockPoint],
+    eps: float,
 ) -> TwoBlockPoint:
     """Chain-rule gradient of r_eps through a feature extractor.
 
-    Each group, a column, is weighted by g_i/max(||g_i||, eps): g_i/eps
-    inside the eps-ball and the unit vector g_i/||g_i|| outside, so nothing
-    divides by zero.  ``vjp`` maps stacked group weights w to the pullback of the
-    extractor Jacobian applied to w; ``norms`` are ``group_norms(features)``.
+    Each group g_i is weighted by g_i/max(||g_i||, eps): g_i/eps inside
+    the eps-ball and the unit vector g_i/||g_i|| outside, so nothing
+    divides by zero.  ``weighted_pullback`` maps one scale per group, r,
+    to the pullback of the extractor Jacobian applied to the features
+    scaled column by column, J^T(F * r); ``norms`` are the group norms.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    features = np.asarray(features, dtype=np.float64)
-    return vjp(features * (1.0 / np.maximum(norms, eps)))
+    return weighted_pullback(1.0 / np.maximum(norms, eps))

@@ -89,8 +89,9 @@ def check_c4_stable_branch(
     if eps1 <= 0 or eps2 <= 0:
         raise ValueError("smoothing parameters must be positive")
     norms = group_norms(features)
-    g1 = grad_r_eps(features, vjp, eps1, norms)
-    g2 = grad_r_eps(features, vjp, eps2, norms)
+    weighted_pullback = lambda r: vjp(features * r)
+    g1 = grad_r_eps(norms, weighted_pullback, eps1)
+    g2 = grad_r_eps(norms, weighted_pullback, eps2)
     d1 = np.max(np.abs(g1.x1 - g2.x1)) if g1.x1.size else 0.0
     d2 = np.max(np.abs(g1.x2 - g2.x2)) if g1.x2.size else 0.0
     return bool(max(d1, d2) <= tol)

@@ -421,6 +421,28 @@ def test_weights_without_output_channels_exit3(tmp_path, capsys):
     assert err == "error: layer 0: kernel must have at least one output channel\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "audit"])
+def test_non_finite_weights_exit3(tmp_path, capsys, command):
+    # refused when read, before the solver or an audit bound sees them
+    weights = tmp_path / "weights.bin"
+    objective = {"kind": "extractor", "weights_file": str(weights)}
+    cfg = write_config(tmp_path / "cfg.json", objective=objective)
+    out = tmp_path / "run"
+    fileio.write_weights(weights, [np.full((2, 2, 3, 3), 0.1)])
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    if command == "audit":
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    before = sorted(p.name for p in out.iterdir())
+    w = np.full((2, 2, 3, 3), 0.1)
+    w[1, 0, 2, 2] = np.nan
+    fileio.write_weights(weights, [w])
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"error: non-finite kernel entry in weights file {weights}\n"
+    assert sorted(p.name for p in out.iterdir()) == before
+
+
 def test_metrics_huge_header_exit3(tmp_path, capsys):
     # a header claiming (2^31 - 1)^2 float64 entries must not reach read()
     path = tmp_path / "a.arr"

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lpam import extractor, objectives, smoothing
+from lpam import extractor, smoothing
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -113,6 +113,36 @@ def test_diff_norms_equal_numpy_norm():
         assert X.diff_norms(Y) == ref
 
 
+def test_norm_reuses_the_squared_block_norms_of_is_finite(monkeypatch):
+    # one dot product per block serves is_finite and every norm
+    rng = np.random.default_rng(7)
+    x1, x2 = rng.normal(size=50) * 1e100, rng.normal(size=30)
+    want = float(np.sqrt(np.dot(x1, x1) + np.dot(x2, x2)))
+    dots = _count_calls(monkeypatch, np, "dot")
+    X = TwoBlockPoint(x1, x2)
+    assert X.is_finite()
+    assert X.norm() == want and X.norm() == want
+    assert len(dots) == 2
+
+
+def test_gradient_norm_costs_no_dot_products(monkeypatch):
+    # grad_phi_eps's finiteness check leaves the squared block norms on the
+    # gradient, so the solver's norm of it takes no further dot product
+    obj = _identity_objective()
+    G = grad_phi_eps(obj, obj.zero_filled(), 0.01)
+    want = float(np.sqrt(np.dot(G.x1, G.x1) + np.dot(G.x2, G.x2)))
+    dots = _count_calls(monkeypatch, np, "dot")
+    assert G.norm() == want
+    assert dots == []
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
+def test_joint_recovery_rejects_a_negative_or_non_finite_lam(lam):
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    with pytest.raises(ValueError, match="regularization weight"):
+        JointRecovery(inst.dft, inst.kspace, extractor.IdentityExtractor(8, 8), lam)
+
+
 def test_point_rejects_matrices():
     with pytest.raises(ValueError):
         TwoBlockPoint(np.zeros((2, 2)), np.zeros(2))
@@ -198,15 +228,19 @@ def test_residual_iteration_runs_four_forward_passes(monkeypatch):
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
 def test_evaluated_point_computes_group_norms_once(monkeypatch, make):
+    # the point takes its group norms and weighted pullback from one
+    # linearize_groups call and serves every eps from them; only the
+    # convolutional extractor goes through the stacked-feature group_norms
     obj = make()
-    calls = _count_calls(monkeypatch, smoothing, "group_norms")
-    monkeypatch.setattr(objectives, "group_norms", smoothing.group_norms)
+    calls = _count_calls(monkeypatch, type(obj.extractor), "linearize_groups")
+    stacked = _count_calls(monkeypatch, extractor, "group_norms")
     rng = np.random.default_rng(3)
     P = obj.point(rng.normal(size=64), rng.normal(size=64))
     for eps in (0.05, 0.05 * 0.9):
         P.h(eps)
         P.grad_h(eps)
     assert len(calls) == 1
+    assert len(stacked) == (1 if make is _cnn_objective else 0)
 
 
 def _check_pass_counts(monkeypatch, eps0, iters, backward_passes):
@@ -267,7 +301,9 @@ def _start_and_norms():
 
 
 def _direct_grad_h(obj, X, eps, norms):
-    g = smoothing.grad_r_eps(*obj.extractor.linearize(X), eps, norms)
+    # the pullback of the features weighted by 1/max(||g||, eps)
+    feats, pullback = obj.extractor.linearize(X)
+    g = pullback(feats * (1.0 / np.maximum(norms, eps)))
     return obj.lam * g.x1, obj.lam * g.x2
 
 

@@ -16,6 +16,7 @@ from lpam.extractor import (
     smoothed_relu,
     smoothed_relu_deriv,
 )
+from lpam.smoothing import group_norms
 
 
 def naive_conv(x, w):
@@ -258,15 +259,84 @@ def test_conv_backward_is_dense_transpose(kernel):
 
 def test_linearize_matches_forward_and_vjp():
     rng = np.random.default_rng(12)
-    for ext in (random_extractor(5, 7, num_layers=3, channels=4, seed=9), IdentityExtractor(5, 7)):
-        X = TwoBlockPoint(rng.normal(size=35), rng.normal(size=35))
-        feats, pullback = ext.linearize(X)
-        assert np.array_equal(feats, ext.forward(X))
-        # the pullback is reusable: each call sees the same linearization
-        for _ in range(2):
-            w = rng.normal(size=(ext.group_dim, 35))
-            g, ref = pullback(w), ext.vjp(X, w)
-            assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
+    ext = random_extractor(5, 7, num_layers=3, channels=4, seed=9)
+    X = TwoBlockPoint(rng.normal(size=35), rng.normal(size=35))
+    feats, pullback = ext.linearize(X)
+    assert np.array_equal(feats, ext.forward(X))
+    # the pullback is reusable: each call sees the same linearization
+    for _ in range(2):
+        w = rng.normal(size=(ext.group_dim, 35))
+        g, ref = pullback(w), ext.vjp(X, w)
+        assert np.array_equal(g.x1, ref.x1) and np.array_equal(g.x2, ref.x2)
+
+
+def _group_route_extractors():
+    return [
+        IdentityExtractor(5, 7),
+        FeatureExtractor(5, 7, [np.eye(2).reshape(2, 2, 1, 1)], act_delta=0.01),
+        random_extractor(5, 7, num_layers=3, channels=4, seed=9),
+    ]
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("ext", _group_route_extractors(), ids=["identity", "cnn-1x1", "cnn-3"])
+def test_linearize_groups_equal_the_feature_route(ext):
+    # the group norms and the weighted pullback are bit for bit what the
+    # stacked features give: group_norms(F) and vjp(X, F * r), for one
+    # scale per group and for a scalar; the groups include zero groups
+    # and, for eps = 5, a group whose norm equals eps
+    rng = np.random.default_rng(31)
+    x1 = rng.normal(size=35) * 10.0 ** rng.uniform(-50, 50, size=35)
+    x2 = rng.normal(size=35) * 10.0 ** rng.uniform(-50, 50, size=35)
+    x1[:4] = x2[:4] = 0.0
+    x1[4], x2[4] = 3.0, 4.0
+    X = TwoBlockPoint(x1, x2)
+    norms, weighted_pullback = ext.linearize_groups(X)
+    feats = ext.forward(X)
+    ref_norms = group_norms(feats)
+    assert _bits_equal(norms, ref_norms)
+    if not isinstance(ext, FeatureExtractor) or len(ext.weights) == 1:
+        assert np.all(norms[:4] == 0.0) and norms[4] == 5.0
+    scales = [1.0 / np.maximum(ref_norms, eps) for eps in (5.0, 1e-300, 1e300, float(norms[7]))]
+    scales += [1.0, 0.7, np.float64(2.5), np.array(-3.0)]
+    for r in scales:
+        g, ref = weighted_pullback(r), ext.vjp(X, feats * r)
+        assert _bits_equal(g.x1, ref.x1) and _bits_equal(g.x2, ref.x2)
+    # scaling by 1 is exact, so the pullback of 1 is the pullback of F
+    g, ref = weighted_pullback(1.0), ext.vjp(X, feats)
+    assert _bits_equal(g.x1, ref.x1) and _bits_equal(g.x2, ref.x2)
+
+
+@pytest.mark.parametrize("ext", _group_route_extractors(), ids=["identity", "cnn-1x1", "cnn-3"])
+def test_linearize_groups_reject_wrong_lengths(ext):
+    rng = np.random.default_rng(32)
+    with pytest.raises(ValueError, match="expected two blocks of length 35"):
+        ext.linearize_groups(TwoBlockPoint(rng.normal(size=34), rng.normal(size=35)))
+    with pytest.raises(ValueError, match="expected two blocks of length 35"):
+        ext.linearize_groups(TwoBlockPoint(rng.normal(size=35), rng.normal(size=36)))
+    weighted_pullback = ext.linearize_groups(
+        TwoBlockPoint(rng.normal(size=35), rng.normal(size=35))
+    )[1]
+    for r in (np.ones(34), np.ones(36), np.ones((1, 35)), np.ones((ext.group_dim, 35))):
+        with pytest.raises(ValueError, match=r"scales must be a scalar or have shape \(35,\)"):
+            weighted_pullback(r)
+    with pytest.raises(ValueError, match="weights must have shape"):
+        ext.vjp(TwoBlockPoint(np.ones(35), np.ones(35)), np.ones((ext.group_dim, 34)))
+
+
+def test_identity_linearize_groups_stacks_nothing():
+    # the weighted pullback reads the point's own blocks; its results are
+    # fresh arrays
+    X = TwoBlockPoint(np.arange(6.0), -np.arange(6.0))
+    norms, weighted_pullback = IdentityExtractor(2, 3).linearize_groups(X)
+    g = weighted_pullback(1.0)
+    for out in (norms, g.x1, g.x2):
+        assert not np.shares_memory(out, X.x1) and not np.shares_memory(out, X.x2)
+    assert np.array_equal(g.x1, X.x1) and np.array_equal(g.x2, X.x2)
 
 
 def test_mixed_kernels_match_naive_layers():
@@ -355,6 +425,17 @@ def test_constructor_validation():
         FeatureExtractor(4, 4, [np.zeros((2, 2, 3, 3))], act_delta=0.0)
     with pytest.raises(ValueError, match="layer 0: kernel must have at least one output channel"):
         FeatureExtractor(4, 4, [np.zeros((0, 2, 3, 3))], act_delta=0.01)
+
+
+@pytest.mark.parametrize("act_delta", [np.nan, np.inf, -np.inf])
+def test_non_finite_act_delta_is_rejected(act_delta):
+    with pytest.raises(ValueError, match="act_delta must be positive"):
+        random_extractor(8, 8, act_delta=act_delta)
+    with pytest.raises(ValueError, match="act_delta must be positive"):
+        FeatureExtractor(4, 4, [np.zeros((2, 2, 3, 3))], act_delta=act_delta)
+    if not act_delta == np.inf:
+        with pytest.raises(ValueError, match="act_delta must be positive"):
+            smoothed_relu_deriv(np.zeros(3), act_delta)
 
 
 def test_forward_shape_and_errors():

@@ -36,6 +36,17 @@ def test_weights_write_roundtrip_stable_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_weights_reject_non_finite_entries(tmp_path, bad):
+    weights = [np.ones((3, 2, 3, 3)), np.ones((1, 3, 1, 1))]
+    weights[0][2, 1, 0, 2] = bad
+    path = tmp_path / "w.bin"
+    write_weights(path, weights)
+    with pytest.raises(FormatError, match="non-finite kernel entry") as info:
+        read_weights(path)
+    assert str(path) in str(info.value)
+
+
 def test_weights_reject_non_4d(tmp_path):
     with pytest.raises(ValueError):
         write_weights(tmp_path / "w.bin", [np.zeros((2, 2))])

@@ -22,7 +22,7 @@ def r_of(features, eps):
 
 
 def grad_of(features, vjp, eps):
-    return grad_r_eps(features, vjp, eps, group_norms(features))
+    return grad_r_eps(group_norms(features), lambda r: vjp(features * r), eps)
 
 
 def test_group_norms_rows():
@@ -54,6 +54,19 @@ def _wide_range_groups(d):
     f = rng.normal(size=(4000, d)) * 10.0 ** rng.uniform(-150, 150, size=(4000, d))
     f[::97] = 0.0
     return f
+
+
+def test_two_channel_group_norms_add_the_two_squares():
+    # for two rows the einsum adds x1*x1 and then x2*x2, so the identity
+    # extractor's sqrt(x1*x1 + x2*x2) gives the same bits without stacking
+    f = _wide_range_groups(2)
+    f[::89, 1] = 0.0
+    f[::83, 0] = 5e-324
+    x1, x2 = f[:, 0].copy(), f[:, 1].copy()
+    want = np.sqrt(x1 * x1 + x2 * x2).view(np.uint64)
+    assert np.array_equal(group_norms(np.stack([x1, x2])).view(np.uint64), want)
+    norms, _ = IdentityExtractor(40, 100).linearize_groups(TwoBlockPoint(x1, x2))
+    assert np.array_equal(norms.view(np.uint64), want)
 
 
 @pytest.mark.parametrize("d", [*range(1, 21), 64, 128, 129, 200])
@@ -99,7 +112,7 @@ def test_precomputed_norms_give_the_same_values(d):
     ref_norms = np.sqrt(np.sum(np.ascontiguousarray(f.T) ** 2, axis=1))
     for eps in (0.01, 0.1, 1.0):
         value = r_eps(norms, eps)
-        g = grad_r_eps(f, flat_vjp, eps, norms)
+        g = grad_r_eps(norms, lambda r: flat_vjp(f * r), eps)
         if d <= 7:
             assert value == _masked_r_eps(ref_norms, eps)
             assert np.array_equal(g.x1, _masked_weights(f, eps).ravel())
