@@ -24,8 +24,14 @@ from .diagnostics import (
     metrics,
     segment_bound,
 )
-from .extractor import FeatureExtractor, IdentityExtractor, random_extractor, smoothed_relu
-from .objectives import JointRecovery, QuadraticToy
+from .extractor import (
+    FeatureExtractor,
+    IdentityExtractor,
+    group_norms,
+    random_extractor,
+    smoothed_relu,
+)
+from .objectives import JointRecovery, QuadraticToy, grad_r_eps, r_eps
 from .operators import (
     Instance,
     InstanceSpec,
@@ -35,11 +41,6 @@ from .operators import (
     radial_mask,
     shared_structure_phantom,
     uniform_mask,
-)
-from .smoothing import (
-    grad_r_eps,
-    group_norms,
-    r_eps,
 )
 from .solver import (
     EXIT_ITERATION_CAP,

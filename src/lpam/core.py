@@ -100,11 +100,6 @@ class TwoBlockPoint:
         d1, d2 = self.x1 - other.x1, self.x2 - other.x2
         return math.sqrt(np.dot(d1, d1)), math.sqrt(np.dot(d2, d2))
 
-    @staticmethod
-    def zeros(n: int, m: int) -> "TwoBlockPoint":
-        return TwoBlockPoint(np.zeros(n), np.zeros(m))
-
-
 class EvaluatedPoint(TwoBlockPoint):
     """A point bound to the objective that evaluates it.
 

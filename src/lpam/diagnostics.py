@@ -47,17 +47,19 @@ def segment_bound(
 
     A segment runs from one reduction event to the next; the bound
     combines the safeguard and line-search decrease rates with the
-    gradient threshold of the segment.  Both objectives are nonnegative,
-    so 0 stands in for the optimal value.
+    gradient threshold of the segment.  The segment's eps is the one its
+    first trace row holds, and the threshold is the solver's reduction
+    threshold at that eps, so no eps is derived here.  Both objectives
+    are nonnegative, so 0 stands in for the optimal value.
     """
     by_k = {r.k: r for r in trace}
     reports = []
     prev = -1
     for l, k_end in enumerate(r.k for r in trace if r.reduced):
-        eps_l = config.eps0 * config.gamma**l
         first = by_k[prev + 1]
+        eps_l = first.eps
         L = L_eps_fn(eps_l)
-        eta = config.eps_sigma * config.eps0 * config.gamma ** (l + 1)
+        eta = config.eps_sigma * config.gamma * eps_l
         safeguard, line_search = _rates(config, L)
         bound = (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
         observed = k_end - prev

@@ -4,6 +4,7 @@ The extractor maps a two-block point (two flattened images) to a
 channel-major (channels, num_pixels) grouped-feature matrix: stride-1,
 zero-padded convolutions with a smoothed-ReLU activation between layers
 and a linear final layer.  Weights are fixed inputs, never trained here.
+No other module of the package builds that layout; :func:`group_norms` reads it.
 """
 
 from __future__ import annotations
@@ -16,12 +17,25 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .core import TwoBlockPoint, scratch
-from .smoothing import group_norms
 
 # r -> J^T(F * r): the extractor Jacobian's pullback of its features F
 # scaled by one factor per group (a scalar scales them all); with the
 # group norms, all the smoothed l2,1 term reads of an extractor
 WeightedPullback = Callable[[np.ndarray], TwoBlockPoint]
+
+
+def group_norms(features: np.ndarray) -> np.ndarray:
+    """Column-wise Euclidean norms of a (group_dim, num_groups) feature matrix.
+
+    One einsum over the channels.  For group_dim below 8 it adds each
+    column's squares in order, so the norms are bit-identical to
+    ``np.sqrt(np.sum(g * g, axis=1))`` for ``g = features.T`` stored
+    contiguously; from 8 on they agree with it within a few ulps.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2:
+        raise ValueError("features must be a (group_dim, num_groups) matrix")
+    return np.sqrt(np.einsum("ij,ij->j", features, features))
 
 
 def smoothed_relu(x, act_delta: float):
@@ -99,12 +113,6 @@ def _conv(x: np.ndarray, w: np.ndarray, pitch: int) -> np.ndarray:
     return out
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The correlation of :func:`_conv` at its narrowest pitch, as a fresh array."""
-    wd = x.shape[2]
-    return _conv(x, w, wd + w.shape[3] - 1)[:, :, :wd].copy()
-
-
 def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
     """The kernel whose correlation is the adjoint of correlating with w.
 
@@ -112,11 +120,6 @@ def _adjoint_kernel(w: np.ndarray) -> np.ndarray:
     space with its channel axes swapped, as a view of w.
     """
     return w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-
-
-def _conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Exact adjoint of :func:`_conv_forward` with respect to the input."""
-    return _conv_forward(g, _adjoint_kernel(w))
 
 
 def _group_scales(r, num_groups: int) -> np.ndarray:

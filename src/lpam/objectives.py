@@ -1,4 +1,13 @@
-"""Bundled smoothed objectives: a quadratic toy and the joint-recovery model."""
+"""Bundled smoothed objectives: a quadratic toy and the joint-recovery model.
+
+The joint-recovery model's regularizer is the smoothed l2,1 norm of the
+extractor's feature groups: groups with norm at or below eps are
+penalized quadratically, the rest linearly, and ties go to the quadratic
+branch so the gradient stays continuous.  Its value reads only the group
+norms and its gradient only the extractor's weighted pullback (see
+``linearize_groups`` in :mod:`lpam.extractor`), so neither needs the
+features themselves.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
+from .extractor import WeightedPullback
 from .operators import KSpaceData, MaskedDft, residual_energy
-from .smoothing import grad_r_eps, r_eps
 
 
 class QuadraticToy(SmoothedObjective):
@@ -45,6 +54,35 @@ class QuadraticToy(SmoothedObjective):
         return 4.0
 
 
+def r_eps(norms: np.ndarray, eps: float) -> float:
+    """Smoothed l2,1 value from the group norms: quadratic inside the
+    eps-ball, linear outside."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    inside = norms <= eps
+    # taking by index is much faster than by boolean mask when inside and
+    # outside groups interleave, and gives the same values in the same order
+    quad = np.sum(norms[np.flatnonzero(inside)] ** 2) / (2.0 * eps)
+    lin = np.sum(norms[np.flatnonzero(~inside)] - eps / 2.0)
+    return float(quad + lin)
+
+
+def grad_r_eps(
+    norms: np.ndarray, weighted_pullback: WeightedPullback, eps: float
+) -> TwoBlockPoint:
+    """Chain-rule gradient of r_eps through a feature extractor.
+
+    Each group g_i is weighted by g_i/max(||g_i||, eps): g_i/eps inside
+    the eps-ball and the unit vector g_i/||g_i|| outside, so nothing
+    divides by zero.  ``weighted_pullback`` maps one scale per group, r,
+    to the pullback of the extractor Jacobian applied to the features
+    scaled column by column, J^T(F * r); ``norms`` are the group norms.
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return weighted_pullback(1.0 / np.maximum(norms, eps))
+
+
 class RecoveryPoint(EvaluatedPoint):
     """A point of :class:`JointRecovery` that does its eps-independent work once.
 
@@ -53,11 +91,12 @@ class RecoveryPoint(EvaluatedPoint):
     inverse transform), and the extractor's group norms and weighted
     pullback are computed on first use and kept, so a new eps costs one
     r_eps weighting and, for the gradient, at most one pullback.  When
-    every group lies inside the eps-ball (largest norm <= eps) the
-    gradient is the kept weighted pullback of 1 times lam/eps, within a
-    few ulps of the direct pullback; when every group lies outside
-    (smallest norm > eps) it does not depend on eps and is kept whole.
-    Other points pull back at each eps.
+    every group lies inside the eps-ball (largest norm <= eps, the tie
+    rule of :func:`r_eps`) the gradient is the kept weighted pullback of 1
+    times lam/eps, within a few ulps of the direct pullback; when every
+    group lies outside (smallest norm > eps) the weights of
+    :func:`grad_r_eps` do not depend on eps and the gradient is kept
+    whole.  Other points pull back at each eps.
     """
 
     @cached_property
@@ -132,8 +171,9 @@ class JointRecovery(SmoothedObjective):
     """Two masked-DFT fidelities plus a weighted smoothed l2,1 joint term.
 
     ``extractor`` supplies the group norms and the weighted pullback of
-    its features (identity or convolutional); ``lam`` is the
-    regularization weight multiplying the smoothed l2,1 term.
+    its features (identity or convolutional) for images of the
+    operator's shape; ``lam`` is the regularization weight multiplying
+    the smoothed l2,1 term.
     """
 
     def __init__(self, dft: MaskedDft, kspace: KSpaceData, extractor, lam: float):
@@ -141,6 +181,11 @@ class JointRecovery(SmoothedObjective):
             raise ValueError("regularization weight must be nonnegative and finite")
         if kspace.f1.shape != dft.shape:
             raise ValueError("k-space shape does not match operator")
+        if (extractor.height, extractor.width) != dft.shape:
+            raise ValueError(
+                f"extractor is {extractor.height}x{extractor.width}, "
+                f"operator is {dft.shape[0]}x{dft.shape[1]}"
+            )
         self.dft = dft
         self.kspace = kspace
         self.extractor = extractor

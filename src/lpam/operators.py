@@ -370,6 +370,10 @@ class InstanceSpec:
 
     def __post_init__(self) -> None:
         _check_ratio(self.ratio)
+        for name in ("height", "width"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         if self.height < 2 or self.width < 2:
             raise ValueError("image dimensions must be at least 2x2")
         if self.height > MAX_SIDE or self.width > MAX_SIDE:

@@ -1,10 +1,12 @@
-"""Test oracles: the paper's smoothing conditions and a gradient by finite differences.
+"""Test oracles: the paper's smoothing conditions, a gradient by finite
+differences and fresh-array convolutions with their adjoint.
 
 C3 is the near-monotonicity of the smoothed family in eps with a
 correction m(eps); C4 is the eps-independence of the regularizer
 gradient when every group is active.  Neither a solve nor an audit
 needs them, so they live with the tests that check the package against
-them.
+them.  The convolutions run the extractor's own ``_conv`` kernel at its
+narrowest pitch and copy the result out of its scratch buffer.
 """
 
 from __future__ import annotations
@@ -14,7 +16,19 @@ from typing import Callable
 import numpy as np
 
 from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
-from lpam.smoothing import grad_r_eps, group_norms
+from lpam.extractor import _adjoint_kernel, _conv, group_norms
+from lpam.objectives import grad_r_eps
+
+
+def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Stride-1 zero-padded correlation of (in,h,wd) by (out,in,kh,kw), as a fresh array."""
+    wd = x.shape[2]
+    return _conv(x, w, wd + w.shape[3] - 1)[:, :, :wd].copy()
+
+
+def conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact adjoint of :func:`conv_forward` with respect to the input."""
+    return conv_forward(g, _adjoint_kernel(w))
 
 
 def finite_difference_grad(

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lpam import extractor, smoothing
+from lpam import extractor
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -79,7 +79,7 @@ def test_point_basics():
     d1, d2 = X.diff_norms(Y)
     assert d1 == pytest.approx(5.0)
     assert d2 == pytest.approx(2.0)
-    Z = TwoBlockPoint.zeros(2, 1)
+    Z = TwoBlockPoint(np.zeros(2), np.zeros(1))
     assert Z.norm() == 0.0
     assert X.is_finite()
     assert not TwoBlockPoint([np.inf], [0.0]).is_finite()
@@ -143,6 +143,23 @@ def test_joint_recovery_rejects_a_negative_or_non_finite_lam(lam):
         JointRecovery(inst.dft, inst.kspace, extractor.IdentityExtractor(8, 8), lam)
 
 
+@pytest.mark.parametrize(
+    "ext",
+    [
+        extractor.random_extractor(8, 32, num_layers=2, channels=2),  # same size, wrong shape
+        extractor.IdentityExtractor(8, 8),
+        extractor.IdentityExtractor(32, 8),
+    ],
+    ids=["cnn-8x32", "identity-8x8", "identity-32x8"],
+)
+def test_joint_recovery_rejects_an_extractor_of_another_shape(ext):
+    # the extractor's image is the operator's, or the run would treat a
+    # 16x16 image as some other shape (or fail only at the first gradient)
+    inst = generate_instance(InstanceSpec(height=16, width=16), 0)
+    with pytest.raises(ValueError, match="operator is 16x16"):
+        JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
+
+
 def test_point_rejects_matrices():
     with pytest.raises(ValueError):
         TwoBlockPoint(np.zeros((2, 2)), np.zeros(2))
@@ -164,9 +181,9 @@ def test_phi_eps_quadratic_hand_value():
 
 def test_phi_eps_requires_positive_eps():
     with pytest.raises(ValueError):
-        phi_eps(QuadraticToy(), TwoBlockPoint.zeros(1, 1), 0.0)
+        phi_eps(QuadraticToy(), TwoBlockPoint(np.zeros(1), np.zeros(1)), 0.0)
     with pytest.raises(ValueError):
-        grad_phi_eps(QuadraticToy(), TwoBlockPoint.zeros(1, 1), -1.0)
+        grad_phi_eps(QuadraticToy(), TwoBlockPoint(np.zeros(1), np.zeros(1)), -1.0)
 
 
 def test_phi_eps_names_nonfinite_term():
@@ -175,7 +192,7 @@ def test_phi_eps_names_nonfinite_term():
             return float("nan")
 
     with pytest.raises(NumericError, match="h2"):
-        phi_eps(Bad(), TwoBlockPoint.zeros(2, 2), 0.1)
+        phi_eps(Bad(), TwoBlockPoint(np.zeros(2), np.zeros(2)), 0.1)
 
 
 def test_grad_matches_finite_differences():
@@ -195,7 +212,7 @@ def test_grad_rejects_nonfinite():
             return np.full_like(x1, np.nan)
 
     with pytest.raises(NumericError):
-        grad_phi_eps(Bad(), TwoBlockPoint.zeros(2, 2), 0.1)
+        grad_phi_eps(Bad(), TwoBlockPoint(np.zeros(2), np.zeros(2)), 0.1)
 
 
 def test_joint_recovery_grad_h_matches_partials():
@@ -293,7 +310,7 @@ INSIDE, MIXED, OUTSIDE = (0.01, 0.002), (1.1e-3, 8e-4), (5e-4, 1e-4)
 def _start_and_norms():
     obj = _cnn_objective()
     X = obj.zero_filled()
-    norms = smoothing.group_norms(obj.extractor.forward(X))
+    norms = extractor.group_norms(obj.extractor.forward(X))
     assert max(INSIDE) > min(INSIDE) >= norms.max()
     assert norms.max() > max(MIXED) > min(MIXED) > norms.min()
     assert norms.min() > max(OUTSIDE) > min(OUTSIDE)

@@ -135,6 +135,26 @@ def test_segment_bound_on_quadratic_run():
         assert rep["ok"]
 
 
+def test_segment_eps_and_threshold_are_the_trace_rows():
+    # a segment's eps is its first row's, bit for bit, and its threshold is
+    # the solver's reduction threshold at that eps; eps0 * gamma**l is not
+    # (0.006561 against the trace's 0.006561000000000002 at l = 4)
+    obj, _ = recovery_objective()
+    cfg = LpamConfig(max_iter=20)
+    state, _ = lpam_run(obj, obj.zero_filled(), cfg)
+    reports = segment_bound(state.trace, cfg, obj.lipschitz_estimate)
+    assert len(reports) >= 5
+    for rep in reports:
+        first = state.trace[rep["k_start"] + 1]
+        assert rep["eps"].hex() == first.eps.hex()
+        # the rates as _rates forms them, with alpha_bar = beta_bar
+        L, sb2 = obj.lipschitz_estimate(first.eps), cfg.alpha_bar**2
+        safeguard = 2.0 / cfg.a**3
+        line_search = 4.0 * sb2 * L**2 / (cfg.ls_delta * sb2 * cfg.rho**2)
+        eta = cfg.eps_sigma * cfg.gamma * first.eps
+        assert rep["bound"] == (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
+
+
 def test_decrease_audit_passes_on_quadratic():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from lpam import core
-from lpam.extractor import _conv_forward
 from lpam.operators import (
     MAX_SIDE,
     InstanceSpec,
@@ -17,6 +16,8 @@ from lpam.operators import (
     shared_structure_phantom,
     uniform_mask,
 )
+
+from tests.oracles import conv_forward
 
 
 def dense_dft_matrix(h, w):
@@ -351,7 +352,7 @@ def test_pair_outputs_alias_neither_scratch_nor_inputs():
 
 
 def ref_conv(x, w):
-    """The row-padded column-matrix product of ``_conv_forward`` on freshly made arrays."""
+    """The row-padded column-matrix product of ``conv_forward`` on freshly made arrays."""
     out_ch, in_ch, kh, kw = w.shape
     _, h, wd = x.shape
     wp = wd + kw - 1
@@ -374,9 +375,9 @@ def test_conv_and_dft_share_the_pool_without_interfering():
             img = rng.normal(size=(2, *shape)) + 10.0
             w = rng.normal(size=(3, 2, 3, 3))
             assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
-            assert_bits_equal(_conv_forward(img, w), ref_conv(img, w))
+            assert_bits_equal(conv_forward(img, w), ref_conv(img, w))
             assert_bits_equal(op.adjoint(f), ref_adjoint(mask, f))
-            assert_bits_equal(_conv_forward(img[:1], w[:, :1]), ref_conv(img[:1], w[:, :1]))
+            assert_bits_equal(conv_forward(img[:1], w[:, :1]), ref_conv(img[:1], w[:, :1]))
             assert_bits_equal(op.forward(x), ref_forward(mask, x))
     assert {key[0] for key in core._scratch.bufs} >= {"conv", "dft"}
 
@@ -512,6 +513,11 @@ def test_spec_validation():
         InstanceSpec(height=8, width=8, mask_type="spiral")
     with pytest.raises(ValueError):
         InstanceSpec(height=8, width=8, noise_std=-1.0)
+    # a side is an int, as LpamConfig.max_iter is: a float or a bool would
+    # fail only later, inside generate_instance
+    for h, w in ((16.0, 16), (16, 16.0), (True, 16), (16, np.int64(16)), (16, "16")):
+        with pytest.raises(ValueError, match="must be an integer"):
+            InstanceSpec(height=h, width=w)
     # the side cap: a spec past it cannot be made, so no array is allocated
     InstanceSpec(height=MAX_SIDE, width=MAX_SIDE)
     for h, w in ((MAX_SIDE + 1, 8), (8, MAX_SIDE + 1), (2**40, 2**40)):

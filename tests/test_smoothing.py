@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpam.core import TwoBlockPoint
-from lpam.objectives import JointRecovery
+from lpam.objectives import JointRecovery, grad_r_eps, r_eps
 from lpam.operators import InstanceSpec, generate_instance
-from lpam.extractor import IdentityExtractor, random_extractor
-from lpam.smoothing import grad_r_eps, group_norms, r_eps
+from lpam.extractor import IdentityExtractor, group_norms, random_extractor
 
 from tests.oracles import check_c3, check_c4_stable_branch, half_count_m, l21_norm
 
@@ -235,7 +234,7 @@ def _c3_draws(obj, m, seed, draws, scale=1.0):
 
 def test_c3_equality_case():
     obj = _recovery_obj()
-    X = TwoBlockPoint.zeros(64, 64)
+    X = TwoBlockPoint(np.zeros(64), np.zeros(64))
     assert check_c3(obj, _m(obj), X, 0.3, 0.3)
 
 
@@ -259,7 +258,7 @@ def test_c3_random_sweep():
 def test_c3_rejects_bad_order():
     obj = _recovery_obj()
     with pytest.raises(ValueError):
-        check_c3(obj, _m(obj), TwoBlockPoint.zeros(64, 64), 0.5, 0.1)
+        check_c3(obj, _m(obj), TwoBlockPoint(np.zeros(64), np.zeros(64)), 0.5, 0.1)
 
 
 def test_c3_detects_missing_m():
