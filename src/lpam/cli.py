@@ -50,10 +50,10 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("quadratic", "identity", "extractor"):
             raise ConfigError(f"unknown objective kind {self.kind!r}")
-        if not self.lam >= 0:
-            raise ConfigError("objective.lam must be nonnegative")
-        if not self.act_delta > 0:
-            raise ConfigError("objective.act_delta must be positive")
+        if not (0 <= self.lam < math.inf):
+            raise ConfigError("objective.lam must be nonnegative and finite")
+        if not (0 < self.act_delta < math.inf):
+            raise ConfigError("objective.act_delta must be positive and finite")
         if self.kind == "extractor" and not self.weights_file:
             raise ConfigError("objective.weights_file required for kind 'extractor'")
 

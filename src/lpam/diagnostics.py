@@ -59,7 +59,7 @@ def segment_bound(
         first = by_k[prev + 1]
         eps_l = first.eps
         L = L_eps_fn(eps_l)
-        eta = config.eps_sigma * config.gamma * eps_l
+        eta = config.reduction_threshold(eps_l)
         safeguard, line_search = _rates(config, L)
         bound = (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
         observed = k_end - prev

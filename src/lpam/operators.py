@@ -16,8 +16,7 @@ from .core import scratch
 
 
 def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    # per image shape: the masked k-space data and the first per-axis pass,
-    # or the two passes of a pair transform in turn
+    # per image shape: the two per-axis passes of a pair transform in turn
     return scratch(
         ("dft", shape),
         lambda: (np.empty(shape, np.complex128), np.empty(shape, np.complex128)),
@@ -28,15 +27,13 @@ def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 class MaskedDft:
     """Undersampled 2-d DFT measurement operator for one image channel.
 
-    Each transform is the two per-axis passes ``fft2``/``ifft2`` make,
-    last axis first, so values match them bit for bit; the first pass
-    writes into this thread's scratch, and the returned arrays are
-    always fresh.
-
-    The pair kernels serve two real channels with one complex transform:
-    their residuals are vectors over the sampled frequencies in flat
-    (row-major) order, and they agree with the one-channel methods to
-    rounding, relative to each channel's own norm.
+    The one-channel methods are the plain masked ``fft2``/``ifft2``
+    formulas.  The pair kernels serve two real channels with one complex
+    transform, each the two per-axis passes ``fft2``/``ifft2`` make, in
+    this thread's scratch; their residuals are vectors over the sampled
+    frequencies in flat (row-major) order, and they agree with the
+    one-channel methods to rounding, relative to each channel's own norm.
+    Returned arrays are always fresh.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
@@ -46,12 +43,11 @@ class MaskedDft:
         if m.ndim != 2:
             raise ValueError("mask must be a 2-d boolean matrix")
         object.__setattr__(self, "mask", m)
-        # flat indices of the unsampled frequencies, zeroed in place, of
-        # the sampled ones k, and of their mirrors -k (mod the shape)
+        # flat indices of the sampled frequencies k and of their mirrors
+        # -k (mod the shape)
         h, w = m.shape
         on = np.flatnonzero(m)
         mirror = (-np.arange(h) % h)[:, None] * w + (-np.arange(w) % w)
-        object.__setattr__(self, "_off", np.flatnonzero(~m))
         object.__setattr__(self, "_on", on)
         object.__setattr__(self, "_mirror", mirror.reshape(-1)[on])
 
@@ -69,37 +65,26 @@ class MaskedDft:
             raise ValueError(f"expected image vector of length {self.n}, got {x.size}")
         return x.reshape(self.shape)
 
-    def _masked(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Scratch holding f on the sampled frequencies and zero elsewhere,
-        and this thread's second scratch buffer."""
-        buf, spare = _dft_buffers(self.shape)
+    def _masked(self, f: np.ndarray) -> np.ndarray:
+        """k-space data f on the sampled frequencies and zero elsewhere."""
         if np.shape(f) != self.shape:
             raise ValueError("k-space data shape does not match mask")
-        np.copyto(buf, f)
-        buf.reshape(-1)[self._off] = 0.0
-        return buf, spare
+        return np.where(self.mask, f, 0.0)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Masked unitary DFT of a flattened image; zero outside the mask."""
-        buf, _ = _dft_buffers(self.shape)
-        np.fft.fft(self._image(x), axis=1, norm="ortho", out=buf)
-        spec = np.fft.fft(buf, axis=0, norm="ortho")
-        spec.reshape(-1)[self._off] = 0.0
-        return spec
+        return np.where(self.mask, np.fft.fft2(self._image(x), norm="ortho"), 0.0)
 
     def adjoint(self, f: np.ndarray) -> np.ndarray:
         """Real part of the inverse unitary DFT of masked k-space data."""
-        buf, spare = self._masked(f)
-        np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
-        np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
-        return buf.real.flatten()
+        return np.fft.ifft2(self._masked(f), norm="ortho").real.flatten()
 
     def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Masked DFT of x minus the data f on the sampled frequencies."""
         resid = self.forward(x)
         # subtract a masked copy, not f itself: data off the mask, even a
         # signalling NaN, must neither reach the result nor raise a warning
-        resid -= self._masked(f)[0]
+        resid -= self._masked(f)
         return resid
 
     def _data_on_mask(self, f: np.ndarray) -> np.ndarray:
@@ -382,8 +367,8 @@ class InstanceSpec:
             )
         if self.mask_type not in ("radial", "uniform"):
             raise ValueError(f"unknown mask type {self.mask_type!r}")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValueError("noise_std must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)

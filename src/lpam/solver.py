@@ -86,6 +86,10 @@ class LpamConfig:
             if isinstance(n, bool) or not isinstance(n, int) or n < lo:
                 raise ValueError(f"{name} must be an integer >= {lo}")
 
+    def reduction_threshold(self, eps: float) -> float:
+        """The gradient norm below which an iteration at ``eps`` reduces it."""
+        return self.eps_sigma * self.gamma * eps
+
 
 def _sched(schedule: Sequence[float], k: int) -> float:
     return float(schedule[min(k, len(schedule) - 1)])
@@ -269,7 +273,7 @@ def lpam_run(
                 exit_reason = EXIT_LINE_SEARCH
                 break
 
-            reduced = gn_n < config.eps_sigma * config.gamma * eps
+            reduced = gn_n < config.reduction_threshold(eps)
             state.trace.append(
                 IterateRecord(
                     k=k,

@@ -6,15 +6,19 @@ correction m(eps); C4 is the eps-independence of the regularizer
 gradient when every group is active.  Neither a solve nor an audit
 needs them, so they live with the tests that check the package against
 them.  The convolutions run the extractor's own ``_conv`` kernel at its
-narrowest pitch and copy the result out of its scratch buffer.
+narrowest pitch and copy the result out of its scratch buffer, and
+:func:`fresh_pool` runs a scratch-pool test from an empty pool.
 """
 
 from __future__ import annotations
 
+import functools
+import threading
 from typing import Callable
 
 import numpy as np
 
+from lpam import core
 from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
 from lpam.objectives import grad_r_eps
@@ -29,6 +33,32 @@ def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def conv_backward(g: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Exact adjoint of :func:`conv_forward` with respect to the input."""
     return conv_forward(g, _adjoint_kernel(w))
+
+
+def fresh_pool(test: Callable[[], None]) -> Callable[[], None]:
+    """Run a test body in a new thread, whose scratch pool starts empty, so
+    the test sees only the buffers its own calls make; what the body
+    raises is raised again in the calling thread."""
+
+    @functools.wraps(test)
+    def in_new_thread() -> None:
+        raised = []
+
+        def body() -> None:
+            try:
+                assert not core._scratch.bufs
+                test()
+            except BaseException as exc:  # raised again below
+                raised.append(exc)
+
+        thread = threading.Thread(target=body)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        if raised:
+            raise raised[0]
+
+    return in_new_thread
 
 
 def finite_difference_grad(

@@ -220,6 +220,20 @@ def test_negative_lam_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("lam", np.inf, "objective.lam must be nonnegative and finite"),
+        ("lam", np.nan, "objective.lam must be nonnegative and finite"),
+        ("act_delta", np.inf, "objective.act_delta must be positive and finite"),
+        ("act_delta", np.nan, "objective.act_delta must be positive and finite"),
+    ],
+)
+def test_objective_spec_rejects_non_finite_values(field, value, message):
+    with pytest.raises(cli.ConfigError, match=message):
+        cli.ObjectiveSpec(**{field: value})
+
+
 def test_missing_config_exit3(tmp_path, capsys):
     assert main(["solve", "--config", str(tmp_path / "none.json"), "--out", str(tmp_path)]) == 3
     assert "none.json" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from lpam.extractor import (
     smoothed_relu_deriv,
 )
 
-from tests.oracles import conv_backward, conv_forward
+from tests.oracles import conv_backward, conv_forward, fresh_pool
 
 
 def naive_conv(x, w):
@@ -161,6 +161,7 @@ def test_conv_matches_naive_oracle():
     assert np.allclose(conv_forward(x, w5), naive_conv(x, w5), atol=1e-12)
 
 
+@fresh_pool
 def test_conv_scratch_reuse_across_shapes():
     # interleaved shapes share nothing, and a repeated shape with new input
     # sees neither a dirty padded border nor a stale column from an earlier call
@@ -178,6 +179,7 @@ def test_conv_scratch_reuse_across_shapes():
             assert np.allclose(conv_forward(x, w), naive_conv(x, w), atol=1e-10)
 
 
+@fresh_pool
 def test_outputs_do_not_alias_conv_scratch():
     # features, pullback results, the kept activation derivatives and the
     # fresh convolution results share no memory with any scratch buffer, the
