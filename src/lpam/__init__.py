@@ -51,7 +51,6 @@ from .solver import (
     LineSearchError,
     LpamConfig,
     SolverState,
-    TraceParseError,
     lpam_run,
     read_trace_csv,
     safeguard_check,
@@ -100,7 +99,6 @@ __all__ = [
     "LineSearchError",
     "LpamConfig",
     "SolverState",
-    "TraceParseError",
     "lpam_run",
     "read_trace_csv",
     "safeguard_check",

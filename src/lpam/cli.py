@@ -274,6 +274,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     _dump_json(out / "metrics.json", result)
     print(json.dumps({"exit_reason": reason, "iterations": state.k}, sort_keys=True))
     if reason in (EXIT_NUMERIC, EXIT_LINE_SEARCH):
+        print(f"error: solver ended in {reason} after {state.k} iterations", file=sys.stderr)
         return 2
     return 0
 
@@ -358,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, fileio.FormatError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -104,12 +104,15 @@ class EvaluatedPoint(TwoBlockPoint):
     """A point bound to the objective that evaluates it.
 
     Made by :meth:`SmoothedObjective.point` and
-    :meth:`SmoothedObjective.evaluate`.  The methods mirror the
-    objective's per-call methods at this point and take only eps.  This
-    generic class forwards each call, so it caches nothing; an objective
-    whose terms share eps-independent work returns a subclass that
-    computes that work once.  The arrays must not be mutated after
-    evaluation, and returned arrays may be shared between calls.
+    :meth:`SmoothedObjective.evaluate`.  The methods give the terms and
+    gradients at this point and take only eps; :meth:`grad_h` is the one
+    route to both partial gradients of the joint term.  This generic class
+    reads them from the objective's per-call methods ``h1(x1, eps)``,
+    ``h2(x2, eps)``, ``h(x1, x2, eps)``, ``grad_h1(x1, eps)``,
+    ``grad_h2(x2, eps)``, ``grad1_h`` and ``grad2_h``, so it caches
+    nothing; an objective whose terms share eps-independent work returns a
+    subclass that computes that work once.  The arrays must not be mutated
+    after evaluation, and returned arrays may be shared between calls.
     """
 
     def __init__(self, x1, x2, obj: "SmoothedObjective"):
@@ -132,23 +135,28 @@ class EvaluatedPoint(TwoBlockPoint):
         return self.obj.grad_h2(self.x2, eps)
 
     def grad_h(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.obj.grad_h(self.x1, self.x2, eps)
+        """Both partial gradients of the joint term, (grad1_h, grad2_h)."""
+        return self.obj.grad1_h(self.x1, self.x2, eps), self.obj.grad2_h(self.x1, self.x2, eps)
 
 
 class SmoothedObjective:
     """Contract for a smoothed two-block objective.
 
-    For every eps > 0 the implementor supplies the separable terms, the
-    joint term, their gradients and a Lipschitz estimate for the full
-    gradient.  Implementations must be immutable after construction and
-    all calls pure.  :func:`phi_eps` and :func:`grad_phi_eps` read the
-    terms from :meth:`evaluate`.
+    For every eps > 0 the implementor supplies points that evaluate the
+    separable terms, the joint term and their gradients, the joint term's
+    partial gradients at single points, and a Lipschitz estimate for the
+    full gradient.  Implementations must be immutable after construction
+    and all calls pure.  :func:`phi_eps` and :func:`grad_phi_eps` read the
+    terms from :meth:`evaluate`; the solver's residual and fallback steps
+    read :meth:`grad1_h` and :meth:`grad2_h` at points they never evaluate
+    whole.
     """
 
     def point(self, x1: np.ndarray, x2: np.ndarray) -> EvaluatedPoint:
         """A new point (x1, x2) bound to this objective.
 
-        Override to return an :class:`EvaluatedPoint` subclass that
+        The generic point reads the per-call methods its docstring lists;
+        override to return an :class:`EvaluatedPoint` subclass that
         computes the eps-independent work of the terms once.
         """
         return EvaluatedPoint(x1, x2, self)
@@ -159,36 +167,11 @@ class SmoothedObjective:
             return X
         return self.point(X.x1, X.x2)
 
-    def h1(self, x1: np.ndarray, eps: float) -> float:
-        raise NotImplementedError
-
-    def h2(self, x2: np.ndarray, eps: float) -> float:
-        raise NotImplementedError
-
-    def h(self, x1: np.ndarray, x2: np.ndarray, eps: float) -> float:
-        raise NotImplementedError
-
-    def grad_h1(self, x1: np.ndarray, eps: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad_h2(self, x2: np.ndarray, eps: float) -> np.ndarray:
-        raise NotImplementedError
-
     def grad1_h(self, x1: np.ndarray, x2: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
 
     def grad2_h(self, x1: np.ndarray, x2: np.ndarray, eps: float) -> np.ndarray:
         raise NotImplementedError
-
-    def grad_h(
-        self, x1: np.ndarray, x2: np.ndarray, eps: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Both partial gradients of the joint term, (grad1_h, grad2_h).
-
-        Override when the two share work, such as one pass through a
-        feature extractor.
-        """
-        return self.grad1_h(x1, x2, eps), self.grad2_h(x1, x2, eps)
 
     def lipschitz_estimate(self, eps: float) -> float:
         """Upper bound on the sum of the three gradient Lipschitz constants."""

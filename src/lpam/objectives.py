@@ -206,14 +206,11 @@ class JointRecovery(SmoothedObjective):
     def grad_h2(self, x2, eps):
         return self.dft.grad_fidelity(x2, self.kspace.f2)
 
-    def grad_h(self, x1, x2, eps):
-        return self.point(x1, x2).grad_h(eps)
-
     def grad1_h(self, x1, x2, eps):
-        return self.grad_h(x1, x2, eps)[0]
+        return self.point(x1, x2).grad_h(eps)[0]
 
     def grad2_h(self, x1, x2, eps):
-        return self.grad_h(x1, x2, eps)[1]
+        return self.point(x1, x2).grad_h(eps)[1]
 
     def point(self, x1, x2) -> RecoveryPoint:
         return RecoveryPoint(x1, x2, self)

@@ -18,6 +18,7 @@ from .core import (
     grad_phi_eps,
     phi_eps,
 )
+from .fileio import FormatError
 
 EXIT_TOLERANCE = "tolerance_met"
 EXIT_ITERATION_CAP = "iteration_cap"
@@ -334,14 +335,11 @@ def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
             w.writerow([fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS])
 
 
-class TraceParseError(ValueError):
-    """Malformed trace file; the message names the offending row."""
-
-
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
     audits look rows up by iteration.  Floats must be finite, ``eps``
-    positive and ``reduced`` 0 or 1."""
+    positive and ``reduced`` 0 or 1.  A malformed trace raises
+    :class:`~lpam.fileio.FormatError`, naming the file and the row."""
     records: list[IterateRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -363,5 +361,5 @@ def read_trace_csv(path) -> list[IterateRecord]:
             # one record per line (the writer never quotes a line break);
             # a missing header is row 1
             line = max(reader.line_num, 1)
-            raise TraceParseError(f"malformed trace row {line} in {path}: {exc}") from exc
+            raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
     return records

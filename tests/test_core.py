@@ -219,7 +219,7 @@ def test_joint_recovery_grad_h_matches_partials():
     obj = _cnn_objective()
     rng = np.random.default_rng(1)
     x1, x2 = rng.normal(size=64), rng.normal(size=64)
-    g1, g2 = obj.grad_h(x1, x2, 0.05)
+    g1, g2 = obj.point(x1, x2).grad_h(0.05)
     assert np.array_equal(g1, obj.grad1_h(x1, x2, 0.05))
     assert np.array_equal(g2, obj.grad2_h(x1, x2, 0.05))
 

@@ -35,16 +35,20 @@ CORRUPTIBLE = [f"{name}.arr" for name in cli._INSTANCE_FILES] + [
 def run(command: str, out: Path, *options: str) -> int:
     """One CLI command on ``out``; its exit code, checked against the contract.
 
-    Warnings are errors in the test suite, so a command that lets one of
-    numpy's floating-point warnings through fails here too.
+    A failure (exit 2 or 3) names itself on stderr with a line starting
+    ``error:``.  Warnings are errors in the test suite, so a command that
+    lets one of numpy's floating-point warnings through fails here too.
     """
     if command == "metrics":
         argv = ["metrics", str(out / "recon1.arr"), str(out / "truth1.arr")]
     else:
         argv = [command, "--out", str(out), *options]
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().startswith("error:")
     if code == 1:
         assert command == "audit"
         assert json.loads((out / "report.json").read_text())["passed"] is False
@@ -110,6 +114,7 @@ oversized_sides = st.tuples(
 @example([("instance.phantom", "shared")])
 @example([("audits", {"decrease": False})])
 @example([("objective.kind", "identity"), ("solver.eps0", 1e300)])
+@example([("objective.lam", 1e308)])  # the solve ends in numeric_error
 def test_config_overrides_keep_the_exit_code_contract(base_run, overrides):
     with tempfile.TemporaryDirectory() as tmp:
         out = _copy(base_run, tmp)

@@ -7,6 +7,7 @@ import pytest
 from lpam import solver
 from lpam.core import TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import IdentityExtractor
+from lpam.fileio import FormatError
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.solver import (
@@ -15,7 +16,6 @@ from lpam.solver import (
     EXIT_NUMERIC,
     EXIT_TOLERANCE,
     LpamConfig,
-    TraceParseError,
     lpam_run,
     read_trace_csv,
     safeguard_check,
@@ -393,7 +393,7 @@ def test_trace_csv_malformed_row_named(tmp_path):
     lines = path.read_text().splitlines()
     lines[2] = lines[2].replace(lines[2].split(",")[2], "not-a-number", 1)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError, match="row 3"):
+    with pytest.raises(FormatError, match="row 3"):
         read_trace_csv(path)
 
 
@@ -406,14 +406,14 @@ def test_trace_csv_field_count_must_match_header(tmp_path, edit):
     lines = path.read_text().splitlines()
     lines[2] = edit(lines[2])
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TraceParseError, match="row 3"):
+    with pytest.raises(FormatError, match="row 3"):
         read_trace_csv(path)
 
 
 def test_trace_csv_bad_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(TraceParseError, match="header"):
+    with pytest.raises(FormatError, match="header"):
         read_trace_csv(path)
 
 
