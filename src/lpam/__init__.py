@@ -16,14 +16,7 @@ from .core import (
     grad_phi_eps,
     phi_eps,
 )
-from .diagnostics import (
-    MetricsReport,
-    audit_report,
-    decrease_audit,
-    lmax_bound,
-    metrics,
-    segment_bound,
-)
+from .diagnostics import MetricsReport, audit_report, lmax_bound, metrics
 from .extractor import (
     FeatureExtractor,
     IdentityExtractor,
@@ -70,10 +63,8 @@ __all__ = [
     "phi_eps",
     "MetricsReport",
     "audit_report",
-    "decrease_audit",
     "lmax_bound",
     "metrics",
-    "segment_bound",
     "FeatureExtractor",
     "IdentityExtractor",
     "random_extractor",

@@ -37,79 +37,6 @@ def _rates(config: LpamConfig, L: float) -> tuple[float, float]:
     return 2.0 / config.a**3, 4.0 * sb**2 * L**2 / (config.ls_delta * si**2 * config.rho**2)
 
 
-def segment_bound(
-    trace: Sequence[IterateRecord],
-    config: LpamConfig,
-    L_eps_fn: Callable[[float], float],
-) -> list[dict]:
-    """Per-segment iteration counts against the complexity bound, one
-    ``report.json`` segment record each.
-
-    A segment runs from one reduction event to the next; the bound
-    combines the safeguard and line-search decrease rates with the
-    gradient threshold of the segment.  The segment's eps is the one its
-    first trace row holds, and the threshold is the solver's reduction
-    threshold at that eps, so no eps is derived here.  Both objectives
-    are nonnegative, so 0 stands in for the optimal value.
-    """
-    by_k = {r.k: r for r in trace}
-    reports = []
-    prev = -1
-    for l, k_end in enumerate(r.k for r in trace if r.reduced):
-        first = by_k[prev + 1]
-        eps_l = first.eps
-        L = L_eps_fn(eps_l)
-        eta = config.reduction_threshold(eps_l)
-        safeguard, line_search = _rates(config, L)
-        bound = (safeguard + line_search) * (first.phi_pre + 1.0) / eta**2
-        observed = k_end - prev
-        reports.append(
-            {
-                "l": l,
-                "k_start": prev,
-                "k_end": k_end,
-                "eps": eps_l,
-                "observed": observed,
-                "bound": bound,
-                "ok": observed <= bound,
-            }
-        )
-        prev = k_end
-    return reports
-
-
-_SLACK = 1e-9  # rounding tolerated in a decrease that is 0 in exact arithmetic
-
-
-def decrease_audit(
-    trace: Sequence[IterateRecord],
-    config: LpamConfig,
-    L_eps_fn: Callable[[float], float],
-) -> list[dict]:
-    """Check every accepted step's decrease and gradient-decrease coupling,
-    as a list of ``{"k", "reason"}`` failures, empty when the audit passes.
-
-    Each step must not increase the objective, and the squared pre-step
-    gradient norm must be bounded by b2 times the achieved decrease,
-    where b2 combines the safeguard and line-search rates.
-    """
-    failures = []
-    for r in trace:
-        if r.decrease < -_SLACK:
-            failures.append({"k": r.k, "reason": f"objective increased by {-r.decrease}"})
-            continue
-        b2 = max(_rates(config, L_eps_fn(r.eps)))
-        if r.grad_norm_pre**2 > b2 * r.decrease + _SLACK:
-            failures.append(
-                {
-                    "k": r.k,
-                    "reason": f"grad_norm_pre^2 = {r.grad_norm_pre ** 2} exceeds "
-                    f"b2 * decrease = {b2 * r.decrease}",
-                }
-            )
-    return failures
-
-
 @dataclass
 class MetricsReport:
     psnr: float
@@ -184,22 +111,84 @@ def _ssim_global(x: np.ndarray, y: np.ndarray) -> float:
     return ssim
 
 
+_SLACK = 1e-9  # rounding tolerated in a decrease that is 0 in exact arithmetic
+
+
+def _finite(r: IterateRecord, what: str, value: float) -> float:
+    """``value`` if it is finite, else a NumericError naming row r."""
+    if not math.isfinite(value):
+        raise NumericError(f"audit {what} at k = {r.k}, eps = {r.eps} is not finite: {value}")
+    return value
+
+
 def audit_report(
     trace: Sequence[IterateRecord],
     config: LpamConfig,
     L_eps_fn: Callable[[float], float],
 ) -> dict:
-    """Decrease, segment and ``lmax`` audits as a JSON-ready dict with an
-    overall ``passed`` flag."""
-    failures = decrease_audit(trace, config, L_eps_fn)
-    segs = segment_bound(trace, config, L_eps_fn)
-    violations = []
+    """The decrease, segment and ``lmax`` audits of a trace, made in one pass
+    that reads ``L_eps_fn(eps)`` once per row, as a JSON-ready dict with an
+    overall ``passed`` flag.
+
+    The decrease audit lists ``{"k", "reason"}`` failures: each step must
+    not increase the objective, and its squared pre-step gradient norm
+    must be bounded by b2 times the achieved decrease, b2 the larger of
+    the row's safeguard and line-search rates.  Each fallback row's
+    backtrack count must be within :func:`lmax_bound`.  A reduced row
+    closes a segment, which runs from the previous reduction event.  Its
+    bound combines the decrease rates of the segment's first row with its
+    ``phi_pre`` and the solver's reduction threshold at its eps; both
+    objectives are nonnegative, so 0 stands in for the optimal value.
+
+    A Lipschitz estimate, rate or bound that is not finite, or whose
+    forming raises ``ArithmeticError``, raises :class:`NumericError`
+    naming the row's ``k`` and eps.
+    """
+    failures, segs, violations = [], [], []
+    # the last reduced row's k; the open segment's first row and its rate sum
+    prev, first, rate_sum = -1, None, None
     for r in trace:
-        if r.branch != "v":
-            continue
-        cap = lmax_bound(config, L_eps_fn(r.eps))
-        if r.ls_count > cap:
-            violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
+        try:
+            L = _finite(r, "Lipschitz estimate", L_eps_fn(r.eps))
+            safeguard, line_search = [_finite(r, "decrease rate", v) for v in _rates(config, L)]
+            if first is None:
+                first, rate_sum = r, safeguard + line_search
+            if r.decrease < -_SLACK:
+                failures.append({"k": r.k, "reason": f"objective increased by {-r.decrease}"})
+            else:
+                b2 = max(safeguard, line_search)
+                if r.grad_norm_pre**2 > b2 * r.decrease + _SLACK:
+                    failures.append(
+                        {
+                            "k": r.k,
+                            "reason": f"grad_norm_pre^2 = {r.grad_norm_pre ** 2} exceeds "
+                            f"b2 * decrease = {b2 * r.decrease}",
+                        }
+                    )
+            if r.branch == "v":
+                cap = lmax_bound(config, L)
+                if r.ls_count > cap:
+                    violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
+            if r.reduced:
+                eta = config.reduction_threshold(first.eps)
+                bound = _finite(r, "segment bound", rate_sum * (first.phi_pre + 1.0) / eta**2)
+                observed = r.k - prev
+                segs.append(
+                    {
+                        "l": len(segs),
+                        "k_start": prev,
+                        "k_end": r.k,
+                        "eps": first.eps,
+                        "observed": observed,
+                        "bound": bound,
+                        "ok": observed <= bound,
+                    }
+                )
+                prev, first = r.k, None
+        except ArithmeticError as exc:  # a square overflows, or a divisor underflows to 0
+            raise NumericError(
+                f"audit at k = {r.k}, eps = {r.eps} out of floating-point range: {exc}"
+            ) from None
     return {
         "passed": not failures and all(s["ok"] for s in segs) and not violations,
         "decrease_audit": {"passed": not failures, "failures": failures},

@@ -13,7 +13,7 @@ import numpy as np
 
 from lpam.core import TwoBlockPoint, grad_phi_eps
 from lpam.cli import main as cli_main
-from lpam.diagnostics import decrease_audit, lmax_bound, metrics, segment_bound
+from lpam.diagnostics import audit_report, lmax_bound, metrics
 from lpam.extractor import IdentityExtractor, random_extractor
 from lpam.fileio import read_array, read_weights, write_array, write_weights
 from lpam.objectives import JointRecovery, QuadraticToy
@@ -104,7 +104,8 @@ def test_acceptance_3_monotone_decrease():
         for r in state.trace:
             if r.grad_norm_pre > 1e-12:
                 assert r.decrease > 0.0, f"no decrease at iteration {r.k}"
-        failures = decrease_audit(state.trace, cfg, obj.lipschitz_estimate)
+        report = audit_report(state.trace, cfg, obj.lipschitz_estimate)
+        failures = report["decrease_audit"]["failures"]
         assert not failures, failures
     print("PASS acceptance 3: objective decreases and decrease audit holds on all bundled runs")
 
@@ -144,9 +145,9 @@ def test_acceptance_5_segment_bound():
         rng = np.random.default_rng(100 + seed)
         X0 = TwoBlockPoint(rng.normal(size=4), rng.normal(size=4))
         state, _ = lpam_run(QuadraticToy(), X0, QUAD_CONFIG)
-        reports = segment_bound(
+        reports = audit_report(
             state.trace, QUAD_CONFIG, QuadraticToy().lipschitz_estimate
-        )
+        )["segments"]
         assert reports
         for rep in reports:
             assert rep["ok"], f"seed {seed} segment {rep['l']}: {rep['observed']} > {rep['bound']}"

@@ -6,13 +6,7 @@ import pytest
 
 from lpam import extractor
 from lpam.core import NumericError, TwoBlockPoint
-from lpam.diagnostics import (
-    audit_report,
-    decrease_audit,
-    lmax_bound,
-    metrics,
-    segment_bound,
-)
+from lpam.diagnostics import audit_report, lmax_bound, metrics
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.solver import IterateRecord, LpamConfig, lpam_run
@@ -48,14 +42,14 @@ def test_lmax_input_validation():
 def test_audit_report_rejects_an_invalid_config():
     # a config is checked when it is made, so no audit sees an invalid one:
     # rho = 1 would divide by log(1/rho) = 0 in lmax_bound, and a = 0 by a^3
-    # in segment_bound
+    # in the segment bound
     trace = [_record(k=0)]
     with pytest.raises(ValueError, match="rho"):
         audit_report(trace, _ls_config(0.5, 0.9, 0.9, 1.0), lambda _e: 4.0)
     with pytest.raises(ValueError, match="rho"):
         lmax_bound(LpamConfig(rho=1.0), 4.0)
     with pytest.raises(ValueError, match="safeguard constant a"):
-        segment_bound(trace, LpamConfig(a=0.0), lambda _e: 4.0)
+        audit_report(trace, LpamConfig(a=0.0), lambda _e: 4.0)
 
 
 def _record(**kw):
@@ -91,7 +85,7 @@ SEGMENT_TRACE = [_record(k=0, phi_pre=1.0, reduced=True)]
 
 
 def test_segment_bound_spot_value():
-    reports = segment_bound(SEGMENT_TRACE, SEGMENT_CONFIG, lambda _e: 1.0)
+    reports = audit_report(SEGMENT_TRACE, SEGMENT_CONFIG, lambda _e: 1.0)["segments"]
     assert len(reports) == 1
     assert reports[0]["bound"] == pytest.approx(68.0)
     assert reports[0]["observed"] == 1
@@ -121,15 +115,15 @@ def test_audit_report_layout():
 
 def test_segment_bound_empty_without_events():
     trace = [_record(reduced=False)]
-    assert segment_bound(trace, LpamConfig(), lambda _e: 1.0) == []
+    assert audit_report(trace, LpamConfig(), lambda _e: 1.0)["segments"] == []
 
 
 def test_segment_bound_on_quadratic_run():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
-    reports = segment_bound(
+    reports = audit_report(
         state.trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate
-    )
+    )["segments"]
     assert reports
     for rep in reports:
         assert rep["ok"]
@@ -142,7 +136,7 @@ def test_segment_eps_and_threshold_are_the_trace_rows():
     obj, _ = recovery_objective()
     cfg = LpamConfig(max_iter=20)
     state, _ = lpam_run(obj, obj.zero_filled(), cfg)
-    reports = segment_bound(state.trace, cfg, obj.lipschitz_estimate)
+    reports = audit_report(state.trace, cfg, obj.lipschitz_estimate)["segments"]
     assert len(reports) >= 5
     for rep in reports:
         first = state.trace[rep["k_start"] + 1]
@@ -158,15 +152,15 @@ def test_segment_eps_and_threshold_are_the_trace_rows():
 def test_decrease_audit_passes_on_quadratic():
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
-    failures = decrease_audit(
+    failures = audit_report(
         state.trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate
-    )
+    )["decrease_audit"]["failures"]
     assert failures == []
 
 
 def test_decrease_audit_stationary_trivial():
     trace = [_record(decrease=0.0, grad_norm_pre=0.0, phi_pre=0.5)]
-    assert decrease_audit(trace, LpamConfig(), lambda _e: 4.0) == []
+    assert audit_report(trace, LpamConfig(), lambda _e: 4.0)["decrease_audit"]["failures"] == []
 
 
 def test_decrease_audit_catches_corruption():
@@ -174,14 +168,15 @@ def test_decrease_audit_catches_corruption():
     state, _ = lpam_run(QuadraticToy(), X0, QUAD_STATIONARITY)
     trace = [dataclasses.replace(r) for r in state.trace]
     trace[4].decrease = 0.0  # non-stationary step claiming no progress
-    failures = decrease_audit(trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate)
+    rep = audit_report(trace, QUAD_STATIONARITY, QuadraticToy().lipschitz_estimate)
+    failures = rep["decrease_audit"]["failures"]
     assert failures
     assert any(f["k"] == 4 for f in failures)
 
 
 def test_decrease_audit_catches_increase():
     trace = [_record(decrease=-0.5)]
-    failures = decrease_audit(trace, LpamConfig(), lambda _e: 4.0)
+    failures = audit_report(trace, LpamConfig(), lambda _e: 4.0)["decrease_audit"]["failures"]
     assert failures and "increased" in failures[0]["reason"]
 
 
@@ -214,6 +209,48 @@ def test_audit_computes_layer_bounds_once(monkeypatch):
     rep = audit_report(state.trace, cfg, obj.lipschitz_estimate)
     assert rep["passed"] and len(state.trace) == 5
     assert len(calls) == 1
+
+
+def test_audit_reads_the_lipschitz_estimate_once_per_row():
+    # one pass over the trace: a fallback row's lmax bound reuses its row's
+    # estimate, and a segment's bound the rates of the segment's first row
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode="bcd")
+    X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
+    state, _ = lpam_run(QuadraticToy(), X0, cfg)
+    calls = []
+
+    def counting(eps):
+        calls.append(eps)
+        return QuadraticToy().lipschitz_estimate(eps)
+
+    rep = audit_report(state.trace, cfg, counting)
+    assert rep["passed"] and len(rep["segments"]) >= 3
+    assert all(r.branch == "v" for r in state.trace)
+    assert calls == [r.eps for r in state.trace]
+
+
+@pytest.mark.parametrize(
+    "row, L, what",
+    [
+        (dict(branch="v"), math.inf, "Lipschitz estimate"),
+        (dict(branch="u"), math.nan, "Lipschitz estimate"),
+        # 4 sb^2 L^2 / (ls_delta si^2 rho^2) = 160 L^2 overflows to inf
+        (dict(branch="u"), 1.2e153, "decrease rate"),
+        # L^2 itself overflows, which raises
+        (dict(branch="u"), 1e200, "out of floating-point range"),
+        # the squared reduction threshold underflows to 0
+        (dict(reduced=True, eps=1e-320), 4.0, "out of floating-point range"),
+        # a finite rate over a tiny squared threshold overflows to inf
+        (dict(reduced=True, eps=1e-150), 1e150, "segment bound"),
+    ],
+)
+def test_audit_bound_out_of_float_range_is_a_numeric_error(row, L, what):
+    # a bound past the float range is one kind of failure, which names the
+    # row, whichever section of the audit forms it
+    r = _record(k=0, **row)
+    with pytest.raises(NumericError, match=what) as info:
+        audit_report([r], LpamConfig(), lambda _e: L)
+    assert f"k = 0, eps = {r.eps}" in str(info.value)
 
 
 def test_audit_report_flags_lmax_violation():
@@ -328,9 +365,10 @@ def test_audit_rates_match_the_formulas(alpha_bar, beta_bar, L):
     safeguard = 2.0 / cfg.a**3
     line_search = 4.0 * sb**2 * L**2 / (cfg.ls_delta * si**2 * cfg.rho**2)
     trace = [_record(k=0, phi_pre=1.0, decrease=1e-9, grad_norm_pre=1e3, reduced=True)]
-    (report,) = segment_bound(trace, cfg, lambda _e: L)
+    rep = audit_report(trace, cfg, lambda _e: L)
+    (report,) = rep["segments"]
     assert report["bound"] == (safeguard + line_search) * 2.0 / 1.0**2
-    (failure,) = decrease_audit(trace, cfg, lambda _e: L)
+    (failure,) = rep["decrease_audit"]["failures"]
     assert failure["reason"].endswith(f"b2 * decrease = {max(safeguard, line_search) * 1e-9}")
 
 

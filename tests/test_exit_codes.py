@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import shutil
 import tempfile
 import warnings
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lpam import cli, fileio
+from lpam import cli, diagnostics, fileio
 from lpam.operators import MAX_SIDE
 from lpam.solver import IterateRecord
 
@@ -213,3 +214,42 @@ def test_edited_trace_keeps_the_exit_code_contract(base_run, edits):
             lines[1 + row] = ",".join(parts)
         (out / "trace.csv").write_text("\n".join(lines) + "\n")
         run("audit", out, "--config", str(out / "run.json"))
+
+
+# the base trace reduces eps at every row, so row 1 opens and closes a
+# segment and row 5, made unreduced, opens one that never closes
+@pytest.mark.parametrize(
+    "row, edits",
+    [
+        # the Lipschitz estimate is inf on a fallback row, whose lmax bound reads it
+        (5, {"eps": "1e-320", "branch": "v", "reduced": "0"}),
+        # and on a residual row, where only the decrease audit reads it
+        (5, {"eps": "1e-320", "branch": "u", "reduced": "0"}),
+        # the estimate is finite, but the line-search rate, and so the
+        # segment bound, overflow to inf without raising
+        (1, {"eps": "1e-153"}),
+    ],
+)
+def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _copy(base_run, tmp)
+        lines = (out / "trace.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        parts = lines[1 + row].split(",")
+        assert parts[header.index("reduced")] == "1"
+        for column, cell in edits.items():
+            parts[header.index(column)] = cell
+        lines[1 + row] = ",".join(parts)
+        (out / "trace.csv").write_text("\n".join(lines) + "\n")
+        if row == 1:
+            cfg = cli.load_config(str(out / "run.json"), [], None, None)
+            L = cli.build_objective(cfg, cli._load_instance(cfg, out)).lipschitz_estimate(1e-153)
+            assert L**2 < math.inf and diagnostics._rates(cfg.solver, L)[1] == math.inf
+        argv = ["audit", "--out", str(out), "--config", str(out / "run.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 2
+        assert err.getvalue().startswith("error: audit ")
+        assert f"k = {row}, eps = {float(edits['eps'])}" in err.getvalue()
+        assert not (out / "report.json").exists()
