@@ -140,9 +140,9 @@ def audit_report(
     ``phi_pre`` and the solver's reduction threshold at its eps; both
     objectives are nonnegative, so 0 stands in for the optimal value.
 
-    A Lipschitz estimate, rate or bound that is not finite, or whose
-    forming raises ``ArithmeticError``, raises :class:`NumericError`
-    naming the row's ``k`` and eps.
+    A Lipschitz estimate, rate, reduction threshold or bound that is not
+    finite, or whose forming raises ``ArithmeticError``, raises
+    :class:`NumericError` naming the row's ``k`` and eps.
     """
     failures, segs, violations = [], [], []
     # the last reduced row's k; the open segment's first row and its rate sum
@@ -170,7 +170,7 @@ def audit_report(
                 if r.ls_count > cap:
                     violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
             if r.reduced:
-                eta = config.reduction_threshold(first.eps)
+                eta = _finite(r, "reduction threshold", config.reduction_threshold(first.eps))
                 bound = _finite(r, "segment bound", rate_sum * (first.phi_pre + 1.0) / eta**2)
                 observed = r.k - prev
                 segs.append(

@@ -136,9 +136,9 @@ def _layer_bounds(weights: Sequence[np.ndarray]) -> list[float]:
     so they do not enter."""
     bounds = []
     for w in weights:
-        taps = w.reshape(w.shape[0], w.shape[1], -1)
-        b = sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2]))
-        bounds.append(b)
+        taps = w.reshape(w.shape[0], w.shape[1], -1).transpose(2, 0, 1)
+        # summed in tap order, as a per-tap loop would; np.sum adds pairwise
+        bounds.append(sum(np.linalg.norm(taps, 2, axis=(1, 2)).tolist()))
     return bounds
 
 

@@ -244,6 +244,11 @@ def uniform_mask(height: int, width: int, ratio: float, rng: np.random.Generator
     return mask.reshape(height, width)
 
 
+# samples per pass of radial_mask's spoke drawing, which bounds its
+# temporary arrays near 0.5 MB each at any image size
+_SPOKE_SAMPLES = 2**16
+
+
 def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
     """Pseudo-radial mask: straight spokes through the grid center.
 
@@ -258,21 +263,32 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     target = max(1, round(ratio * n))
     cy, cx = height // 2, width // 2
     radius = float(np.hypot(height, width))
+    max_spokes = 4 * max(height, width)
 
     mask = np.zeros((height, width), dtype=bool)
-    num_spokes = 0
     ts = np.arange(-radius, radius, 0.5)
-    while mask.sum() < target and num_spokes < 4 * max(height, width):
-        num_spokes += 1
+    per = max(1, _SPOKE_SAMPLES // ts.size)  # spokes drawn per pass
+    # Both clipped coordinates of a spoke are monotone in t, so it covers
+    # at most height + width - 1 pixels and S spokes at most S times that.
+    # Every S below ceil(target / (height + width - 1)) ends below the
+    # target, so starting there stops at the same S as starting from 1.
+    num_spokes = min(-(-target // (height + width - 1)), max_spokes)
+    while True:
         angles = np.pi * np.arange(num_spokes) / num_spokes
         mask[:] = False
-        for ang in angles:
-            ys = np.clip(np.round(cy + ts * np.sin(ang)).astype(int), 0, height - 1)
-            xs = np.clip(np.round(cx + ts * np.cos(ang)).astype(int), 0, width - 1)
+        for j in range(0, num_spokes, per):
+            a = angles[j : j + per, None]
+            ys = np.rint(ts * np.sin(a) + cy).astype(np.intp)
+            xs = np.rint(ts * np.cos(a) + cx).astype(np.intp)
+            np.clip(ys, 0, height - 1, out=ys)
+            np.clip(xs, 0, width - 1, out=xs)
             mask[ys, xs] = True
+        count = np.count_nonzero(mask)
+        if count >= target or num_spokes >= max_spokes:
+            break
+        num_spokes += 1
 
     flat = mask.ravel()
-    count = int(flat.sum())
     if count > target:
         on = np.flatnonzero(flat)
         center = cy * width + cx

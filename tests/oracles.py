@@ -7,7 +7,9 @@ gradient when every group is active.  Neither a solve nor an audit
 needs them, so they live with the tests that check the package against
 them.  The convolutions run the extractor's own ``_conv`` kernel at its
 narrowest pitch and copy the result out of its scratch buffer, and
-:func:`fresh_pool` runs a scratch-pool test from an empty pool.
+:func:`fresh_pool` runs a scratch-pool test from an empty pool.  The
+radial mask and the layer bounds compute what the package's vectorised
+forms compute, one spoke or one kernel tap per call.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from lpam import core
 from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
 from lpam.objectives import grad_r_eps
+from lpam.operators import _check_ratio
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -144,3 +147,62 @@ def check_c4_stable_branch(
 def l21_norm(features: np.ndarray) -> float:
     """Unsmoothed l2,1 norm, used to test the pointwise bracketing of r_eps."""
     return float(np.sum(group_norms(features)))
+
+
+def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
+    """Pseudo-radial mask drawn one spoke at a time, every spoke count from 1.
+
+    The reference that :func:`lpam.operators.radial_mask` must equal bit
+    for bit, with the same draws from ``rng``.
+    """
+    _check_ratio(ratio)
+    n = height * width
+    target = max(1, round(ratio * n))
+    cy, cx = height // 2, width // 2
+    radius = float(np.hypot(height, width))
+
+    mask = np.zeros((height, width), dtype=bool)
+    num_spokes = 0
+    ts = np.arange(-radius, radius, 0.5)
+    while mask.sum() < target and num_spokes < 4 * max(height, width):
+        num_spokes += 1
+        angles = np.pi * np.arange(num_spokes) / num_spokes
+        mask[:] = False
+        for ang in angles:
+            ys = np.clip(np.round(cy + ts * np.sin(ang)).astype(int), 0, height - 1)
+            xs = np.clip(np.round(cx + ts * np.cos(ang)).astype(int), 0, width - 1)
+            mask[ys, xs] = True
+
+    flat = mask.ravel()
+    count = int(flat.sum())
+    if count > target:
+        on = np.flatnonzero(flat)
+        center = cy * width + cx
+        on = on[on != center]  # keep the zero frequency sampled
+        drop = rng.choice(on, size=count - target, replace=False)
+        flat[drop] = False
+    elif count < target:
+        off = np.flatnonzero(~flat)
+        add = rng.choice(off, size=target - count, replace=False)
+        flat[add] = True
+    return np.fft.ifftshift(flat.reshape(height, width))
+
+
+def spoke_pixels(height: int, width: int, angle: float) -> set[tuple[int, int]]:
+    """The pixels one spoke of :func:`radial_mask` at ``angle`` covers."""
+    cy, cx = height // 2, width // 2
+    radius = float(np.hypot(height, width))
+    ts = np.arange(-radius, radius, 0.5)
+    ys = np.clip(np.round(cy + ts * np.sin(angle)).astype(int), 0, height - 1)
+    xs = np.clip(np.round(cx + ts * np.cos(angle)).astype(int), 0, width - 1)
+    return set(zip(ys.tolist(), xs.tolist()))
+
+
+def layer_bounds(weights) -> list[float]:
+    """Per layer, the sum over kernel taps of each tap's (out, in) matrix
+    spectral norm, one ``np.linalg.norm`` call per tap."""
+    bounds = []
+    for w in weights:
+        taps = w.reshape(w.shape[0], w.shape[1], -1)
+        bounds.append(sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2])))
+    return bounds

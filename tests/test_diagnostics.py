@@ -242,6 +242,9 @@ def test_audit_reads_the_lipschitz_estimate_once_per_row():
         (dict(reduced=True, eps=1e-320), 4.0, "out of floating-point range"),
         # a finite rate over a tiny squared threshold overflows to inf
         (dict(reduced=True, eps=1e-150), 1e150, "segment bound"),
+        # the reduction threshold eps_sigma * gamma * eps overflows to inf,
+        # which would make the segment bound 0
+        (dict(reduced=True, eps=1e305), 4.0, "reduction threshold"),
     ],
 )
 def test_audit_bound_out_of_float_range_is_a_numeric_error(row, L, what):

@@ -228,6 +228,9 @@ def test_edited_trace_keeps_the_exit_code_contract(base_run, edits):
         # the estimate is finite, but the line-search rate, and so the
         # segment bound, overflow to inf without raising
         (1, {"eps": "1e-153"}),
+        # the reduction threshold eps_sigma * gamma * eps overflows to inf,
+        # which would make the segment bound 0 and fail the audit
+        (1, {"eps": "1e305"}),
     ],
 )
 def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
@@ -241,7 +244,7 @@ def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
             parts[header.index(column)] = cell
         lines[1 + row] = ",".join(parts)
         (out / "trace.csv").write_text("\n".join(lines) + "\n")
-        if row == 1:
+        if edits == {"eps": "1e-153"}:
             cfg = cli.load_config(str(out / "run.json"), [], None, None)
             L = cli.build_objective(cfg, cli._load_instance(cfg, out)).lipschitz_estimate(1e-153)
             assert L**2 < math.inf and diagnostics._rates(cfg.solver, L)[1] == math.inf

@@ -10,13 +10,14 @@ from lpam.extractor import (
     FeatureExtractor,
     IdentityExtractor,
     _conv,
+    _layer_bounds,
     group_norms,
     random_extractor,
     smoothed_relu,
     smoothed_relu_deriv,
 )
 
-from tests.oracles import conv_backward, conv_forward, fresh_pool
+from tests.oracles import conv_backward, conv_forward, fresh_pool, layer_bounds
 
 
 def naive_conv(x, w):
@@ -451,6 +452,14 @@ def test_forward_shape_and_errors():
         ext.vjp(X, np.zeros((2, 24)))
     with pytest.raises(ValueError):
         ext.vjp(X, np.zeros((24, 3)))
+
+
+@pytest.mark.parametrize("kernel", [1, 3, 5])
+def test_layer_bounds_equal_the_per_tap_oracle(kernel):
+    rng = np.random.default_rng(kernel)
+    chans = [2, 1, 8, 3, 16, 16]
+    weights = [rng.normal(size=(o, i, kernel, kernel)) for i, o in zip(chans, chans[1:])]
+    assert _layer_bounds(weights) == layer_bounds(weights)
 
 
 def test_jacobian_bound_dominates_measured_norm():

@@ -1,9 +1,12 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lpam import core
 from lpam.operators import (
@@ -17,6 +20,7 @@ from lpam.operators import (
     uniform_mask,
 )
 
+from tests import oracles
 from tests.oracles import conv_forward, fresh_pool
 
 
@@ -450,6 +454,57 @@ def test_radial_mask_keeps_dc():
     rng = np.random.default_rng(9)
     m = radial_mask(32, 32, 0.2, rng)
     assert m[0, 0]  # zero frequency in FFT layout
+
+
+# square and non-square sides, three seeds each, and two cases that draw
+# each spoke count in more than one pass: 256^2 at ratio 0.3 (45 spokes
+# per pass, counts 39 to 65) and 128^2 at ratio 1.0 (90 per pass, counts
+# 65 to 228)
+RADIAL_CASES = [
+    (h, w, ratio, seed)
+    for h, w in [(2, 2), (2, 64), (64, 2), (3, 7), (16, 16), (31, 17), (32, 48), (64, 64), (100, 37)]
+    for ratio in (0.01, 0.3, 1.0)
+    for seed in (0, 1, 2)
+] + [
+    (256, 256, ratio, seed) for ratio in (0.01, 0.3) for seed in (0, 1, 2)
+] + [(128, 128, ratio, 0) for ratio in (0.01, 0.3, 1.0)]
+
+
+@pytest.mark.parametrize("height, width, ratio, seed", RADIAL_CASES)
+def test_radial_mask_equals_the_per_spoke_oracle(height, width, ratio, seed):
+    # bit for bit, and with the same draws from the generator, so the
+    # noise an instance draws after its mask is unchanged too
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = radial_mask(height, width, ratio, rng)
+    assert np.array_equal(got, oracles.radial_mask(height, width, ratio, ref_rng))
+    assert got.dtype == bool and got.shape == (height, width)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@given(
+    st.integers(2, 70),
+    st.integers(2, 70),
+    st.integers(1, 200).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s - 1))),
+)
+def test_a_spoke_covers_at_most_height_plus_width_minus_one_pixels(height, width, spokes):
+    # the premise of radial_mask's start count: S spokes cover at most
+    # S * (height + width - 1) pixels
+    num_spokes, j = spokes
+    angle = (np.pi * np.arange(num_spokes) / num_spokes)[j]
+    assert len(oracles.spoke_pixels(height, width, angle)) <= height + width - 1
+
+
+def test_radial_mask_temporary_memory_is_bounded():
+    # spokes are drawn in passes of a fixed number of samples; all spokes
+    # of a count at once would peak near 48 MB here
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        radial_mask(1024, 1024, 0.3, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_phantom_properties():
