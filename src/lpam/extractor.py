@@ -18,10 +18,12 @@ from numpy.lib.stride_tricks import as_strided
 
 from .core import TwoBlockPoint, scratch
 
-# r -> J^T(F * r): the extractor Jacobian's pullback of its features F
-# scaled by one factor per group (a scalar scales them all); with the
-# group norms, all the smoothed l2,1 term reads of an extractor
-WeightedPullback = Callable[[np.ndarray], TwoBlockPoint]
+# (r, block=None) -> J^T(F * r): the extractor Jacobian's pullback of its
+# features F scaled by one factor per group (a scalar scales them all), as
+# a two-block point, or only block 0 (x1) or 1 (x2) of it as a fresh array
+# when block is given; with the group norms, all the smoothed l2,1 term
+# reads of an extractor
+WeightedPullback = Callable[..., TwoBlockPoint | np.ndarray]
 
 
 def group_norms(features: np.ndarray) -> np.ndarray:
@@ -237,11 +239,17 @@ class FeatureExtractor:
         """The group norms at X and the weighted pullback r -> J^T(F * r).
 
         One forward pass, as :meth:`linearize`; r holds one scale per
-        group (a scalar scales them all), and each call is one pullback.
+        group (a scalar scales them all), and each call is one pullback,
+        which gives both blocks or, with ``block``, that one of them.
         """
         feats, pullback = self.linearize(X)
         n = self.num_groups
-        return group_norms(feats), lambda r: pullback(feats * _group_scales(r, n))
+
+        def weighted_pullback(r, block=None):
+            g = pullback(feats * _group_scales(r, n))
+            return g if block is None else (g.x1, g.x2)[block]
+
+        return group_norms(feats), weighted_pullback
 
     def forward(self, X: TwoBlockPoint) -> np.ndarray:
         """Grouped features, shape (group_dim, num_groups)."""
@@ -311,7 +319,8 @@ class IdentityExtractor:
 
         Bit for bit what :func:`group_norms` of the stacked features and
         the pullback of the weighted features give: for two rows its
-        einsum adds the two squares in order.
+        einsum adds the two squares in order.  With ``block`` the pullback
+        forms only that block's product.
         """
         self._check(X)
         x1, x2, n = X.x1, X.x2, self.num_groups
@@ -319,9 +328,11 @@ class IdentityExtractor:
         norms += x2 * x2
         np.sqrt(norms, out=norms)
 
-        def weighted_pullback(r) -> TwoBlockPoint:
+        def weighted_pullback(r, block=None):
             r = _group_scales(r, n)
-            return TwoBlockPoint(x1 * r, x2 * r)
+            if block is None:
+                return TwoBlockPoint(x1 * r, x2 * r)
+            return (x1, x2)[block] * r
 
         return norms, weighted_pullback
 

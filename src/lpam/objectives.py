@@ -207,10 +207,32 @@ class JointRecovery(SmoothedObjective):
         return self.dft.grad_fidelity(x2, self.kspace.f2)
 
     def grad1_h(self, x1, x2, eps):
-        return self.point(x1, x2).grad_h(eps)[0]
+        return self._partial_h(x1, x2, eps, 0)
 
     def grad2_h(self, x1, x2, eps):
-        return self.point(x1, x2).grad_h(eps)[1]
+        return self._partial_h(x1, x2, eps, 1)
+
+    def _partial_h(self, x1, x2, eps, block):
+        """One block of :meth:`RecoveryPoint.grad_h` at (x1, x2), bit for bit,
+        with no point built and only that block pulled back.
+
+        Every group inside the eps-ball gives lam/eps times the pullback of
+        1, as on a point; otherwise the weights are 1/max(norms, eps), which
+        for every eps below the smallest norm are a point's outside weights.
+        """
+        if eps <= 0:
+            raise ValueError("eps must be positive")
+        norms, pullback = self.extractor.linearize_groups(TwoBlockPoint(x1, x2))
+        if norms.max() <= eps:
+            g = pullback(1.0, block)
+            g *= self.lam / eps
+            return g
+        # the norms are this call's own, so they hold the weights
+        np.maximum(norms, eps, out=norms)
+        np.divide(1.0, norms, out=norms)
+        g = pullback(norms, block)
+        g *= self.lam
+        return g
 
     def point(self, x1, x2) -> RecoveryPoint:
         return RecoveryPoint(x1, x2, self)

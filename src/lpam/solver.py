@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -59,6 +61,21 @@ class LpamConfig:
     ls_max: int = 60
 
     def __post_init__(self) -> None:
+        for name in _SCHEDULES:
+            sched = getattr(self, name)
+            if type(sched) is not tuple:
+                try:
+                    sched = tuple(sched)
+                except TypeError:
+                    raise ValueError(f"{name} must be a sequence of numbers") from None
+                object.__setattr__(self, name, sched)
+            if len(sched) < 1:
+                raise ValueError(f"{name} schedule must have length >= 1")
+        # one test over every number; only a refused config is searched for
+        # the value to name
+        scheds = self.step_alpha + self.step_tau + self.step_beta + self.step_gamma
+        if not _finite_numbers(_float_fields(self) + scheds):
+            raise ValueError(_bad_number(self))
         if not (0 < self.eps0 < math.inf):
             raise ValueError("eps0 must be positive and finite")
         if not (0 < self.gamma < 1):
@@ -75,11 +92,6 @@ class LpamConfig:
             raise ValueError("rho must lie in (0, 1)")
         if not (0 < self.alpha_bar < 1 and 0 < self.beta_bar < 1):
             raise ValueError("alpha_bar and beta_bar must lie in (0, 1)")
-        for name in ("step_alpha", "step_tau", "step_beta", "step_gamma"):
-            sched = tuple(getattr(self, name))
-            object.__setattr__(self, name, sched)
-            if len(sched) < 1:
-                raise ValueError(f"{name} schedule must have length >= 1")
         if self.mode not in ("lpam", "bcd"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name, lo in (("max_iter", 0), ("ls_max", 1)):
@@ -90,6 +102,40 @@ class LpamConfig:
     def reduction_threshold(self, eps: float) -> float:
         """The gradient norm below which an iteration at ``eps`` reduces it."""
         return self.eps_sigma * self.gamma * eps
+
+
+_FLOAT_FIELDS = tuple(f.name for f in fields(LpamConfig) if f.type == "float")
+_float_fields = operator.attrgetter(*_FLOAT_FIELDS)
+_SCHEDULES = ("step_alpha", "step_tau", "step_beta", "step_gamma")
+_PLAIN_NUMBERS = frozenset((float, int))
+
+
+def _finite_numbers(values: tuple) -> bool:
+    """Each value is a real number, not a bool, whose float is finite: what
+    the CLI reads from a config file as a number."""
+    # the test per value is needed only past plain floats and ints, and
+    # would cost a default config more than all its other checks
+    if not _PLAIN_NUMBERS.issuperset(map(type, values)) and not all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
+    ):
+        return False
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _bad_number(config: LpamConfig) -> str:
+    """The message naming the first value of ``config`` that
+    :func:`_finite_numbers` refuses; there must be one."""
+    named = [(f"{name} must be a finite number", getattr(config, name)) for name in _FLOAT_FIELDS]
+    named += [
+        (f"{name} entries must be finite numbers", value)
+        for name in _SCHEDULES
+        for value in getattr(config, name)
+    ]
+    what, value = next(pair for pair in named if not _finite_numbers(pair[1:]))
+    return f"{what}, got {value!r}"
 
 
 def _sched(schedule: Sequence[float], k: int) -> float:
@@ -126,6 +172,13 @@ class SolverState:
         return len(self.trace)
 
 
+def _step(x: np.ndarray, g: np.ndarray, size: float) -> np.ndarray:
+    """x - size * g in one fresh array: the product's, so g, which an
+    objective may share between calls, is never written."""
+    t = np.multiply(g, size)
+    return np.subtract(x, t, out=t)
+
+
 def u_step(
     obj: SmoothedObjective,
     X: TwoBlockPoint,
@@ -142,10 +195,10 @@ def u_step(
     P = obj.evaluate(X)
     al, tau, be, ga = steps
     x1, x2 = X.x1, X.x2
-    z1 = x1 - al * P.grad_h1(eps)
-    u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
-    z2 = x2 - be * P.grad_h2(eps)
-    u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
+    z1 = _step(x1, P.grad_h1(eps), al)
+    u1 = _step(z1, obj.grad1_h(z1, x2, eps), tau)
+    z2 = _step(x2, P.grad_h2(eps), be)
+    u2 = _step(z2, obj.grad2_h(u1, z2, eps), ga)
     return obj.point(u1, u2)
 
 
@@ -212,8 +265,8 @@ def v_step_with_linesearch(
     gh2 = obj.evaluate(X).grad_h2(eps)
     al, be = config.alpha_bar, config.beta_bar
     for l in range(config.ls_max + 1):
-        v1 = x1 - al * grad_x.x1
-        v2 = x2 - be * (gh2 + obj.grad2_h(v1, x2, eps))
+        v1 = _step(x1, grad_x.x1, al)
+        v2 = _step(x2, gh2 + obj.grad2_h(v1, x2, eps), be)
         V = obj.point(v1, v2)
         phi_v, d1, d2 = _trial(obj, X, V, eps)
         if phi_v - phi_x <= -config.ls_delta * (d1 * d1 + d2 * d2):

@@ -13,9 +13,9 @@ from lpam.core import (
     phi_eps,
     scratch,
 )
-from lpam.objectives import JointRecovery, QuadraticToy
+from lpam.objectives import JointRecovery, QuadraticToy, RecoveryPoint
 from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
-from lpam.solver import LpamConfig, lpam_run
+from lpam.solver import LpamConfig, lpam_run, u_step, v_step_with_linesearch
 
 from tests.oracles import finite_difference_grad
 
@@ -215,13 +215,43 @@ def test_grad_rejects_nonfinite():
         grad_phi_eps(Bad(), TwoBlockPoint(np.zeros(2), np.zeros(2)), 0.1)
 
 
-def test_joint_recovery_grad_h_matches_partials():
-    obj = _cnn_objective()
+@pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
+@pytest.mark.parametrize("regime", ["inside", "outside", "mixed", "tie"])
+def test_joint_recovery_grad_h_matches_partials(make, regime):
+    # the per-call partials take no point, yet give a point's grad_h bit for
+    # bit in each of its regimes: every group inside the eps-ball, every
+    # group outside, some of each, and the largest norm equal to eps, which
+    # the tie rule puts inside
+    obj = make()
     rng = np.random.default_rng(1)
     x1, x2 = rng.normal(size=64), rng.normal(size=64)
-    g1, g2 = obj.point(x1, x2).grad_h(0.05)
-    assert np.array_equal(g1, obj.grad1_h(x1, x2, 0.05))
-    assert np.array_equal(g2, obj.grad2_h(x1, x2, 0.05))
+    norms = obj.extractor.linearize_groups(TwoBlockPoint(x1, x2))[0]
+    lo, hi = norms.min(), norms.max()
+    eps = float({"inside": 2 * hi, "outside": lo / 2, "mixed": np.median(norms), "tie": hi}[regime])
+    assert (hi <= eps) == (regime in ("inside", "tie")) and (lo > eps) == (regime == "outside")
+    g1, g2 = obj.point(x1, x2).grad_h(eps)
+    assert np.array_equal(g1, obj.grad1_h(x1, x2, eps))
+    assert np.array_equal(g2, obj.grad2_h(x1, x2, eps))
+
+
+@pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
+def test_residual_step_and_line_search_trials_build_one_point_each(monkeypatch, make):
+    # the joint partials at (z1, x2) and (u1, z2), and at each trial's
+    # (v1, x2), are taken without a point, so the candidate and each trial
+    # are the only points made
+    obj = make()
+    eps = 0.01
+    X = obj.evaluate(obj.zero_filled())
+    phi_x, gx = phi_eps(obj, X, eps), grad_phi_eps(obj, X, eps)
+    points = _count_calls(monkeypatch, RecoveryPoint, "__init__")
+    u_step(obj, X, eps, (0.5, 2.0, 0.5, 2.0))
+    assert len(points) == 1
+    points.clear()
+    # a decrease constant near 1 makes the first trials fail
+    config = LpamConfig(ls_delta=0.99)
+    _, ls_count, _ = v_step_with_linesearch(obj, X, eps, phi_x, gx, config)
+    assert ls_count >= 1
+    assert len(points) == ls_count + 1
 
 
 @pytest.mark.parametrize("num_layers", [2, 4])

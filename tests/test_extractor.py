@@ -315,6 +315,21 @@ def test_linearize_groups_equal_the_feature_route(ext):
 
 
 @pytest.mark.parametrize("ext", _group_route_extractors(), ids=["identity", "cnn-1x1", "cnn-3"])
+def test_one_block_pullback_is_that_block_of_the_two_block_one(ext):
+    # bit for bit, for a scalar and for one scale per group; each block is
+    # a fresh array, so a caller may scale it in place
+    rng = np.random.default_rng(33)
+    X = TwoBlockPoint(rng.normal(size=35), rng.normal(size=35))
+    norms, weighted_pullback = ext.linearize_groups(X)
+    for r in (0.7, 1.0 / np.maximum(norms, float(np.median(norms)))):
+        full = weighted_pullback(r)
+        for block, ref in enumerate((full.x1, full.x2)):
+            g = weighted_pullback(r, block)
+            assert _bits_equal(g, ref)
+            assert not any(np.shares_memory(g, x) for x in (X.x1, X.x2, norms))
+
+
+@pytest.mark.parametrize("ext", _group_route_extractors(), ids=["identity", "cnn-1x1", "cnn-3"])
 def test_linearize_groups_reject_wrong_lengths(ext):
     rng = np.random.default_rng(32)
     with pytest.raises(ValueError, match="expected two blocks of length 35"):

@@ -267,6 +267,21 @@ def test_invalid_config_rejected():
         {"eps_sigma": 0.0},
         {"eps_tol": -1.0},
         {"ls_max": 0},
+        # a schedule entry or a float field that is not a finite number is
+        # refused when the config is made, not when a run reads it
+        {"step_tau": ("a",)},
+        {"step_tau": "abc"},
+        {"step_tau": 0.5},
+        {"step_alpha": (math.nan,)},
+        {"step_beta": (0.5, math.inf)},
+        {"step_gamma": (-math.inf,)},
+        {"step_tau": (True,)},
+        {"step_tau": (None,)},
+        {"step_tau": (1j,)},
+        {"step_tau": (10**400,)},
+        {"eps0": "a"},
+        {"eps0": 10**400},
+        {"gamma": True},
     ):
         with pytest.raises(ValueError):
             LpamConfig(**bad)
