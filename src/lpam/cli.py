@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .core import NumericError, TwoBlockPoint
+from .core import ConfigError, NumericError, TwoBlockPoint, store_floats
 from .diagnostics import audit_report, metrics
 from .extractor import FeatureExtractor, IdentityExtractor
 from .objectives import JointRecovery, QuadraticToy
@@ -34,10 +34,6 @@ from .solver import (
 )
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclasses.dataclass(frozen=True)
 class ObjectiveSpec:
     """The objective section of a run configuration, checked when it is made."""
@@ -48,27 +44,26 @@ class ObjectiveSpec:
     lam: float = 0.0093
 
     def __post_init__(self) -> None:
+        store_floats(self, ("act_delta", "lam"), "objective.")
         if self.kind not in ("quadratic", "identity", "extractor"):
             raise ConfigError(f"unknown objective kind {self.kind!r}")
         if not (0 <= self.lam < math.inf):
             raise ConfigError("objective.lam must be nonnegative and finite")
         if not (0 < self.act_delta < math.inf):
             raise ConfigError("objective.act_delta must be positive and finite")
+        if not isinstance(self.weights_file, (str, type(None))):
+            raise ConfigError(
+                f"objective.weights_file must be a string or None, got {self.weights_file!r}"
+            )
         if self.kind == "extractor" and not self.weights_file:
             raise ConfigError("objective.weights_file required for kind 'extractor'")
 
 
-# section -> key -> JSON kind: the field annotations of the section's spec
+# section -> the keys it may hold: the fields of the section's spec
 _SCHEMA = {
-    "instance": {f.name: f.type for f in dataclasses.fields(InstanceSpec)} | {"seed": "int"},
-    "objective": {f.name: f.type for f in dataclasses.fields(ObjectiveSpec)},
-    "solver": {f.name: f.type for f in dataclasses.fields(LpamConfig)},
-}
-
-_KINDS = {  # JSON kind other than a number or list: (accepted types, description)
-    "int": ((int,), "an integer"),
-    "str": ((str,), "a string"),
-    "str | None": ((str, type(None)), "a string or null"),
+    "instance": tuple(f.name for f in dataclasses.fields(InstanceSpec)) + ("seed",),
+    "objective": tuple(f.name for f in dataclasses.fields(ObjectiveSpec)),
+    "solver": tuple(f.name for f in dataclasses.fields(LpamConfig)),
 }
 
 # the instance's arrays, one ``<name>.arr`` file each, and the dtype each
@@ -90,9 +85,11 @@ class RunConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "RunConfig":
-        _reject_unknown(raw, _SCHEMA.keys(), "top level")
+        _reject_unknown(raw, _SCHEMA, "top level")
         inst = _section(raw, "instance")
         seed = inst.pop("seed", 0)
+        if type(seed) is not int:
+            raise ConfigError(f"instance.seed must be an integer, got {seed!r}")
         return RunConfig(
             instance=InstanceSpec(**{"height": 32, "width": 32, **inst}),
             seed=seed,
@@ -102,48 +99,19 @@ class RunConfig:
 
 
 def _section(raw: dict, name: str) -> dict:
-    """The values given in config section ``name``, each checked against
-    its JSON kind in :data:`_SCHEMA`; absent keys take their defaults later.
-
-    JSON values have exact builtin types, so a boolean is never an "int".
-    A "float" is any finite JSON number and comes back as a float; a
-    "Sequence[float]" is a list of them and comes back as a tuple.
-    """
+    """A copy of config section ``name``; its spec checks the values, and
+    absent keys take their defaults there."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
         raise ConfigError(f"config section {name!r} must be a JSON object")
-    kinds = _SCHEMA[name]
-    _reject_unknown(section, kinds.keys(), name)
-    values = {}
-    for key, value in section.items():
-        kind = kinds[key]
-        if kind == "float":
-            value = _number(value, name, key)
-        elif kind == "Sequence[float]":
-            if type(value) is not list:
-                raise ConfigError(f"{name}.{key} must be a list of numbers, got {value!r}")
-            value = tuple([_number(v, name, key) for v in value])
-        elif type(value) not in _KINDS[kind][0]:
-            raise ConfigError(f"{name}.{key} must be {_KINDS[kind][1]}, got {value!r}")
-        values[key] = value
-    return values
-
-
-def _number(value, where: str, key: str) -> float:
-    """``value`` as a float if it is a finite JSON number, else a ConfigError."""
-    if type(value) in (int, float):
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-    raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
+    _reject_unknown(section, _SCHEMA[name], name)
+    return dict(section)
 
 
 def _reject_unknown(d: dict, allowed, where: str) -> None:
-    if not d.keys() <= allowed:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(d.keys() - allowed)}")
+    unknown = d.keys() - allowed
+    if unknown:
+        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
 def load_config(path: str, overrides: list[str], mode: str | None, seed: int | None) -> RunConfig:

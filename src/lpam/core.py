@@ -8,6 +8,7 @@ live in :mod:`lpam.objectives`.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -17,6 +18,36 @@ import numpy as np
 
 class NumericError(RuntimeError):
     """A solver-fatal non-finite value was produced, named by its source."""
+
+
+class ConfigError(ValueError):
+    """A configuration value that its spec refuses."""
+
+
+def store_floats(spec, names: tuple[str, ...], where: str = "") -> None:
+    """Store the fields ``names`` of the frozen dataclass ``spec`` as floats.
+
+    Each must hold a real number other than a bool, else a
+    :class:`ConfigError` names the first that does not, after the prefix
+    ``where``.  Finiteness is left to the spec's range checks, which name
+    their bounds: an int beyond the float range is stored as inf for them
+    to refuse.
+    """
+    for name in names:
+        value = getattr(spec, name)
+        if type(value) is not float:
+            object.__setattr__(spec, name, real_float(value, where + name))
+
+
+def real_float(value, name: str) -> float:
+    """``value`` as a float, an int beyond the float range as inf; a
+    :class:`ConfigError` naming ``name`` if it is not a real number or is a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            return math.inf
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 class _ScratchPool(threading.local):

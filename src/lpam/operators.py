@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import scratch
+from .core import scratch, store_floats
 
 
 def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +360,8 @@ MAX_SIDE = 4096
 class InstanceSpec:
     """A synthetic joint-recovery instance, checked when made (``ValueError`` if invalid).
 
-    Image sides run from 2 to :data:`MAX_SIDE`.
+    Image sides are ints from 2 to :data:`MAX_SIDE`; ``ratio`` and
+    ``noise_std`` are kept as floats.
     """
 
     height: int
@@ -370,6 +371,7 @@ class InstanceSpec:
     noise_std: float = 0.0
 
     def __post_init__(self) -> None:
+        store_floats(self, ("ratio", "noise_std"))
         _check_ratio(self.ratio)
         for name in ("height", "width"):
             n = getattr(self, name)

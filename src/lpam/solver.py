@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, fields
 from typing import Sequence
@@ -19,6 +18,8 @@ from .core import (
     TwoBlockPoint,
     grad_phi_eps,
     phi_eps,
+    real_float,
+    store_floats,
 )
 from .fileio import FormatError
 
@@ -39,8 +40,9 @@ class LineSearchError(RuntimeError):
 class LpamConfig:
     """All solver hyperparameters, checked when made: a bad value raises ``ValueError``.
 
-    Step-size schedules are kept as tuples and applied per phase by
-    clamped index (iteration k beyond the end uses the last entry).
+    Float fields are kept as floats and step-size schedules as tuples of
+    floats, applied per phase by clamped index (iteration k beyond the end
+    uses the last entry).
     """
 
     eps0: float = 0.01
@@ -71,11 +73,20 @@ class LpamConfig:
                 object.__setattr__(self, name, sched)
             if len(sched) < 1:
                 raise ValueError(f"{name} schedule must have length >= 1")
-        # one test over every number; only a refused config is searched for
-        # the value to name
-        scheds = self.step_alpha + self.step_tau + self.step_beta + self.step_gamma
-        if not _finite_numbers(_float_fields(self) + scheds):
-            raise ValueError(_bad_number(self))
+        # one type test over every number; only a config that fails it is
+        # converted value by value, which names a value that is no number
+        entries = sum(_schedules(self), ())
+        if not _FLOAT.issuperset(map(type, _float_fields(self) + entries)):
+            store_floats(self, _FLOAT_FIELDS)
+            for name in _SCHEDULES:
+                sched = tuple([real_float(v, f"{name} entry") for v in getattr(self, name)])
+                object.__setattr__(self, name, sched)
+            entries = sum(_schedules(self), ())
+        if not all(map(math.isfinite, entries)):
+            name, bad = next(
+                (name, v) for name in _SCHEDULES for v in getattr(self, name) if not math.isfinite(v)
+            )
+            raise ValueError(f"{name} entries must be finite numbers, got {bad!r}")
         if not (0 < self.eps0 < math.inf):
             raise ValueError("eps0 must be positive and finite")
         if not (0 < self.gamma < 1):
@@ -107,35 +118,8 @@ class LpamConfig:
 _FLOAT_FIELDS = tuple(f.name for f in fields(LpamConfig) if f.type == "float")
 _float_fields = operator.attrgetter(*_FLOAT_FIELDS)
 _SCHEDULES = ("step_alpha", "step_tau", "step_beta", "step_gamma")
-_PLAIN_NUMBERS = frozenset((float, int))
-
-
-def _finite_numbers(values: tuple) -> bool:
-    """Each value is a real number, not a bool, whose float is finite: what
-    the CLI reads from a config file as a number."""
-    # the test per value is needed only past plain floats and ints, and
-    # would cost a default config more than all its other checks
-    if not _PLAIN_NUMBERS.issuperset(map(type, values)) and not all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values
-    ):
-        return False
-    try:
-        return all(map(math.isfinite, values))
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _bad_number(config: LpamConfig) -> str:
-    """The message naming the first value of ``config`` that
-    :func:`_finite_numbers` refuses; there must be one."""
-    named = [(f"{name} must be a finite number", getattr(config, name)) for name in _FLOAT_FIELDS]
-    named += [
-        (f"{name} entries must be finite numbers", value)
-        for name in _SCHEDULES
-        for value in getattr(config, name)
-    ]
-    what, value = next(pair for pair in named if not _finite_numbers(pair[1:]))
-    return f"{what}, got {value!r}"
+_schedules = operator.attrgetter(*_SCHEDULES)
+_FLOAT = frozenset((float,))
 
 
 def _sched(schedule: Sequence[float], k: int) -> float:
@@ -286,7 +270,9 @@ def lpam_run(
     on the smoothing parameter and the termination test.  Every point is
     evaluated once (see :meth:`SmoothedObjective.evaluate`); the values at
     the accepted point carry over unless the smoothing parameter shrinks.
-    ``state.X`` is a plain point, so what the run cached does not outlive it.
+    A smoothing parameter that underflows to 0 ends the run as
+    :data:`EXIT_NUMERIC`.  ``state.X`` is a plain point, so what the run
+    cached does not outlive it.
     """
     if not X0.is_finite():
         raise ValueError("initial point must be finite")
@@ -349,6 +335,9 @@ def lpam_run(
             # termination uses the smoothing parameter of this iteration
             if config.eps_sigma * eps < config.eps_tol:
                 exit_reason = EXIT_TOLERANCE
+                break
+            if state.eps == 0.0:  # gamma * eps underflowed: phi_eps needs eps > 0
+                exit_reason = EXIT_NUMERIC
                 break
     state.X = TwoBlockPoint(X.x1, X.x2)
     return state, exit_reason

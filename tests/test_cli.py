@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 from lpam import cli, fileio
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
-from lpam.operators import MAX_SIDE
+from lpam.operators import MAX_SIDE, InstanceSpec
+from lpam.solver import LpamConfig
 
 
 def write_config(path, **extra):
@@ -204,6 +206,38 @@ def test_readme_config_loads(tmp_path):
     assert cfg.solver.step_tau[-1] == 0.1
 
 
+def test_file_config_equals_the_same_specs_made_in_code(tmp_path):
+    # the specs keep integers in float fields as floats, so a config read
+    # from a file equals the one made in code, whether that gives ints or floats
+    raw = {
+        "instance": {"height": 8, "width": 8, "ratio": 1, "noise_std": 0, "seed": 3},
+        "objective": {"kind": "identity", "lam": 1, "act_delta": 1},
+        "solver": {"eps0": 1, "step_tau": [2, 1]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    cfg = cli.load_config(str(path), [], None, None)
+    for number in (1.0, 1):
+        made = (
+            InstanceSpec(8, 8, ratio=number, noise_std=0 * number),
+            cli.ObjectiveSpec(lam=number, act_delta=number),
+            LpamConfig(eps0=number, step_tau=[2 * number, number]),
+        )
+        assert (cfg.instance, cfg.objective, cfg.solver) == made
+        for spec in (cfg.instance, cfg.objective, cfg.solver) + made:
+            for f in dataclasses.fields(spec):
+                value = getattr(spec, f.name)
+                if f.type == "float":
+                    assert type(value) is float, f.name
+                elif f.type == "Sequence[float]":
+                    assert type(value) is tuple and {type(v) for v in value} == {float}, f.name
+    # the dict a config is read from is left as it was
+    assert cli.RunConfig.from_dict(raw) == cfg and raw["instance"]["seed"] == 3
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert type(manifest["requested_ratio"]) is float and manifest["requested_ratio"] == 1.0
+
+
 def test_negative_lam_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", objective={"kind": "identity", "lam": -1.0})
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
@@ -227,11 +261,20 @@ def test_negative_lam_rejected(tmp_path, capsys):
         ("lam", np.nan, "objective.lam must be nonnegative and finite"),
         ("act_delta", np.inf, "objective.act_delta must be positive and finite"),
         ("act_delta", np.nan, "objective.act_delta must be positive and finite"),
+        # a value of the wrong type is refused by the spec, for code as for a file
+        ("lam", "a", "objective.lam must be a number"),
+        ("lam", True, "objective.lam must be a number"),
+        ("act_delta", True, "objective.act_delta must be a number"),
+        pytest.param(
+            "lam", 10**400, "objective.lam must be nonnegative and finite", id="lam-10**400"
+        ),
+        ("weights_file", 5, "objective.weights_file must be a string or None"),
     ],
 )
 def test_objective_spec_rejects_non_finite_values(field, value, message):
-    with pytest.raises(cli.ConfigError, match=message):
-        cli.ObjectiveSpec(**{field: value})
+    for kind in ("identity", "extractor"):
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.ObjectiveSpec(kind=kind, **{field: value})
 
 
 def test_missing_config_exit3(tmp_path, capsys):

@@ -256,3 +256,26 @@ def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
         assert err.getvalue().startswith("error: audit ")
         assert f"k = {row}, eps = {float(edits['eps'])}" in err.getvalue()
         assert not (out / "report.json").exists()
+
+
+def test_eps_underflow_exits_2_with_its_trace(tmp_path):
+    # eps shrinks a thousandfold per iteration until it underflows to 0: a
+    # numeric failure of the run, reported with the rows made before it
+    raw = {
+        "instance": {"height": 4, "width": 4},
+        "objective": {"kind": "quadratic"},
+        "solver": {"eps0": 1, "gamma": 0.001, "eps_sigma": 1e300, "max_iter": 400},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    err = io.StringIO()
+    argv = ["solve", "--out", str(out), "--config", str(tmp_path / "run.json")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 2
+    result = json.loads((out / "metrics.json").read_text())
+    assert result["exit_reason"] == "numeric_error" and 0 < result["iterations"] < 400
+    assert err.getvalue() == (
+        f"error: solver ended in numeric_error after {result['iterations']} iterations\n"
+    )
+    trace = cli.read_trace_csv(out / "trace.csv")
+    assert len(trace) == result["iterations"]

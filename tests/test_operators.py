@@ -561,6 +561,15 @@ def test_spec_validation():
     for noise_std in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
             InstanceSpec(height=8, width=8, noise_std=noise_std)
+    # the ratio and the noise level are real numbers and not bools, as a
+    # config file gives them; an int past the float range is refused too
+    for field, value in (("ratio", "a"), ("ratio", True), ("noise_std", True), ("ratio", None)):
+        with pytest.raises(ValueError, match=f"{field} must be a number"):
+            InstanceSpec(height=8, width=8, **{field: value})
+    with pytest.raises(ValueError, match="sampling ratio"):
+        InstanceSpec(height=8, width=8, ratio=10**400)
+    with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+        InstanceSpec(height=8, width=8, noise_std=10**400)
     # a side is an int, as LpamConfig.max_iter is: a float or a bool would
     # fail only later, inside generate_instance
     for h, w in ((16.0, 16), (16, 16.0), (True, 16), (16, np.int64(16)), (16, "16")):

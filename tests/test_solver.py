@@ -159,6 +159,19 @@ def test_numeric_error_exit():
     assert reason == EXIT_NUMERIC
 
 
+def test_eps_underflow_is_a_numeric_error():
+    # every iteration reduces eps a thousandfold until gamma * eps underflows
+    # to 0, where no smoothed objective is defined: the run ends there and
+    # keeps its rows, each at a positive eps
+    cfg = LpamConfig(eps0=1.0, gamma=0.001, eps_sigma=1e300, max_iter=400)
+    state, reason = lpam_run(QuadraticToy(), TwoBlockPoint(np.ones(16), np.ones(16)), cfg)
+    assert reason == EXIT_NUMERIC
+    assert 0 < state.k < cfg.max_iter
+    assert [r.k for r in state.trace] == list(range(state.k))
+    assert all(r.eps > 0 for r in state.trace)
+    assert state.trace[-1].reduced and cfg.gamma * state.trace[-1].eps == 0.0
+
+
 class NanGradNearOriginObjective(QuadraticToy):
     """Finite gradient at the start, NaN wherever x1 has moved toward 0."""
 
