@@ -189,10 +189,15 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
     return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2))
 
 
+def _json(obj: dict, **kwargs) -> str:
+    """``obj`` as standard JSON: a non-finite float raises ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
+
+
 def _dump_json(path: Path, obj: dict) -> None:
+    text = _json(obj, indent=2)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def cmd_generate(cfg: RunConfig, out: Path) -> int:
@@ -211,7 +216,7 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
         "noise_std": cfg.instance.noise_std,
     }
     _dump_json(out / "manifest.json", manifest)
-    print(json.dumps(manifest, sort_keys=True))
+    print(_json(manifest))
     return 0
 
 
@@ -240,7 +245,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
             "channel2": metrics(X0.x2.reshape(h, w), instance.truth2).as_dict(),
         }
     _dump_json(out / "metrics.json", result)
-    print(json.dumps({"exit_reason": reason, "iterations": state.k}, sort_keys=True))
+    print(_json({"exit_reason": reason, "iterations": state.k}))
     if reason in (EXIT_NUMERIC, EXIT_LINE_SEARCH):
         print(f"error: solver ended in {reason} after {state.k} iterations", file=sys.stderr)
         return 2
@@ -254,7 +259,7 @@ def cmd_audit(cfg: RunConfig, out: Path, trace_path: Path | None) -> int:
     report = audit_report(trace, cfg.solver, obj.lipschitz_estimate)
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "report.json", report)
-    print(json.dumps({"passed": report["passed"]}, sort_keys=True))
+    print(_json({"passed": report["passed"]}))
     return 0 if report["passed"] else 1
 
 
@@ -262,7 +267,7 @@ def cmd_metrics(x_path: str, y_path: str, squared_peak: bool) -> int:
     x = fileio.read_array(x_path)
     y = fileio.read_array(y_path)
     rep = metrics(np.real(x), np.real(y), squared_peak=squared_peak)
-    print(json.dumps(rep.as_dict(), sort_keys=True))
+    print(_json(rep.as_dict()))
     return 0
 
 

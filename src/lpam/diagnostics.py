@@ -45,7 +45,10 @@ class MetricsReport:
     rmse: float
 
     def as_dict(self) -> dict:
-        return {"psnr": self.psnr, "ssim": self.ssim, "nmse": self.nmse, "rmse": self.rmse}
+        """The metrics as standard JSON values: an infinite PSNR (an exact
+        reconstruction) is None."""
+        psnr = self.psnr if self.psnr < math.inf else None
+        return {"psnr": psnr, "ssim": self.ssim, "nmse": self.nmse, "rmse": self.rmse}
 
 
 _SSIM_K1, _SSIM_K2 = 0.01, 0.03
@@ -141,37 +144,44 @@ def audit_report(
     objectives are nonnegative, so 0 stands in for the optimal value.
 
     A Lipschitz estimate, rate, reduction threshold or bound that is not
-    finite, or whose forming raises ``ArithmeticError``, raises
-    :class:`NumericError` naming the row's ``k`` and eps.
+    finite, or a quantity whose forming raises ``ArithmeticError``, raises
+    :class:`NumericError` naming the quantity and the row's ``k`` and eps.
     """
     failures, segs, violations = [], [], []
     # the last reduced row's k; the open segment's first row and its rate sum
     prev, first, rate_sum = -1, None, None
     for r in trace:
+        # the quantity being formed, which an ArithmeticError names
+        what = "Lipschitz estimate"
         try:
-            L = _finite(r, "Lipschitz estimate", L_eps_fn(r.eps))
-            safeguard, line_search = [_finite(r, "decrease rate", v) for v in _rates(config, L)]
+            L = _finite(r, what, L_eps_fn(r.eps))
+            what = "decrease rate"
+            safeguard, line_search = [_finite(r, what, v) for v in _rates(config, L)]
             if first is None:
                 first, rate_sum = r, safeguard + line_search
             if r.decrease < -_SLACK:
                 failures.append({"k": r.k, "reason": f"objective increased by {-r.decrease}"})
             else:
-                b2 = max(safeguard, line_search)
-                if r.grad_norm_pre**2 > b2 * r.decrease + _SLACK:
+                what = "squared pre-step gradient norm"
+                g2, b2 = r.grad_norm_pre**2, max(safeguard, line_search)
+                if g2 > b2 * r.decrease + _SLACK:
                     failures.append(
                         {
                             "k": r.k,
-                            "reason": f"grad_norm_pre^2 = {r.grad_norm_pre ** 2} exceeds "
+                            "reason": f"grad_norm_pre^2 = {g2} exceeds "
                             f"b2 * decrease = {b2 * r.decrease}",
                         }
                     )
             if r.branch == "v":
+                what = "lmax bound"
                 cap = lmax_bound(config, L)
                 if r.ls_count > cap:
                     violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
             if r.reduced:
-                eta = _finite(r, "reduction threshold", config.reduction_threshold(first.eps))
-                bound = _finite(r, "segment bound", rate_sum * (first.phi_pre + 1.0) / eta**2)
+                what = "reduction threshold"
+                eta = _finite(r, what, config.reduction_threshold(first.eps))
+                what = "segment bound"
+                bound = _finite(r, what, rate_sum * (first.phi_pre + 1.0) / eta**2)
                 observed = r.k - prev
                 segs.append(
                     {
@@ -187,7 +197,7 @@ def audit_report(
                 prev, first = r.k, None
         except ArithmeticError as exc:  # a square overflows, or a divisor underflows to 0
             raise NumericError(
-                f"audit at k = {r.k}, eps = {r.eps} out of floating-point range: {exc}"
+                f"audit {what} at k = {r.k}, eps = {r.eps} out of floating-point range: {exc}"
             ) from None
     return {
         "passed": not failures and all(s["ok"] for s in segs) and not violations,

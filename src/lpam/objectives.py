@@ -88,15 +88,16 @@ class RecoveryPoint(EvaluatedPoint):
 
     Both k-space residuals (on the sampled frequencies, from one paired
     transform), both fidelity values and gradients (from one paired
-    inverse transform), and the extractor's group norms and weighted
-    pullback are computed on first use and kept, so a new eps costs one
-    r_eps weighting and, for the gradient, at most one pullback.  When
-    every group lies inside the eps-ball (largest norm <= eps, the tie
-    rule of :func:`r_eps`) the gradient is the kept weighted pullback of 1
-    times lam/eps, within a few ulps of the direct pullback; when every
-    group lies outside (smallest norm > eps) the weights of
-    :func:`grad_r_eps` do not depend on eps and the gradient is kept
-    whole.  Other points pull back at each eps.
+    inverse transform), and the extractor's group norms, their range and
+    weighted pullback are computed on first use and kept, so a new eps
+    costs one r_eps weighting and, for the gradient, at most one pullback.
+    When every group lies inside the eps-ball (largest norm <= eps, the tie
+    rule of :func:`r_eps`) the gradient is lam/eps times the pullback of 1,
+    within a few ulps of the direct pullback; otherwise it is lam times
+    :func:`grad_r_eps` at key = max(eps, smallest norm), whose weights are
+    those at eps bit for bit.  The pullback thus depends on eps only
+    through its key (inf inside); it is kept unscaled under a key other
+    than eps, so a point the eps-ball splits keeps none.
     """
 
     @cached_property
@@ -114,31 +115,11 @@ class RecoveryPoint(EvaluatedPoint):
 
     @cached_property
     def _groups(self):
-        # the group norms and the weighted pullback, taken at a plain point:
-        # a pullback that referenced self would make a cycle that only the
-        # cyclic garbage collector frees
-        return self.obj.extractor.linearize_groups(TwoBlockPoint(self.x1, self.x2))
-
-    @cached_property
-    def _norm_range(self) -> tuple[float, float]:
-        norms = self._groups[0]
-        return float(norms.min()), float(norms.max())
-
-    @cached_property
-    def _unit_pullback(self) -> TwoBlockPoint:
-        # every group inside the eps-ball is weighted by 1/eps, and the
-        # pullback is linear in the weights
-        return self._groups[1](1.0)
-
-    @cached_property
-    def _outside_grad(self) -> tuple[np.ndarray, np.ndarray]:
-        # every group outside the eps-ball is weighted by g/||g||: any eps
-        # up to the smallest norm gives these bits
-        return self._direct_grad_h(self._norm_range[0])
-
-    def _direct_grad_h(self, eps):
-        g = grad_r_eps(*self._groups, eps)
-        return self.obj.lam * g.x1, self.obj.lam * g.x2
+        # the group norms, their smallest and largest, and the weighted
+        # pullback, taken at a plain point: a pullback that referenced self
+        # would make a cycle that only the cyclic garbage collector frees
+        norms, pullback = self.obj.extractor.linearize_groups(TwoBlockPoint(self.x1, self.x2))
+        return norms, float(norms.min()), float(norms.max()), pullback
 
     def h1(self, eps):
         return self._fidelities[0]
@@ -156,15 +137,21 @@ class RecoveryPoint(EvaluatedPoint):
         return self._fidelity_grads[1]
 
     def grad_h(self, eps):
-        # the regime follows from the point's norm range and eps alone, so
-        # the result does not depend on which eps the point served before
-        lo, hi = self._norm_range
+        # the key follows from the point's norm range and eps alone, so the
+        # result does not depend on which eps the point served before
+        norms, lo, hi, pullback = self._groups
         if hi <= eps:
-            g, scale = self._unit_pullback, self.obj.lam / eps
-            return scale * g.x1, scale * g.x2
-        if lo > eps:
-            return self._outside_grad
-        return self._direct_grad_h(eps)
+            key, scale = np.inf, self.obj.lam / eps
+        else:
+            key, scale = max(eps, lo), self.obj.lam
+        kept = self.__dict__.get("_kept")
+        if kept is not None and kept[0] == key:
+            g = kept[1]
+        else:
+            g = pullback(1.0) if key == np.inf else grad_r_eps(norms, pullback, key)
+            if key != eps:
+                self.__dict__["_kept"] = key, g
+        return scale * g.x1, scale * g.x2
 
 
 class JointRecovery(SmoothedObjective):
@@ -217,8 +204,9 @@ class JointRecovery(SmoothedObjective):
         with no point built and only that block pulled back.
 
         Every group inside the eps-ball gives lam/eps times the pullback of
-        1, as on a point; otherwise the weights are 1/max(norms, eps), which
-        for every eps below the smallest norm are a point's outside weights.
+        1, as on a point; otherwise lam times the pullback of the weights
+        1/max(norms, eps), a point's weights, here written over the call's
+        own norms.
         """
         if eps <= 0:
             raise ValueError("eps must be positive")

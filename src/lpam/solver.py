@@ -380,7 +380,8 @@ def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
     audits look rows up by iteration.  Floats must be finite, ``eps``
-    positive and ``reduced`` 0 or 1.  A malformed trace raises
+    positive, ``ls_count``, ``grad_norm`` and ``grad_norm_pre`` not
+    negative and ``reduced`` 0 or 1.  A malformed trace raises
     :class:`~lpam.fileio.FormatError`, naming the file and the row."""
     records: list[IterateRecord] = []
     with open(path, newline="") as fh:
@@ -398,6 +399,9 @@ def read_trace_csv(path) -> list[IterateRecord]:
                     raise ValueError(f"k = {r.k}, expected {len(records)}")
                 if r.eps <= 0:
                     raise ValueError(f"eps = {r.eps}, expected > 0")
+                if r.ls_count < 0 or r.grad_norm < 0 or r.grad_norm_pre < 0:
+                    counts = r.ls_count, r.grad_norm, r.grad_norm_pre
+                    raise ValueError(f"negative ls_count, grad_norm or grad_norm_pre: {counts}")
                 records.append(r)
         except (ValueError, csv.Error) as exc:
             # one record per line (the writer never quotes a line break);

@@ -28,19 +28,31 @@ def write_config(path, **extra):
     return path
 
 
+def _strict_json(text: str):
+    """``text`` parsed as standard JSON, which has no NaN or Infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_generate_solve_audit_pipeline(tmp_path, capsys):
+    # every JSON document written, to a file or to stdout, is standard JSON
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _strict_json((out / "manifest.json").read_text())
     assert 0.29 <= manifest["achieved_ratio"] <= 0.31
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    result = json.loads((out / "metrics.json").read_text())
+    result = _strict_json((out / "metrics.json").read_text())
     assert result["exit_reason"] == "iteration_cap"
     assert result["recon"]["channel1"]["nmse"] < result["zero_filled"]["channel1"]["nmse"]
     assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
+    report = _strict_json((out / "report.json").read_text())
     assert report["passed"]
+    for line in capsys.readouterr().out.splitlines():
+        _strict_json(line)
 
 
 def test_end_to_end_determinism(tmp_path):
@@ -140,6 +152,9 @@ def _set_cell(column, value, row=3):
         (_set_cell("grad_norm_pre", "nan"), 3),
         (_set_cell("reduced", "2"), 3),
         (_set_cell("phi", "1" * 140_000), 3),  # over the csv module's field limit
+        (_set_cell("ls_count", "-7"), 3),
+        (_set_cell("grad_norm", "-3"), 3),
+        (_set_cell("grad_norm_pre", "-1e-300"), 3),
     ],
     ids=[
         "garbage",
@@ -150,6 +165,9 @@ def _set_cell(column, value, row=3):
         "nan-grad-norm-pre",
         "reduced-2",
         "huge-field",
+        "negative-ls-count",
+        "negative-grad-norm",
+        "negative-grad-norm-pre",
     ],
 )
 def test_audit_malformed_trace_exit3(tmp_path, capsys, corrupt, row):
@@ -397,12 +415,13 @@ def test_seed_flag_changes_instance(tmp_path):
 
 
 def test_metrics_subcommand(tmp_path, capsys):
+    # an exact reconstruction has an infinite PSNR, written as null
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     main(["generate", "--config", str(cfg), "--out", str(out)])
     assert main(["metrics", str(out / "truth1.arr"), str(out / "truth1.arr")]) == 0
-    rep = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-    assert rep["ssim"] == 1.0 and rep["nmse"] == 0.0
+    rep = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rep["ssim"] == 1.0 and rep["nmse"] == 0.0 and rep["psnr"] is None
 
 
 def test_metrics_nonpositive_peak_exit3(tmp_path, capsys):

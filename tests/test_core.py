@@ -13,7 +13,7 @@ from lpam.core import (
     phi_eps,
     scratch,
 )
-from lpam.objectives import JointRecovery, QuadraticToy, RecoveryPoint
+from lpam.objectives import JointRecovery, QuadraticToy, RecoveryPoint, grad_r_eps
 from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run, u_step, v_step_with_linesearch
 
@@ -232,6 +232,26 @@ def test_joint_recovery_grad_h_matches_partials(make, regime):
     g1, g2 = obj.point(x1, x2).grad_h(eps)
     assert np.array_equal(g1, obj.grad1_h(x1, x2, eps))
     assert np.array_equal(g2, obj.grad2_h(x1, x2, eps))
+
+
+def test_equal_group_norms_below_eps_take_the_weights_path():
+    # constant images give every group the same norm, so below it the key
+    # max(eps, smallest norm) is the largest norm, and the gradient must be
+    # lam times the weighted pullback, not lam/eps times the pullback of 1:
+    # on a fresh point, on one that first served an eps above every norm,
+    # and again from the pullback that point keeps
+    obj = _identity_objective()
+    x1, x2, eps = np.full(64, 0.3), np.full(64, 0.4), 0.25
+    norms, pullback = obj.extractor.linearize_groups(TwoBlockPoint(x1, x2))
+    assert norms.min() == norms.max() > eps
+    g = grad_r_eps(norms, pullback, eps)
+    ref = obj.lam * g.x1, obj.lam * g.x2
+    partials = obj.grad1_h(x1, x2, eps), obj.grad2_h(x1, x2, eps)
+    served = obj.point(x1, x2)
+    served.grad_h(0.6)
+    for P in (obj.point(x1, x2), served, served):
+        for gp, r, partial in zip(P.grad_h(eps), ref, partials):
+            assert np.array_equal(gp, r) and np.array_equal(gp, partial)
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])

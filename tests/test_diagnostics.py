@@ -245,6 +245,10 @@ def test_audit_reads_the_lipschitz_estimate_once_per_row():
         # the reduction threshold eps_sigma * gamma * eps overflows to inf,
         # which would make the segment bound 0
         (dict(reduced=True, eps=1e305), 4.0, "reduction threshold"),
+        # a quantity whose forming raises is named too
+        (dict(branch="u"), 1e200, "decrease rate at k = 0, eps = 1.0 out of floating-point range"),
+        (dict(grad_norm_pre=1e200), 4.0, "squared pre-step gradient norm at k = 0, eps = 1.0 out of"),
+        (dict(reduced=True, eps=1e-320), 4.0, "segment bound at k = 0, eps = 1e-320 out of"),
     ],
 )
 def test_audit_bound_out_of_float_range_is_a_numeric_error(row, L, what):
@@ -266,7 +270,7 @@ def test_audit_report_flags_lmax_violation():
 def test_metrics_identity():
     y = np.array([[1.0, 0.2], [0.3, 0.0]])
     rep = metrics(y, y)
-    assert rep.psnr == math.inf
+    assert rep.psnr == math.inf and rep.as_dict()["psnr"] is None  # JSON has no inf
     assert rep.ssim == 1.0
     assert rep.nmse == 0.0 and rep.rmse == 0.0
 

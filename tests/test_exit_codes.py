@@ -231,9 +231,17 @@ def test_edited_trace_keeps_the_exit_code_contract(base_run, edits):
         # the reduction threshold eps_sigma * gamma * eps overflows to inf,
         # which would make the segment bound 0 and fail the audit
         (1, {"eps": "1e305"}),
+        # the threshold is finite, but squaring it in the segment bound raises
+        (1, {"eps": "1e150"}),
     ],
 )
 def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
+    what = {
+        "1e-320": "Lipschitz estimate",
+        "1e-153": "decrease rate",
+        "1e305": "reduction threshold",
+        "1e150": "segment bound",
+    }[edits["eps"]]
     with tempfile.TemporaryDirectory() as tmp:
         out = _copy(base_run, tmp)
         lines = (out / "trace.csv").read_text().splitlines()
@@ -253,7 +261,7 @@ def test_audit_bound_out_of_float_range_exits_2(base_run, row, edits):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(argv)
         assert code == 2
-        assert err.getvalue().startswith("error: audit ")
+        assert err.getvalue().startswith(f"error: audit {what} at k = {row}, ")
         assert f"k = {row}, eps = {float(edits['eps'])}" in err.getvalue()
         assert not (out / "report.json").exists()
 
