@@ -88,8 +88,8 @@ class RunConfig:
         _reject_unknown(raw, _SCHEMA, "top level")
         inst = _section(raw, "instance")
         seed = inst.pop("seed", 0)
-        if type(seed) is not int:
-            raise ConfigError(f"instance.seed must be an integer, got {seed!r}")
+        if type(seed) is not int or seed < 0:
+            raise ConfigError(f"instance.seed must be a nonnegative integer, got {seed!r}")
         return RunConfig(
             instance=InstanceSpec(**{"height": 32, "width": 32, **inst}),
             seed=seed,

@@ -78,8 +78,9 @@ class TwoBlockPoint:
 
     For the joint-recovery instantiation both blocks have length
     height*width and are row-major flattenings of images.  The blocks'
-    squared norms are computed once, on first use by :meth:`is_finite` or
-    :meth:`norm`, so the arrays must not be mutated after either is read.
+    squared norms are computed once, on first use by :meth:`is_finite`,
+    :meth:`norm` or a joint-recovery point's pair transform, so the arrays
+    must not be mutated after any of these has read them.
     """
 
     x1: np.ndarray
@@ -130,6 +131,7 @@ class TwoBlockPoint:
         # sqrt(dot(d, d)) is what np.linalg.norm computes for a real vector
         d1, d2 = self.x1 - other.x1, self.x2 - other.x2
         return math.sqrt(np.dot(d1, d1)), math.sqrt(np.dot(d2, d2))
+
 
 class EvaluatedPoint(TwoBlockPoint):
     """A point bound to the objective that evaluates it.

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
 from .extractor import WeightedPullback
-from .operators import KSpaceData, MaskedDft, residual_energy
+from .operators import KSpaceData, MaskedDft, squared_norm
 
 
 class QuadraticToy(SmoothedObjective):
@@ -56,15 +56,19 @@ class QuadraticToy(SmoothedObjective):
 
 def r_eps(norms: np.ndarray, eps: float) -> float:
     """Smoothed l2,1 value from the group norms: quadratic inside the
-    eps-ball, linear outside."""
+    eps-ball, linear outside.
+
+    With m = min(norms, eps), the sum of n^2/(2 eps) over the groups inside
+    and of n - eps/2 over those outside is dot(m, m)/(2 eps) + sum(norms - m):
+    an outside group's m is eps, and its eps^2/(2 eps) joins n - eps to
+    make n - eps/2.  A norm equal to eps gives eps/2 either way.  norms - m
+    is exact for a norm up to 2 eps, so a norm just above eps loses
+    nothing to cancellation; NaN and inf norms give NaN and inf.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    inside = norms <= eps
-    # taking by index is much faster than by boolean mask when inside and
-    # outside groups interleave, and gives the same values in the same order
-    quad = np.sum(norms[np.flatnonzero(inside)] ** 2) / (2.0 * eps)
-    lin = np.sum(norms[np.flatnonzero(~inside)] - eps / 2.0)
-    return float(quad + lin)
+    m = np.minimum(norms, eps)
+    return float(np.dot(m, m) / (2.0 * eps) + np.sum(norms - m))
 
 
 def grad_r_eps(
@@ -102,16 +106,22 @@ class RecoveryPoint(EvaluatedPoint):
 
     @cached_property
     def _residuals(self) -> tuple[np.ndarray, np.ndarray]:
+        # the pair kernels balance their two channels by squared norms: the
+        # point's own for the residuals, the residuals' for the gradients
         data = self.obj.kspace
-        return self.obj.dft.residual_pair(self.x1, self.x2, data.f1, data.f2)
+        return self.obj.dft.residual_pair(
+            self.x1, self.x2, data.f1, data.f2, dots=self._squared_norms()
+        )
 
     @cached_property
-    def _fidelities(self) -> tuple[float, float]:
-        return tuple(residual_energy(r) for r in self._residuals)
+    def _residual_dots(self) -> tuple[float, float]:
+        # kept whole: each fidelity is half of one, and halving a subnormal
+        # to double it again would lose its last bit
+        return tuple(squared_norm(r) for r in self._residuals)
 
     @cached_property
     def _fidelity_grads(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.obj.dft.adjoint_pair(*self._residuals)
+        return self.obj.dft.adjoint_pair(*self._residuals, dots=self._residual_dots)
 
     @cached_property
     def _groups(self):
@@ -122,10 +132,10 @@ class RecoveryPoint(EvaluatedPoint):
         return norms, float(norms.min()), float(norms.max()), pullback
 
     def h1(self, eps):
-        return self._fidelities[0]
+        return 0.5 * self._residual_dots[0]
 
     def h2(self, eps):
-        return self._fidelities[1]
+        return 0.5 * self._residual_dots[1]
 
     def h(self, eps):
         return self.obj.lam * r_eps(self._groups[0], eps)

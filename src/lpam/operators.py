@@ -101,7 +101,7 @@ class MaskedDft:
         return r
 
     def residual_pair(
-        self, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray
+        self, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray, *, dots=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The residuals of two real images against their data, on the
         sampled frequencies only, from one transform of x1 + i s x2.
@@ -110,10 +110,12 @@ class MaskedDft:
         splits as F1[k] = (Z[k] + conj Z[-k]) / 2 and
         s F2[k] = -i (Z[k] - conj Z[-k]) / 2.  The data are read on the
         sampled frequencies only, so what lies off the mask is never read.
+        ``dots`` are the images' squared norms dot(x, x) when the caller
+        holds them; otherwise they are taken here.
         """
         x1, x2 = self._image(x1), self._image(x2)
         f1, f2 = self._data_on_mask(f1), self._data_on_mask(f2)
-        s, w1, w2 = _balance(x1.reshape(-1), x2.reshape(-1))
+        s, w1, w2 = _balance(x1.reshape(-1), x2.reshape(-1), dots)
         buf, spare = _dft_buffers(self.shape)
         np.copyto(buf.real, x1)
         np.multiply(x2, s, out=buf.imag)
@@ -131,17 +133,20 @@ class MaskedDft:
         r2 -= f2
         return r1, r2
 
-    def adjoint_pair(self, r1: np.ndarray, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def adjoint_pair(
+        self, r1: np.ndarray, r2: np.ndarray, *, dots=None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The adjoints of two residuals from :meth:`residual_pair`, real
         image vectors, from one inverse transform.
 
         The spectrum holds the Hermitian parts of both, (R1 + i s R2) / 2
         at k plus (conj R1 + i s conj R2) / 2 at -k, so the real part of
         its inverse is the first adjoint and the imaginary part s times
-        the second.
+        the second.  ``dots`` are the residuals' squared norms,
+        :func:`squared_norm` of each, when the caller holds them.
         """
         r1, r2 = self._sampled(r1), self._sampled(r2)
-        s, w1, w2 = _balance(r1.view(np.float64), r2.view(np.float64))
+        s, w1, w2 = _balance(r1.view(np.float64), r2.view(np.float64), dots)
         t = (r2.view(np.float64) * s).view(np.complex128) if s != 1.0 else r2
         at_k, at_mirror = np.empty_like(r1), np.empty_like(r1)
         np.subtract(r1.real, t.imag, out=at_k.real)
@@ -173,22 +178,27 @@ class MaskedDft:
         return self.adjoint(self.residual(x, f))
 
 
-def residual_energy(resid: np.ndarray) -> float:
-    """Half squared norm of a k-space residual, full or on the sampled
-    frequencies: the fidelity value."""
+def squared_norm(resid: np.ndarray) -> float:
+    """Squared norm of a k-space residual, full or on the sampled
+    frequencies, as one dot product over its float view."""
     v = np.ascontiguousarray(resid).reshape(-1).view(np.float64)
-    return 0.5 * float(np.dot(v, v))
+    return float(np.dot(v, v))
 
 
-def _log2_norm(v: np.ndarray) -> float:
-    """The binary exponent of the 2-norm of a real vector, about log2 of
-    it: -inf when the vector is zero, NaN when it is not finite."""
-    with np.errstate(over="ignore"):
-        n2 = float(np.dot(v, v))
-        shift = 0
-        if n2 == math.inf or (n2 == 0.0 and v.any()):
-            # the squares overflow or underflow: count them rescaled
-            shift = 600 if n2 else -600
+def residual_energy(resid: np.ndarray) -> float:
+    """Half squared norm of a k-space residual: the fidelity value."""
+    return 0.5 * squared_norm(resid)
+
+
+def _log2_norm(v: np.ndarray, n2: float) -> float:
+    """The binary exponent of the 2-norm of a real vector v whose squared
+    norm dot(v, v) is n2, about log2 of it: -inf when v is zero, NaN when
+    it is not finite.  v is read only when n2 overflows or underflows."""
+    shift = 0
+    if n2 == math.inf or (n2 == 0.0 and v.any()):
+        # the squares overflow or underflow: count them rescaled
+        shift = 600 if n2 else -600
+        with np.errstate(over="ignore"):
             v = np.ldexp(v, -shift)
             n2 = float(np.dot(v, v))
     if n2 == 0.0:
@@ -198,7 +208,7 @@ def _log2_norm(v: np.ndarray) -> float:
     return (math.frexp(n2)[1] + 1) // 2 + shift
 
 
-def _balance(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float, float]:
+def _balance(v1: np.ndarray, v2: np.ndarray, dots=None) -> tuple[float, float, float]:
     """How two real vectors share one transform, as v1 + i s v2: the
     factor s and the factors w1, w2 that take each channel back out.
 
@@ -207,8 +217,12 @@ def _balance(v1: np.ndarray, v2: np.ndarray) -> tuple[float, float, float]:
     clamped so that s v2 and 1/s stay finite, and scaling by it is exact.
     w1 is 1 and w2 is 1/s, but 0 for a zero vector, whose part is then
     exactly zero.  s, w1 and w2 are all 1 when either vector is not finite.
+    ``dots`` are dot(v1, v1) and dot(v2, v2) when the caller holds them.
     """
-    e1, e2 = _log2_norm(v1), _log2_norm(v2)
+    if dots is None:
+        with np.errstate(over="ignore"):
+            dots = np.dot(v1, v1), np.dot(v2, v2)
+    e1, e2 = _log2_norm(v1, float(dots[0])), _log2_norm(v2, float(dots[1]))
     if math.isnan(e1) or math.isnan(e2):
         return 1.0, 1.0, 1.0
     s = 1.0

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lpam import extractor
+from lpam import core, extractor, operators
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -36,9 +36,9 @@ def _count_calls(monkeypatch, owner, name) -> list:
     calls = []
     real = getattr(owner, name)
 
-    def counting(*args):
+    def counting(*args, **kwargs):
         calls.append(None)
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
     return calls
@@ -422,6 +422,35 @@ def test_identity_residual_iterations_run_one_residual_pair_per_point(monkeypatc
     assert [r.branch for r in state.trace] == ["u"] * k
     assert len(calls) == k + 1
     assert single == []
+
+
+def test_recovery_point_takes_each_squared_norm_once(monkeypatch):
+    # the pair kernels balance their two channels by the squared norms of
+    # the blocks and of the residuals; a point holds both (its finiteness
+    # check and its fidelities read them), so over a finiteness check, a
+    # value and a gradient each is one dot product
+    obj = _identity_objective()
+    rng = np.random.default_rng(5)
+    P = obj.point(rng.normal(size=64), rng.normal(size=64))
+    dotted = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def dot(a, b, *rest):
+            dotted.append(a)
+            return np.dot(a, b, *rest)
+
+    for module in (core, operators):
+        monkeypatch.setattr(module, "np", CountingNumpy())
+    assert P.is_finite()
+    phi_eps(obj, P, 1e-2)
+    grad_phi_eps(obj, P, 1e-2)
+    monkeypatch.undo()
+    held = (P.x1, P.x2, *P._residuals)
+    assert [sum(np.shares_memory(a, v) for a in dotted) for v in held] == [1, 1, 1, 1]
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])

@@ -287,3 +287,17 @@ def test_eps_underflow_exits_2_with_its_trace(tmp_path):
     )
     trace = cli.read_trace_csv(out / "trace.csv")
     assert len(trace) == result["iterations"]
+
+
+@pytest.mark.parametrize("command", ["generate", "solve"])
+def test_negative_seed_is_refused_by_name_before_anything_is_written(tmp_path, command):
+    # numpy's own refusal of a negative seed names no config key
+    raw = {"instance": {"height": 4, "width": 4}, "objective": {"kind": "quadratic"}}
+    (tmp_path / "run.json").write_text(json.dumps(raw))
+    out = tmp_path / "run"
+    err = io.StringIO()
+    argv = [command, "--out", str(out), "--config", str(tmp_path / "run.json"), "--seed", "-1"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 3
+    assert err.getvalue() == "error: instance.seed must be a nonnegative integer, got -1\n"
+    assert not out.exists()

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -17,6 +18,7 @@ from lpam.operators import (
     radial_mask,
     residual_energy,
     shared_structure_phantom,
+    squared_norm,
     uniform_mask,
 )
 
@@ -303,6 +305,41 @@ def test_pair_kernels_ignore_nonfinite_data_off_the_mask_silently():
         warnings.simplefilter("error")
         clean = op.residual_pair(x1, x2, f1, f2)
         for got, ref in zip(op.residual_pair(x1, x2, bad1, bad2), clean):
+            assert_bits_equal(got, ref)
+
+
+def _dots(*vs):
+    """Squared norms as a caller takes them, inf where the squares overflow."""
+    with np.errstate(over="ignore"):
+        return tuple(squared_norm(v) for v in vs)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 9)])
+def test_pair_kernels_given_the_dots_return_the_same_bits(shape):
+    # a caller that holds the squared norms passes them, and the kernels
+    # take a dot of their own only to rescale one that overflowed or
+    # underflowed: the results are those of the kernels' own dots, bit for
+    # bit, for every pair of an ordinary channel, one whose squares
+    # overflow, one whose squares underflow, one with a NaN and a zero one
+    rng = np.random.default_rng(50 + shape[1])
+    mask, x, f = draw(rng, shape)
+    with_nan = x.copy()
+    with_nan[1] = np.nan
+    channels = [
+        (x, f),
+        (1e200 * x, 1e200 * f),
+        (1e-170 * x, 1e-170 * f),
+        (with_nan, f),
+        (np.zeros_like(x), np.zeros_like(f)),
+    ]
+    dots = [_dots(c) for c, _ in channels]
+    assert np.isinf(dots[1]) and dots[2] == (0.0,) and np.isnan(dots[3]) and dots[4] == (0.0,)
+    op = MaskedDft(mask)
+    for (x1, f1), (x2, f2) in itertools.product(channels, repeat=2):
+        pair = op.residual_pair(x1, x2, f1, f2)
+        for got, ref in zip(op.residual_pair(x1, x2, f1, f2, dots=_dots(x1, x2)), pair):
+            assert_bits_equal(got, ref)
+        for got, ref in zip(op.adjoint_pair(*pair, dots=_dots(*pair)), op.adjoint_pair(*pair)):
             assert_bits_equal(got, ref)
 
 

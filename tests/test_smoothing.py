@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,16 +97,28 @@ def test_group_norms_close_to_numpy_sum(d):
 
 
 def _masked_r_eps(norms, eps):
-    # the boolean-mask formula that r_eps's index take must match bit for bit
+    # the boolean-mask formula, summed branch by branch
     inside = norms <= eps
     return float(np.sum(norms[inside] ** 2) / (2.0 * eps) + np.sum(norms[~inside] - eps / 2.0))
+
+
+# r_eps sums min(norms, eps) and the excess over eps, not the two branches,
+# so it agrees with the branchwise sum to rounding: within 6e-16 of an
+# fsum oracle over 300 random 3,000-group cases, stated as R_EPS_RTOL
+R_EPS_RTOL = 1e-14
+
+
+def _fsum_r_eps(norms, eps):
+    """The branchwise terms, each rounded once or twice, summed exactly."""
+    return math.fsum(n * n / (2.0 * eps) if n <= eps else n - eps / 2.0 for n in norms)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
 def test_precomputed_norms_give_the_same_values(d):
     # r_eps and grad_r_eps read the group norms they are given; from
     # group_norms they agree with the branchwise formulas on norms that
-    # np.sum takes from the features, bit for bit below 8 channels
+    # np.sum takes from the features, the weights bit for bit below 8
+    # channels
     rng = np.random.default_rng(10 + d)
     f = rng.normal(size=(d, 50)) * 0.1
     norms = group_norms(f)
@@ -112,16 +126,15 @@ def test_precomputed_norms_give_the_same_values(d):
     for eps in (0.01, 0.1, 1.0):
         value = r_eps(norms, eps)
         g = grad_r_eps(norms, lambda r: flat_vjp(f * r), eps)
+        assert value == pytest.approx(_masked_r_eps(ref_norms, eps), rel=R_EPS_RTOL, abs=0.0)
         if d <= 7:
-            assert value == _masked_r_eps(ref_norms, eps)
             assert np.array_equal(g.x1, _masked_weights(f, eps).ravel())
         else:
-            assert value == pytest.approx(_masked_r_eps(ref_norms, eps), rel=1e-14)
             assert np.allclose(g.x1, _masked_weights(f, eps).ravel(), rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 8])
-def test_r_eps_bit_identical_to_boolean_mask(d):
+def test_r_eps_matches_boolean_mask(d):
     rng = np.random.default_rng(20 + d)
     f = rng.normal(size=(d, 3000)) * 10.0 ** rng.uniform(-3, 1, size=(1, 3000))
     f[:, ::7] = 0.0  # zero groups
@@ -132,13 +145,63 @@ def test_r_eps_bit_identical_to_boolean_mask(d):
     eps = float(norms[mid])
     assert np.any(norms == eps) and np.any(norms < eps) and np.any(norms > eps)
     for e in (eps, 1e-9, 1e9):  # mixed, all outside but the zero groups, all inside
-        assert r_eps(norms, e) == _masked_r_eps(norms, e)
+        assert r_eps(norms, e) == pytest.approx(_masked_r_eps(norms, e), rel=R_EPS_RTOL, abs=0.0)
     # all outside, no zero groups
     g = f[:, norms > 0]
-    assert r_of(g, 1e-12) == _masked_r_eps(group_norms(g), 1e-12)
-    # zero groups only
+    assert r_of(g, 1e-12) == pytest.approx(_masked_r_eps(group_norms(g), 1e-12), rel=R_EPS_RTOL)
+    # zero groups only, exactly
     z = np.zeros((d, 5))
     assert r_of(z, 0.5) == _masked_r_eps(group_norms(z), 0.5) == 0.0
+
+
+def test_r_eps_is_exact_where_its_terms_are():
+    # dyadic norms and eps: every product, quotient and sum below is exact
+    assert r_eps(np.array([1.0]), 0.5) == 0.75  # linear branch, 1 - 0.25
+    assert r_eps(np.array([0.25]), 0.5) == 0.0625  # quadratic branch, 0.0625 / 1
+    assert r_eps(np.array([0.5]), 0.5) == 0.25  # the tie, eps / 2
+    assert r_eps(np.array([0.0, 0.25, 0.5, 2.0]), 0.5) == 0.0625 + 0.25 + 1.75
+    assert r_eps(np.zeros(0), 0.5) == 0.0
+    assert r_eps(np.zeros(3), 0.5) == 0.0
+
+
+@st.composite
+def norms_and_eps(draw):
+    """Group norms around an eps: zero groups, ties, groups inside, groups
+    a few ulps above eps (where n - eps/2 would cancel if formed as a
+    difference of sums) and groups far outside."""
+    eps = draw(st.floats(1e-100, 1e100))
+    kinds = [
+        st.just(0.0),
+        st.just(eps),
+        st.floats(1e-6, 1.0).map(lambda t: t * eps),
+        st.integers(1, 2**20).map(lambda k: eps + k * math.ulp(eps)),
+        st.floats(1.0, 1e6).map(lambda t: t * eps),
+    ]
+    # one kind for every group, all inside or all outside, or a mix
+    which = draw(st.sampled_from([[0, 1, 2], [3, 4], list(range(5))]))
+    norm = st.one_of([kinds[i] for i in which])
+    return np.array(draw(st.lists(norm, max_size=60)), dtype=np.float64), eps
+
+
+@given(norms_and_eps())
+def test_r_eps_agrees_with_an_exact_sum_of_the_branches(case):
+    norms, eps = case
+    expected = _fsum_r_eps(norms.tolist(), eps)
+    assert r_eps(norms, eps) == pytest.approx(expected, rel=R_EPS_RTOL, abs=0.0)
+
+
+@given(norms_and_eps(), st.sampled_from([np.nan, np.inf]), st.data())
+def test_r_eps_propagates_nan_and_inf(case, bad, data):
+    norms, eps = case
+    norms = np.insert(norms, data.draw(st.integers(0, norms.size)), bad)
+    value = r_eps(norms, eps)
+    assert np.isnan(value) if np.isnan(bad) else value == np.inf
+
+
+@given(st.floats(max_value=0.0), st.lists(st.floats(0.0, 10.0), max_size=5))
+def test_r_eps_refuses_a_nonpositive_eps(eps, norms):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        r_eps(np.array(norms), eps)
 
 
 def test_grad_weights_at_tie_and_zero_rows():
