@@ -105,11 +105,13 @@ class TwoBlockPoint:
 
     def _squared_norms(self) -> tuple[np.float64, np.float64]:
         # kept in the instance dict, as functools.cached_property keeps a
-        # value, without that descriptor's per-call lock
+        # value, without that descriptor's per-call lock.  np.vdot gives
+        # np.dot's bits on a real vector but sets no floating-point flag, so
+        # a sum that overflows reads inf without a warning and without the
+        # cost of an np.errstate around it
         sq = self.__dict__.get("_sq")
         if sq is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sq = self.__dict__["_sq"] = np.dot(self.x1, self.x1), np.dot(self.x2, self.x2)
+            sq = self.__dict__["_sq"] = np.vdot(self.x1, self.x1), np.vdot(self.x2, self.x2)
         return sq
 
     def is_finite(self) -> bool:
@@ -145,7 +147,8 @@ class EvaluatedPoint(TwoBlockPoint):
     ``grad_h2(x2, eps)``, ``grad1_h`` and ``grad2_h``, so it caches
     nothing; an objective whose terms share eps-independent work returns a
     subclass that computes that work once.  The arrays must not be mutated
-    after evaluation, and returned arrays may be shared between calls.
+    after evaluation.  Returned arrays may be shared between calls and may
+    be the point's own blocks, so no caller writes them.
     """
 
     def __init__(self, x1, x2, obj: "SmoothedObjective"):

@@ -19,12 +19,41 @@ from .extractor import WeightedPullback
 from .operators import KSpaceData, MaskedDft, squared_norm
 
 
+class QuadraticPoint(EvaluatedPoint):
+    """A point of :class:`QuadraticToy`.
+
+    H1 and H2 are half the squared block norms the point already holds for
+    :meth:`is_finite`, and their gradients are the blocks themselves, not
+    copies: no caller writes an array an objective returns.
+    """
+
+    def h1(self, eps):
+        return 0.5 * float(self._squared_norms()[0])
+
+    def h2(self, eps):
+        return 0.5 * float(self._squared_norms()[1])
+
+    def h(self, eps):
+        d = self.x1 - self.x2
+        return 0.5 * float(np.dot(d, d))
+
+    def grad_h1(self, eps):
+        return self.x1
+
+    def grad_h2(self, eps):
+        return self.x2
+
+    def grad_h(self, eps):
+        return self.x1 - self.x2, self.x2 - self.x1
+
+
 class QuadraticToy(SmoothedObjective):
     """H1 = ||x1||^2/2, H2 = ||x2||^2/2, H = ||x1 - x2||^2/2.
 
     Smooth for every eps, analytic minimizer at the origin; used to
     exercise the solver and the convergence diagnostics with a known
-    Lipschitz constant.
+    Lipschitz constant.  Its points are :class:`QuadraticPoint`; the
+    per-call methods give the same values.
     """
 
     def h1(self, x1, eps):
@@ -48,6 +77,9 @@ class QuadraticToy(SmoothedObjective):
 
     def grad2_h(self, x1, x2, eps):
         return x2 - x1
+
+    def point(self, x1, x2) -> QuadraticPoint:
+        return QuadraticPoint(x1, x2, self)
 
     def lipschitz_estimate(self, eps: float) -> float:
         # 1 + 1 + 2: each separable block plus the joint coupling

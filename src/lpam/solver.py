@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import re
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -279,6 +280,9 @@ def lpam_run(
     state = SolverState(X=X0.copy(), eps=config.eps0)
     X = obj.evaluate(state.X)
     exit_reason = EXIT_ITERATION_CAP
+    # every schedule is at its last entry by iteration k_steady - 1, so the
+    # steps made there serve every later iteration
+    k_steady = max(map(len, _schedules(config)))
     # a candidate or line-search trial that overflows is rejected by an
     # explicit check, and so is every other non-finite value the run meets
     with np.errstate(over="ignore", invalid="ignore"):
@@ -293,12 +297,13 @@ def lpam_run(
                 accepted = False
                 ls_count = 0
                 if config.mode == "lpam":
-                    steps = (
-                        _sched(config.step_alpha, k),
-                        _sched(config.step_tau, k),
-                        _sched(config.step_beta, k),
-                        _sched(config.step_gamma, k),
-                    )
+                    if k < k_steady:
+                        steps = (
+                            _sched(config.step_alpha, k),
+                            _sched(config.step_tau, k),
+                            _sched(config.step_beta, k),
+                            _sched(config.step_gamma, k),
+                        )
                     Xn = u_step(obj, X, eps, steps)
                     accepted, phi_n = safeguard_check(obj, X, Xn, eps, phi_x, gn_x, config)
                 if not accepted:
@@ -356,32 +361,87 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
-# (format, parse) per IterateRecord field type, floats byte-stable; the
-# trace columns are the record's fields in declaration order
-_CODECS = {
-    "int": (str, int),
-    "float": (lambda x: format(x, ".17g"), _finite),
-    "str": (str, str),
-    "bool": (lambda b: str(int(b)), _flag),
+# per IterateRecord field type: the writer's format, the spelling the
+# reader accepts, and the checked read that names a cell it refuses.  A
+# number starts with a digit, after a minus sign for a negative one, and
+# holds only ASCII digits, '.', 'e' and signs, as %d, %.17g and Python's
+# float repr write it; int() and float() take the grammar from there.
+# They would also read underscores, spaces, a leading plus sign and other
+# scripts' digits, which no trace holds.  A branch other than u or v is
+# refused once the row is read.
+_CELLS = {
+    "int": ("%d", r"-?[0-9]+", int),
+    "float": ("%.17g", r"-?[0-9][0-9.e+-]*", _finite),
+    "str": ("%s", r"[^,]*", str),
+    "bool": ("%d", r"[01]", _flag),
 }
-_COLUMNS = [(f.name, *_CODECS[f.type]) for f in fields(IterateRecord)]
-_HEADER = [name for name, _, _ in _COLUMNS]
+# the trace columns are the record's fields in declaration order
+_FIELDS = fields(IterateRecord)
+_HEADER = [f.name for f in _FIELDS]
+_HEADER_LINE = ",".join(_HEADER) + "\r\n"
+_ROW_FORMAT = ",".join(_CELLS[f.type][0] for f in _FIELDS) + "\r\n"
+_ROW_SPELLING = re.compile(",".join(_CELLS[f.type][1] for f in _FIELDS))
+_values = operator.attrgetter(*_HEADER)
 
 
 def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
-    """Write the per-iteration trace; float formatting is byte-stable."""
+    """Write the per-iteration trace, one row per record, each line ended by
+    ``\\r\\n``; floats are written by ``%.17g``, so they read back bit for bit."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_HEADER)
+        fh.write(_HEADER_LINE)
         for r in trace:
-            w.writerow([fmt(getattr(r, name)) for name, fmt, _ in _COLUMNS])
+            fh.write(_ROW_FORMAT % _values(r))
+
+
+def _refuse_cell(row: list[str]) -> None:
+    """Raise ``ValueError`` for the first cell of ``row``, in column order,
+    that its checked read refuses or that is a number spelled as no trace
+    spells it; return if there is none."""
+    for f, cell in zip(_FIELDS, row):
+        _, spelling, read = _CELLS[f.type]
+        read(cell)
+        if f.type != "str" and not re.fullmatch(spelling, cell):
+            raise ValueError(f"{f.name} {cell!r} is not spelled as a trace spells it")
+
+
+def _record(row: list[str]) -> IterateRecord:
+    """One trace row as a record, each cell converted once."""
+    if len(row) != len(_HEADER):
+        raise ValueError(f"{len(row)} fields, expected {len(_HEADER)}")
+    if not _ROW_SPELLING.fullmatch(",".join(row)):
+        _refuse_cell(row)  # returns only for a branch cell that holds a comma
+    k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre = row
+    try:
+        r = IterateRecord(
+            int(k),
+            float(eps),
+            float(phi),
+            float(gn),
+            branch,
+            int(ls_count),
+            float(decrease),
+            reduced == "1",
+            float(phi_pre),
+            float(gn_pre),
+        )
+    except ValueError:
+        _refuse_cell(row)  # names the first bad cell in column order
+        raise
+    # a non-finite float makes the sum non-finite; a sum of finite ones
+    # that overflows only sends the row through the cell-by-cell check
+    if not math.isfinite(r.eps + r.phi + r.grad_norm + r.decrease + r.phi_pre + r.grad_norm_pre):
+        _refuse_cell(row)
+    return r
 
 
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
     audits look rows up by iteration.  Floats must be finite, ``eps``
     positive, ``ls_count``, ``grad_norm`` and ``grad_norm_pre`` not
-    negative and ``reduced`` 0 or 1.  A malformed trace raises
+    negative and ``reduced`` 0 or 1; a number must be spelled in the
+    characters :func:`write_trace_csv` and Python's float repr use, so
+    underscores, spaces and a leading plus sign are refused.  Lines may end in
+    ``\\n`` or ``\\r\\n``.  A malformed trace raises
     :class:`~lpam.fileio.FormatError`, naming the file and the row."""
     records: list[IterateRecord] = []
     with open(path, newline="") as fh:
@@ -390,9 +450,7 @@ def read_trace_csv(path) -> list[IterateRecord]:
             if next(reader, None) != _HEADER:
                 raise ValueError("bad or missing header")
             for row in reader:
-                if len(row) != len(_HEADER):
-                    raise ValueError(f"{len(row)} fields, expected {len(_HEADER)}")
-                r = IterateRecord(*[parse(cell) for (_, _, parse), cell in zip(_COLUMNS, row)])
+                r = _record(row)
                 if r.branch not in ("u", "v"):
                     raise ValueError("branch must be 'u' or 'v'")
                 if r.k != len(records):

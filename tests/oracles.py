@@ -9,11 +9,17 @@ them.  The convolutions run the extractor's own ``_conv`` kernel at its
 narrowest pitch and copy the result out of its scratch buffer, and
 :func:`fresh_pool` runs a scratch-pool test from an empty pool.  The
 radial mask and the layer bounds compute what the package's vectorised
-forms compute, one spoke or one kernel tap per call.
+forms compute, one spoke or one kernel tap per call.  The trace writer
+is the ``csv.writer`` one that the package's single-format writer must
+match byte for byte, and :class:`PerCallQuadratic` is the quadratic toy
+on the generic point, for tests that inject a fault through a per-call
+method.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import functools
 import threading
 from typing import Callable
@@ -23,8 +29,9 @@ import numpy as np
 from lpam import core
 from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
-from lpam.objectives import grad_r_eps
+from lpam.objectives import QuadraticToy, grad_r_eps
 from lpam.operators import _check_ratio
+from lpam.solver import IterateRecord
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -206,3 +213,30 @@ def layer_bounds(weights) -> list[float]:
         taps = w.reshape(w.shape[0], w.shape[1], -1)
         bounds.append(sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2])))
     return bounds
+
+
+class PerCallQuadratic(QuadraticToy):
+    """The quadratic toy whose points read its per-call methods, so that a
+    subclass overriding one of them changes what the solver sees."""
+
+    point = SmoothedObjective.point
+
+
+# the csv.writer cell of each IterateRecord field type
+_REFERENCE_CELLS = {
+    "int": str,
+    "float": lambda x: format(x, ".17g"),
+    "str": str,
+    "bool": lambda b: str(int(b)),
+}
+
+
+def write_trace_csv_reference(trace, path) -> None:
+    """The trace CSV as ``csv.writer`` writes it: the header, then one row
+    per record of its fields' cells, each line ended by ``\\r\\n``."""
+    columns = [(f.name, _REFERENCE_CELLS[f.type]) for f in dataclasses.fields(IterateRecord)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([name for name, _ in columns])
+        for r in trace:
+            w.writerow([cell(getattr(r, name)) for name, cell in columns])

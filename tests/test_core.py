@@ -13,11 +13,17 @@ from lpam.core import (
     phi_eps,
     scratch,
 )
-from lpam.objectives import JointRecovery, QuadraticToy, RecoveryPoint, grad_r_eps
+from lpam.objectives import (
+    JointRecovery,
+    QuadraticPoint,
+    QuadraticToy,
+    RecoveryPoint,
+    grad_r_eps,
+)
 from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run, u_step, v_step_with_linesearch
 
-from tests.oracles import finite_difference_grad
+from tests.oracles import PerCallQuadratic, finite_difference_grad
 
 
 def _cnn_objective(num_layers=4):
@@ -119,10 +125,11 @@ def test_norm_reuses_the_squared_block_norms_of_is_finite(monkeypatch):
     x1, x2 = rng.normal(size=50) * 1e100, rng.normal(size=30)
     want = float(np.sqrt(np.dot(x1, x1) + np.dot(x2, x2)))
     dots = _count_calls(monkeypatch, np, "dot")
+    vdots = _count_calls(monkeypatch, np, "vdot")
     X = TwoBlockPoint(x1, x2)
     assert X.is_finite()
     assert X.norm() == want and X.norm() == want
-    assert len(dots) == 2
+    assert len(dots) + len(vdots) == 2
 
 
 def test_gradient_norm_costs_no_dot_products(monkeypatch):
@@ -132,8 +139,27 @@ def test_gradient_norm_costs_no_dot_products(monkeypatch):
     G = grad_phi_eps(obj, obj.zero_filled(), 0.01)
     want = float(np.sqrt(np.dot(G.x1, G.x1) + np.dot(G.x2, G.x2)))
     dots = _count_calls(monkeypatch, np, "dot")
+    vdots = _count_calls(monkeypatch, np, "vdot")
     assert G.norm() == want
-    assert dots == []
+    assert dots == [] and vdots == []
+
+
+def test_squared_block_norms_overflow_without_a_warning():
+    # warnings are errors here, and no errstate is open: the squared norms
+    # of blocks of 1e200 overflow to inf silently, with np.dot's bits, as do
+    # those of finite blocks of any size, scale and stride
+    X = TwoBlockPoint(np.full(1024, 1e200), np.full(3, -1e200))
+    assert X.is_finite()
+    assert X.norm() == np.inf
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 33, 1024, 65536):
+        for scale in (1e-150, 1.0, 1e150, 1e200):
+            x = rng.normal(size=2 * n) * scale
+            for block in (x[:n], x[::2]):
+                with np.errstate(over="ignore"):
+                    want = np.dot(block, block)
+                got = TwoBlockPoint(block, block)._squared_norms()[0]
+                assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
@@ -187,7 +213,7 @@ def test_phi_eps_requires_positive_eps():
 
 
 def test_phi_eps_names_nonfinite_term():
-    class Bad(QuadraticToy):
+    class Bad(PerCallQuadratic):
         def h2(self, x2, eps):
             return float("nan")
 
@@ -207,7 +233,7 @@ def test_grad_matches_finite_differences():
 
 
 def test_grad_rejects_nonfinite():
-    class Bad(QuadraticToy):
+    class Bad(PerCallQuadratic):
         def grad1_h(self, x1, x2, eps):
             return np.full_like(x1, np.nan)
 
@@ -443,6 +469,11 @@ def test_recovery_point_takes_each_squared_norm_once(monkeypatch):
             dotted.append(a)
             return np.dot(a, b, *rest)
 
+        @staticmethod
+        def vdot(a, b):
+            dotted.append(a)
+            return np.vdot(a, b)
+
     for module in (core, operators):
         monkeypatch.setattr(module, "np", CountingNumpy())
     assert P.is_finite()
@@ -451,6 +482,30 @@ def test_recovery_point_takes_each_squared_norm_once(monkeypatch):
     monkeypatch.undo()
     held = (P.x1, P.x2, *P._residuals)
     assert [sum(np.shares_memory(a, v) for a in dotted) for v in held] == [1, 1, 1, 1]
+
+
+def test_quadratic_point_matches_per_call_methods():
+    # the point takes its separable terms from the squared block norms it
+    # holds and returns its blocks as their gradients, bit for bit the
+    # per-call values
+    obj = QuadraticToy()
+    rng = np.random.default_rng(3)
+    x1, x2 = rng.normal(size=64) * 1e3, rng.normal(size=64)
+    P = obj.point(x1, x2)
+    assert isinstance(P, QuadraticPoint)
+    for got, want in (
+        (P.h1(0.1), obj.h1(x1, 0.1)),
+        (P.h2(0.1), obj.h2(x2, 0.1)),
+        (P.h(0.1), obj.h(x1, x2, 0.1)),
+    ):
+        assert type(got) is float and got == want
+    for got, want in (
+        (P.grad_h1(0.1), obj.grad_h1(x1, 0.1)),
+        (P.grad_h2(0.1), obj.grad_h2(x2, 0.1)),
+        (P.grad_h(0.1)[0], obj.grad1_h(x1, x2, 0.1)),
+        (P.grad_h(0.1)[1], obj.grad2_h(x1, x2, 0.1)),
+    ):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])

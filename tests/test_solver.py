@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from lpam import solver
 from lpam.core import TwoBlockPoint, grad_phi_eps, phi_eps
-from lpam.extractor import IdentityExtractor
+from lpam.extractor import IdentityExtractor, random_extractor
 from lpam.fileio import FormatError
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
@@ -15,6 +19,7 @@ from lpam.solver import (
     EXIT_LINE_SEARCH,
     EXIT_NUMERIC,
     EXIT_TOLERANCE,
+    IterateRecord,
     LpamConfig,
     lpam_run,
     read_trace_csv,
@@ -24,7 +29,7 @@ from lpam.solver import (
     write_trace_csv,
 )
 
-from tests.oracles import half_count_m
+from tests.oracles import PerCallQuadratic, half_count_m, write_trace_csv_reference
 
 QUAD_STATIONARITY = LpamConfig(
     eps0=1.0,
@@ -124,7 +129,7 @@ def test_v_step_decreases_objective():
     assert 0 <= l <= 60
 
 
-class AscentObjective(QuadraticToy):
+class AscentObjective(PerCallQuadratic):
     """Wrong-sign gradients: every candidate increases the objective."""
 
     def grad_h1(self, x1, eps):
@@ -149,7 +154,7 @@ def test_line_search_failure_exit():
     assert state.k == 0
 
 
-class NanGradObjective(QuadraticToy):
+class NanGradObjective(PerCallQuadratic):
     def grad1_h(self, x1, x2, eps):
         return np.full_like(x1, np.nan)
 
@@ -172,7 +177,7 @@ def test_eps_underflow_is_a_numeric_error():
     assert state.trace[-1].reduced and cfg.gamma * state.trace[-1].eps == 0.0
 
 
-class NanGradNearOriginObjective(QuadraticToy):
+class NanGradNearOriginObjective(PerCallQuadratic):
     """Finite gradient at the start, NaN wherever x1 has moved toward 0."""
 
     def grad_h1(self, x1, eps):
@@ -201,7 +206,7 @@ def test_overflowing_candidate_is_rejected_by_the_safeguard(tau):
     assert [r.phi for r in state.trace] == [r.phi for r in bcd.trace]
 
 
-class BarrierObjective(QuadraticToy):
+class BarrierObjective(PerCallQuadratic):
     """The quadratic toy with h1 infinite wherever an entry of x1 is negative."""
 
     def h1(self, x1, eps):
@@ -217,6 +222,29 @@ def test_line_search_backtracks_from_a_nonfinite_trial():
     assert l == 1
     assert V.x1[0] == pytest.approx(0.1)
     assert phi_v == phi_eps(obj, V, 0.1)
+
+
+class ReadOnlyQuadratic(QuadraticToy):
+    """The quadratic toy whose points' blocks cannot be written, so a run
+    that wrote an array the objective returned would raise."""
+
+    def point(self, x1, x2):
+        P = super().point(x1, x2)
+        P.x1.setflags(write=False)
+        P.x2.setflags(write=False)
+        return P
+
+
+@pytest.mark.parametrize("mode", ["lpam", "bcd"])
+def test_run_writes_no_array_an_objective_returns(mode):
+    # a quadratic point returns its own blocks as the separable gradients
+    X0 = TwoBlockPoint(np.ones(4), -np.ones(4))
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode=mode)
+    want, want_reason = lpam_run(QuadraticToy(), X0, cfg)
+    got, reason = lpam_run(ReadOnlyQuadratic(), X0, cfg)
+    assert reason == want_reason == EXIT_TOLERANCE
+    assert got.trace == want.trace
+    assert {r.branch for r in got.trace} == {"u" if mode == "lpam" else "v"}
 
 
 def test_quadratic_converges_to_origin():
@@ -411,6 +439,87 @@ def test_trace_csv_roundtrip(tmp_path):
     assert [dataclasses.astuple(r) for r in back] == [
         dataclasses.astuple(r) for r in state.trace
     ]
+
+
+def _written(write, trace) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write(trace, path)
+        return path.read_bytes()
+
+
+# every kind of float a record can hold, the edges named once more
+numbers = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1.7976931348623157e308]
+    + [math.inf, -math.inf, math.nan]
+)
+counts = st.integers(-(2**80), 2**80)
+records = st.builds(
+    IterateRecord,
+    k=counts,
+    eps=numbers,
+    phi=numbers,
+    grad_norm=numbers,
+    branch=st.sampled_from("uv"),
+    ls_count=counts,
+    decrease=numbers,
+    reduced=st.booleans(),
+    phi_pre=numbers,
+    grad_norm_pre=numbers,
+)
+
+
+@given(st.lists(records, max_size=4))
+@example([])
+@example(
+    [
+        IterateRecord(0, 0.0, -0.0, 5e-324, "u", 0, 1e308, True, math.inf, math.nan),
+        IterateRecord(2**70, -5e-324, -math.inf, -1e308, "v", -(2**70), -0.0, False, 0.1, 1 / 3),
+    ]
+)
+def test_trace_writer_matches_the_csv_writer(trace):
+    assert _written(write_trace_csv, trace) == _written(write_trace_csv_reference, trace)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "identity", "cnn"])
+def test_solver_traces_are_written_as_the_csv_writer_writes_them(kind):
+    if kind == "quadratic":
+        obj, X0, cfg = QuadraticToy(), TwoBlockPoint(np.ones(4), -np.ones(4)), QUAD_STATIONARITY
+    else:
+        inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+        ext = IdentityExtractor(8, 8) if kind == "identity" else random_extractor(8, 8, seed=1)
+        obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
+        X0, cfg = obj.zero_filled(), LpamConfig(max_iter=10)
+    trace = lpam_run(obj, X0, cfg)[0].trace
+    assert _written(write_trace_csv, trace) == _written(write_trace_csv_reference, trace)
+
+
+@pytest.mark.parametrize(
+    "column, cell",
+    [
+        ("ls_count", "0_3"),
+        ("phi", "0.9_0"),
+        ("k", "+1"),
+        ("eps", " 0.5"),
+        ("decrease", "1E-3"),
+        ("grad_norm", "\uff11"),  # a fullwidth digit one
+    ],
+)
+def test_trace_reader_refuses_a_number_no_trace_spells(tmp_path, column, cell):
+    # int() and float() read each of these cells; the trace writer, and
+    # Python's float repr, spell none of them
+    X0 = TwoBlockPoint(np.ones(4), -np.ones(4))
+    state, _ = lpam_run(QuadraticToy(), X0, LpamConfig(max_iter=3))
+    path = tmp_path / "trace.csv"
+    write_trace_csv(state.trace, path)
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    parts = lines[2].split(",")
+    parts[header.index(column)] = cell
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=f"row 3 in .*: {column} "):
+        read_trace_csv(path)
 
 
 def test_trace_csv_malformed_row_named(tmp_path):
