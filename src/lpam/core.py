@@ -130,9 +130,10 @@ class TwoBlockPoint:
 
     def diff_norms(self, other: "TwoBlockPoint") -> tuple[float, float]:
         """(||x1 - y1||, ||x2 - y2||)."""
-        # sqrt(dot(d, d)) is what np.linalg.norm computes for a real vector
+        # sqrt(dot(d, d)) is what np.linalg.norm computes for a real vector;
+        # np.vdot gives its bits, and an overflow reads inf without a warning
         d1, d2 = self.x1 - other.x1, self.x2 - other.x2
-        return math.sqrt(np.dot(d1, d1)), math.sqrt(np.dot(d2, d2))
+        return math.sqrt(np.vdot(d1, d1)), math.sqrt(np.vdot(d2, d2))
 
 
 class EvaluatedPoint(TwoBlockPoint):

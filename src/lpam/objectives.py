@@ -35,7 +35,7 @@ class QuadraticPoint(EvaluatedPoint):
 
     def h(self, eps):
         d = self.x1 - self.x2
-        return 0.5 * float(np.dot(d, d))
+        return 0.5 * float(np.vdot(d, d))
 
     def grad_h1(self, eps):
         return self.x1
@@ -57,14 +57,14 @@ class QuadraticToy(SmoothedObjective):
     """
 
     def h1(self, x1, eps):
-        return 0.5 * float(np.dot(x1, x1))
+        return 0.5 * float(np.vdot(x1, x1))
 
     def h2(self, x2, eps):
-        return 0.5 * float(np.dot(x2, x2))
+        return 0.5 * float(np.vdot(x2, x2))
 
     def h(self, x1, x2, eps):
         d = x1 - x2
-        return 0.5 * float(np.dot(d, d))
+        return 0.5 * float(np.vdot(d, d))
 
     def grad_h1(self, x1, eps):
         return np.asarray(x1, dtype=np.float64).copy()

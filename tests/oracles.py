@@ -9,11 +9,12 @@ them.  The convolutions run the extractor's own ``_conv`` kernel at its
 narrowest pitch and copy the result out of its scratch buffer, and
 :func:`fresh_pool` runs a scratch-pool test from an empty pool.  The
 radial mask and the layer bounds compute what the package's vectorised
-forms compute, one spoke or one kernel tap per call.  The trace writer
-is the ``csv.writer`` one that the package's single-format writer must
-match byte for byte, and :class:`PerCallQuadratic` is the quadratic toy
-on the generic point, for tests that inject a fault through a per-call
-method.
+forms compute, one spoke or one kernel tap per call; the phantom and the
+mirror indices compute theirs on full-size coordinate grids.  The trace
+writer is the ``csv.writer`` one that the package's single-format writer
+must match byte for byte, and :class:`PerCallQuadratic` is the quadratic
+toy on the generic point, for tests that inject a fault through a
+per-call method.
 """
 
 from __future__ import annotations
@@ -193,6 +194,51 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
         add = rng.choice(off, size=target - count, replace=False)
         flat[add] = True
     return np.fft.ifftshift(flat.reshape(height, width))
+
+
+def mirror_indices(mask: np.ndarray) -> np.ndarray:
+    """The flat indices of the mirrors -k (mod the shape) of a mask's
+    sampled frequencies k, read off a full-size grid of every mirror."""
+    h, w = mask.shape
+    mirror = (-np.arange(h) % h)[:, None] * w + (-np.arange(w) % w)
+    return mirror.reshape(-1)[np.flatnonzero(mask)]
+
+
+def shared_structure_phantom(
+    height: int, width: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The phantom pair on full-size ``np.mgrid`` coordinates, the reference
+    that :func:`lpam.operators.shared_structure_phantom` must equal bit for
+    bit, with the same draws from ``rng``."""
+    yy, xx = np.mgrid[0:height, 0:width].astype(np.float64)
+    img1 = np.zeros((height, width))
+    img2 = np.zeros((height, width))
+
+    cy = height * (0.35 + 0.1 * rng.random())
+    cx = width * (0.4 + 0.1 * rng.random())
+    ry = height * (0.12 + 0.05 * rng.random())
+    rx = width * (0.16 + 0.05 * rng.random())
+    ell = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
+    img1[ell] = 0.9
+    img2[ell] = 0.6
+
+    ry0 = int(height * (0.6 + 0.05 * rng.random()))
+    rx0 = int(width * (0.55 + 0.05 * rng.random()))
+    rh = max(2, int(height * 0.12))
+    rw = max(2, int(width * 0.18))
+    rect = np.zeros_like(ell)
+    rect[ry0 : min(ry0 + rh, height), rx0 : min(rx0 + rw, width)] = True
+    img1[rect] = 0.5
+    img2[rect] = 1.0
+
+    for img, level in ((img1, 0.7), (img2, 0.8)):
+        by = height * (0.15 + 0.6 * rng.random())
+        bx = width * (0.15 + 0.6 * rng.random())
+        br = max(1.5, 0.05 * min(height, width))
+        blob = (yy - by) ** 2 + (xx - bx) ** 2 <= br**2
+        img[blob] = level
+
+    return img1, img2
 
 
 def spoke_pixels(height: int, width: int, angle: float) -> set[tuple[int, int]]:

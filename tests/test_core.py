@@ -162,6 +162,35 @@ def test_squared_block_norms_overflow_without_a_warning():
                 assert got.tobytes() == want.tobytes()
 
 
+def test_quadratic_overflow_is_a_numeric_error_without_a_warning():
+    # warnings are errors here, and no errstate is open: an overflowing
+    # term is named, on the point and through the per-call methods alike
+    for obj in (QuadraticToy(), PerCallQuadratic()):
+        with pytest.raises(NumericError, match="'h1'"):
+            phi_eps(obj, TwoBlockPoint([1e200], [-1e200]), 1.0)
+        # each block's square is finite, their difference's is not
+        with pytest.raises(NumericError, match="'h'"):
+            phi_eps(obj, TwoBlockPoint([1e154], [-1e154]), 1.0)
+    X = TwoBlockPoint([1e200], [-1e200])
+    assert X.diff_norms(TwoBlockPoint([-1e200], [1e200])) == (np.inf, np.inf)
+
+
+def test_quadratic_terms_and_diff_norms_keep_the_bits_of_np_dot():
+    rng = np.random.default_rng(9)
+    toy = QuadraticToy()
+    for n in (1, 2, 7, 33, 1024):
+        x = rng.normal(size=2 * n)
+        y = rng.normal(size=n) * 3.0
+        for x1 in (x[:n], x[::2]):
+            d = x1 - y
+            P = toy.point(x1, y)
+            assert P.h(1.0) == toy.h(x1, y, 1.0) == 0.5 * float(np.dot(d, d))
+            assert toy.h1(x1, 1.0) == 0.5 * float(np.dot(x1, x1))
+            assert toy.h2(y, 1.0) == 0.5 * float(np.dot(y, y))
+            got = TwoBlockPoint(x1, y).diff_norms(TwoBlockPoint(y, x1))
+            assert got == (np.sqrt(np.dot(d, d)), np.sqrt(np.dot(d, d)))
+
+
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0])
 def test_joint_recovery_rejects_a_negative_or_non_finite_lam(lam):
     inst = generate_instance(InstanceSpec(height=8, width=8), 0)

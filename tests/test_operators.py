@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lpam import core
+from lpam import core, operators
 from lpam.operators import (
     MAX_SIDE,
     InstanceSpec,
@@ -495,8 +495,8 @@ def test_radial_mask_keeps_dc():
 
 # square and non-square sides, three seeds each, and two cases that draw
 # each spoke count in more than one pass: 256^2 at ratio 0.3 (45 spokes
-# per pass, counts 39 to 65) and 128^2 at ratio 1.0 (90 per pass, counts
-# 65 to 228)
+# per pass, counts 53 to 65 drawn) and 128^2 at ratio 1.0 (90 per pass,
+# counts 101 to 228 drawn)
 RADIAL_CASES = [
     (h, w, ratio, seed)
     for h, w in [(2, 2), (2, 64), (64, 2), (3, 7), (16, 16), (31, 17), (32, 48), (64, 64), (100, 37)]
@@ -542,6 +542,107 @@ def test_radial_mask_temporary_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+@given(
+    st.integers(2, 70),
+    st.integers(2, 70),
+    st.integers(1, 200).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s - 1))),
+)
+def test_an_off_grid_run_keeps_one_coordinate_at_its_clip_bound(height, width, spokes):
+    # the premise of drawing each off-grid run as a segment
+    num_spokes, j = spokes
+    angle = (np.pi * np.arange(num_spokes) / num_spokes)[j]
+    ts, lo, hi = operators._spoke_samples(height, width)
+    assert 0 <= lo <= hi <= ts.size
+    for run in (ts[:lo], ts[hi:]):
+        if run.size:
+            ys = np.clip(np.round(height // 2 + run * np.sin(angle)), 0, height - 1)
+            xs = np.clip(np.round(width // 2 + run * np.cos(angle)), 0, width - 1)
+            y_held = ys.min() == ys.max() in (0, height - 1)
+            assert y_held or xs.min() == xs.max() in (0, width - 1)
+
+
+@given(st.integers(2, 70), st.integers(2, 70), st.integers(1, 200))
+def test_spokes_drawn_with_runs_as_segments_equal_the_oracle_spokes(height, width, num_spokes):
+    ts, lo, hi = operators._spoke_samples(height, width)
+    mask = np.zeros((height, width), dtype=bool)
+    want = np.zeros_like(mask)
+    for angle in np.pi * np.arange(num_spokes) / num_spokes:
+        want[tuple(zip(*oracles.spoke_pixels(height, width, angle)))] = True
+    for run_samples in (0, 2**62):  # every run as a segment, then none
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "_RUN_SAMPLES", run_samples)
+            operators._draw_spokes(mask, num_spokes, ts, lo, hi)
+        assert np.array_equal(mask, want)
+
+
+@given(st.integers(2, 70), st.integers(2, 70), st.integers(1, 280))
+def test_the_coverage_bound_holds(height, width, num_spokes):
+    # radial_mask skips every spoke count whose bound is below the target
+    ts, lo, hi = operators._spoke_samples(height, width)
+    mask = np.zeros((height, width), dtype=bool)
+    operators._draw_spokes(mask, num_spokes, ts, lo, hi)
+    assert np.count_nonzero(mask) <= operators._coverage_bound(num_spokes, height, width)
+
+
+@pytest.mark.parametrize("run_samples", [0, 2**62])
+@pytest.mark.parametrize(
+    "height, width, ratio",
+    [
+        (2, 2, 1.0),
+        (2, 64, 0.3),
+        (64, 2, 0.3),
+        (3, 7, 0.3),
+        (31, 17, 0.3),
+        (100, 37, 0.01),
+        (128, 128, 0.3),
+    ],
+)
+def test_radial_mask_equals_the_oracle_whichever_runs_are_segments(
+    monkeypatch, height, width, ratio, run_samples
+):
+    # RADIAL_CASES draw runs as segments only at the larger sides
+    monkeypatch.setattr(operators, "_RUN_SAMPLES", run_samples)
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    got = radial_mask(height, width, ratio, rng)
+    assert np.array_equal(got, oracles.radial_mask(height, width, ratio, ref_rng))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (7, 7), (8, 8), (5, 12), (12, 5), (1, 9)])
+def test_mirror_indices_equal_the_full_grid(shape):
+    rng = np.random.default_rng(shape[0] * 13 + shape[1])
+    for ratio in (0.0, 0.3, 1.0):
+        mask = rng.random(shape) < ratio
+        got = MaskedDft(mask)._mirror
+        want = oracles.mirror_indices(mask)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_mirror_indices_take_no_full_size_grid():
+    # at 2048^2 an intp grid of every mirror alone is 32 MiB; a mask
+    # sampling 10 % needs about 3.2 MiB per index array, and three of them
+    # are alive at once
+    mask = np.random.default_rng(0).random((2048, 2048)) < 0.1
+    tracemalloc.start()
+    try:
+        MaskedDft(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 7), (31, 17), (64, 64), (128, 128)])
+def test_phantom_equals_the_full_grid_oracle(shape):
+    for seed in (0, 1, 2):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = shared_structure_phantom(*shape, rng)
+        want = oracles.shared_structure_phantom(*shape, ref_rng)
+        for g, w in zip(got, want):
+            assert g.shape == shape and g.tobytes() == w.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_phantom_properties():
