@@ -79,8 +79,9 @@ class TwoBlockPoint:
     For the joint-recovery instantiation both blocks have length
     height*width and are row-major flattenings of images.  The blocks'
     squared norms are computed once, on first use by :meth:`is_finite`,
-    :meth:`norm` or a joint-recovery point's pair transform, so the arrays
-    must not be mutated after any of these has read them.
+    :meth:`norm`, a quadratic point's ``h1`` or ``h2`` or a joint-recovery
+    point's pair transform, so the arrays must not be mutated after any of
+    these has read them.
     """
 
     x1: np.ndarray
@@ -140,14 +141,12 @@ class EvaluatedPoint(TwoBlockPoint):
     """A point bound to the objective that evaluates it.
 
     Made by :meth:`SmoothedObjective.point` and
-    :meth:`SmoothedObjective.evaluate`.  The methods give the terms and
-    gradients at this point and take only eps; :meth:`grad_h` is the one
-    route to both partial gradients of the joint term.  This generic class
-    reads them from the objective's per-call methods ``h1(x1, eps)``,
-    ``h2(x2, eps)``, ``h(x1, x2, eps)``, ``grad_h1(x1, eps)``,
-    ``grad_h2(x2, eps)``, ``grad1_h`` and ``grad2_h``, so it caches
-    nothing; an objective whose terms share eps-independent work returns a
-    subclass that computes that work once.  The arrays must not be mutated
+    :meth:`SmoothedObjective.evaluate`.  Each objective's point class
+    defines six methods that take only eps: ``h1``, ``h2`` and ``h``, the
+    three terms, and ``grad_h1``, ``grad_h2`` and ``grad_h``, their
+    gradients, where ``grad_h`` is the one route to both partial gradients
+    of the joint term, (grad1_h, grad2_h).  A point may keep the
+    eps-independent work of its terms, so the arrays must not be mutated
     after evaluation.  Returned arrays may be shared between calls and may
     be the point's own blocks, so no caller writes them.
     """
@@ -155,25 +154,6 @@ class EvaluatedPoint(TwoBlockPoint):
     def __init__(self, x1, x2, obj: "SmoothedObjective"):
         super().__init__(x1, x2)
         object.__setattr__(self, "obj", obj)
-
-    def h1(self, eps: float) -> float:
-        return self.obj.h1(self.x1, eps)
-
-    def h2(self, eps: float) -> float:
-        return self.obj.h2(self.x2, eps)
-
-    def h(self, eps: float) -> float:
-        return self.obj.h(self.x1, self.x2, eps)
-
-    def grad_h1(self, eps: float) -> np.ndarray:
-        return self.obj.grad_h1(self.x1, eps)
-
-    def grad_h2(self, eps: float) -> np.ndarray:
-        return self.obj.grad_h2(self.x2, eps)
-
-    def grad_h(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        """Both partial gradients of the joint term, (grad1_h, grad2_h)."""
-        return self.obj.grad1_h(self.x1, self.x2, eps), self.obj.grad2_h(self.x1, self.x2, eps)
 
 
 class SmoothedObjective:
@@ -190,13 +170,8 @@ class SmoothedObjective:
     """
 
     def point(self, x1: np.ndarray, x2: np.ndarray) -> EvaluatedPoint:
-        """A new point (x1, x2) bound to this objective.
-
-        The generic point reads the per-call methods its docstring lists;
-        override to return an :class:`EvaluatedPoint` subclass that
-        computes the eps-independent work of the terms once.
-        """
-        return EvaluatedPoint(x1, x2, self)
+        """A new point (x1, x2) bound to this objective."""
+        raise NotImplementedError
 
     def evaluate(self, X: TwoBlockPoint) -> EvaluatedPoint:
         """X bound to this objective; a point already bound to it comes back as is."""
@@ -216,7 +191,11 @@ class SmoothedObjective:
 
 
 def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:
-    """Smoothed objective value: the three-term sum at X."""
+    """Smoothed objective value: the three-term sum at X.
+
+    A :class:`NumericError` names the first term that is not finite, or
+    the sum when three finite terms overflow it.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     P = obj.evaluate(X)
@@ -227,6 +206,7 @@ def phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> float:
         for name, val in (("h1", h1), ("h2", h2), ("h", h)):
             if not np.isfinite(val):
                 raise NumericError(f"non-finite objective term {name!r}: {val}")
+        raise NumericError(f"objective sum h1 + h2 + h overflows: {h1} + {h2} + {h}")
     return total
 
 
@@ -234,7 +214,9 @@ def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlo
     """Full gradient of the smoothed objective as a two-block point.
 
     The l2 norm of the returned point is the gradient norm used by the
-    safeguard and reduction criteria.
+    safeguard and reduction criteria.  A :class:`NumericError` is raised
+    when an entry is not finite, or when the norm of finite entries
+    overflows.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -243,6 +225,10 @@ def grad_phi_eps(obj: SmoothedObjective, X: TwoBlockPoint, eps: float) -> TwoBlo
     g1 = P.grad_h1(eps) + gh1
     g2 = P.grad_h2(eps) + gh2
     G = TwoBlockPoint(g1, g2)
-    if not G.is_finite():
-        raise NumericError("non-finite entries in objective gradient")
+    # a finite sum of the squared block norms rules out both faults
+    d1, d2 = G._squared_norms()
+    if not math.isfinite(d1 + d2):
+        if not G.is_finite():
+            raise NumericError("non-finite entries in objective gradient")
+        raise NumericError("objective gradient norm overflows")
     return G

@@ -52,8 +52,10 @@ class QuadraticToy(SmoothedObjective):
 
     Smooth for every eps, analytic minimizer at the origin; used to
     exercise the solver and the convergence diagnostics with a known
-    Lipschitz constant.  Its points are :class:`QuadraticPoint`; the
-    per-call methods give the same values.
+    Lipschitz constant.  Its points are :class:`QuadraticPoint`.  The
+    per-call h1, h2, h, grad_h1 and grad_h2 give the same values, and no
+    solve calls them: they stay because ``perfbench``'s tracer wraps them
+    by name.
     """
 
     def h1(self, x1, eps):
@@ -202,7 +204,10 @@ class JointRecovery(SmoothedObjective):
     ``extractor`` supplies the group norms and the weighted pullback of
     its features (identity or convolutional) for images of the
     operator's shape; ``lam`` is the regularization weight multiplying
-    the smoothed l2,1 term.
+    the smoothed l2,1 term.  A solve evaluates it through
+    :class:`RecoveryPoint` and the per-block partials; no solve calls the
+    per-call h1, h2, h, grad_h1 and grad_h2, which stay because
+    ``perfbench``'s tracer wraps them by name.
     """
 
     def __init__(self, dft: MaskedDft, kspace: KSpaceData, extractor, lam: float):

@@ -12,9 +12,7 @@ radial mask and the layer bounds compute what the package's vectorised
 forms compute, one spoke or one kernel tap per call; the phantom and the
 mirror indices compute theirs on full-size coordinate grids.  The trace
 writer is the ``csv.writer`` one that the package's single-format writer
-must match byte for byte, and :class:`PerCallQuadratic` is the quadratic
-toy on the generic point, for tests that inject a fault through a
-per-call method.
+must match byte for byte.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import numpy as np
 from lpam import core
 from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
-from lpam.objectives import QuadraticToy, grad_r_eps
+from lpam.objectives import grad_r_eps
 from lpam.operators import _check_ratio
 from lpam.solver import IterateRecord
 
@@ -259,13 +257,6 @@ def layer_bounds(weights) -> list[float]:
         taps = w.reshape(w.shape[0], w.shape[1], -1)
         bounds.append(sum(float(np.linalg.norm(taps[:, :, t], 2)) for t in range(taps.shape[2])))
     return bounds
-
-
-class PerCallQuadratic(QuadraticToy):
-    """The quadratic toy whose points read its per-call methods, so that a
-    subclass overriding one of them changes what the solver sees."""
-
-    point = SmoothedObjective.point
 
 
 # the csv.writer cell of each IterateRecord field type

@@ -23,7 +23,7 @@ from lpam.objectives import (
 from lpam.operators import InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from lpam.solver import LpamConfig, lpam_run, u_step, v_step_with_linesearch
 
-from tests.oracles import PerCallQuadratic, finite_difference_grad
+from tests.oracles import finite_difference_grad
 
 
 def _cnn_objective(num_layers=4):
@@ -164,13 +164,19 @@ def test_squared_block_norms_overflow_without_a_warning():
 
 def test_quadratic_overflow_is_a_numeric_error_without_a_warning():
     # warnings are errors here, and no errstate is open: an overflowing
-    # term is named, on the point and through the per-call methods alike
-    for obj in (QuadraticToy(), PerCallQuadratic()):
-        with pytest.raises(NumericError, match="'h1'"):
-            phi_eps(obj, TwoBlockPoint([1e200], [-1e200]), 1.0)
-        # each block's square is finite, their difference's is not
-        with pytest.raises(NumericError, match="'h'"):
-            phi_eps(obj, TwoBlockPoint([1e154], [-1e154]), 1.0)
+    # term is named, and the per-call methods read inf
+    obj = QuadraticToy()
+    with pytest.raises(NumericError, match="'h1'"):
+        phi_eps(obj, TwoBlockPoint([1e200], [-1e200]), 1.0)
+    assert obj.h1(np.array([1e200]), 1.0) == np.inf
+    # each block's square is finite, their difference's is not
+    with pytest.raises(NumericError, match="'h'"):
+        phi_eps(obj, TwoBlockPoint([1e154], [-1e154]), 1.0)
+    assert obj.h(np.array([1e154]), np.array([-1e154]), 1.0) == np.inf
+    # each term is finite, their sum is not
+    r = 1.3038e154
+    with pytest.raises(NumericError, match="sum"):
+        phi_eps(obj, TwoBlockPoint([r, 0.0], [r / 2, 0.8660254 * r]), 1.0)
     X = TwoBlockPoint([1e200], [-1e200])
     assert X.diff_norms(TwoBlockPoint([-1e200], [1e200])) == (np.inf, np.inf)
 
@@ -242,9 +248,13 @@ def test_phi_eps_requires_positive_eps():
 
 
 def test_phi_eps_names_nonfinite_term():
-    class Bad(PerCallQuadratic):
-        def h2(self, x2, eps):
+    class BadPoint(QuadraticPoint):
+        def h2(self, eps):
             return float("nan")
+
+    class Bad(QuadraticToy):
+        def point(self, x1, x2):
+            return BadPoint(x1, x2, self)
 
     with pytest.raises(NumericError, match="h2"):
         phi_eps(Bad(), TwoBlockPoint(np.zeros(2), np.zeros(2)), 0.1)
@@ -262,12 +272,19 @@ def test_grad_matches_finite_differences():
 
 
 def test_grad_rejects_nonfinite():
-    class Bad(PerCallQuadratic):
-        def grad1_h(self, x1, x2, eps):
-            return np.full_like(x1, np.nan)
+    class BadPoint(QuadraticPoint):
+        def grad_h(self, eps):
+            return np.full_like(self.x1, np.nan), self.x2 - self.x1
 
-    with pytest.raises(NumericError):
+    class Bad(QuadraticToy):
+        def point(self, x1, x2):
+            return BadPoint(x1, x2, self)
+
+    with pytest.raises(NumericError, match="entries"):
         grad_phi_eps(Bad(), TwoBlockPoint(np.zeros(2), np.zeros(2)), 0.1)
+    # every entry is finite, the norm is not
+    with pytest.raises(NumericError, match="norm overflows"):
+        grad_phi_eps(QuadraticToy(), TwoBlockPoint([5.5e153], [-5.5e153]), 0.1)
 
 
 @pytest.mark.parametrize("make", [_identity_objective, _cnn_objective])
@@ -541,7 +558,8 @@ def test_quadratic_point_matches_per_call_methods():
 def test_evaluated_point_matches_per_call_methods(make):
     # the joint term goes through the same code both ways, so it is exact;
     # the point's fidelities come from one paired transform per direction,
-    # which agrees with the one-channel MaskedDft methods within rtol
+    # which agrees within rtol with the one-channel MaskedDft methods and
+    # with the objective's per-call methods
     rtol = 1e-13
     obj = make()
     rng = np.random.default_rng(2)
@@ -549,13 +567,14 @@ def test_evaluated_point_matches_per_call_methods(make):
     P = obj.evaluate(TwoBlockPoint(x1, x2))
     assert obj.evaluate(P) is P
     dft, data = obj.dft, obj.kspace
-    for fid, grad, x, f in (
-        (P.h1, P.grad_h1, x1, data.f1),
-        (P.h2, P.grad_h2, x2, data.f2),
+    for fid, grad, per_call_fid, per_call_grad, x, f in (
+        (P.h1, P.grad_h1, obj.h1, obj.grad_h1, x1, data.f1),
+        (P.h2, P.grad_h2, obj.h2, obj.grad_h2, x2, data.f2),
     ):
-        assert fid(0.05) == pytest.approx(dft.fidelity(x, f), rel=rtol)
-        ref = dft.grad_fidelity(x, f)
-        assert np.linalg.norm(grad(0.05) - ref) <= rtol * np.linalg.norm(ref)
+        for want in (dft.fidelity(x, f), per_call_fid(x, 0.05)):
+            assert fid(0.05) == pytest.approx(want, rel=rtol)
+        for ref in (dft.grad_fidelity(x, f), per_call_grad(x, 0.05)):
+            assert np.linalg.norm(grad(0.05) - ref) <= rtol * np.linalg.norm(ref)
     for eps in (0.05, 0.05 * 0.9):
         assert P.h(eps) == obj.h(x1, x2, eps)
         gh = P.grad_h(eps)

@@ -12,7 +12,7 @@ from lpam import solver
 from lpam.core import TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import IdentityExtractor, random_extractor
 from lpam.fileio import FormatError
-from lpam.objectives import JointRecovery, QuadraticToy
+from lpam.objectives import JointRecovery, QuadraticPoint, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.solver import (
     EXIT_ITERATION_CAP,
@@ -29,7 +29,7 @@ from lpam.solver import (
     write_trace_csv,
 )
 
-from tests.oracles import PerCallQuadratic, half_count_m, write_trace_csv_reference
+from tests.oracles import half_count_m, write_trace_csv_reference
 
 QUAD_STATIONARITY = LpamConfig(
     eps0=1.0,
@@ -129,14 +129,22 @@ def test_v_step_decreases_objective():
     assert 0 <= l <= 60
 
 
-class AscentObjective(PerCallQuadratic):
+class AscentPoint(QuadraticPoint):
+    def grad_h1(self, eps):
+        return -self.x1
+
+    def grad_h2(self, eps):
+        return -self.x2
+
+    def grad_h(self, eps):
+        return self.x2 - self.x1, self.x1 - self.x2
+
+
+class AscentObjective(QuadraticToy):
     """Wrong-sign gradients: every candidate increases the objective."""
 
-    def grad_h1(self, x1, eps):
-        return -np.asarray(x1, dtype=np.float64)
-
-    def grad_h2(self, x2, eps):
-        return -np.asarray(x2, dtype=np.float64)
+    def point(self, x1, x2):
+        return AscentPoint(x1, x2, self)
 
     def grad1_h(self, x1, x2, eps):
         return x2 - x1
@@ -154,9 +162,17 @@ def test_line_search_failure_exit():
     assert state.k == 0
 
 
-class NanGradObjective(PerCallQuadratic):
-    def grad1_h(self, x1, x2, eps):
-        return np.full_like(x1, np.nan)
+class NanGradPoint(QuadraticPoint):
+    def grad_h(self, eps):
+        g1, g2 = super().grad_h(eps)
+        return np.full_like(g1, np.nan), g2
+
+
+class NanGradObjective(QuadraticToy):
+    """A NaN partial gradient of the joint term at every point."""
+
+    def point(self, x1, x2):
+        return NanGradPoint(x1, x2, self)
 
 
 def test_numeric_error_exit():
@@ -177,19 +193,64 @@ def test_eps_underflow_is_a_numeric_error():
     assert state.trace[-1].reduced and cfg.gamma * state.trace[-1].eps == 0.0
 
 
-class NanGradNearOriginObjective(PerCallQuadratic):
-    """Finite gradient at the start, NaN wherever x1 has moved toward 0."""
+class BadGradNearOriginPoint(QuadraticPoint):
+    def grad_h1(self, eps):
+        return np.where(np.abs(self.x1) < 0.99, self.obj.fill, self.x1)
 
-    def grad_h1(self, x1, eps):
-        return np.where(np.abs(x1) < 0.99, np.nan, x1)
+
+class BadGradNearOriginObjective(QuadraticToy):
+    """Finite gradient at the start; wherever x1 has moved toward 0, each
+    of its entries there holds ``fill``, NaN or one whose square overflows."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def point(self, x1, x2):
+        return BadGradNearOriginPoint(x1, x2, self)
 
 
 @pytest.mark.parametrize("mode", ["lpam", "bcd"])
 def test_nonfinite_gradient_at_accepted_point_ends_the_run(mode):
+    # a NaN entry, or finite entries whose norm overflows
     cfg = dataclasses.replace(QUAD_STATIONARITY, mode=mode)
-    state, reason = lpam_run(NanGradNearOriginObjective(), TwoBlockPoint([1.0], [1.0]), cfg)
+    for fill in (np.nan, 1e300):
+        obj = BadGradNearOriginObjective(fill)
+        state, reason = lpam_run(obj, TwoBlockPoint([1.0], [1.0]), cfg)
+        assert reason == EXIT_NUMERIC
+        assert state.k == 0
+
+
+# three finite terms whose sum overflows, and finite gradient entries whose
+# norm overflows
+R = 1.3038e154
+OVERFLOWING_STARTS = {
+    "sum": TwoBlockPoint([R, 0.0], [R / 2, 0.8660254 * R]),
+    "gradient norm": TwoBlockPoint([5.5e153], [-5.5e153]),
+}
+
+
+@pytest.mark.parametrize("mode", ["lpam", "bcd"])
+@pytest.mark.parametrize("start", OVERFLOWING_STARTS)
+def test_overflow_at_the_start_point_is_a_numeric_error(start, mode):
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode=mode)
+    state, reason = lpam_run(QuadraticToy(), OVERFLOWING_STARTS[start], cfg)
     assert reason == EXIT_NUMERIC
     assert state.k == 0
+
+
+@given(st.floats(1e153, 2e154), st.floats(0.0, 2 * math.pi), st.sampled_from(["lpam", "bcd"]))
+@example(R, math.pi / 3, "lpam")
+@example(5.5e153, math.pi, "bcd")
+def test_every_row_a_run_keeps_reads_back(r, angle, mode):
+    # start points on the edge of the float range, where the objective, its
+    # gradient norm or a step can overflow
+    X0 = TwoBlockPoint([r, 0.0], [r * math.cos(angle), r * math.sin(angle)])
+    cfg = dataclasses.replace(QUAD_STATIONARITY, mode=mode, max_iter=20)
+    trace = lpam_run(QuadraticToy(), X0, cfg)[0].trace
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
 
 
 @pytest.mark.parametrize("tau", [1e200, 1e308])
@@ -206,11 +267,16 @@ def test_overflowing_candidate_is_rejected_by_the_safeguard(tau):
     assert [r.phi for r in state.trace] == [r.phi for r in bcd.trace]
 
 
-class BarrierObjective(PerCallQuadratic):
+class BarrierPoint(QuadraticPoint):
+    def h1(self, eps):
+        return math.inf if (self.x1 < 0).any() else super().h1(eps)
+
+
+class BarrierObjective(QuadraticToy):
     """The quadratic toy with h1 infinite wherever an entry of x1 is negative."""
 
-    def h1(self, x1, eps):
-        return math.inf if (x1 < 0).any() else super().h1(x1, eps)
+    def point(self, x1, x2):
+        return BarrierPoint(x1, x2, self)
 
 
 def test_line_search_backtracks_from_a_nonfinite_trial():
