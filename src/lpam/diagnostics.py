@@ -129,9 +129,13 @@ def audit_report(
     config: LpamConfig,
     L_eps_fn: Callable[[float], float],
 ) -> dict:
-    """The decrease, segment and ``lmax`` audits of a trace, made in one pass
-    that reads ``L_eps_fn(eps)`` once per row, as a JSON-ready dict with an
-    overall ``passed`` flag.
+    """The decrease, segment and ``lmax`` audits of a trace, made in one pass,
+    as a JSON-ready dict with an overall ``passed`` flag.
+
+    ``L_eps_fn`` must be pure: its estimate, the two decrease rates and, at
+    the first fallback row, the ``lmax`` bound are taken once per run of
+    rows whose ``eps`` equals the previous row's, sign included (a NaN
+    never does), and serve the whole run.
 
     The decrease audit lists ``{"k", "reason"}`` failures: each step must
     not increase the objective, and its squared pre-step gradient norm
@@ -150,20 +154,27 @@ def audit_report(
     failures, segs, violations = [], [], []
     # the last reduced row's k; the open segment's first row and its rate sum
     prev, first, rate_sum = -1, None, None
+    # the eps whose estimate, rates and lmax bound (None until a fallback
+    # row asks for it) serve the rows that carry it
+    eps = math.nan
     for r in trace:
         # the quantity being formed, which an ArithmeticError names
         what = "Lipschitz estimate"
         try:
-            L = _finite(r, what, L_eps_fn(r.eps))
-            what = "decrease rate"
-            safeguard, line_search = [_finite(r, what, v) for v in _rates(config, L)]
+            # a NaN equals nothing, and 0.0 and -0.0 are told apart
+            if r.eps != eps or (r.eps == 0 and math.copysign(1, r.eps) != math.copysign(1, eps)):
+                eps, cap = r.eps, None
+                L = _finite(r, what, L_eps_fn(eps))
+                what = "decrease rate"
+                safeguard, line_search = [_finite(r, what, v) for v in _rates(config, L)]
+                b2 = max(safeguard, line_search)
             if first is None:
                 first, rate_sum = r, safeguard + line_search
             if r.decrease < -_SLACK:
                 failures.append({"k": r.k, "reason": f"objective increased by {-r.decrease}"})
             else:
                 what = "squared pre-step gradient norm"
-                g2, b2 = r.grad_norm_pre**2, max(safeguard, line_search)
+                g2 = r.grad_norm_pre**2
                 if g2 > b2 * r.decrease + _SLACK:
                     failures.append(
                         {
@@ -174,7 +185,8 @@ def audit_report(
                     )
             if r.branch == "v":
                 what = "lmax bound"
-                cap = lmax_bound(config, L)
+                if cap is None:
+                    cap = lmax_bound(config, L)
                 if r.ls_count > cap:
                     violations.append({"k": r.k, "ls_count": r.ls_count, "bound": cap})
             if r.reduced:

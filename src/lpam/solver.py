@@ -5,6 +5,7 @@ smoothing-parameter reduction and termination, plus the plain-BCD baseline.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
 import re
@@ -361,36 +362,70 @@ def _flag(cell: str) -> bool:
     return cell == "1"
 
 
-# per IterateRecord field type: the writer's format, the spelling the
-# reader accepts, and the checked read that names a cell it refuses.  A
-# number starts with a digit, after a minus sign for a negative one, and
-# holds only ASCII digits, '.', 'e' and signs, as %d, %.17g and Python's
-# float repr write it; int() and float() take the grammar from there.
-# They would also read underscores, spaces, a leading plus sign and other
-# scripts' digits, which no trace holds.  A branch other than u or v is
-# refused once the row is read.
+# per IterateRecord field type: the spelling the reader accepts and the
+# checked read that names a cell it refuses.  A number starts with a
+# digit, after a minus sign for a negative one, and holds only ASCII
+# digits, '.', 'e' and signs, as %d, %.17g and Python's float repr write
+# it; int() and float() take the grammar from there.  They would also
+# read underscores, spaces, a leading plus sign and other scripts' digits,
+# which no trace holds.  A branch other than u or v is refused once the
+# row is read.
 _CELLS = {
-    "int": ("%d", r"-?[0-9]+", int),
-    "float": ("%.17g", r"-?[0-9][0-9.e+-]*", _finite),
-    "str": ("%s", r"[^,]*", str),
-    "bool": ("%d", r"[01]", _flag),
+    "int": (r"-?[0-9]+", int),
+    "float": (r"-?[0-9][0-9.e+-]*", _finite),
+    "str": (r"[^,]*", str),
+    "bool": (r"[01]", _flag),
 }
 # the trace columns are the record's fields in declaration order
 _FIELDS = fields(IterateRecord)
 _HEADER = [f.name for f in _FIELDS]
-_HEADER_LINE = ",".join(_HEADER) + "\r\n"
-_ROW_FORMAT = ",".join(_CELLS[f.type][0] for f in _FIELDS) + "\r\n"
-_ROW_SPELLING = re.compile(",".join(_CELLS[f.type][1] for f in _FIELDS))
-_values = operator.attrgetter(*_HEADER)
+_HEADER_TEXT = ",".join(_HEADER)
+_HEADER_LINE = _HEADER_TEXT + "\r\n"
+_ROW_SPELLING = re.compile(",".join(_CELLS[f.type][0] for f in _FIELDS))
+# one row as the writer formats it: eps, the pair phi,grad_norm and the
+# pair phi_pre,grad_norm_pre come in as text, each formatted by %.17g
+_ROW_FORMAT = "%d,%s,%s,%s,%d,%.17g,%d,%s\r\n"
+# a row as the writer spells it: the reader converts a trace column by
+# column when every line after the header matches this.  A number here
+# is at most 32 characters long, more than any float the writer formats;
+# a longer one is left to the csv path, whose field size limit it may
+# exceed.
+_WRITTEN_CELLS = {
+    "int": r"-?[0-9]{1,32}",
+    "float": r"-?[0-9][0-9.e+-]{0,31}",
+    "str": r"[uv]",
+    "bool": r"[01]",
+}
+_WRITTEN_ROW = re.compile(",".join(_WRITTEN_CELLS[f.type] for f in _FIELDS))
 
 
 def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
     """Write the per-iteration trace, one row per record, each line ended by
-    ``\\r\\n``; floats are written by ``%.17g``, so they read back bit for bit."""
+    ``\\r\\n``, in one write; floats are written by ``%.17g``, so they read
+    back bit for bit.
+
+    A float is formatted once: a row whose ``eps``, ``phi_pre`` and
+    ``grad_norm_pre`` are the very objects of the previous row's ``eps``,
+    ``phi`` and ``grad_norm``, as the solver carries them over, reuses
+    their text.  Objects, not values, are compared, so ``0.0`` never takes
+    the text of ``-0.0``.
+    """
+    lines = [_HEADER_LINE]
+    eps = phi = grad_norm = object()  # the previous row's, whose text is at hand
+    for r in trace:
+        if r.eps is eps and r.phi_pre is phi and r.grad_norm_pre is grad_norm:
+            pre = pair
+        else:
+            eps_text = "%.17g" % r.eps
+            pre = "%.17g,%.17g" % (r.phi_pre, r.grad_norm_pre)
+        eps, phi, grad_norm = r.eps, r.phi, r.grad_norm
+        pair = "%.17g,%.17g" % (phi, grad_norm)
+        lines.append(
+            _ROW_FORMAT % (r.k, eps_text, pair, r.branch, r.ls_count, r.decrease, r.reduced, pre)
+        )
+    text = "".join(lines)
     with open(path, "w", newline="") as fh:
-        fh.write(_HEADER_LINE)
-        for r in trace:
-            fh.write(_ROW_FORMAT % _values(r))
+        fh.write(text)
 
 
 def _refuse_cell(row: list[str]) -> None:
@@ -398,7 +433,7 @@ def _refuse_cell(row: list[str]) -> None:
     that its checked read refuses or that is a number spelled as no trace
     spells it; return if there is none."""
     for f, cell in zip(_FIELDS, row):
-        _, spelling, read = _CELLS[f.type]
+        spelling, read = _CELLS[f.type]
         read(cell)
         if f.type != "str" and not re.fullmatch(spelling, cell):
             raise ValueError(f"{f.name} {cell!r} is not spelled as a trace spells it")
@@ -434,6 +469,82 @@ def _record(row: list[str]) -> IterateRecord:
     return r
 
 
+def _csv_records(text: str, path) -> list[IterateRecord]:
+    """The records of a trace's text, read row by row by ``csv.reader``,
+    which also reads quoted cells and lone ``\\r`` line ends; a malformed
+    row raises :class:`~lpam.fileio.FormatError` naming the file and the row."""
+    records: list[IterateRecord] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != _HEADER:
+            raise ValueError("bad or missing header")
+        for row in reader:
+            r = _record(row)
+            if r.branch not in ("u", "v"):
+                raise ValueError("branch must be 'u' or 'v'")
+            if r.k != len(records):
+                raise ValueError(f"k = {r.k}, expected {len(records)}")
+            if r.eps <= 0:
+                raise ValueError(f"eps = {r.eps}, expected > 0")
+            if r.ls_count < 0 or r.grad_norm < 0 or r.grad_norm_pre < 0:
+                counts = r.ls_count, r.grad_norm, r.grad_norm_pre
+                raise ValueError(f"negative ls_count, grad_norm or grad_norm_pre: {counts}")
+            records.append(r)
+    except (ValueError, csv.Error) as exc:
+        # one record per line (the writer never quotes a line break);
+        # a missing header is row 1
+        line = max(reader.line_num, 1)
+        raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
+    return records
+
+
+class _Floats(dict):
+    """Cell text to float, each text converted at its first lookup."""
+
+    def __missing__(self, cell: str) -> float:
+        x = self[cell] = float(cell)
+        return x
+
+
+def _spelled_records(lines: list[str]) -> list[IterateRecord] | None:
+    """The records of a trace's lines after the header, each spelled as
+    :data:`_WRITTEN_ROW` spells a row, converted column by column; or None
+    if a cell fails its read or its check, which :func:`_csv_records` then
+    names."""
+    rows = [line.split(",") for line in lines]
+    if not rows:
+        return []
+    k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre = zip(*rows)
+    try:
+        k, ls_count = list(map(int, k)), list(map(int, ls_count))
+        phi_f, gn_f, decrease = [list(map(float, c)) for c in (phi, gn, decrease)]
+        # eps repeats between reductions, and phi_pre and grad_norm_pre
+        # repeat the previous row's phi and grad_norm in a row that carries
+        # them over, so each text in these columns is converted once
+        eps = list(map(_Floats().__getitem__, eps))
+        phi_pre = list(map(_Floats(zip(phi, phi_f)).__getitem__, phi_pre))
+        gn_pre = list(map(_Floats(zip(gn, gn_f)).__getitem__, gn_pre))
+    except ValueError:  # a cell such as 1-2 or 1e, spelled in the right characters
+        return None
+    phi, gn = phi_f, gn_f
+    floats = eps, phi, gn, decrease, phi_pre, gn_pre
+    # a non-finite float makes the sum non-finite; a sum of finite ones
+    # that overflows only sends the trace through the csv path
+    if not (
+        math.isfinite(sum(map(sum, floats)))
+        and k == list(range(len(rows)))
+        and min(eps) > 0
+        and min(ls_count) >= 0
+        and min(gn) >= 0
+        and min(gn_pre) >= 0
+    ):
+        return None
+    reduced = map("1".__eq__, reduced)
+    return list(
+        map(IterateRecord, k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre)
+    )
+
+
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
     audits look rows up by iteration.  Floats must be finite, ``eps``
@@ -442,28 +553,38 @@ def read_trace_csv(path) -> list[IterateRecord]:
     characters :func:`write_trace_csv` and Python's float repr use, so
     underscores, spaces and a leading plus sign are refused.  Lines may end in
     ``\\n`` or ``\\r\\n``.  A malformed trace raises
-    :class:`~lpam.fileio.FormatError`, naming the file and the row."""
-    records: list[IterateRecord] = []
+    :class:`~lpam.fileio.FormatError`, naming the file and the row.
+
+    The file is read and decoded once.  A text whose lines the writer's
+    spelling matches, each ended by ``\\r\\n`` or ``\\n``, the last one
+    optionally, is converted column by column; any other text, and one
+    whose cells fail a check, is read row by row by ``csv.reader``, which
+    names the row.  A byte that does not decode names the row that holds
+    it, unless a row before it is malformed.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != _HEADER:
-                raise ValueError("bad or missing header")
-            for row in reader:
-                r = _record(row)
-                if r.branch not in ("u", "v"):
-                    raise ValueError("branch must be 'u' or 'v'")
-                if r.k != len(records):
-                    raise ValueError(f"k = {r.k}, expected {len(records)}")
-                if r.eps <= 0:
-                    raise ValueError(f"eps = {r.eps}, expected > 0")
-                if r.ls_count < 0 or r.grad_norm < 0 or r.grad_norm_pre < 0:
-                    counts = r.ls_count, r.grad_norm, r.grad_norm_pre
-                    raise ValueError(f"negative ls_count, grad_norm or grad_norm_pre: {counts}")
-                records.append(r)
-        except (ValueError, csv.Error) as exc:
-            # one record per line (the writer never quotes a line break);
-            # a missing header is row 1
-            line = max(reader.line_num, 1)
-            raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
-    return records
+        encoding = fh.encoding
+        data = fh.buffer.read()
+    try:
+        text = data.decode(encoding)
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode(encoding)
+        # the whole lines before the bad byte are read first, so a row among
+        # them that is malformed is named as it would be in a decodable file
+        whole = head[: max(head.rfind("\n"), head.rfind("\r")) + 1]
+        if whole:
+            _csv_records(whole, path)
+        # the line ends csv.reader counts: \r\n, and a lone \r or \n
+        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
+        raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
+    # each line is matched on its own: one match over the whole text
+    # keeps a backtracking frame per row, about 1.2 KB each
+    lines = text.replace("\r\n", "\n").split("\n")
+    if not lines[-1]:
+        lines.pop()  # after the final line end
+    rows = lines[1:]
+    if lines[:1] == [_HEADER_TEXT] and all(map(_WRITTEN_ROW.fullmatch, rows)):
+        records = _spelled_records(rows)
+        if records is not None:
+            return records
+    return _csv_records(text, path)

@@ -211,9 +211,11 @@ def test_audit_computes_layer_bounds_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_audit_reads_the_lipschitz_estimate_once_per_row():
-    # one pass over the trace: a fallback row's lmax bound reuses its row's
-    # estimate, and a segment's bound the rates of the segment's first row
+def test_audit_reads_the_lipschitz_estimate_once_per_eps():
+    # one pass over the trace: the rows between two reductions carry one
+    # eps, and take its estimate from the first of them; a fallback row's
+    # lmax bound reuses its eps's estimate, and a segment's bound the rates
+    # of the segment's first row
     cfg = dataclasses.replace(QUAD_STATIONARITY, mode="bcd")
     X0 = TwoBlockPoint(np.ones(3), -np.ones(3))
     state, _ = lpam_run(QuadraticToy(), X0, cfg)
@@ -226,7 +228,38 @@ def test_audit_reads_the_lipschitz_estimate_once_per_row():
     rep = audit_report(state.trace, cfg, counting)
     assert rep["passed"] and len(rep["segments"]) >= 3
     assert all(r.branch == "v" for r in state.trace)
-    assert calls == [r.eps for r in state.trace]
+    runs = [r.eps for i, r in enumerate(state.trace) if i == 0 or state.trace[i - 1].reduced]
+    assert calls == runs and len(calls) < len(state.trace)
+
+
+def test_audit_takes_a_new_estimate_for_each_change_of_eps():
+    # the estimate is taken again whenever eps differs from the previous
+    # row's, also back to an earlier value, for -0.0 after 0.0 and for
+    # each NaN row; an equal eps in a different float object reuses it
+    eps = [1.0, float("1.0"), 0.5, 1.0, 0.0, 0.0, -0.0, math.nan, math.nan]
+    calls = []
+
+    def counting(e):
+        calls.append(e)
+        return 4.0
+
+    trace = [_record(k=k, eps=e) for k, e in enumerate(eps)]
+    audit_report(trace, LpamConfig(), counting)
+    assert [math.copysign(1, c) for c in calls] == [1, 1, 1, 1, -1, 1, 1]
+    assert calls[:5] == [1.0, 0.5, 1.0, 0.0, -0.0]
+    assert all(map(math.isnan, calls[5:]))
+
+
+def test_audit_takes_the_lmax_bound_of_each_rows_eps():
+    # an estimate of 4 / eps bounds the backtracks by 1 at eps 1 and by 9 at
+    # eps 0.004, so 5 backtracks at eps 0.004 pass and at eps 1 fail
+    trace = [
+        _record(k=0, eps=1.0, ls_count=1),
+        _record(k=1, eps=0.004, ls_count=5),
+        _record(k=2, eps=1.0, ls_count=5),
+    ]
+    rep = audit_report(trace, LpamConfig(), lambda e: 4.0 / e)
+    assert rep["lmax"]["violations"] == [{"k": 2, "ls_count": 5, "bound": 1}]
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tempfile
 from pathlib import Path
@@ -535,7 +536,41 @@ records = st.builds(
 )
 
 
-@given(st.lists(records, max_size=4))
+@st.composite
+def carried_traces(draw):
+    """Records of which some carry the previous row's eps, phi and
+    grad_norm objects over as their eps, phi_pre and grad_norm_pre, as the
+    solver does on every row after an unreduced one."""
+    trace = draw(st.lists(records, max_size=4))
+    for i in range(1, len(trace)):
+        if draw(st.booleans()):
+            prev = trace[i - 1]
+            trace[i] = dataclasses.replace(
+                trace[i], eps=prev.eps, phi_pre=prev.phi, grad_norm_pre=prev.grad_norm
+            )
+    return trace
+
+
+def _rows_sharing_floats() -> list[IterateRecord]:
+    """Rows that share float objects as the solver carries them, and rows
+    whose floats equal the previous row's in distinct objects; float() makes
+    a new object each call, where equal literals in one function are one."""
+    eps, nan = float("0.5"), float("nan")
+    r0 = IterateRecord(0, eps, float("-0.0"), nan, "u", 0, 0.5, False, 1.0, 2.0)
+    # carried over: a -0.0 and a NaN among the shared objects
+    r1 = IterateRecord(1, eps, float("0.125"), float("0.25"), "v", 2, -0.0, False, r0.phi, nan)
+    # equal values in new objects, with the eps object carried
+    r2 = IterateRecord(
+        2, r1.eps, float("-0.0"), float("1e-300"), "u", 0, 0.1, True, float("0.125"), float("0.25")
+    )
+    # 0.0 after -0.0, as phi_pre with eps and grad_norm_pre carried, then as eps
+    r3 = IterateRecord(3, r2.eps, float("3.5"), float("nan"), "u", 0, 0.1, False, 0.0, r2.grad_norm)
+    r4 = IterateRecord(4, float("-0.0"), 1.0, 1.0, "v", 1, 0.0, False, r3.phi, r3.grad_norm)
+    r5 = IterateRecord(5, float("0.0"), 2.0, 2.0, "v", 1, 0.0, False, r4.phi, r4.grad_norm)
+    return [r0, r1, r2, r3, r4, r5]
+
+
+@given(carried_traces())
 @example([])
 @example(
     [
@@ -543,20 +578,52 @@ records = st.builds(
         IterateRecord(2**70, -5e-324, -math.inf, -1e308, "v", -(2**70), -0.0, False, 0.1, 1 / 3),
     ]
 )
+@example(_rows_sharing_floats())
 def test_trace_writer_matches_the_csv_writer(trace):
     assert _written(write_trace_csv, trace) == _written(write_trace_csv_reference, trace)
 
 
-@pytest.mark.parametrize("kind", ["quadratic", "identity", "cnn"])
-def test_solver_traces_are_written_as_the_csv_writer_writes_them(kind):
+# the quadratic-cli benchmark workload's solver settings: a run to eps_tol
+# with 34 reductions, 879 of its 914 rows carrying eps, phi and grad_norm over
+QUAD_CLI = dataclasses.replace(
+    QUAD_STATIONARITY,
+    eps_tol=1e-10,
+    step_alpha=(0.03,),
+    step_tau=(0.03,),
+    step_beta=(0.03,),
+    step_gamma=(0.03,),
+)
+
+
+@functools.cache
+def solver_trace(kind: str) -> tuple[IterateRecord, ...]:
+    """The trace of one solver run: the quadratic toy from a fixed start,
+    to tolerance, or ten iterations of an 8x8 identity or CNN recovery."""
     if kind == "quadratic":
         obj, X0, cfg = QuadraticToy(), TwoBlockPoint(np.ones(4), -np.ones(4)), QUAD_STATIONARITY
+    elif kind == "quadratic-cli":  # lpam solve's start point at 32x32
+        obj, X0, cfg = QuadraticToy(), TwoBlockPoint(np.ones(1024), np.ones(1024)), QUAD_CLI
     else:
         inst = generate_instance(InstanceSpec(height=8, width=8), 0)
         ext = IdentityExtractor(8, 8) if kind == "identity" else random_extractor(8, 8, seed=1)
         obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
         X0, cfg = obj.zero_filled(), LpamConfig(max_iter=10)
-    trace = lpam_run(obj, X0, cfg)[0].trace
+    return tuple(lpam_run(obj, X0, cfg)[0].trace)
+
+
+def test_the_quadratic_cli_run_reduces_and_carries_over():
+    trace = solver_trace("quadratic-cli")
+    assert len(trace) == 914 and sum(r.reduced for r in trace) == 34
+    carried = [
+        r.eps is p.eps and r.phi_pre is p.phi and r.grad_norm_pre is p.grad_norm
+        for p, r in zip(trace, trace[1:])
+    ]
+    assert sum(carried) == 879
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "quadratic-cli", "identity", "cnn"])
+def test_solver_traces_are_written_as_the_csv_writer_writes_them(kind):
+    trace = solver_trace(kind)
     assert _written(write_trace_csv, trace) == _written(write_trace_csv_reference, trace)
 
 
@@ -617,6 +684,160 @@ def test_trace_csv_bad_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(FormatError, match="header"):
+        read_trace_csv(path)
+
+
+def _trace_text(kind: str) -> str:
+    """The text write_trace_csv writes for a solver trace."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace_csv(solver_trace(kind), path)
+        with open(path, newline="") as fh:
+            return fh.read()
+
+
+def _edit_line(text: str, line: int, edit) -> str:
+    """``text`` with one line, counted from 0 at the header, edited."""
+    lines = text.split("\r\n")
+    lines[line] = edit(lines[line])
+    return "\r\n".join(lines)
+
+
+def _edit_cell(text: str, line: int, column: str, cell: str) -> str:
+    """``text`` with one cell of one line replaced."""
+
+    def edit(row: str) -> str:
+        parts = row.split(",")
+        parts[solver._HEADER.index(column)] = cell
+        return ",".join(parts)
+
+    return _edit_line(text, line, edit)
+
+
+def _read_both(path: Path, text: str):
+    """What read_trace_csv and the csv path it keeps make of ``text``: the
+    records, or the FormatError message."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    outcomes = []
+    for read in (read_trace_csv, lambda p: solver._csv_records(text, p)):
+        try:
+            outcomes.append(read(path))
+        except FormatError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+TRACE_KINDS = ["quadratic-cli", "identity", "cnn"]
+
+# edits of a written trace that the reader accepts, read by the csv path
+ACCEPTED_EDITS = {
+    "as written": lambda t: t,
+    "quoted cells": lambda t: _edit_line(t, 4, lambda r: ",".join(f'"{c}"' for c in r.split(","))),
+    "lf line ends": lambda t: t.replace("\r\n", "\n"),
+    "mixed line ends": lambda t: t.replace("\r\n", "\n", 3),
+    "lone cr line ends": lambda t: t.replace("\r\n", "\r"),
+    "no final line end": lambda t: t.removesuffix("\r\n"),
+}
+
+# edits of line 4 (or of the header) that the reader refuses
+REFUSED_EDITS = {
+    "blank line": lambda t: _edit_line(t, 4, lambda r: r + "\r\n"),
+    "extra cell": lambda t: _edit_line(t, 4, lambda r: r + ",0"),
+    "missing cell": lambda t: _edit_line(t, 4, lambda r: r.rsplit(",", 1)[0]),
+    "bad header": lambda t: _edit_line(t, 0, lambda r: r.replace("_pre", "_post")),
+    "k +1": lambda t: _edit_cell(t, 4, "k", "+1"),
+    "ls_count 0_3": lambda t: _edit_cell(t, 4, "ls_count", "0_3"),
+    "eps with a space": lambda t: _edit_cell(t, 4, "eps", " 1"),
+    "phi 1E5": lambda t: _edit_cell(t, 4, "phi", "1E5"),
+    "grad_norm inf": lambda t: _edit_cell(t, 4, "grad_norm", "inf"),
+    "decrease nan": lambda t: _edit_cell(t, 4, "decrease", "nan"),
+    "phi_pre 1e999": lambda t: _edit_cell(t, 4, "phi_pre", "1e999"),
+    # spelled in a number's characters, but no number
+    "decrease 1-2": lambda t: _edit_cell(t, 4, "decrease", "1-2"),
+    "phi 1e": lambda t: _edit_cell(t, 4, "phi", "1e"),
+    "branch w": lambda t: _edit_cell(t, 4, "branch", "w"),
+    "flag 2": lambda t: _edit_cell(t, 4, "reduced", "2"),
+    "gap in k": lambda t: _edit_cell(t, 4, "k", "4"),
+    "eps 0": lambda t: _edit_cell(t, 4, "eps", "0"),
+    "eps negative": lambda t: _edit_cell(t, 4, "eps", "-0.5"),
+    "ls_count negative": lambda t: _edit_cell(t, 4, "ls_count", "-1"),
+    "grad_norm negative": lambda t: _edit_cell(t, 4, "grad_norm", "-0.5"),
+    "grad_norm_pre negative": lambda t: _edit_cell(t, 4, "grad_norm_pre", "-1e-300"),
+}
+
+
+def test_the_written_traces_take_the_pattern_path():
+    # every row of a written trace matches the writer's spelling, so its
+    # records come from the column-by-column conversion
+    for kind in TRACE_KINDS:
+        header, *rows = _trace_text(kind).removesuffix("\r\n").split("\r\n")
+        assert header == solver._HEADER_TEXT
+        assert all(map(solver._WRITTEN_ROW.fullmatch, rows))
+        assert solver._spelled_records(rows) == list(solver_trace(kind))
+
+
+@pytest.mark.parametrize("edit", ACCEPTED_EDITS)
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_trace_reader_accepts_what_the_csv_path_accepts(tmp_path, kind, edit):
+    text = ACCEPTED_EDITS[edit](_trace_text(kind))
+    fast, csv_path = _read_both(tmp_path / "trace.csv", text)
+    assert fast == csv_path == list(solver_trace(kind))
+
+
+@pytest.mark.parametrize("edit", REFUSED_EDITS)
+@pytest.mark.parametrize("kind", TRACE_KINDS)
+def test_trace_reader_refuses_as_the_csv_path_refuses(tmp_path, kind, edit):
+    text = REFUSED_EDITS[edit](_trace_text(kind))
+    fast, csv_path = _read_both(tmp_path / "trace.csv", text)
+    assert isinstance(fast, str) and fast == csv_path
+    assert "malformed trace row" in fast
+
+
+# cells that int(), float() or csv.reader read in some way, and text that
+# changes a line's structure
+edited_cells = st.sampled_from(
+    ["0", "-0", "1", "-1", "0.5", "-0.5", "1e-320", "1e308", "1e999", "+1", "1E5", "0_3", " 1"]
+    + ["inf", "nan", "-inf", "u", "v", "w", "2", "1-2", "1e", ".5", "5.", '"1"', "１"]
+) | st.text(alphabet='0123456789.-+eE_ ,"\r\nuvinfa', max_size=6)
+
+
+@given(line=st.integers(0, 10), column=st.sampled_from(solver._HEADER), cell=edited_cells)
+@example(line=0, column="k", cell="j")
+@example(line=1, column="k", cell='"0"')
+def test_trace_reader_agrees_with_the_csv_path_on_any_one_cell(line, column, cell):
+    with tempfile.TemporaryDirectory() as tmp:
+        text = _edit_cell(_trace_text("cnn"), line, column, cell)
+        fast, csv_path = _read_both(Path(tmp) / "trace.csv", text)
+    assert fast == csv_path
+
+
+@pytest.mark.parametrize("offset, row", [(5000, 48), (20000, 183), (60000, 481)])
+def test_an_undecodable_byte_names_the_row_that_holds_it(tmp_path, offset, row):
+    # the file is decoded whole, so the error's position is the byte's
+    # offset in the file, and the row is the line it lies on
+    data = _trace_text("quadratic-cli").encode()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+    with pytest.raises(FormatError, match=f"row {row} in .*byte 0xff in position {offset}:"):
+        read_trace_csv(path)
+
+
+def test_an_undecodable_byte_counts_lone_cr_line_ends(tmp_path):
+    lines = _trace_text("identity").split("\r\n")
+    lines[5] = "\xff" + lines[5]
+    path = tmp_path / "trace.csv"
+    path.write_bytes("\r".join(lines).encode("latin-1"))
+    with pytest.raises(FormatError, match="row 6 in .*byte 0xff"):
+        read_trace_csv(path)
+
+
+def test_a_malformed_row_before_an_undecodable_byte_is_named_first(tmp_path):
+    text = _edit_cell(_trace_text("quadratic-cli"), 3, "k", "+2")
+    data = text.encode()
+    path = tmp_path / "trace.csv"
+    path.write_bytes(data[:20000] + b"\xff" + data[20000:])
+    with pytest.raises(FormatError, match="row 4 in .*: k '\\+2' is not spelled"):
         read_trace_csv(path)
 
 
