@@ -4,11 +4,10 @@ smoothing-parameter reduction and termination, plus the plain-BCD baseline.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import operator
 import re
+import reprlib
 from dataclasses import dataclass, field, fields
 from typing import Sequence
 
@@ -349,67 +348,35 @@ def lpam_run(
     return state, exit_reason
 
 
-def _finite(cell: str) -> float:
-    x = float(cell)
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {cell!r}")
-    return x
-
-
-def _flag(cell: str) -> bool:
-    if cell not in ("0", "1"):
-        raise ValueError(f"flag must be 0 or 1, got {cell!r}")
-    return cell == "1"
-
-
-# per IterateRecord field type: the spelling the reader accepts and the
-# checked read that names a cell it refuses.  A number starts with a
-# digit, after a minus sign for a negative one, and holds only ASCII
-# digits, '.', 'e' and signs, as %d, %.17g and Python's float repr write
-# it; int() and float() take the grammar from there.  They would also
-# read underscores, spaces, a leading plus sign and other scripts' digits,
-# which no trace holds.  A branch other than u or v is refused once the
-# row is read.
-_CELLS = {
-    "int": (r"-?[0-9]+", int),
-    "float": (r"-?[0-9][0-9.e+-]*", _finite),
-    "str": (r"[^,]*", str),
-    "bool": (r"[01]", _flag),
-}
 # the trace columns are the record's fields in declaration order
 _FIELDS = fields(IterateRecord)
 _HEADER = [f.name for f in _FIELDS]
 _HEADER_TEXT = ",".join(_HEADER)
 _HEADER_LINE = _HEADER_TEXT + "\r\n"
-_ROW_SPELLING = re.compile(",".join(_CELLS[f.type][0] for f in _FIELDS))
 # one row as the writer formats it: eps, the pair phi,grad_norm and the
 # pair phi_pre,grad_norm_pre come in as text, each formatted by %.17g
 _ROW_FORMAT = "%d,%s,%s,%s,%d,%.17g,%d,%s\r\n"
-# a row as the writer spells it: the reader converts a trace column by
-# column when every line after the header matches this.  A number here
-# is at most 32 characters long, more than any float the writer formats;
-# a longer one is left to the csv path, whose field size limit it may
-# exceed.
+# per field type, a cell as the writer spells it and its read.  A number is
+# an ASCII digit, after a minus sign for a negative one, then digits, '.',
+# 'e' and signs; int() and float() check the grammar from there, but would
+# also read underscores, spaces, a plus sign or other scripts' digits.
 _WRITTEN_CELLS = {
-    "int": r"-?[0-9]{1,32}",
-    "float": r"-?[0-9][0-9.e+-]{0,31}",
-    "str": r"[uv]",
-    "bool": r"[01]",
+    "int": (r"-?[0-9]+", int),
+    "float": (r"-?[0-9][0-9.e+-]*", float),
+    "str": (r"[uv]", str),
+    "bool": (r"[01]", "1".__eq__),
 }
-_WRITTEN_ROW = re.compile(",".join(_WRITTEN_CELLS[f.type] for f in _FIELDS))
+_COLUMNS = [(f, re.compile(_WRITTEN_CELLS[f.type][0]), _WRITTEN_CELLS[f.type][1]) for f in _FIELDS]
+_WRITTEN_ROW = re.compile(",".join(_WRITTEN_CELLS[f.type][0] for f in _FIELDS))
 
 
 def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
-    """Write the per-iteration trace, one row per record, each line ended by
-    ``\\r\\n``, in one write; floats are written by ``%.17g``, so they read
-    back bit for bit.
-
-    A float is formatted once: a row whose ``eps``, ``phi_pre`` and
-    ``grad_norm_pre`` are the very objects of the previous row's ``eps``,
-    ``phi`` and ``grad_norm``, as the solver carries them over, reuses
-    their text.  Objects, not values, are compared, so ``0.0`` never takes
-    the text of ``-0.0``.
-    """
+    """Write the per-iteration trace in one write, a ``\\r\\n`` after each
+    line; floats are written by ``%.17g``, so they read back bit for bit.
+    A row whose ``eps``, ``phi_pre`` and ``grad_norm_pre`` are the very
+    objects of the previous row's ``eps``, ``phi`` and ``grad_norm``, as the
+    solver carries them over, reuses their text; objects, not values, are
+    compared, so ``0.0`` never takes the text of ``-0.0``."""
     lines = [_HEADER_LINE]
     eps = phi = grad_norm = object()  # the previous row's, whose text is at hand
     for r in trace:
@@ -423,79 +390,35 @@ def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
         lines.append(
             _ROW_FORMAT % (r.k, eps_text, pair, r.branch, r.ls_count, r.decrease, r.reduced, pre)
         )
-    text = "".join(lines)
     with open(path, "w", newline="") as fh:
-        fh.write(text)
+        fh.write("".join(lines))
 
 
-def _refuse_cell(row: list[str]) -> None:
-    """Raise ``ValueError`` for the first cell of ``row``, in column order,
-    that its checked read refuses or that is a number spelled as no trace
-    spells it; return if there is none."""
-    for f, cell in zip(_FIELDS, row):
-        spelling, read = _CELLS[f.type]
-        read(cell)
-        if f.type != "str" and not re.fullmatch(spelling, cell):
-            raise ValueError(f"{f.name} {cell!r} is not spelled as a trace spells it")
-
-
-def _record(row: list[str]) -> IterateRecord:
-    """One trace row as a record, each cell converted once."""
-    if len(row) != len(_HEADER):
-        raise ValueError(f"{len(row)} fields, expected {len(_HEADER)}")
-    if not _ROW_SPELLING.fullmatch(",".join(row)):
-        _refuse_cell(row)  # returns only for a branch cell that holds a comma
-    k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre = row
-    try:
-        r = IterateRecord(
-            int(k),
-            float(eps),
-            float(phi),
-            float(gn),
-            branch,
-            int(ls_count),
-            float(decrease),
-            reduced == "1",
-            float(phi_pre),
-            float(gn_pre),
-        )
-    except ValueError:
-        _refuse_cell(row)  # names the first bad cell in column order
-        raise
-    # a non-finite float makes the sum non-finite; a sum of finite ones
-    # that overflows only sends the row through the cell-by-cell check
-    if not math.isfinite(r.eps + r.phi + r.grad_norm + r.decrease + r.phi_pre + r.grad_norm_pre):
-        _refuse_cell(row)
-    return r
-
-
-def _csv_records(text: str, path) -> list[IterateRecord]:
-    """The records of a trace's text, read row by row by ``csv.reader``,
-    which also reads quoted cells and lone ``\\r`` line ends; a malformed
-    row raises :class:`~lpam.fileio.FormatError` naming the file and the row."""
-    records: list[IterateRecord] = []
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        if next(reader, None) != _HEADER:
-            raise ValueError("bad or missing header")
-        for row in reader:
-            r = _record(row)
-            if r.branch not in ("u", "v"):
-                raise ValueError("branch must be 'u' or 'v'")
-            if r.k != len(records):
-                raise ValueError(f"k = {r.k}, expected {len(records)}")
-            if r.eps <= 0:
-                raise ValueError(f"eps = {r.eps}, expected > 0")
-            if r.ls_count < 0 or r.grad_norm < 0 or r.grad_norm_pre < 0:
-                counts = r.ls_count, r.grad_norm, r.grad_norm_pre
-                raise ValueError(f"negative ls_count, grad_norm or grad_norm_pre: {counts}")
-            records.append(r)
-    except (ValueError, csv.Error) as exc:
-        # one record per line (the writer never quotes a line break);
-        # a missing header is row 1
-        line = max(reader.line_num, 1)
-        raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
-    return records
+def _row(line: str, k: int) -> IterateRecord:
+    """Row ``k`` of a trace read from its line; ``ValueError`` names the
+    first cell, in column order, that row ``k`` may not hold."""
+    cells = line.split(",")
+    if len(cells) != len(_FIELDS):
+        raise ValueError(f"expected {len(_FIELDS)} cells, found {len(cells)}")
+    for (f, spelling, read), cell in zip(_COLUMNS, cells):
+        try:
+            x = read(cell) if spelling.fullmatch(cell) else None
+        except ValueError:  # such as 1-2 or 1e, in a number's characters
+            x = None
+        if x is None:
+            why = "is not spelled as a trace spells it"
+        elif f.type == "float" and not math.isfinite(x):
+            why = "is not finite"
+        elif f.name == "k" and x != k:
+            why = f"is not the row's k {k}"
+        elif f.name == "eps" and x <= 0:
+            why = "is not positive"
+        elif f.name in ("ls_count", "grad_norm", "grad_norm_pre") and x < 0:
+            why = "is negative"
+        else:
+            continue
+        raise ValueError(f"{f.name} {reprlib.repr(cell)} {why}")
+    return IterateRecord(*(read(cell) for (_, _, read), cell in zip(_COLUMNS, cells)))
 
 
 class _Floats(dict):
@@ -506,38 +429,27 @@ class _Floats(dict):
         return x
 
 
-def _spelled_records(lines: list[str]) -> list[IterateRecord] | None:
-    """The records of a trace's lines after the header, each spelled as
-    :data:`_WRITTEN_ROW` spells a row, converted column by column; or None
-    if a cell fails its read or its check, which :func:`_csv_records` then
-    names."""
-    rows = [line.split(",") for line in lines]
-    if not rows:
-        return []
-    k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre = zip(*rows)
+def _spelled_records(rows: list[str]) -> list[IterateRecord] | None:
+    """The records of trace rows that :data:`_WRITTEN_ROW` matches,
+    converted column by column; or None if there are none, if a cell fails
+    its read or its check, or if the floats overflow their sum."""
     try:
+        k, eps, phi_text, gn_text, branch, ls_count, decrease, reduced, phi_pre, gn_pre = zip(
+            *[line.split(",") for line in rows]
+        )
         k, ls_count = list(map(int, k)), list(map(int, ls_count))
-        phi_f, gn_f, decrease = [list(map(float, c)) for c in (phi, gn, decrease)]
+        phi, gn, decrease = [list(map(float, c)) for c in (phi_text, gn_text, decrease)]
         # eps repeats between reductions, and phi_pre and grad_norm_pre
         # repeat the previous row's phi and grad_norm in a row that carries
         # them over, so each text in these columns is converted once
         eps = list(map(_Floats().__getitem__, eps))
-        phi_pre = list(map(_Floats(zip(phi, phi_f)).__getitem__, phi_pre))
-        gn_pre = list(map(_Floats(zip(gn, gn_f)).__getitem__, gn_pre))
-    except ValueError:  # a cell such as 1-2 or 1e, spelled in the right characters
+        phi_pre = list(map(_Floats(zip(phi_text, phi)).__getitem__, phi_pre))
+        gn_pre = list(map(_Floats(zip(gn_text, gn)).__getitem__, gn_pre))
+    except ValueError:  # no rows, or a cell such as 1-2 or 1e
         return None
-    phi, gn = phi_f, gn_f
-    floats = eps, phi, gn, decrease, phi_pre, gn_pre
-    # a non-finite float makes the sum non-finite; a sum of finite ones
-    # that overflows only sends the trace through the csv path
-    if not (
-        math.isfinite(sum(map(sum, floats)))
-        and k == list(range(len(rows)))
-        and min(eps) > 0
-        and min(ls_count) >= 0
-        and min(gn) >= 0
-        and min(gn_pre) >= 0
-    ):
+    if not math.isfinite(sum(map(sum, (eps, phi, gn, decrease, phi_pre, gn_pre)))):
+        return None
+    if k != list(range(len(k))) or min(eps) <= 0 or min(min(ls_count), min(gn), min(gn_pre)) < 0:
         return None
     reduced = map("1".__eq__, reduced)
     return list(
@@ -546,45 +458,40 @@ def _spelled_records(lines: list[str]) -> list[IterateRecord] | None:
 
 
 def read_trace_csv(path) -> list[IterateRecord]:
-    """Parse a trace; ``k`` must read 0, 1, 2, ... in row order, since the
-    audits look rows up by iteration.  Floats must be finite, ``eps``
-    positive, ``ls_count``, ``grad_norm`` and ``grad_norm_pre`` not
-    negative and ``reduced`` 0 or 1; a number must be spelled in the
-    characters :func:`write_trace_csv` and Python's float repr use, so
-    underscores, spaces and a leading plus sign are refused.  Lines may end in
-    ``\\n`` or ``\\r\\n``.  A malformed trace raises
-    :class:`~lpam.fileio.FormatError`, naming the file and the row.
-
-    The file is read and decoded once.  A text whose lines the writer's
-    spelling matches, each ended by ``\\r\\n`` or ``\\n``, the last one
-    optionally, is converted column by column; any other text, and one
-    whose cells fail a check, is read row by row by ``csv.reader``, which
-    names the row.  A byte that does not decode names the row that holds
-    it, unless a row before it is malformed.
-    """
+    """Parse a trace in exactly the grammar :func:`write_trace_csv` writes,
+    with lines ended by ``\\r\\n`` or ``\\n``, the last one optionally.
+    ``k`` must read 0, 1, 2, ... in row order, floats must be finite,
+    ``eps`` positive and ``ls_count``, ``grad_norm`` and ``grad_norm_pre``
+    not negative.  A malformed trace, such as one with a quoted cell or a
+    lone ``\\r``, raises :class:`~lpam.fileio.FormatError` naming the file,
+    the row and, for a bad cell, its column; a byte that does not decode
+    names its row, unless a row before it is malformed."""
     with open(path, newline="") as fh:
         encoding = fh.encoding
         data = fh.buffer.read()
     try:
-        text = data.decode(encoding)
-    except UnicodeDecodeError as exc:
+        text, bad_byte = data.decode(encoding), None
+    except UnicodeDecodeError as exc:  # the whole lines before the byte are read first
         head = data[: exc.start].decode(encoding)
-        # the whole lines before the bad byte are read first, so a row among
-        # them that is malformed is named as it would be in a decodable file
-        whole = head[: max(head.rfind("\n"), head.rfind("\r")) + 1]
-        if whole:
-            _csv_records(whole, path)
-        # the line ends csv.reader counts: \r\n, and a lone \r or \n
-        line = head.count("\n") + head.count("\r") - head.count("\r\n") + 1
-        raise FormatError(f"malformed trace row {line} in {path}: {exc}") from exc
-    # each line is matched on its own: one match over the whole text
-    # keeps a backtracking frame per row, about 1.2 KB each
+        text, bad_byte = head[: head.rfind("\n") + 1], exc
+    # per line: one match over the whole text keeps a 1.2 KB frame per row
     lines = text.replace("\r\n", "\n").split("\n")
     if not lines[-1]:
         lines.pop()  # after the final line end
+    if lines[:1] != [_HEADER_TEXT] and (lines or not bad_byte):
+        raise FormatError(f"malformed trace row 1 in {path}: the header is not {_HEADER_TEXT}")
     rows = lines[1:]
-    if lines[:1] == [_HEADER_TEXT] and all(map(_WRITTEN_ROW.fullmatch, rows)):
-        records = _spelled_records(rows)
-        if records is not None:
-            return records
-    return _csv_records(text, path)
+    records = _spelled_records(rows) if all(map(_WRITTEN_ROW.fullmatch, rows)) else None
+    if records is None:
+        # row by row: this names the first bad row, and reads a trace whose
+        # finite floats overflow their sum
+        records = []
+        for k, line in enumerate(rows):
+            try:
+                records.append(_row(line, k))
+            except ValueError as exc:
+                raise FormatError(f"malformed trace row {k + 2} in {path}: {exc}") from exc
+    if bad_byte:
+        row = len(lines) + 1  # the line that holds the byte
+        raise FormatError(f"malformed trace row {row} in {path}: {bad_byte}") from bad_byte
+    return records

@@ -151,7 +151,7 @@ def _set_cell(column, value, row=3):
         (_set_cell("decrease", "nan"), 3),
         (_set_cell("grad_norm_pre", "nan"), 3),
         (_set_cell("reduced", "2"), 3),
-        (_set_cell("phi", "1" * 140_000), 3),  # over the csv module's field limit
+        (_set_cell("phi", "1" * 140_000), 3),  # a 140,000-character cell
         (_set_cell("ls_count", "-7"), 3),
         (_set_cell("grad_norm", "-3"), 3),
         (_set_cell("grad_norm_pre", "-1e-300"), 3),
@@ -181,6 +181,8 @@ def test_audit_malformed_trace_exit3(tmp_path, capsys, corrupt, row):
     assert main(["audit", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"row {row} " in err
+    # a refused cell is quoted in a few dozen characters, however long it is
+    assert len(err) < len(str(out / "trace.csv")) + 120
 
 
 def test_audit_without_events_passes(tmp_path):

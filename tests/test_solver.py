@@ -242,6 +242,7 @@ def test_overflow_at_the_start_point_is_a_numeric_error(start, mode):
 @given(st.floats(1e153, 2e154), st.floats(0.0, 2 * math.pi), st.sampled_from(["lpam", "bcd"]))
 @example(R, math.pi / 3, "lpam")
 @example(5.5e153, math.pi, "bcd")
+@example(5e153, 0.0, "lpam")  # 20 finite rows whose floats overflow their sum
 def test_every_row_a_run_keeps_reads_back(r, angle, mode):
     # start points on the edge of the float range, where the objective, its
     # gradient norm or a step can overflow
@@ -714,102 +715,140 @@ def _edit_cell(text: str, line: int, column: str, cell: str) -> str:
     return _edit_line(text, line, edit)
 
 
-def _read_both(path: Path, text: str):
-    """What read_trace_csv and the csv path it keeps make of ``text``: the
-    records, or the FormatError message."""
+def _read(path: Path, text: str):
+    """What read_trace_csv makes of ``text``: the records, or the
+    FormatError message."""
     with open(path, "w", newline="") as fh:
         fh.write(text)
-    outcomes = []
-    for read in (read_trace_csv, lambda p: solver._csv_records(text, p)):
-        try:
-            outcomes.append(read(path))
-        except FormatError as exc:
-            outcomes.append(str(exc))
-    return outcomes
+    try:
+        return read_trace_csv(path)
+    except FormatError as exc:
+        return str(exc)
 
 
 TRACE_KINDS = ["quadratic-cli", "identity", "cnn"]
 
-# edits of a written trace that the reader accepts, read by the csv path
+# edits of a written trace that the reader accepts
 ACCEPTED_EDITS = {
     "as written": lambda t: t,
-    "quoted cells": lambda t: _edit_line(t, 4, lambda r: ",".join(f'"{c}"' for c in r.split(","))),
     "lf line ends": lambda t: t.replace("\r\n", "\n"),
     "mixed line ends": lambda t: t.replace("\r\n", "\n", 3),
-    "lone cr line ends": lambda t: t.replace("\r\n", "\r"),
     "no final line end": lambda t: t.removesuffix("\r\n"),
 }
 
-# edits of line 4 (or of the header) that the reader refuses
+# edits that the reader refuses, with the row its message names and the
+# text that follows the file name there: the bad cell's column, or the
+# fault of a line that does not hold ten cells.  Line 4 is row 5.
 REFUSED_EDITS = {
-    "blank line": lambda t: _edit_line(t, 4, lambda r: r + "\r\n"),
-    "extra cell": lambda t: _edit_line(t, 4, lambda r: r + ",0"),
-    "missing cell": lambda t: _edit_line(t, 4, lambda r: r.rsplit(",", 1)[0]),
-    "bad header": lambda t: _edit_line(t, 0, lambda r: r.replace("_pre", "_post")),
-    "k +1": lambda t: _edit_cell(t, 4, "k", "+1"),
-    "ls_count 0_3": lambda t: _edit_cell(t, 4, "ls_count", "0_3"),
-    "eps with a space": lambda t: _edit_cell(t, 4, "eps", " 1"),
-    "phi 1E5": lambda t: _edit_cell(t, 4, "phi", "1E5"),
-    "grad_norm inf": lambda t: _edit_cell(t, 4, "grad_norm", "inf"),
-    "decrease nan": lambda t: _edit_cell(t, 4, "decrease", "nan"),
-    "phi_pre 1e999": lambda t: _edit_cell(t, 4, "phi_pre", "1e999"),
+    "blank line": (lambda t: _edit_line(t, 4, lambda r: r + "\r\n"), 6, "expected 10 cells"),
+    "extra cell": (lambda t: _edit_line(t, 4, lambda r: r + ",0"), 5, "expected 10 cells"),
+    "missing cell": (
+        lambda t: _edit_line(t, 4, lambda r: r.rsplit(",", 1)[0]),
+        5,
+        "expected 10 cells",
+    ),
+    "bad header": (
+        lambda t: _edit_line(t, 0, lambda r: r.replace("_pre", "_post")),
+        1,
+        "the header",
+    ),
+    # a lone \r ends no line, so the whole text is the header line
+    "lone cr line ends": (lambda t: t.replace("\r\n", "\r"), 1, "the header"),
+    "quoted cells": (
+        lambda t: _edit_line(t, 4, lambda r: ",".join(f'"{c}"' for c in r.split(","))),
+        5,
+        "k ",
+    ),
+    "k +1": (lambda t: _edit_cell(t, 4, "k", "+1"), 5, "k "),
+    "ls_count 0_3": (lambda t: _edit_cell(t, 4, "ls_count", "0_3"), 5, "ls_count "),
+    "eps with a space": (lambda t: _edit_cell(t, 4, "eps", " 1"), 5, "eps "),
+    "phi 1E5": (lambda t: _edit_cell(t, 4, "phi", "1E5"), 5, "phi "),
+    "grad_norm inf": (lambda t: _edit_cell(t, 4, "grad_norm", "inf"), 5, "grad_norm "),
+    "decrease nan": (lambda t: _edit_cell(t, 4, "decrease", "nan"), 5, "decrease "),
+    "phi_pre 1e999": (lambda t: _edit_cell(t, 4, "phi_pre", "1e999"), 5, "phi_pre "),
     # spelled in a number's characters, but no number
-    "decrease 1-2": lambda t: _edit_cell(t, 4, "decrease", "1-2"),
-    "phi 1e": lambda t: _edit_cell(t, 4, "phi", "1e"),
-    "branch w": lambda t: _edit_cell(t, 4, "branch", "w"),
-    "flag 2": lambda t: _edit_cell(t, 4, "reduced", "2"),
-    "gap in k": lambda t: _edit_cell(t, 4, "k", "4"),
-    "eps 0": lambda t: _edit_cell(t, 4, "eps", "0"),
-    "eps negative": lambda t: _edit_cell(t, 4, "eps", "-0.5"),
-    "ls_count negative": lambda t: _edit_cell(t, 4, "ls_count", "-1"),
-    "grad_norm negative": lambda t: _edit_cell(t, 4, "grad_norm", "-0.5"),
-    "grad_norm_pre negative": lambda t: _edit_cell(t, 4, "grad_norm_pre", "-1e-300"),
+    "decrease 1-2": (lambda t: _edit_cell(t, 4, "decrease", "1-2"), 5, "decrease "),
+    "phi 1e": (lambda t: _edit_cell(t, 4, "phi", "1e"), 5, "phi "),
+    "branch w": (lambda t: _edit_cell(t, 4, "branch", "w"), 5, "branch "),
+    "flag 2": (lambda t: _edit_cell(t, 4, "reduced", "2"), 5, "reduced "),
+    "gap in k": (lambda t: _edit_cell(t, 4, "k", "4"), 5, "k "),
+    "eps 0": (lambda t: _edit_cell(t, 4, "eps", "0"), 5, "eps "),
+    "eps negative": (lambda t: _edit_cell(t, 4, "eps", "-0.5"), 5, "eps "),
+    "ls_count negative": (lambda t: _edit_cell(t, 4, "ls_count", "-1"), 5, "ls_count "),
+    "grad_norm negative": (lambda t: _edit_cell(t, 4, "grad_norm", "-0.5"), 5, "grad_norm "),
+    "grad_norm_pre negative": (
+        lambda t: _edit_cell(t, 4, "grad_norm_pre", "-1e-300"),
+        5,
+        "grad_norm_pre ",
+    ),
 }
 
 
-def test_the_written_traces_take_the_pattern_path():
+def test_the_written_traces_take_the_pattern_path(tmp_path, monkeypatch):
     # every row of a written trace matches the writer's spelling, so its
-    # records come from the column-by-column conversion
+    # records come from the column-by-column conversion, never row by row
+    def row_by_row(line, k):
+        raise AssertionError(f"row {k + 2} was read on its own")
+
+    monkeypatch.setattr(solver, "_row", row_by_row)
     for kind in TRACE_KINDS:
-        header, *rows = _trace_text(kind).removesuffix("\r\n").split("\r\n")
-        assert header == solver._HEADER_TEXT
-        assert all(map(solver._WRITTEN_ROW.fullmatch, rows))
-        assert solver._spelled_records(rows) == list(solver_trace(kind))
+        assert _read(tmp_path / "trace.csv", _trace_text(kind)) == list(solver_trace(kind))
 
 
 @pytest.mark.parametrize("edit", ACCEPTED_EDITS)
 @pytest.mark.parametrize("kind", TRACE_KINDS)
 def test_trace_reader_accepts_what_the_csv_path_accepts(tmp_path, kind, edit):
     text = ACCEPTED_EDITS[edit](_trace_text(kind))
-    fast, csv_path = _read_both(tmp_path / "trace.csv", text)
-    assert fast == csv_path == list(solver_trace(kind))
+    assert _read(tmp_path / "trace.csv", text) == list(solver_trace(kind))
 
 
 @pytest.mark.parametrize("edit", REFUSED_EDITS)
 @pytest.mark.parametrize("kind", TRACE_KINDS)
 def test_trace_reader_refuses_as_the_csv_path_refuses(tmp_path, kind, edit):
-    text = REFUSED_EDITS[edit](_trace_text(kind))
-    fast, csv_path = _read_both(tmp_path / "trace.csv", text)
-    assert isinstance(fast, str) and fast == csv_path
-    assert "malformed trace row" in fast
+    write, row, fault = REFUSED_EDITS[edit]
+    path = tmp_path / "trace.csv"
+    message = _read(path, write(_trace_text(kind)))
+    assert isinstance(message, str)
+    assert message.startswith(f"malformed trace row {row} in {path}: {fault}")
 
 
-# cells that int(), float() or csv.reader read in some way, and text that
-# changes a line's structure
+# cells that int(), float() or a csv module's reader read in some way, and
+# text that changes a line's structure
 edited_cells = st.sampled_from(
     ["0", "-0", "1", "-1", "0.5", "-0.5", "1e-320", "1e308", "1e999", "+1", "1E5", "0_3", " 1"]
     + ["inf", "nan", "-inf", "u", "v", "w", "2", "1-2", "1e", ".5", "5.", '"1"', "１"]
 ) | st.text(alphabet='0123456789.-+eE_ ,"\r\nuvinfa', max_size=6)
 
+# a cell's value as the record holds it, by field type
+CELL_VALUE = {"int": int, "float": float, "str": str, "bool": "1".__eq__}
+
 
 @given(line=st.integers(0, 10), column=st.sampled_from(solver._HEADER), cell=edited_cells)
 @example(line=0, column="k", cell="j")
 @example(line=1, column="k", cell='"0"')
+@example(line=1, column="k", cell="-0")
+@example(line=3, column="grad_norm_pre", cell="1\n")
 def test_trace_reader_agrees_with_the_csv_path_on_any_one_cell(line, column, cell):
+    # the reader returns the records with the one field set to the cell's
+    # value, or names the edited line's row and, for a cell that leaves the
+    # line's cells as they are, its column; a \n in the last column ends
+    # the line early, and the line after it is the one refused
+    original = list(solver_trace("cnn"))
     with tempfile.TemporaryDirectory() as tmp:
-        text = _edit_cell(_trace_text("cnn"), line, column, cell)
-        fast, csv_path = _read_both(Path(tmp) / "trace.csv", text)
-    assert fast == csv_path
+        path = Path(tmp) / "trace.csv"
+        got = _read(path, _edit_cell(_trace_text("cnn"), line, column, cell))
+    if isinstance(got, list):
+        if line > 0:
+            field_type = next(f.type for f in solver._FIELDS if f.name == column)
+            value = CELL_VALUE[field_type](cell)
+            original[line - 1] = dataclasses.replace(original[line - 1], **{column: value})
+        assert got == original
+        return
+    rows = {line + 1, line + 2} if "\n" in cell else {line + 1}
+    named = got.removeprefix("malformed trace row ").split(" ", 1)[0]
+    assert int(named) in rows, got
+    if line > 0 and not set(",\r\n") & set(cell):
+        assert got.startswith(f"malformed trace row {line + 1} in {path}: {column} "), got
 
 
 @pytest.mark.parametrize("offset, row", [(5000, 48), (20000, 183), (60000, 481)])
@@ -824,11 +863,12 @@ def test_an_undecodable_byte_names_the_row_that_holds_it(tmp_path, offset, row):
 
 
 def test_an_undecodable_byte_counts_lone_cr_line_ends(tmp_path):
+    # a lone \r ends no line, so a byte after five of them lies on row 1
     lines = _trace_text("identity").split("\r\n")
     lines[5] = "\xff" + lines[5]
     path = tmp_path / "trace.csv"
     path.write_bytes("\r".join(lines).encode("latin-1"))
-    with pytest.raises(FormatError, match="row 6 in .*byte 0xff"):
+    with pytest.raises(FormatError, match="row 1 in .*byte 0xff"):
         read_trace_csv(path)
 
 
