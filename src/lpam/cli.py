@@ -186,7 +186,10 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
             raise ConfigError(f"{path} has dtype {arr.dtype}, but {name} must be {dtype}")
         arrays.append(arr)
     truth1, truth2, mask, f1, f2 = arrays
-    return Instance(truth1, truth2, MaskedDft(mask), KSpaceData(f1, f2))
+    dft = MaskedDft(mask)
+    # only the values at the sampled frequencies are kept: what the files
+    # hold off the mask is never read
+    return Instance(truth1, truth2, dft, KSpaceData(dft, dft.sample(f1), dft.sample(f2)))
 
 
 def _json(obj: dict, **kwargs) -> str:

@@ -144,7 +144,7 @@ class RecoveryPoint(EvaluatedPoint):
         # point's own for the residuals, the residuals' for the gradients
         data = self.obj.kspace
         return self.obj.dft.residual_pair(
-            self.x1, self.x2, data.f1, data.f2, dots=self._squared_norms()
+            self.x1, self.x2, data.y1, data.y2, dots=self._squared_norms()
         )
 
     @cached_property
@@ -203,18 +203,19 @@ class JointRecovery(SmoothedObjective):
 
     ``extractor`` supplies the group norms and the weighted pullback of
     its features (identity or convolutional) for images of the
-    operator's shape; ``lam`` is the regularization weight multiplying
-    the smoothed l2,1 term.  A solve evaluates it through
+    operator's shape; ``kspace`` must be sampled on the operator's mask
+    (``ValueError`` otherwise); ``lam`` is the regularization weight
+    multiplying the smoothed l2,1 term.  A solve evaluates it through
     :class:`RecoveryPoint` and the per-block partials; no solve calls the
-    per-call h1, h2, h, grad_h1 and grad_h2, which stay because
-    ``perfbench``'s tracer wraps them by name.
+    per-call h1, h2, h, grad_h1 and grad_h2, which build the full data on
+    each call and stay because ``perfbench``'s tracer wraps them by name.
     """
 
     def __init__(self, dft: MaskedDft, kspace: KSpaceData, extractor, lam: float):
         if not 0 <= lam < np.inf:
             raise ValueError("regularization weight must be nonnegative and finite")
-        if kspace.f1.shape != dft.shape:
-            raise ValueError("k-space shape does not match operator")
+        if kspace.dft is not dft and not np.array_equal(kspace.dft.mask, dft.mask):
+            raise ValueError("k-space data were sampled on another mask than the operator's")
         if (extractor.height, extractor.width) != dft.shape:
             raise ValueError(
                 f"extractor is {extractor.height}x{extractor.width}, "
@@ -282,6 +283,5 @@ class JointRecovery(SmoothedObjective):
     def zero_filled(self) -> TwoBlockPoint:
         """Adjoint reconstruction of the measured data, the standard
         learning-free initialization and quality baseline."""
-        return TwoBlockPoint(
-            self.dft.adjoint(self.kspace.f1), self.dft.adjoint(self.kspace.f2)
-        )
+        data = self.kspace
+        return TwoBlockPoint(self.dft.adjoint_sampled(data.y1), self.dft.adjoint_sampled(data.y2))

@@ -30,10 +30,11 @@ class MaskedDft:
     The one-channel methods are the plain masked ``fft2``/``ifft2``
     formulas.  The pair kernels serve two real channels with one complex
     transform, each the two per-axis passes ``fft2``/``ifft2`` make, in
-    this thread's scratch; their residuals are vectors over the sampled
-    frequencies in flat (row-major) order, and they agree with the
-    one-channel methods to rounding, relative to each channel's own norm.
-    Returned arrays are always fresh.
+    this thread's scratch; their data and residuals are vectors over the
+    sampled frequencies in flat (row-major) order (:meth:`sample` and
+    :meth:`unsample` map between those and full arrays), and they agree
+    with the one-channel methods to rounding, relative to each channel's
+    own norm.  Returned arrays are always fresh.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
@@ -86,6 +87,11 @@ class MaskedDft:
         """Real part of the inverse unitary DFT of masked k-space data."""
         return np.fft.ifft2(self._masked(f), norm="ortho").real.flatten()
 
+    def adjoint_sampled(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`adjoint` of the values y at the sampled frequencies, bit
+        for bit, from their :meth:`unsample` array with no masked copy."""
+        return np.fft.ifft2(self.unsample(y), norm="ortho").real.flatten()
+
     def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Masked DFT of x minus the data f on the sampled frequencies."""
         resid = self.forward(x)
@@ -94,34 +100,48 @@ class MaskedDft:
         resid -= self._masked(f)
         return resid
 
-    def _data_on_mask(self, f: np.ndarray) -> np.ndarray:
-        """The entries of k-space data f on the sampled frequencies only."""
+    def sample(self, f: np.ndarray) -> np.ndarray:
+        """The entries of full (height, width) k-space data f at the sampled
+        frequencies, a fresh vector in flat (row-major) order, of f's dtype.
+        Entries off the mask are never read, so not even a signalling NaN
+        there raises a warning."""
         if np.shape(f) != self.shape:
             raise ValueError("k-space data shape does not match mask")
         return np.asarray(f).reshape(-1)[self._on]
 
+    def unsample(self, y: np.ndarray) -> np.ndarray:
+        """The full (height, width) complex array holding the values y at
+        the sampled frequencies and zero elsewhere, which :meth:`sample`
+        takes back to y."""
+        f = np.zeros(self.shape, np.complex128)
+        f.reshape(-1)[self._on] = self._sampled(y)
+        return f
+
     def _sampled(self, r: np.ndarray) -> np.ndarray:
-        """A residual over the sampled frequencies as a complex vector."""
+        """A vector over the sampled frequencies, residual or data, as a
+        complex vector."""
         r = np.ascontiguousarray(r, dtype=np.complex128)
         if r.shape != self._on.shape:
             raise ValueError(f"expected {self._on.size} sampled frequencies, got shape {r.shape}")
         return r
 
     def residual_pair(
-        self, x1: np.ndarray, x2: np.ndarray, f1: np.ndarray, f2: np.ndarray, *, dots=None
+        self, x1: np.ndarray, x2: np.ndarray, y1: np.ndarray, y2: np.ndarray, *, dots=None
     ) -> tuple[np.ndarray, np.ndarray]:
         """The residuals of two real images against their data, on the
         sampled frequencies only, from one transform of x1 + i s x2.
 
         A real signal's spectrum is Hermitian, so the packed spectrum Z
         splits as F1[k] = (Z[k] + conj Z[-k]) / 2 and
-        s F2[k] = -i (Z[k] - conj Z[-k]) / 2.  The data are read on the
-        sampled frequencies only, so what lies off the mask is never read.
+        s F2[k] = -i (Z[k] - conj Z[-k]) / 2.  The data y1, y2 are the
+        values at the sampled frequencies, vectors in flat order as
+        :meth:`sample` gathers them and :class:`KSpaceData` holds them,
+        so they are neither gathered nor checked against the mask here.
         ``dots`` are the images' squared norms dot(x, x) when the caller
         holds them; otherwise they are taken here.
         """
         x1, x2 = self._image(x1), self._image(x2)
-        f1, f2 = self._data_on_mask(f1), self._data_on_mask(f2)
+        y1, y2 = self._sampled(y1), self._sampled(y2)
         s, w1, w2 = _balance(x1.reshape(-1), x2.reshape(-1), dots)
         buf, spare = _dft_buffers(self.shape)
         np.copyto(buf.real, x1)
@@ -136,8 +156,8 @@ class MaskedDft:
         np.subtract(zm.real, zk.real, out=r2.imag)
         r1.view(np.float64)[:] *= 0.5 * w1
         r2.view(np.float64)[:] *= 0.5 * w2
-        r1 -= f1
-        r2 -= f2
+        r1 -= y1
+        r2 -= y2
         return r1, r2
 
     def adjoint_pair(
@@ -240,18 +260,37 @@ def _balance(v1: np.ndarray, v2: np.ndarray, dots=None) -> tuple[float, float, f
 
 @dataclass(frozen=True, eq=False)
 class KSpaceData:
-    """Sampled k-space data for the two channels; zero outside the mask."""
+    """Measured k-space data of the two channels, held only at the
+    sampled frequencies of ``dft``.
 
-    f1: np.ndarray
-    f2: np.ndarray
+    ``y1`` and ``y2`` are complex vectors of the values at those
+    frequencies, in the operator's flat (row-major) order, as
+    :meth:`MaskedDft.sample` gathers them from full arrays and
+    :meth:`MaskedDft.residual_pair` takes them.  ``f1`` and ``f2`` are
+    the full (height, width) arrays, zero off the mask, built read-only
+    on each access: for files and one-off calls, not for loops.
+    """
+
+    dft: MaskedDft
+    y1: np.ndarray
+    y2: np.ndarray
 
     def __post_init__(self):
-        f1 = np.asarray(self.f1, dtype=np.complex128)
-        f2 = np.asarray(self.f2, dtype=np.complex128)
-        if f1.shape != f2.shape or f1.ndim != 2:
-            raise ValueError("channels must be 2-d arrays of identical shape")
-        object.__setattr__(self, "f1", f1)
-        object.__setattr__(self, "f2", f2)
+        object.__setattr__(self, "y1", self.dft._sampled(self.y1))
+        object.__setattr__(self, "y2", self.dft._sampled(self.y2))
+
+    @property
+    def f1(self) -> np.ndarray:
+        return self._full(self.y1)
+
+    @property
+    def f2(self) -> np.ndarray:
+        return self._full(self.y2)
+
+    def _full(self, y: np.ndarray) -> np.ndarray:
+        f = self.dft.unsample(y)
+        f.flags.writeable = False
+        return f
 
 
 def uniform_mask(height: int, width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -534,11 +573,12 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
 
     chans = []
     for truth in (truth1, truth2):
-        f = dft.forward(truth.ravel())
+        y = dft.sample(dft.forward(truth.ravel()))
         if spec.noise_std > 0:
-            noise = spec.noise_std * (
-                rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
-            )
-            f = np.where(mask, f + noise, 0.0)
-        chans.append(f)
-    return Instance(truth1, truth2, dft, KSpaceData(chans[0], chans[1]))
+            # drawn full-shape, so the generator's stream does not depend on
+            # the mask, and only the sampled draws are kept
+            re = dft.sample(rng.standard_normal(mask.shape))
+            im = dft.sample(rng.standard_normal(mask.shape))
+            y += spec.noise_std * (re + 1j * im)
+        chans.append(y)
+    return Instance(truth1, truth2, dft, KSpaceData(dft, chans[0], chans[1]))

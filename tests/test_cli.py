@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import json
+import shutil
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ import pytest
 from lpam import cli, fileio
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
-from lpam.operators import MAX_SIDE, InstanceSpec
+from lpam.operators import MAX_SIDE, InstanceSpec, KSpaceData, MaskedDft
 from lpam.solver import LpamConfig
 
 
@@ -65,6 +68,73 @@ def test_end_to_end_determinism(tmp_path):
         outs.append(out)
     for fname in ("trace.csv", "recon1.arr", "recon2.arr", "kspace1.arr", "mask.arr"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+# SHA-256 of the kspace1.arr that ``generate`` writes for a noisy 128^2
+# instance at ratio 0.3 and seed 0, as written before the data were held at
+# the sampled frequencies only: the file format and its bytes are unchanged.
+# The low bits of an FFT may differ with another numpy, so the digest is
+# compared on the numpy it was taken with
+KSPACE1_PIN_NUMPY = "2.4.6"
+KSPACE1_PIN = "c2f0dc7b5d33fce4905a587f5c0c585509d907589fd7473e10deb9db79259e55"
+
+
+def test_generate_writes_the_full_kspace_files(tmp_path):
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        instance={"height": 128, "width": 128, "noise_std": 0.01, "seed": 0},
+    )
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    mask = read_array(out / "mask.arr")
+    for name in ("kspace1.arr", "kspace2.arr"):
+        f = read_array(out / name)
+        assert f.shape == mask.shape and f.dtype == np.complex128
+        assert not np.any(f[~mask]) and np.all(f[mask] != 0)
+    if np.__version__ == KSPACE1_PIN_NUMPY:
+        assert hashlib.sha256((out / "kspace1.arr").read_bytes()).hexdigest() == KSPACE1_PIN
+
+
+def test_kspace_entries_off_the_mask_leave_the_trace_unchanged(tmp_path):
+    # only the values at the sampled frequencies are read from the files:
+    # NaN, infinite and signalling NaN entries off the mask give the same
+    # trace, byte for byte, and raise no warning
+    cfg = write_config(tmp_path / "cfg.json")
+    clean, dirty = tmp_path / "clean", tmp_path / "dirty"
+    assert main(["generate", "--config", str(cfg), "--out", str(clean)]) == 0
+    shutil.copytree(clean, dirty)
+    off = np.flatnonzero(~read_array(clean / "mask.arr"))
+    signalling = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
+    values = [np.nan, np.inf, -np.inf, complex(0.0, np.nan), signalling] * len(off)
+    for name in ("kspace1.arr", "kspace2.arr"):
+        f = read_array(dirty / name)
+        for i, v in zip(off, values):
+            f.flat[i] = v
+        write_array(dirty / name, f)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for out in (clean, dirty):
+            assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (dirty / "trace.csv").read_bytes() == (clean / "trace.csv").read_bytes()
+
+
+def test_data_sampled_on_another_mask_exit3(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+    load = cli._load_instance
+
+    def load_with_other_mask(cfg, out):
+        inst = load(cfg, out)
+        mask = inst.dft.mask.copy()
+        mask.flat[np.flatnonzero(mask)[-1]] = False
+        dft = MaskedDft(mask)
+        data = KSpaceData(dft, dft.sample(inst.kspace.f1), dft.sample(inst.kspace.f2))
+        return dataclasses.replace(inst, kspace=data)
+
+    monkeypatch.setattr(cli, "_load_instance", load_with_other_mask)
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "sampled on another mask" in capsys.readouterr().err
 
 
 def test_generate_full_ratio_manifest(tmp_path):

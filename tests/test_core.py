@@ -221,6 +221,31 @@ def test_joint_recovery_rejects_an_extractor_of_another_shape(ext):
         JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
 
 
+def test_joint_recovery_refuses_data_sampled_on_another_mask():
+    # the data hold the values at their own operator's sampled frequencies,
+    # so paired with another mask they would be subtracted at the wrong
+    # frequencies: a mask with one sample fewer and one with one sample
+    # moved (the same count) are both refused
+    inst = generate_instance(InstanceSpec(height=16, width=16), 0)
+    ext = extractor.IdentityExtractor(16, 16)
+    mask = inst.dft.mask
+    fewer = mask.copy()
+    fewer.flat[np.flatnonzero(mask)[-1]] = False
+    moved = fewer.copy()
+    moved.flat[np.flatnonzero(~mask)[0]] = True
+    assert moved.sum() == mask.sum()
+    for other in (fewer, moved):
+        dft = MaskedDft(other)
+        data = KSpaceData(dft, dft.sample(inst.kspace.f1), dft.sample(inst.kspace.f2))
+        with pytest.raises(ValueError, match="sampled on another mask"):
+            JointRecovery(inst.dft, data, ext, 0.0093)
+        with pytest.raises(ValueError, match="sampled on another mask"):
+            JointRecovery(dft, inst.kspace, ext, 0.0093)
+    # another operator on an equal mask samples the same frequencies
+    obj = JointRecovery(MaskedDft(mask.copy()), inst.kspace, ext, 0.0093)
+    assert obj.kspace is inst.kspace
+
+
 def test_point_rejects_matrices():
     with pytest.raises(ValueError):
         TwoBlockPoint(np.zeros((2, 2)), np.zeros(2))
@@ -612,7 +637,7 @@ def test_run_hands_back_plain_points():
     [
         lambda: TwoBlockPoint(np.zeros(2), np.zeros(2)),
         lambda: MaskedDft(np.ones((2, 2), dtype=bool)),
-        lambda: KSpaceData(np.zeros((2, 2)), np.zeros((2, 2))),
+        lambda: KSpaceData(MaskedDft(np.ones((2, 2), dtype=bool)), np.zeros(4), np.zeros(4)),
         lambda: generate_instance(InstanceSpec(height=4, width=4), 0),
     ],
     ids=["TwoBlockPoint", "MaskedDft", "KSpaceData", "Instance"],

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import threading
@@ -13,6 +14,7 @@ from lpam import core, operators
 from lpam.operators import (
     MAX_SIDE,
     InstanceSpec,
+    KSpaceData,
     MaskedDft,
     generate_instance,
     radial_mask,
@@ -180,6 +182,11 @@ def test_transforms_bit_identical_to_fft2(shape):
         assert_bits_equal(op.forward(x), ref_forward(mask, x))
         assert_bits_equal(op.adjoint(f), ref_adjoint(mask, f))
         assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
+        # the sampled values, their zero-filled array and its adjoint
+        y = op.sample(f)
+        assert_bits_equal(y, f[mask])
+        assert_bits_equal(op.unsample(y), np.where(mask, f, 0.0))
+        assert_bits_equal(op.adjoint_sampled(y), ref_adjoint(mask, f))
         # real data goes through the same casts as in the formulas
         assert_bits_equal(op.adjoint(f.real), ref_adjoint(mask, f.real))
         assert_bits_equal(op.residual(x, f.real), ref_residual(mask, x, f.real))
@@ -225,7 +232,7 @@ def assert_adjoint_pair_matches(op, r1, r2):
 def assert_pair_matches(mask, x1, x2, f1, f2):
     """The pair kernels against ``ref_residual`` and ``ref_adjoint`` per channel."""
     op = MaskedDft(mask)
-    r1, r2 = op.residual_pair(x1, x2, f1, f2)
+    r1, r2 = op.residual_pair(x1, x2, op.sample(f1), op.sample(f2))
     for x, f, r in ((x1, f1, r1), (x2, f2, r2)):
         assert r.dtype == np.complex128 and r.shape == (mask.sum(),)
         ref = ref_residual(mask, x, f)[mask]
@@ -290,10 +297,13 @@ def test_pair_kernels_leave_a_zero_channel_exactly_zero():
         assert not np.any(assert_adjoint_pair_matches(op, none, r)[0])
 
 
-def test_pair_kernels_ignore_nonfinite_data_off_the_mask_silently():
+def test_sampling_ignores_nonfinite_data_off_the_mask_silently():
+    # the data are read off full arrays once, where data and mask meet:
+    # what lies off the mask, even a signalling NaN, never reaches the
+    # sampled values the pair kernels take, nor raises a warning
     rng = np.random.default_rng(47)
-    mask, x1, f1 = draw(rng, (6, 9))
-    _, x2, f2 = draw(rng, (6, 9))
+    mask, _, f1 = draw(rng, (6, 9))
+    _, _, f2 = draw(rng, (6, 9))
     signalling = np.array([0x7FF0000000000001], dtype=np.uint64).view(np.float64)[0]
     off = np.flatnonzero(~mask)
     bad1, bad2 = f1.copy(), f2.copy()
@@ -303,9 +313,11 @@ def test_pair_kernels_ignore_nonfinite_data_off_the_mask_silently():
     op = MaskedDft(mask)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        clean = op.residual_pair(x1, x2, f1, f2)
-        for got, ref in zip(op.residual_pair(x1, x2, bad1, bad2), clean):
-            assert_bits_equal(got, ref)
+        for bad, f in ((bad1, f1), (bad2, f2), (bad1.real, f1.real)):
+            assert_bits_equal(op.sample(bad), f[mask])
+        data = KSpaceData(op, op.sample(bad1), op.sample(bad2))
+        assert_bits_equal(data.f1, np.where(mask, f1, 0.0))
+        assert_bits_equal(data.f2, np.where(mask, f2, 0.0))
 
 
 def _dots(*vs):
@@ -336,8 +348,9 @@ def test_pair_kernels_given_the_dots_return_the_same_bits(shape):
     assert np.isinf(dots[1]) and dots[2] == (0.0,) and np.isnan(dots[3]) and dots[4] == (0.0,)
     op = MaskedDft(mask)
     for (x1, f1), (x2, f2) in itertools.product(channels, repeat=2):
-        pair = op.residual_pair(x1, x2, f1, f2)
-        for got, ref in zip(op.residual_pair(x1, x2, f1, f2, dots=_dots(x1, x2)), pair):
+        y1, y2 = op.sample(f1), op.sample(f2)
+        pair = op.residual_pair(x1, x2, y1, y2)
+        for got, ref in zip(op.residual_pair(x1, x2, y1, y2, dots=_dots(x1, x2)), pair):
             assert_bits_equal(got, ref)
         for got, ref in zip(op.adjoint_pair(*pair, dots=_dots(*pair)), op.adjoint_pair(*pair)):
             assert_bits_equal(got, ref)
@@ -360,11 +373,15 @@ def test_residual_energy_is_one_kernel_for_full_and_sampled_residuals():
 
 def test_pair_kernels_reject_mismatched_shapes():
     op = MaskedDft(np.eye(4, dtype=bool))
-    x, f, r = np.zeros(16), np.zeros((4, 4)), np.zeros(4, np.complex128)
+    x, r = np.zeros(16), np.zeros(4, np.complex128)
     with pytest.raises(ValueError):
-        op.residual_pair(x, np.zeros(15), f, f)
+        op.residual_pair(x, np.zeros(15), r, r)
     with pytest.raises(ValueError):
-        op.residual_pair(x, x, f, np.zeros((4, 3)))
+        op.residual_pair(x, x, r, np.zeros(5, np.complex128))
+    with pytest.raises(ValueError):
+        op.residual_pair(x, x, np.zeros((4, 4)), r)  # full data, not sampled
+    with pytest.raises(ValueError):
+        op.sample(np.zeros((4, 3)))
     with pytest.raises(ValueError):
         op.adjoint_pair(r, np.zeros(5, np.complex128))
     with pytest.raises(ValueError):
@@ -381,7 +398,10 @@ def test_pair_outputs_alias_neither_scratch_nor_inputs():
         inputs = [x1, x2, f1, f2]
         kept = [a.copy() for a in inputs]
         op = MaskedDft(mask)
-        r = op.residual_pair(x1, x2, f1, f2)
+        y1, y2 = op.sample(f1), op.sample(f2)
+        inputs += [y1, y2]
+        kept += [y1.copy(), y2.copy()]
+        r = op.residual_pair(x1, x2, y1, y2)
         kept_r = [a.copy() for a in r]
         g = op.adjoint_pair(*r)
         for a, b in zip(inputs + list(r), kept + kept_r):
@@ -435,7 +455,7 @@ def test_transforms_are_thread_safe():
 
     def run(mask, x, f):
         op = MaskedDft(mask)
-        pair = op.residual_pair(x, x[::-1], f, f[::-1])
+        pair = op.residual_pair(x, x[::-1], op.sample(f), op.sample(f[::-1]))
         return (
             op.forward(x),
             op.adjoint(f),
@@ -665,6 +685,68 @@ def test_generate_instance_deterministic():
     assert np.array_equal(a.kspace.f1, b.kspace.f1)
     c = generate_instance(spec, 43)
     assert not np.array_equal(a.kspace.f1, c.kspace.f1)
+
+
+# SHA-256 of the full k-space data of two 128^2 instances at ratio 0.3, as
+# generated before the data were held at the sampled frequencies only; the
+# low bits of an FFT may differ with another numpy, so the digests are
+# compared on the numpy they were taken with, and the formula everywhere
+KSPACE_PINS_NUMPY = "2.4.6"
+KSPACE_PINS = [
+    (
+        InstanceSpec(height=128, width=128, ratio=0.3),
+        0,
+        "4e1e18e3544259f8ee7ec51574115eced2f2af925eac98bfde27225b82ca303b",
+        "6fc136c62d6a79417d5f0cf92127c371e400949b9068eae7fc2a8436b258e2a3",
+    ),
+    (
+        InstanceSpec(height=128, width=128, mask_type="uniform", ratio=0.3, noise_std=0.01),
+        1,
+        "60d12f14851eb4a554783ac5e63bfcd616dc929d8e6dc76c67f5474fa744187b",
+        "af78725a407ff903840be6518a7223ba1ba85426147beaaa97ac1efd626a9fdf",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, seed, sha1, sha2", KSPACE_PINS, ids=["radial", "uniform-noisy"])
+def test_instance_holds_only_the_sampled_values(spec, seed, sha1, sha2):
+    inst = generate_instance(spec, seed)
+    mask, data = inst.dft.mask, inst.kspace
+    count = int(mask.sum())
+    assert data.dft is inst.dft  # the operator's index array, not a copy
+    # every array the instance holds, none a view that keeps a larger
+    # array alive
+    held = [
+        v
+        for holder in (inst, inst.dft, data)
+        for v in vars(holder).values()
+        if isinstance(v, np.ndarray)
+    ]
+    for a in held:
+        root = a
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == a.nbytes
+    # the only complex ones are the sampled values, mask.sum() per channel
+    assert [id(a) for a in held if np.iscomplexobj(a)] == [id(data.y1), id(data.y2)]
+    assert data.y1.shape == data.y2.shape == (count,)
+    # the full arrays, built on access, are the formula's bit for bit
+    rng = np.random.default_rng(seed)
+    truths = shared_structure_phantom(spec.height, spec.width, rng)
+    make_mask = radial_mask if spec.mask_type == "radial" else uniform_mask
+    assert np.array_equal(make_mask(spec.height, spec.width, spec.ratio, rng), mask)
+    for truth, full in zip(truths, (data.f1, data.f2)):
+        assert not full.flags.writeable
+        ref = ref_forward(mask, truth.ravel())
+        if spec.noise_std > 0:
+            noise = spec.noise_std * (
+                rng.standard_normal(mask.shape) + 1j * rng.standard_normal(mask.shape)
+            )
+            ref = np.where(mask, ref + noise, 0.0)
+        assert_bits_equal(full, ref)
+    if np.__version__ == KSPACE_PINS_NUMPY:
+        assert hashlib.sha256(data.f1.tobytes()).hexdigest() == sha1
+        assert hashlib.sha256(data.f2.tobytes()).hexdigest() == sha2
 
 
 def test_generate_full_sampling_exact_data():
