@@ -76,6 +76,9 @@ def scratch(key: tuple, make: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.
 class TwoBlockPoint:
     """The iterate X = (x1, x2), two real vectors of fixed lengths.
 
+    Each block is held as ``np.asarray(block, np.float64)``, so a float64
+    array is held, not copied; a block that is not 1-d raises
+    ``ValueError``, and assigning a block raises ``FrozenInstanceError``.
     For the joint-recovery instantiation both blocks have length
     height*width and are row-major flattenings of images.  The blocks'
     squared norms are computed once, on first use by :meth:`is_finite`,
@@ -87,11 +90,17 @@ class TwoBlockPoint:
     x1: np.ndarray
     x2: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "x1", np.asarray(self.x1, dtype=np.float64))
-        object.__setattr__(self, "x2", np.asarray(self.x2, dtype=np.float64))
-        if self.x1.ndim != 1 or self.x2.ndim != 1:
+    def __init__(self, x1, x2):
+        # each block converted once and written straight into the instance
+        # dict, where the frozen __setattr__ would refuse it: the dataclass's
+        # own __init__ and a __post_init__ stored each twice, by calls
+        x1 = np.asarray(x1, np.float64)
+        x2 = np.asarray(x2, np.float64)
+        if x1.ndim != 1 or x2.ndim != 1:
             raise ValueError("blocks must be 1-d vectors")
+        d = self.__dict__
+        d["x1"] = x1
+        d["x2"] = x2
 
     @property
     def n(self) -> int:
@@ -127,7 +136,7 @@ class TwoBlockPoint:
     def norm(self) -> float:
         """l2 norm of the concatenated vector."""
         d1, d2 = self._squared_norms()
-        return float(np.sqrt(d1 + d2))
+        return math.sqrt(d1 + d2)
 
     def diff_norms(self, other: "TwoBlockPoint") -> tuple[float, float]:
         """(||x1 - y1||, ||x2 - y2||)."""
@@ -152,8 +161,8 @@ class EvaluatedPoint(TwoBlockPoint):
     """
 
     def __init__(self, x1, x2, obj: "SmoothedObjective"):
-        super().__init__(x1, x2)
-        object.__setattr__(self, "obj", obj)
+        TwoBlockPoint.__init__(self, x1, x2)
+        self.__dict__["obj"] = obj
 
 
 class SmoothedObjective:

@@ -24,8 +24,17 @@ class QuadraticPoint(EvaluatedPoint):
 
     H1 and H2 are half the squared block norms the point already holds for
     :meth:`is_finite`, and their gradients are the blocks themselves, not
-    copies: no caller writes an array an objective returns.
+    copies: no caller writes an array an objective returns.  The
+    difference x1 - x2 is formed once, on first use by H or its gradient,
+    and kept: H is half its squared norm and it is the gradient's first
+    block.
     """
+
+    def _diff(self) -> np.ndarray:
+        d = self.__dict__.get("_d")
+        if d is None:
+            d = self.__dict__["_d"] = self.x1 - self.x2
+        return d
 
     def h1(self, eps):
         return 0.5 * float(self._squared_norms()[0])
@@ -34,7 +43,7 @@ class QuadraticPoint(EvaluatedPoint):
         return 0.5 * float(self._squared_norms()[1])
 
     def h(self, eps):
-        d = self.x1 - self.x2
+        d = self._diff()
         return 0.5 * float(np.vdot(d, d))
 
     def grad_h1(self, eps):
@@ -44,7 +53,8 @@ class QuadraticPoint(EvaluatedPoint):
         return self.x2
 
     def grad_h(self, eps):
-        return self.x1 - self.x2, self.x2 - self.x1
+        # x2 - x1, not -d: where x1 == x2 both differences are +0.0
+        return self._diff(), self.x2 - self.x1
 
 
 class QuadraticToy(SmoothedObjective):

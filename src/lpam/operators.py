@@ -104,10 +104,16 @@ class MaskedDft:
         """The entries of full (height, width) k-space data f at the sampled
         frequencies, a fresh vector in flat (row-major) order, of f's dtype.
         Entries off the mask are never read, so not even a signalling NaN
-        there raises a warning."""
+        there raises a warning.  No full-size copy of f is made: f is
+        gathered through a flat view where its rows are evenly spaced, as in
+        a contiguous array or a ``.real`` view, and else, as in a transpose,
+        through its strides."""
         if np.shape(f) != self.shape:
             raise ValueError("k-space data shape does not match mask")
-        return np.asarray(f).reshape(-1)[self._on]
+        f = np.asarray(f)
+        if not (f.flags.c_contiguous or f.strides[0] == f.shape[1] * f.strides[1]):
+            return f.flat[self._on]
+        return f.reshape(-1)[self._on]
 
     def unsample(self, y: np.ndarray) -> np.ndarray:
         """The full (height, width) complex array holding the values y at
@@ -573,7 +579,9 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
 
     chans = []
     for truth in (truth1, truth2):
-        y = dft.sample(dft.forward(truth.ravel()))
+        # gathered from the transform itself: forward's masked copy of it
+        # holds the same values at the sampled frequencies
+        y = dft.sample(np.fft.fft2(truth, norm="ortho"))
         if spec.noise_std > 0:
             # drawn full-shape, so the generator's stream does not depend on
             # the mask, and only the sampled draws are kept

@@ -160,8 +160,8 @@ class SolverState:
 def _step(x: np.ndarray, g: np.ndarray, size: float) -> np.ndarray:
     """x - size * g in one fresh array: the product's, so g, which an
     objective may share between calls, is never written."""
-    t = np.multiply(g, size)
-    return np.subtract(x, t, out=t)
+    t = g * size
+    return np.subtract(x, t, t)
 
 
 def u_step(

@@ -12,7 +12,9 @@ radial mask and the layer bounds compute what the package's vectorised
 forms compute, one spoke or one kernel tap per call; the phantom and the
 mirror indices compute theirs on full-size coordinate grids.  The trace
 writer is the ``csv.writer`` one that the package's single-format writer
-must match byte for byte.
+must match byte for byte.  :func:`reference_lpam_run` is the solver's
+state machine step by step, with every value taken afresh, which the
+solver's carried-over and cached values must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -20,17 +22,25 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import math
 import threading
 from typing import Callable
 
 import numpy as np
 
 from lpam import core
-from lpam.core import SmoothedObjective, TwoBlockPoint, phi_eps
+from lpam.core import NumericError, SmoothedObjective, TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
 from lpam.objectives import grad_r_eps
 from lpam.operators import _check_ratio
-from lpam.solver import IterateRecord
+from lpam.solver import (
+    EXIT_ITERATION_CAP,
+    EXIT_LINE_SEARCH,
+    EXIT_NUMERIC,
+    EXIT_TOLERANCE,
+    IterateRecord,
+    LpamConfig,
+)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -277,3 +287,118 @@ def write_trace_csv_reference(trace, path) -> None:
         w.writerow([name for name, _ in columns])
         for r in trace:
             w.writerow([cell(getattr(r, name)) for name, cell in columns])
+
+
+def reference_lpam_run(
+    obj: SmoothedObjective, X0: TwoBlockPoint, config: LpamConfig
+) -> tuple[list[IterateRecord], str, TwoBlockPoint]:
+    """The LPAM iteration transcribed step by step: (trace, exit reason,
+    final point) of :func:`lpam.solver.lpam_run` on the same arguments.
+
+    Every value is taken afresh where the step needs it: phi and its
+    gradient at each iterate through a new point, the step sizes from the
+    schedules at each k, each step as x - s*g, each step length and
+    gradient norm from its vector.  Nothing carries over between
+    iterations or between the steps of one.
+    """
+    if not (np.isfinite(X0.x1).all() and np.isfinite(X0.x2).all()):
+        raise ValueError("initial point must be finite")
+
+    def phi(x1, x2, eps):
+        return phi_eps(obj, TwoBlockPoint(x1, x2), eps)
+
+    def grad(x1, x2, eps):
+        return grad_phi_eps(obj, TwoBlockPoint(x1, x2), eps)
+
+    def norm(g1, g2):
+        return math.sqrt(np.dot(g1, g1) + np.dot(g2, g2))
+
+    def trial(x1, x2, y1, y2, eps):
+        # phi at (y1, y2), inf if it or the point is not finite, and the
+        # step lengths from (x1, x2)
+        d1, d2 = np.linalg.norm(y1 - x1), np.linalg.norm(y2 - x2)
+        if not (np.isfinite(y1).all() and np.isfinite(y2).all()):
+            return math.inf, d1, d2
+        try:
+            return phi(y1, y2, eps), d1, d2
+        except NumericError:
+            return math.inf, d1, d2
+
+    def at(schedule, k):
+        return float(schedule[min(k, len(schedule) - 1)])
+
+    x1, x2 = X0.x1.copy(), X0.x2.copy()
+    eps = config.eps0
+    trace: list[IterateRecord] = []
+    reason = EXIT_ITERATION_CAP
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(config.max_iter):
+            try:
+                phi_x = phi(x1, x2, eps)
+                g = grad(x1, x2, eps)
+                gn_x = norm(g.x1, g.x2)
+                accepted, ls_count = False, 0
+                if config.mode == "lpam":
+                    # residual candidate: per block, the separable gradient
+                    # step at the iterate, then the joint gradient step
+                    al, tau = at(config.step_alpha, k), at(config.step_tau, k)
+                    be, ga = at(config.step_beta, k), at(config.step_gamma, k)
+                    z1 = x1 - al * obj.point(x1, x2).grad_h1(eps)
+                    u1 = z1 - tau * obj.grad1_h(z1, x2, eps)
+                    z2 = x2 - be * obj.point(x1, x2).grad_h2(eps)
+                    u2 = z2 - ga * obj.grad2_h(u1, z2, eps)
+                    # safeguard: sufficient decrease, and the gradient norm
+                    # bounded by the step lengths
+                    phi_u, d1, d2 = trial(x1, x2, u1, u2, eps)
+                    accepted = (
+                        phi_u - phi_x <= -config.a * (d1 * d1 + d2 * d2)
+                        and gn_x <= (d1 + d2) / config.a
+                    )
+                    if accepted:
+                        y1, y2, phi_n = u1, u2, phi_u
+                if not accepted:
+                    # Gauss-Seidel fallback, both step sizes backtracked
+                    al, be = config.alpha_bar, config.beta_bar
+                    for ls_count in range(config.ls_max + 1):
+                        v1 = x1 - al * g.x1
+                        gv2 = obj.point(x1, x2).grad_h2(eps) + obj.grad2_h(v1, x2, eps)
+                        v2 = x2 - be * gv2
+                        phi_v, d1, d2 = trial(x1, x2, v1, v2, eps)
+                        if phi_v - phi_x <= -config.ls_delta * (d1 * d1 + d2 * d2):
+                            break
+                        al *= config.rho
+                        be *= config.rho
+                    else:
+                        reason = EXIT_LINE_SEARCH
+                        break
+                    y1, y2, phi_n = v1, v2, phi_v
+                gn = grad(y1, y2, eps)
+                gn_n = norm(gn.x1, gn.x2)
+            except NumericError:
+                reason = EXIT_NUMERIC
+                break
+            reduced = gn_n < config.eps_sigma * config.gamma * eps
+            trace.append(
+                IterateRecord(
+                    k=k,
+                    eps=eps,
+                    phi=phi_n,
+                    grad_norm=gn_n,
+                    branch="u" if accepted else "v",
+                    ls_count=ls_count,
+                    decrease=phi_x - phi_n,
+                    reduced=reduced,
+                    phi_pre=phi_x,
+                    grad_norm_pre=gn_x,
+                )
+            )
+            x1, x2 = y1, y2
+            if config.eps_sigma * eps < config.eps_tol:
+                reason = EXIT_TOLERANCE
+                break
+            if reduced:
+                eps = config.gamma * eps
+                if eps == 0.0:
+                    reason = EXIT_NUMERIC
+                    break
+    return trace, reason, TwoBlockPoint(x1, x2)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import threading
 import weakref
@@ -246,9 +247,69 @@ def test_joint_recovery_refuses_data_sampled_on_another_mask():
     assert obj.kspace is inst.kspace
 
 
-def test_point_rejects_matrices():
-    with pytest.raises(ValueError):
-        TwoBlockPoint(np.zeros((2, 2)), np.zeros(2))
+# every point class, as made from two blocks
+POINT_CLASSES = {
+    "TwoBlockPoint": TwoBlockPoint,
+    "QuadraticPoint": QuadraticToy().point,
+    "RecoveryPoint": lambda x1, x2: _identity_objective().point(x1, x2),
+}
+
+
+@pytest.mark.parametrize("make", POINT_CLASSES.values(), ids=list(POINT_CLASSES))
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        (np.zeros((8, 8)), np.zeros(64)),
+        (np.zeros(64), np.zeros((64, 1))),
+        (np.float64(0.0), np.zeros(64)),
+        (np.zeros(64), 0.0),
+    ],
+    ids=["2-d first", "2-d second", "0-d first", "0-d second"],
+)
+def test_point_rejects_matrices(make, blocks):
+    with pytest.raises(ValueError, match="1-d"):
+        make(*blocks)
+
+
+@pytest.mark.parametrize("make", POINT_CLASSES.values(), ids=list(POINT_CLASSES))
+def test_points_hold_float64_blocks(make):
+    # lists, int and float32 arrays are converted; a float64 array is held
+    # as it is, not copied
+    ints = np.arange(64)
+    x2 = np.linspace(0.0, 1.0, 64)
+    for x1 in (ints.tolist(), ints, ints.astype(np.float32)):
+        P = make(x1, x2)
+        assert P.x1.dtype == P.x2.dtype == np.float64
+        assert np.array_equal(P.x1, ints) and P.x2 is x2
+
+
+@pytest.mark.parametrize("make", POINT_CLASSES.values(), ids=list(POINT_CLASSES))
+def test_points_are_frozen(make):
+    # the blocks cannot be assigned or deleted on any point class
+    P = make(np.zeros(64), np.ones(64))
+    for name in ("x1", "x2"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(P, name, np.ones(64))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(P, name)
+    assert np.array_equal(P.x1, np.zeros(64)) and np.array_equal(P.x2, np.ones(64))
+
+
+def test_quadratic_point_forms_its_difference_once():
+    # h and the joint gradient's first block read one kept x1 - x2; the
+    # second block is x2 - x1, +0.0 where the blocks are equal, as is the
+    # first
+    rng = np.random.default_rng(4)
+    x1 = np.concatenate([rng.normal(size=61), [0.0, -0.0, 1.5]])
+    x2 = np.concatenate([rng.normal(size=61), [0.0, -0.0, 1.5]])
+    P = QuadraticToy().point(x1, x2)
+    h = P.h(0.1)
+    g1, g2 = P.grad_h(0.1)
+    assert P.grad_h(0.2)[0] is g1 and P._diff() is g1
+    assert h == 0.5 * float(np.dot(g1, g1))
+    assert g1.tobytes() == (x1 - x2).tobytes()
+    assert g2.tobytes() == (x2 - x1).tobytes()
+    assert not np.signbit(g1[-3:]).any() and not np.signbit(g2[-3:]).any()
 
 
 def test_point_copy_is_independent():

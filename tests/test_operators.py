@@ -320,6 +320,29 @@ def test_sampling_ignores_nonfinite_data_off_the_mask_silently():
         assert_bits_equal(data.f2, np.where(mask, f2, 0.0))
 
 
+@pytest.mark.parametrize("view", ["real", "imag", "transpose", "reversed rows"])
+def test_sampling_a_strided_view_makes_no_full_size_copy(view):
+    # a view that is not C-contiguous is gathered with no copy of it: the
+    # values are its row-major ones at the mask, and the peak stays below
+    # one copy of the view, which a reshape of the transpose or of the
+    # reversed rows would make
+    rng = np.random.default_rng(48)
+    mask = rng.random((256, 256)) < 0.3
+    f = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+    v = {"real": f.real, "imag": f.imag, "transpose": f.T, "reversed rows": f[::-1]}[view]
+    assert not v.flags.c_contiguous
+    want = v[mask]
+    op = MaskedDft(mask)
+    tracemalloc.start()
+    try:
+        got = op.sample(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_bits_equal(got, want)
+    assert peak < v.nbytes
+
+
 def _dots(*vs):
     """Squared norms as a caller takes them, inf where the squares overflow."""
     with np.errstate(over="ignore"):
@@ -747,6 +770,29 @@ def test_instance_holds_only_the_sampled_values(spec, seed, sha1, sha2):
     if np.__version__ == KSPACE_PINS_NUMPY:
         assert hashlib.sha256(data.f1.tobytes()).hexdigest() == sha1
         assert hashlib.sha256(data.f2.tobytes()).hexdigest() == sha2
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (6, 9), (31, 17), (64, 64)])
+@pytest.mark.parametrize("ratio", [0.1, 0.3, 1.0])
+@pytest.mark.parametrize("mask_type, noise_std", [("radial", 0.0), ("uniform", 0.05)])
+def test_generated_data_are_the_masked_transform_sampled(shape, ratio, mask_type, noise_std):
+    # the data are gathered from the transform itself: the bytes of
+    # sampling forward's masked copy of it, with the noise drawn full-shape
+    spec = InstanceSpec(
+        height=shape[0], width=shape[1], ratio=ratio, mask_type=mask_type, noise_std=noise_std
+    )
+    inst = generate_instance(spec, 7)
+    dft, rng = inst.dft, np.random.default_rng(7)
+    truths = shared_structure_phantom(*shape, rng)
+    make_mask = radial_mask if mask_type == "radial" else uniform_mask
+    make_mask(*shape, ratio, rng)
+    for truth, got in zip(truths, (inst.kspace.y1, inst.kspace.y2)):
+        want = dft.sample(dft.forward(truth.ravel()))
+        if noise_std > 0:
+            re = dft.sample(rng.standard_normal(shape))
+            im = dft.sample(rng.standard_normal(shape))
+            want += noise_std * (re + 1j * im)
+        assert_bits_equal(got, want)
 
 
 def test_generate_full_sampling_exact_data():

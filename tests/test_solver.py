@@ -30,7 +30,7 @@ from lpam.solver import (
     write_trace_csv,
 )
 
-from tests.oracles import half_count_m, write_trace_csv_reference
+from tests.oracles import half_count_m, reference_lpam_run, write_trace_csv_reference
 
 QUAD_STATIONARITY = LpamConfig(
     eps0=1.0,
@@ -292,12 +292,23 @@ def test_line_search_backtracks_from_a_nonfinite_trial():
     assert phi_v == phi_eps(obj, V, 0.1)
 
 
+class ReadOnlyQuadraticPoint(QuadraticPoint):
+    """A quadratic point whose joint-gradient blocks, the kept difference
+    among them, cannot be written."""
+
+    def grad_h(self, eps):
+        blocks = super().grad_h(eps)
+        for g in blocks:
+            g.setflags(write=False)
+        return blocks
+
+
 class ReadOnlyQuadratic(QuadraticToy):
-    """The quadratic toy whose points' blocks cannot be written, so a run
-    that wrote an array the objective returned would raise."""
+    """The quadratic toy of which no array a point returns can be written,
+    its blocks among them, so a run that wrote one would raise."""
 
     def point(self, x1, x2):
-        P = super().point(x1, x2)
+        P = ReadOnlyQuadraticPoint(x1, x2, self)
         P.x1.setflags(write=False)
         P.x2.setflags(write=False)
         return P
@@ -610,6 +621,49 @@ def solver_trace(kind: str) -> tuple[IterateRecord, ...]:
         obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
         X0, cfg = obj.zero_filled(), LpamConfig(max_iter=10)
     return tuple(lpam_run(obj, X0, cfg)[0].trace)
+
+
+def _bits(trace) -> list[tuple]:
+    """Each record's fields, a float as its hex spelling, so -0.0 is not 0.0."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r))
+        for r in trace
+    ]
+
+
+def _reference_case(kind: str, mode: str = "lpam", sigma: float = 6e4):
+    """(objective, start, config) of a fixed reference-machine case: the
+    quadratic-cli solve, or 40 iterations of a 16x16 identity or 8x8 CNN
+    recovery."""
+    if kind == "quadratic-cli":
+        return QuadraticToy(), TwoBlockPoint(np.ones(1024), np.ones(1024)), QUAD_CLI
+    size = 16 if kind == "identity" else 8
+    inst = generate_instance(InstanceSpec(height=size, width=size), 0)
+    ext = IdentityExtractor(size, size) if kind == "identity" else random_extractor(size, size, seed=1)
+    obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
+    return obj, obj.zero_filled(), LpamConfig(max_iter=40, mode=mode, eps_sigma=sigma)
+
+
+@pytest.mark.parametrize(
+    "kind, mode, sigma",
+    [("quadratic-cli", "lpam", None)]
+    + [
+        (kind, mode, sigma)
+        for kind in ("identity", "cnn")
+        for mode in ("lpam", "bcd")
+        for sigma in (6e4, 50.0)
+    ],
+)
+def test_run_matches_the_reference_state_machine(kind, mode, sigma):
+    # the run's carried-over values, kept point terms, k_steady steps and
+    # in-place step arithmetic give the bits of every value taken afresh
+    obj, X0, cfg = _reference_case(kind, mode, sigma)
+    state, reason = lpam_run(obj, X0, cfg)
+    trace, want_reason, X = reference_lpam_run(obj, X0, cfg)
+    assert reason == want_reason
+    assert _bits(state.trace) == _bits(trace)
+    assert state.X.x1.tobytes() == X.x1.tobytes() and state.X.x2.tobytes() == X.x2.tobytes()
+    assert len(trace) == (914 if kind == "quadratic-cli" else 40)
 
 
 def test_the_quadratic_cli_run_reduces_and_carries_over():
