@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import threading
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable
 
 import numpy as np
@@ -72,13 +72,14 @@ def scratch(key: tuple, make: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.
     return bufs[key]
 
 
-@dataclass(frozen=True, eq=False)
 class TwoBlockPoint:
     """The iterate X = (x1, x2), two real vectors of fixed lengths.
 
     Each block is held as ``np.asarray(block, np.float64)``, so a float64
     array is held, not copied; a block that is not 1-d raises
-    ``ValueError``, and assigning a block raises ``FrozenInstanceError``.
+    ``ValueError``.  Points are frozen, subclasses too: assigning or
+    deleting any attribute, a block, a bound point's objective or a value
+    it keeps, raises ``FrozenInstanceError``.
     For the joint-recovery instantiation both blocks have length
     height*width and are row-major flattenings of images.  The blocks'
     squared norms are computed once, on first use by :meth:`is_finite`,
@@ -92,8 +93,8 @@ class TwoBlockPoint:
 
     def __init__(self, x1, x2):
         # each block converted once and written straight into the instance
-        # dict, where the frozen __setattr__ would refuse it: the dataclass's
-        # own __init__ and a __post_init__ stored each twice, by calls
+        # dict, which __setattr__ would refuse; kept values and
+        # functools.cached_property write the dict directly too
         x1 = np.asarray(x1, np.float64)
         x2 = np.asarray(x2, np.float64)
         if x1.ndim != 1 or x2.ndim != 1:
@@ -101,6 +102,12 @@ class TwoBlockPoint:
         d = self.__dict__
         d["x1"] = x1
         d["x2"] = x2
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to {name!r} of a frozen point")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete {name!r} of a frozen point")
 
     @property
     def n(self) -> int:

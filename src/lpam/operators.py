@@ -314,109 +314,72 @@ def uniform_mask(height: int, width: int, ratio: float, rng: np.random.Generator
 # temporary arrays near 0.5 MB each at any image size
 _SPOKE_SAMPLES = 2**16
 
-# off-grid samples per pass below which rounding them one by one costs
-# less than drawing their runs as segments, which take about 30 us a pass
-# (2-vCPU Xeon VM).  At ratio 0.3 a 32^2 mask rounds every run one by one
-# and a 128^2 one draws every run as segments
-_RUN_SAMPLES = 2**12
 
-
-def _spoke_pixels(t, sin, cos, height: int, width: int) -> np.ndarray:
-    """The flat index of the pixel each sample t of each spoke (a row of
-    sin and cos) is rounded and clipped onto."""
-    ys = t * sin
-    ys += height // 2
-    np.rint(ys, out=ys)
-    np.maximum(ys, 0, out=ys)
-    np.minimum(ys, height - 1, out=ys)
-    xs = t * cos
-    xs += width // 2
-    np.rint(xs, out=xs)
-    np.maximum(xs, 0, out=xs)
-    np.minimum(xs, width - 1, out=xs)
-    ys *= width
-    ys += xs  # exact: flat indices are far below 2**53
-    return ys.astype(np.intp)
-
-
-def _spoke_samples(height: int, width: int) -> tuple[np.ndarray, int, int]:
-    """The samples ts of every spoke, and the range lo:hi of those within
-    reach of the grid: the ones before lo and from hi on lie off it."""
+def _spoke_samples(height: int, width: int) -> np.ndarray:
+    """The samples t of every spoke that may round onto the grid."""
     radius = float(np.hypot(height, width))
     ts = np.arange(-radius, radius, 0.5)
     # The pixels' squares span [-0.5, height - 0.5] x [-0.5, width - 0.5],
     # within hypot(cy + 0.5, cx + 0.5) of the center (cy, cx).  A sample
     # farther out, with a margin for rounding, has a coordinate beyond that
-    # span, which rounds onto its clip bound and stays there further out.
+    # span, which rounds off the grid.
     reach = math.hypot(height // 2 + 0.5, width // 2 + 0.5) + 1.0
-    return ts, int(np.searchsorted(ts, -reach)), int(np.searchsorted(ts, reach, side="right"))
+    return ts[np.searchsorted(ts, -reach) : np.searchsorted(ts, reach, side="right")]
 
 
-def _draw_spokes(mask: np.ndarray, num_spokes: int, ts: np.ndarray, lo: int, hi: int) -> None:
-    """Set mask to the pixels of num_spokes spokes at equal angles, each
-    sampled at ts.
-
-    The samples ts[lo:hi] are rounded one by one.  The runs before and
-    after them lie off the grid, so on each run one coordinate stays at its
-    clip bound while the other, monotone in t and changing by at most 1 a
-    sample, takes every value between its ends: the run covers the segment
-    of a row or a column between the pixels of its first and last sample.
-    Runs too short to repay that (:data:`_RUN_SAMPLES`) are rounded one by
-    one too.
-    """
+def _draw_spokes(mask: np.ndarray, num_spokes: int, ts: np.ndarray) -> None:
+    """Set mask to the pixels of num_spokes spokes at equal angles through
+    its center: each sample t of each spoke rounded to a pixel, where that
+    lies on the grid."""
     height, width = mask.shape
     flat = mask.reshape(-1)
     flat[:] = False
     per = max(1, _SPOKE_SAMPLES // ts.size)  # spokes drawn per pass
-    if min(num_spokes, per) * (ts.size - (hi - lo)) < _RUN_SAMPLES:
-        lo, hi = 0, ts.size
-    # the samples rounded one by one, then the first and last of each run
-    runs = ([lo - 1, 0] if lo else []) + ([hi, ts.size - 1] if hi < ts.size else [])
-    t = np.concatenate((ts[lo:hi], ts[runs]))
     angles = np.pi * np.arange(num_spokes) / num_spokes
     for j in range(0, num_spokes, per):
         a = angles[j : j + per, None]
-        px = _spoke_pixels(t, np.sin(a), np.cos(a), height, width)
-        flat[px.ravel()] = True  # the runs' ends too, which their segments hold
-        if runs:
-            first, last = px[:, hi - lo :].reshape(-1, 2).T
-            start, span = np.minimum(first, last), np.abs(last - first)
-            # a segment down a column spans whole rows, one along a row less
-            step = np.where(span < width, 1, width)
-            span //= step
-            k = np.minimum(np.arange(span.max() + 1), span[:, None])
-            k *= step[:, None]
-            k += start[:, None]
-            flat[k.ravel()] = True  # a short segment repeats its last pixel
+        ys = ts * np.sin(a)
+        ys += height // 2
+        ys = np.rint(ys, out=ys).astype(np.intp)
+        xs = ts * np.cos(a)
+        xs += width // 2
+        xs = np.rint(xs, out=xs).astype(np.intp)
+        # a negative coordinate reads as a huge unsigned one
+        on = ys.view(np.uintp) < height
+        on &= xs.view(np.uintp) < width
+        ys *= width
+        ys += xs
+        flat[ys[on]] = True
 
 
 def _coverage_bound(num_spokes: int, height: int, width: int) -> float:
     """An upper bound on the pixels that num_spokes spokes cover.
 
-    The border holds 2 (height + width) - 4 pixels.  Inside it, a spoke's
-    pixels come from consecutive samples, as each coordinate is monotone
-    along the spoke, and form a path that steps at most 1 in each
-    coordinate a sample: at most 1 + dy + dx pixels, where dy and dx bound
-    the ranges of its rows and columns.  Its samples inside have
-    |t sin| <= cy - 0.5 and |t cos| <= cx - 0.5, which bound |t| and so
-    the ranges.  Each spoke runs from the center out past the box of
-    half-side r about it both ways, through at least 2r + 1 of the box's
-    pixels, so inside the border the spokes cover at most the box's
-    (2r + 1)^2 and 1 + dy + dx - (2r + 1) pixels each outside it; r is
-    num_spokes // 4, or less where the box would reach the border.
+    A spoke's pixels come from consecutive samples, as each coordinate is
+    monotone along the spoke, and form a path that steps at most 1 in each
+    coordinate a sample: at most 1 + dy + dx pixels, where dy and dx are
+    the ranges of its rows and columns.  A range is at most the side less
+    1, and at most the floor of the span of t sin (or t cos) over the
+    samples on the grid, plus 1.  Those samples have |t cos| <= cx + 0.5,
+    so the span of t sin is at most (2 cx + 1) |tan a|, and likewise that
+    of t cos at most (2 cy + 1) / |tan a|.  Each spoke runs from the center
+    out to the grid's edge both ways, so past the box of half-side r about
+    the center, through at least 2r + 1 of the box's pixels: the spokes
+    cover at most the box's (2r + 1)^2 and 1 + dy + dx - (2r + 1) >= 0
+    pixels each outside it; r is num_spokes // 4, or less where the box
+    would leave the grid.
     """
-    if min(height, width) < 3:
-        return height * width
     cy, cx = height // 2, width // 2
     a = np.pi * np.arange(num_spokes) / num_spokes
-    sin, cos = np.abs(np.sin(a)), np.abs(np.cos(a))
-    # the margins cover the rounding of the samples and of this bound
-    with np.errstate(divide="ignore"):
-        t = np.minimum((cy - 0.5 + 1e-6) / sin, (cx - 0.5 + 1e-6) / cos)
-    dy = np.minimum(np.floor(2 * t * sin + 1e-6) + 1, height - 3)
-    dx = np.minimum(np.floor(2 * t * cos + 1e-6) + 1, width - 3)
-    box = 2 * min(num_spokes // 4, cy - 1, height - 2 - cy, cx - 1, width - 2 - cx) + 1
-    return 2 * (height + width) - 4 + box * box + float(np.maximum(1 + dy + dx - box, 0).sum())
+    # tan(pi/2 - a) stands for 1 / tan a, finite at a = 0; the margin
+    # covers the rounding of the samples and of this bound
+    spans = np.empty((2, num_spokes))
+    np.multiply(np.abs(np.tan(a)), 2 * cx + 1, out=spans[0])
+    np.multiply(np.abs(np.tan(np.pi / 2 - a)), 2 * cy + 1, out=spans[1])
+    spans += 1e-6
+    np.minimum(spans, [[height - 2], [width - 2]], out=spans)
+    box = 2 * min(num_spokes // 4, height - 1 - cy, width - 1 - cx) + 1
+    return box * box + num_spokes * (3 - box) + float(np.floor(spans, out=spans).sum())
 
 
 def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -435,8 +398,8 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     max_spokes = 4 * max(height, width)
 
     mask = np.zeros((height, width), dtype=bool)
-    ts, lo, hi = _spoke_samples(height, width)
-    # Both clipped coordinates of a spoke are monotone in t, so it covers
+    ts = _spoke_samples(height, width)
+    # Both coordinates of a spoke are monotone in t, so it covers
     # at most height + width - 1 pixels and S spokes at most S times that.
     # Every S below ceil(target / (height + width - 1)) ends below the
     # target, so starting there stops at the same S as starting from 1.
@@ -445,7 +408,7 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     while num_spokes < max_spokes and _coverage_bound(num_spokes, height, width) < target:
         num_spokes += 1
     while True:
-        _draw_spokes(mask, num_spokes, ts, lo, hi)
+        _draw_spokes(mask, num_spokes, ts)
         count = np.count_nonzero(mask)
         if count >= target or num_spokes >= max_spokes:
             break

@@ -185,9 +185,10 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
         angles = np.pi * np.arange(num_spokes) / num_spokes
         mask[:] = False
         for ang in angles:
-            ys = np.clip(np.round(cy + ts * np.sin(ang)).astype(int), 0, height - 1)
-            xs = np.clip(np.round(cx + ts * np.cos(ang)).astype(int), 0, width - 1)
-            mask[ys, xs] = True
+            ys = np.round(cy + ts * np.sin(ang)).astype(int)
+            xs = np.round(cx + ts * np.cos(ang)).astype(int)
+            on = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
+            mask[ys[on], xs[on]] = True
 
     flat = mask.ravel()
     count = int(flat.sum())
@@ -254,9 +255,10 @@ def spoke_pixels(height: int, width: int, angle: float) -> set[tuple[int, int]]:
     cy, cx = height // 2, width // 2
     radius = float(np.hypot(height, width))
     ts = np.arange(-radius, radius, 0.5)
-    ys = np.clip(np.round(cy + ts * np.sin(angle)).astype(int), 0, height - 1)
-    xs = np.clip(np.round(cx + ts * np.cos(angle)).astype(int), 0, width - 1)
-    return set(zip(ys.tolist(), xs.tolist()))
+    ys = np.round(cy + ts * np.sin(angle)).astype(int)
+    xs = np.round(cx + ts * np.cos(angle)).astype(int)
+    on = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
+    return set(zip(ys[on].tolist(), xs[on].tolist()))
 
 
 def layer_bounds(weights) -> list[float]:

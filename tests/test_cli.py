@@ -71,12 +71,11 @@ def test_end_to_end_determinism(tmp_path):
 
 
 # SHA-256 of the kspace1.arr that ``generate`` writes for a noisy 128^2
-# instance at ratio 0.3 and seed 0, as written before the data were held at
-# the sampled frequencies only: the file format and its bytes are unchanged.
+# instance at ratio 0.3 and seed 0, whose spokes end at the grid's edge.
 # The low bits of an FFT may differ with another numpy, so the digest is
 # compared on the numpy it was taken with
 KSPACE1_PIN_NUMPY = "2.4.6"
-KSPACE1_PIN = "c2f0dc7b5d33fce4905a587f5c0c585509d907589fd7473e10deb9db79259e55"
+KSPACE1_PIN = "346edc2433a56022e83118ac3ffcbeec72bbffafbf4267ca5daee5763774bf15"
 
 
 def test_generate_writes_the_full_kspace_files(tmp_path):

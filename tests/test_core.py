@@ -285,13 +285,22 @@ def test_points_hold_float64_blocks(make):
 
 @pytest.mark.parametrize("make", POINT_CLASSES.values(), ids=list(POINT_CLASSES))
 def test_points_are_frozen(make):
-    # the blocks cannot be assigned or deleted on any point class
+    # the blocks cannot be assigned or deleted on any point class, nor a
+    # bound point's objective or a value it keeps
     P = make(np.zeros(64), np.ones(64))
-    for name in ("x1", "x2"):
+    names = ["x1", "x2"]
+    if type(P) is not TwoBlockPoint:
+        P.h1(0.1)  # a recovery point keeps its residuals
+        P.h(0.1)  # a quadratic point keeps its difference
+        names += ["obj", "_d" if isinstance(P, QuadraticPoint) else "_residuals"]
+    held = dict(vars(P))
+    for name in names:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(P, name, np.ones(64))
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(P, name)
+    assert vars(P).keys() == held.keys()
+    assert all(vars(P)[name] is value for name, value in held.items())
     assert np.array_equal(P.x1, np.zeros(64)) and np.array_equal(P.x2, np.ones(64))
 
 

@@ -536,10 +536,9 @@ def test_radial_mask_keeps_dc():
     assert m[0, 0]  # zero frequency in FFT layout
 
 
-# square and non-square sides, three seeds each, and two cases that draw
-# each spoke count in more than one pass: 256^2 at ratio 0.3 (45 spokes
-# per pass, counts 53 to 65 drawn) and 128^2 at ratio 1.0 (90 per pass,
-# counts 101 to 228 drawn)
+# square and non-square sides, three seeds each, and a case that draws its
+# larger spoke counts in more than one pass: 128^2 at ratio 1.0 (177
+# spokes per pass, counts 103 to 257 drawn)
 RADIAL_CASES = [
     (h, w, ratio, seed)
     for h, w in [(2, 2), (2, 64), (64, 2), (3, 7), (16, 16), (31, 17), (32, 48), (64, 64), (100, 37)]
@@ -592,65 +591,47 @@ def test_radial_mask_temporary_memory_is_bounded():
     st.integers(2, 70),
     st.integers(1, 200).flatmap(lambda s: st.tuples(st.just(s), st.integers(0, s - 1))),
 )
-def test_an_off_grid_run_keeps_one_coordinate_at_its_clip_bound(height, width, spokes):
-    # the premise of drawing each off-grid run as a segment
+def test_every_sample_beyond_reach_rounds_off_the_grid(height, width, spokes):
+    # the premise of drawing only the samples _spoke_samples keeps, a
+    # window of the full grid over +-hypot(height, width)
     num_spokes, j = spokes
     angle = (np.pi * np.arange(num_spokes) / num_spokes)[j]
-    ts, lo, hi = operators._spoke_samples(height, width)
-    assert 0 <= lo <= hi <= ts.size
-    for run in (ts[:lo], ts[hi:]):
-        if run.size:
-            ys = np.clip(np.round(height // 2 + run * np.sin(angle)), 0, height - 1)
-            xs = np.clip(np.round(width // 2 + run * np.cos(angle)), 0, width - 1)
-            y_held = ys.min() == ys.max() in (0, height - 1)
-            assert y_held or xs.min() == xs.max() in (0, width - 1)
+    radius = float(np.hypot(height, width))
+    ts = np.arange(-radius, radius, 0.5)
+    kept = operators._spoke_samples(height, width)
+    lo = int(np.searchsorted(ts, kept[0]))
+    assert np.array_equal(ts[lo : lo + kept.size], kept)
+    dropped = np.concatenate((ts[:lo], ts[lo + kept.size :]))
+    ys = np.round(height // 2 + dropped * np.sin(angle))
+    xs = np.round(width // 2 + dropped * np.cos(angle))
+    assert not ((ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)).any()
 
 
 @given(st.integers(2, 70), st.integers(2, 70), st.integers(1, 200))
 def test_spokes_drawn_with_runs_as_segments_equal_the_oracle_spokes(height, width, num_spokes):
-    ts, lo, hi = operators._spoke_samples(height, width)
     mask = np.zeros((height, width), dtype=bool)
     want = np.zeros_like(mask)
     for angle in np.pi * np.arange(num_spokes) / num_spokes:
         want[tuple(zip(*oracles.spoke_pixels(height, width, angle)))] = True
-    for run_samples in (0, 2**62):  # every run as a segment, then none
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(operators, "_RUN_SAMPLES", run_samples)
-            operators._draw_spokes(mask, num_spokes, ts, lo, hi)
-        assert np.array_equal(mask, want)
+    operators._draw_spokes(mask, num_spokes, operators._spoke_samples(height, width))
+    assert np.array_equal(mask, want)
 
 
 @given(st.integers(2, 70), st.integers(2, 70), st.integers(1, 280))
 def test_the_coverage_bound_holds(height, width, num_spokes):
     # radial_mask skips every spoke count whose bound is below the target
-    ts, lo, hi = operators._spoke_samples(height, width)
     mask = np.zeros((height, width), dtype=bool)
-    operators._draw_spokes(mask, num_spokes, ts, lo, hi)
+    operators._draw_spokes(mask, num_spokes, operators._spoke_samples(height, width))
     assert np.count_nonzero(mask) <= operators._coverage_bound(num_spokes, height, width)
 
 
-@pytest.mark.parametrize("run_samples", [0, 2**62])
-@pytest.mark.parametrize(
-    "height, width, ratio",
-    [
-        (2, 2, 1.0),
-        (2, 64, 0.3),
-        (64, 2, 0.3),
-        (3, 7, 0.3),
-        (31, 17, 0.3),
-        (100, 37, 0.01),
-        (128, 128, 0.3),
-    ],
-)
-def test_radial_mask_equals_the_oracle_whichever_runs_are_segments(
-    monkeypatch, height, width, ratio, run_samples
-):
-    # RADIAL_CASES draw runs as segments only at the larger sides
-    monkeypatch.setattr(operators, "_RUN_SAMPLES", run_samples)
-    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
-    got = radial_mask(height, width, ratio, rng)
-    assert np.array_equal(got, oracles.radial_mask(height, width, ratio, ref_rng))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_radial_mask_samples_the_border_at_most_at_its_ratio(seed):
+    # spokes end at the grid's edge, so the highest frequencies, the
+    # centred layout's border, are sampled no more densely than the grid
+    mask = np.fft.fftshift(radial_mask(128, 128, 0.3, np.random.default_rng(seed)))
+    border = np.concatenate((mask[0], mask[-1], mask[1:-1, 0], mask[1:-1, -1]))
+    assert border.size == 508 and border.mean() <= 0.3
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (7, 7), (8, 8), (5, 12), (12, 5), (1, 9)])
@@ -710,8 +691,9 @@ def test_generate_instance_deterministic():
     assert not np.array_equal(a.kspace.f1, c.kspace.f1)
 
 
-# SHA-256 of the full k-space data of two 128^2 instances at ratio 0.3, as
-# generated before the data were held at the sampled frequencies only; the
+# SHA-256 of the full k-space data of two 128^2 instances at ratio 0.3, the
+# uniform one as generated before the data were held at the sampled
+# frequencies only, the radial one since its spokes end at the grid's edge; the
 # low bits of an FFT may differ with another numpy, so the digests are
 # compared on the numpy they were taken with, and the formula everywhere
 KSPACE_PINS_NUMPY = "2.4.6"
@@ -719,8 +701,8 @@ KSPACE_PINS = [
     (
         InstanceSpec(height=128, width=128, ratio=0.3),
         0,
-        "4e1e18e3544259f8ee7ec51574115eced2f2af925eac98bfde27225b82ca303b",
-        "6fc136c62d6a79417d5f0cf92127c371e400949b9068eae7fc2a8436b258e2a3",
+        "3f6f5a82ce5ed658ebf6d47d2a24955176904e17a5ba105091e0a630a0df0d10",
+        "bb2b14924c550d285415df7623600d03bad679d9c8da406aaa8d235cf53acb40",
     ),
     (
         InstanceSpec(height=128, width=128, mask_type="uniform", ratio=0.3, noise_std=0.01),
