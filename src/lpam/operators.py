@@ -28,13 +28,16 @@ class MaskedDft:
     """Undersampled 2-d DFT measurement operator for one image channel.
 
     The one-channel methods are the plain masked ``fft2``/``ifft2``
-    formulas.  The pair kernels serve two real channels with one complex
-    transform, each the two per-axis passes ``fft2``/``ifft2`` make, in
-    this thread's scratch; their data and residuals are vectors over the
-    sampled frequencies in flat (row-major) order (:meth:`sample` and
-    :meth:`unsample` map between those and full arrays), and they agree
-    with the one-channel methods to rounding, relative to each channel's
-    own norm.  Returned arrays are always fresh.
+    formulas.  The set-up transforms :meth:`forward_sampled` and
+    :meth:`adjoint_sampled` are the same formulas bit for bit, and the
+    pair kernels serve two real channels with one complex transform; all
+    four run the two per-axis passes ``fft2``/``ifft2`` make in this
+    thread's DFT scratch, two complex images per shape, kept for the
+    thread's life.  Their data and residuals are vectors over the sampled
+    frequencies in flat (row-major) order (:meth:`sample` and
+    :meth:`unsample` map between those and full arrays), and the pair
+    kernels agree with the one-channel methods to rounding, relative to
+    each channel's own norm.  Returned arrays are always fresh.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
@@ -87,10 +90,31 @@ class MaskedDft:
         """Real part of the inverse unitary DFT of masked k-space data."""
         return np.fft.ifft2(self._masked(f), norm="ortho").real.flatten()
 
+    def forward_sampled(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`sample` of the unitary ``fft2`` of a real image, bit for
+        bit, with no full-size array made: the image goes into the scratch
+        as a complex one and its last axis is transformed first, as
+        ``fft2`` does."""
+        x = self._image(x)
+        buf, spare = _dft_buffers(self.shape)
+        np.copyto(buf.real, x)
+        buf.imag.fill(0.0)
+        np.fft.fft(buf, axis=1, norm="ortho", out=spare)
+        np.fft.fft(spare, axis=0, norm="ortho", out=buf)
+        return buf.reshape(-1)[self._on]
+
     def adjoint_sampled(self, y: np.ndarray) -> np.ndarray:
         """:meth:`adjoint` of the values y at the sampled frequencies, bit
-        for bit, from their :meth:`unsample` array with no masked copy."""
-        return np.fft.ifft2(self.unsample(y), norm="ortho").real.flatten()
+        for bit: ``ifft2`` of their :meth:`unsample` array, filled into the
+        scratch instead of a fresh one."""
+        y = self._sampled(y)
+        buf, spare = _dft_buffers(self.shape)
+        spec = buf.reshape(-1)
+        spec.fill(0.0)
+        spec[self._on] = y
+        np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
+        np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
+        return buf.real.flatten()
 
     def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Masked DFT of x minus the data f on the sampled frequencies."""
@@ -310,8 +334,9 @@ def uniform_mask(height: int, width: int, ratio: float, rng: np.random.Generator
     return mask.reshape(height, width)
 
 
-# samples per pass of radial_mask's spoke drawing, which bounds its
-# temporary arrays near 0.5 MB each at any image size
+# samples per pass of radial_mask's spoke drawing, and angles per pass of
+# its coverage bounds, which keeps their temporary arrays near 0.5 MB each
+# at any image size
 _SPOKE_SAMPLES = 2**16
 
 
@@ -352,8 +377,9 @@ def _draw_spokes(mask: np.ndarray, num_spokes: int, ts: np.ndarray) -> None:
         flat[ys[on]] = True
 
 
-def _coverage_bound(num_spokes: int, height: int, width: int) -> float:
-    """An upper bound on the pixels that num_spokes spokes cover.
+def _coverage_bound(counts: np.ndarray, height: int, width: int) -> np.ndarray:
+    """Upper bounds on the pixels that S spokes cover, one for each count
+    S >= 1 in counts, from one pass over all their angles.
 
     A spoke's pixels come from consecutive samples, as each coordinate is
     monotone along the spoke, and form a path that steps at most 1 in each
@@ -366,20 +392,54 @@ def _coverage_bound(num_spokes: int, height: int, width: int) -> float:
     out to the grid's edge both ways, so past the box of half-side r about
     the center, through at least 2r + 1 of the box's pixels: the spokes
     cover at most the box's (2r + 1)^2 and 1 + dy + dx - (2r + 1) >= 0
-    pixels each outside it; r is num_spokes // 4, or less where the box
-    would leave the grid.
+    pixels each outside it; r is S // 4, or less where the box would leave
+    the grid.  Every term is an integer, so each bound is exact whatever
+    the order of its sum.
     """
+    counts = np.asarray(counts, dtype=np.intp)
     cy, cx = height // 2, width // 2
-    a = np.pi * np.arange(num_spokes) / num_spokes
+    # the angles pi j / S, j < S, of every count in turn
+    starts = np.cumsum(counts) - counts
+    j = np.arange(starts[-1] + counts[-1]) - np.repeat(starts, counts)
+    a = np.pi * j / np.repeat(counts, counts)
     # tan(pi/2 - a) stands for 1 / tan a, finite at a = 0; the margin
     # covers the rounding of the samples and of this bound
-    spans = np.empty((2, num_spokes))
+    spans = np.empty((2, a.size))
     np.multiply(np.abs(np.tan(a)), 2 * cx + 1, out=spans[0])
     np.multiply(np.abs(np.tan(np.pi / 2 - a)), 2 * cy + 1, out=spans[1])
     spans += 1e-6
-    np.minimum(spans, [[height - 2], [width - 2]], out=spans)
-    box = 2 * min(num_spokes // 4, height - 1 - cy, width - 1 - cx) + 1
-    return box * box + num_spokes * (3 - box) + float(np.floor(spans, out=spans).sum())
+    np.minimum(spans[0], height - 2, out=spans[0])
+    np.minimum(spans[1], width - 2, out=spans[1])
+    np.floor(spans, out=spans)
+    sums = np.add.reduceat(spans[0] + spans[1], starts)
+    box = 2 * np.minimum(counts // 4, min(height - 1 - cy, width - 1 - cx)) + 1
+    return box * box + counts * (3 - box) + sums
+
+
+def _start_count(height: int, width: int, target: int) -> int:
+    """The first spoke count that radial_mask draws for target pixels:
+    the first whose coverage bound reaches the target, or the cap."""
+    max_spokes = 4 * max(height, width)
+    # Both coordinates of a spoke are monotone in t, so it covers
+    # at most height + width - 1 pixels and S spokes at most S times that.
+    # Every S below ceil(target / (height + width - 1)) ends below the
+    # target, so starting there stops at the same S as starting from 1.
+    num_spokes = min(-(-target // (height + width - 1)), max_spokes)
+    # Nor does any S whose coverage bound is below the target reach it.
+    # Each pass takes the bounds of the counts from S up to half as many
+    # again, which at ratio 0.3 reach the first admitted count in one pass,
+    # but of no more of them than hold _SPOKE_SAMPLES angles between them
+    # (k counts hold k S + k (k - 1) / 2), and of at least one.
+    while num_spokes < max_spokes:
+        b = 2 * num_spokes - 1
+        fit = (math.isqrt(b * b + 8 * _SPOKE_SAMPLES) - b) // 2
+        k = max(1, min(num_spokes // 2 + 1, max_spokes - num_spokes, fit))
+        bounds = _coverage_bound(np.arange(num_spokes, num_spokes + k), height, width)
+        admitted = np.flatnonzero(bounds >= target)
+        if admitted.size:
+            return num_spokes + int(admitted[0])
+        num_spokes += k
+    return max_spokes
 
 
 def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator) -> np.ndarray:
@@ -399,14 +459,7 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
 
     mask = np.zeros((height, width), dtype=bool)
     ts = _spoke_samples(height, width)
-    # Both coordinates of a spoke are monotone in t, so it covers
-    # at most height + width - 1 pixels and S spokes at most S times that.
-    # Every S below ceil(target / (height + width - 1)) ends below the
-    # target, so starting there stops at the same S as starting from 1.
-    num_spokes = min(-(-target // (height + width - 1)), max_spokes)
-    # Nor does any S whose coverage bound is below the target reach it.
-    while num_spokes < max_spokes and _coverage_bound(num_spokes, height, width) < target:
-        num_spokes += 1
+    num_spokes = _start_count(height, width, target)
     while True:
         _draw_spokes(mask, num_spokes, ts)
         count = np.count_nonzero(mask)
@@ -542,9 +595,10 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
 
     chans = []
     for truth in (truth1, truth2):
-        # gathered from the transform itself: forward's masked copy of it
-        # holds the same values at the sampled frequencies
-        y = dft.sample(np.fft.fft2(truth, norm="ortho"))
+        # gathered from the transform, run in this thread's DFT scratch:
+        # the values of fft2(truth) and of forward's masked copy of it at
+        # the sampled frequencies
+        y = dft.forward_sampled(truth)
         if spec.noise_std > 0:
             # drawn full-shape, so the generator's stream does not depend on
             # the mask, and only the sampled draws are kept

@@ -8,9 +8,10 @@ needs them, so they live with the tests that check the package against
 them.  The convolutions run the extractor's own ``_conv`` kernel at its
 narrowest pitch and copy the result out of its scratch buffer, and
 :func:`fresh_pool` runs a scratch-pool test from an empty pool.  The
-radial mask and the layer bounds compute what the package's vectorised
-forms compute, one spoke or one kernel tap per call; the phantom and the
-mirror indices compute theirs on full-size coordinate grids.  The trace
+radial mask, the spoke coverage bound and the layer bounds compute what
+the package's vectorised forms compute, one spoke, spoke count or kernel
+tap per call; the phantom and the mirror indices compute theirs on
+full-size coordinate grids.  The trace
 writer is the ``csv.writer`` one that the package's single-format writer
 must match byte for byte.  :func:`reference_lpam_run` is the solver's
 state machine step by step, with every value taken afresh, which the
@@ -259,6 +260,21 @@ def spoke_pixels(height: int, width: int, angle: float) -> set[tuple[int, int]]:
     xs = np.round(cx + ts * np.cos(angle)).astype(int)
     on = (ys >= 0) & (ys < height) & (xs >= 0) & (xs < width)
     return set(zip(ys[on].tolist(), xs[on].tolist()))
+
+
+def coverage_bound(num_spokes: int, height: int, width: int) -> float:
+    """The bound of :func:`lpam.operators._coverage_bound` for one spoke
+    count, from that count's angles alone: the reference its one pass over
+    many counts must equal exactly."""
+    cy, cx = height // 2, width // 2
+    a = np.pi * np.arange(num_spokes) / num_spokes
+    spans = np.empty((2, num_spokes))
+    np.multiply(np.abs(np.tan(a)), 2 * cx + 1, out=spans[0])
+    np.multiply(np.abs(np.tan(np.pi / 2 - a)), 2 * cy + 1, out=spans[1])
+    spans += 1e-6
+    np.minimum(spans, [[height - 2], [width - 2]], out=spans)
+    box = 2 * min(num_spokes // 4, height - 1 - cy, width - 1 - cx) + 1
+    return box * box + num_spokes * (3 - box) + float(np.floor(spans, out=spans).sum())
 
 
 def layer_bounds(weights) -> list[float]:

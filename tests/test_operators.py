@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -192,6 +193,63 @@ def test_transforms_bit_identical_to_fft2(shape):
         assert_bits_equal(op.residual(x, f.real), ref_residual(mask, x, f.real))
 
 
+@fresh_pool
+def test_set_up_transforms_in_the_scratch_equal_the_fft2_formulas():
+    # bit for bit; the non-square shapes pin the axis order, the last axis
+    # first as fft2 takes it, and no result is a view of the scratch
+    rng = np.random.default_rng(49)
+    for shape in [(2, 2), (3, 5), (96, 160), (128, 128)]:
+        mask, x, f = draw(rng, shape)
+        op = MaskedDft(mask)
+        y = op.sample(f)
+        got = op.forward_sampled(x), op.adjoint_sampled(y)
+        assert_bits_equal(got[0], op.sample(np.fft.fft2(x.reshape(shape), norm="ortho")))
+        assert_bits_equal(got[1], np.fft.ifft2(op.unsample(y), norm="ortho").real.flatten())
+        scratch = core._scratch.bufs[("dft", shape)]
+        assert not any(np.shares_memory(g, buf) for g in got for buf in scratch)
+
+
+@fresh_pool
+def test_instances_built_in_turn_leave_nothing_in_the_scratch():
+    # A, then B of the same shape, then A again in one thread: A's data and
+    # zero-filled images come back bit for bit
+    specs = [
+        (InstanceSpec(height=48, width=32, ratio=0.3), 0),
+        (InstanceSpec(height=48, width=32, mask_type="uniform", ratio=0.5, noise_std=0.1), 1),
+    ]
+
+    def build(spec, seed):
+        data = generate_instance(spec, seed).kspace
+        zero_filled = [data.dft.adjoint_sampled(y) for y in (data.y1, data.y2)]
+        for y, z in zip((data.y1, data.y2), zero_filled):
+            assert_bits_equal(z, np.fft.ifft2(data.dft.unsample(y), norm="ortho").real.flatten())
+        return [data.y1, data.y2, *zero_filled]
+
+    first = build(*specs[0])
+    build(*specs[1])
+    for got, want in zip(build(*specs[0]), first):
+        assert_bits_equal(got, want)
+
+
+@fresh_pool
+def test_set_up_transforms_make_no_full_size_complex_array():
+    # once a first call has made the scratch, each call allocates less
+    # than one full-size complex array, 1 MiB at 256^2
+    rng = np.random.default_rng(50)
+    op = MaskedDft(rng.random((256, 256)) < 0.3)
+    x = rng.normal(size=256 * 256)
+    y = op.forward_sampled(x)
+    op.adjoint_sampled(y)
+    for call, arg in ((op.forward_sampled, x), (op.adjoint_sampled, y)):
+        tracemalloc.start()
+        try:
+            call(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 16
+
+
 def test_nonfinite_data_off_the_mask_is_ignored_silently():
     rng = np.random.default_rng(40)
     mask, x, f = draw(rng, (6, 9))
@@ -242,7 +300,7 @@ def assert_pair_matches(mask, x1, x2, f1, f2):
 
 @fresh_pool
 def test_dft_scratch_reuse_across_shapes():
-    # the pair kernels are the pool's only DFT users: interleaved shapes
+    # the pair kernels, one of the pool's DFT users: interleaved shapes
     # share no buffer, and a repeated shape sees nothing left over from a
     # call on other data
     rng = np.random.default_rng(41)
@@ -608,7 +666,7 @@ def test_every_sample_beyond_reach_rounds_off_the_grid(height, width, spokes):
 
 
 @given(st.integers(2, 70), st.integers(2, 70), st.integers(1, 200))
-def test_spokes_drawn_with_runs_as_segments_equal_the_oracle_spokes(height, width, num_spokes):
+def test_drawn_spokes_equal_the_oracle_spoke_pixels(height, width, num_spokes):
     mask = np.zeros((height, width), dtype=bool)
     want = np.zeros_like(mask)
     for angle in np.pi * np.arange(num_spokes) / num_spokes:
@@ -622,7 +680,58 @@ def test_the_coverage_bound_holds(height, width, num_spokes):
     # radial_mask skips every spoke count whose bound is below the target
     mask = np.zeros((height, width), dtype=bool)
     operators._draw_spokes(mask, num_spokes, operators._spoke_samples(height, width))
-    assert np.count_nonzero(mask) <= operators._coverage_bound(num_spokes, height, width)
+    bound = operators._coverage_bound(np.array([num_spokes]), height, width)
+    assert bound.shape == (1,) and np.count_nonzero(mask) <= bound[0]
+
+
+@given(
+    st.integers(2, 70).flatmap(
+        lambda h: st.tuples(st.just(h), st.one_of(st.just(h), st.integers(2, 70)))
+    ),
+    st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_coverage_bounds_equal_the_per_count_reference(shape, ratio):
+    # one pass over many counts' angles sums the same integer terms as one
+    # call per count, so the bounds, and the first count radial_mask draws,
+    # are the reference's exactly
+    height, width = shape
+    target = max(1, round(ratio * height * width))
+    max_spokes = 4 * max(height, width)
+    start = min(-(-target // (height + width - 1)), max_spokes)
+    counts = np.arange(start, max_spokes + 1)
+    bounds = operators._coverage_bound(counts, height, width)
+    want = [oracles.coverage_bound(int(s), height, width) for s in counts]
+    assert bounds.dtype == np.float64 and bounds.tolist() == want
+    num_spokes = start
+    while num_spokes < max_spokes and oracles.coverage_bound(num_spokes, height, width) < target:
+        num_spokes += 1
+    # passes of one count each, of a few, and of as many as radial_mask takes
+    for samples in (1, 97, operators._SPOKE_SAMPLES):
+        with mock.patch.object(operators, "_SPOKE_SAMPLES", samples):
+            assert operators._start_count(height, width, target) == num_spokes
+
+
+@pytest.mark.parametrize("height, width, ratio", [(4096, 4096, 0.3), (1000, 3000, 1.0)])
+def test_the_start_count_found_over_several_passes_equals_the_per_count_loop(
+    height, width, ratio
+):
+    # here the counts up to the first admitted one hold more angles than
+    # one pass takes (4 and 17 passes), and no pass takes more than that
+    # but for a single count
+    target = round(ratio * height * width)
+    num_spokes = -(-target // (height + width - 1))
+    while oracles.coverage_bound(num_spokes, height, width) < target:
+        num_spokes += 1
+    bound, passes = operators._coverage_bound, []
+
+    def recorded(counts, *shape):
+        passes.append(counts)
+        return bound(counts, *shape)
+
+    with mock.patch.object(operators, "_coverage_bound", recorded):
+        assert operators._start_count(height, width, target) == num_spokes
+    assert len(passes) > 1
+    assert all(c.sum() <= operators._SPOKE_SAMPLES or c.size == 1 for c in passes)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
