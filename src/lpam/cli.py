@@ -189,7 +189,7 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
     dft = MaskedDft(mask)
     # only the values at the sampled frequencies are kept: what the files
     # hold off the mask is never read
-    return Instance(truth1, truth2, dft, KSpaceData(dft, dft.sample(f1), dft.sample(f2)))
+    return Instance(truth1, truth2, KSpaceData(dft, dft.sample(f1), dft.sample(f2)))
 
 
 def _json(obj: dict, **kwargs) -> str:

@@ -27,25 +27,25 @@ def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
 class MaskedDft:
     """Undersampled 2-d DFT measurement operator for one image channel.
 
-    The one-channel methods are the plain masked ``fft2``/``ifft2``
-    formulas.  The set-up transforms :meth:`forward_sampled` and
-    :meth:`adjoint_sampled` are the same formulas bit for bit, and the
-    pair kernels serve two real channels with one complex transform; all
-    four run the two per-axis passes ``fft2``/``ifft2`` make in this
-    thread's DFT scratch, two complex images per shape, kept for the
-    thread's life.  Their data and residuals are vectors over the sampled
-    frequencies in flat (row-major) order (:meth:`sample` and
-    :meth:`unsample` map between those and full arrays), and the pair
-    kernels agree with the one-channel methods to rounding, relative to
-    each channel's own norm.  Returned arrays are always fresh.
+    Every transform is the masked unitary ``fft2``/``ifft2`` formula bit
+    for bit, through one forward pass (:meth:`_spectrum`) and one inverse
+    (:meth:`_inverse`) in this thread's DFT scratch, two complex images
+    per shape kept for the thread's life.  The pair kernels serve two
+    real channels with one complex transform and agree with the
+    one-channel methods to rounding, relative to each channel's own norm.
+    Sampled data and residuals are vectors over the sampled frequencies
+    in flat (row-major) order; :meth:`sample` and :meth:`unsample` map
+    them to and from full arrays.  The mask is held as a read-only copy,
+    and returned arrays are always fresh.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
 
     def __post_init__(self):
-        m = np.asarray(self.mask, dtype=bool)
+        m = np.array(self.mask, dtype=bool)  # a copy: the caller's array may change
         if m.ndim != 2:
             raise ValueError("mask must be a 2-d boolean matrix")
+        m.flags.writeable = False
         object.__setattr__(self, "mask", m)
         # flat indices of the sampled frequencies k and of their mirrors
         # -k (mod the shape), the mirrors' rows and columns formed in place
@@ -76,53 +76,47 @@ class MaskedDft:
             raise ValueError(f"expected image vector of length {self.n}, got {x.size}")
         return x.reshape(self.shape)
 
-    def _masked(self, f: np.ndarray) -> np.ndarray:
-        """k-space data f on the sampled frequencies and zero elsewhere."""
-        if np.shape(f) != self.shape:
-            raise ValueError("k-space data shape does not match mask")
-        return np.where(self.mask, f, 0.0)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Masked unitary DFT of a flattened image; zero outside the mask."""
-        return np.where(self.mask, np.fft.fft2(self._image(x), norm="ortho"), 0.0)
-
-    def adjoint(self, f: np.ndarray) -> np.ndarray:
-        """Real part of the inverse unitary DFT of masked k-space data."""
-        return np.fft.ifft2(self._masked(f), norm="ortho").real.flatten()
-
-    def forward_sampled(self, x: np.ndarray) -> np.ndarray:
-        """:meth:`sample` of the unitary ``fft2`` of a real image, bit for
-        bit, with no full-size array made: the image goes into the scratch
-        as a complex one and its last axis is transformed first, as
-        ``fft2`` does."""
-        x = self._image(x)
+    def _spectrum(self, x1: np.ndarray, x2=None, s: float = 1.0) -> np.ndarray:
+        """The flat spectrum of the image x1 + i s x2 (of x1 alone without
+        x2), a scratch view: the last axis is transformed first."""
         buf, spare = _dft_buffers(self.shape)
-        np.copyto(buf.real, x)
-        buf.imag.fill(0.0)
+        np.copyto(buf.real, x1)
+        if x2 is None:
+            buf.imag.fill(0.0)
+        else:
+            np.multiply(x2, s, out=buf.imag)
         np.fft.fft(buf, axis=1, norm="ortho", out=spare)
         np.fft.fft(spare, axis=0, norm="ortho", out=buf)
-        return buf.reshape(-1)[self._on]
+        return buf.reshape(-1)
 
-    def adjoint_sampled(self, y: np.ndarray) -> np.ndarray:
-        """:meth:`adjoint` of the values y at the sampled frequencies, bit
-        for bit: ``ifft2`` of their :meth:`unsample` array, filled into the
-        scratch instead of a fresh one."""
-        y = self._sampled(y)
+    def _inverse(self, at_k: np.ndarray, at_mirror=None) -> np.ndarray:
+        """The flat inverse of the spectrum holding at_k at the sampled
+        frequencies, plus at_mirror at their mirrors, a scratch view."""
         buf, spare = _dft_buffers(self.shape)
         spec = buf.reshape(-1)
         spec.fill(0.0)
-        spec[self._on] = y
+        spec[self._on] = at_k
+        if at_mirror is not None:
+            spec[self._mirror] += at_mirror  # mirrors are distinct: no lost updates
         np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
         np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
-        return buf.real.flatten()
+        return spec
 
-    def residual(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
-        """Masked DFT of x minus the data f on the sampled frequencies."""
-        resid = self.forward(x)
-        # subtract a masked copy, not f itself: data off the mask, even a
-        # signalling NaN, must neither reach the result nor raise a warning
-        resid -= self._masked(f)
-        return resid
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Masked unitary DFT of a flattened image; zero outside the mask."""
+        return self.unsample(self.forward_sampled(x))
+
+    def adjoint(self, f: np.ndarray) -> np.ndarray:
+        """Real part of the inverse unitary DFT of masked k-space data."""
+        return self.adjoint_sampled(self.sample(f))
+
+    def forward_sampled(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`sample` of :meth:`forward`, made with no full-size array."""
+        return self._spectrum(self._image(x))[self._on]
+
+    def adjoint_sampled(self, y: np.ndarray) -> np.ndarray:
+        """:meth:`adjoint` of the values y at the sampled frequencies."""
+        return self._inverse(self._sampled(y)).real.copy()
 
     def sample(self, f: np.ndarray) -> np.ndarray:
         """The entries of full (height, width) k-space data f at the sampled
@@ -173,12 +167,7 @@ class MaskedDft:
         x1, x2 = self._image(x1), self._image(x2)
         y1, y2 = self._sampled(y1), self._sampled(y2)
         s, w1, w2 = _balance(x1.reshape(-1), x2.reshape(-1), dots)
-        buf, spare = _dft_buffers(self.shape)
-        np.copyto(buf.real, x1)
-        np.multiply(x2, s, out=buf.imag)
-        np.fft.fft(buf, axis=1, norm="ortho", out=spare)
-        np.fft.fft(spare, axis=0, norm="ortho", out=buf)
-        z = buf.reshape(-1)
+        z = self._spectrum(x1, x2, s)
         zk, zm = z[self._on], z[self._mirror]
         r1 = zk + zm.conj()
         r2 = np.empty_like(zk)
@@ -212,27 +201,20 @@ class MaskedDft:
         np.subtract(t.real, r1.imag, out=at_mirror.imag)
         at_k.view(np.float64)[:] *= 0.5
         at_mirror.view(np.float64)[:] *= 0.5
-        buf, spare = _dft_buffers(self.shape)
-        spec = buf.reshape(-1)
-        spec.fill(0.0)
-        spec[self._on] = at_k
-        spec[self._mirror] += at_mirror  # mirrors are distinct: no lost updates
-        np.fft.ifft(buf, axis=1, norm="ortho", out=spare)
-        np.fft.ifft(spare, axis=0, norm="ortho", out=buf)
-        g1, g2 = buf.real.flatten(), buf.imag.flatten()
-        if w1 != 1.0:
-            g1 *= w1
-        if w2 != 1.0:
-            g2 *= w2
-        return g1, g2
+        g = self._inverse(at_k, at_mirror)
+        return g.real * w1, g.imag * w2
 
     def fidelity(self, x: np.ndarray, f: np.ndarray) -> float:
-        """Half squared residual on the sampled frequencies."""
-        return residual_energy(self.residual(x, f))
+        """Half squared residual of full data f on the sampled frequencies."""
+        r = self.forward_sampled(x)
+        r -= self.sample(f)
+        return residual_energy(r)
 
     def grad_fidelity(self, x: np.ndarray, f: np.ndarray) -> np.ndarray:
         """Adjoint gradient of the fidelity, a real image vector."""
-        return self.adjoint(self.residual(x, f))
+        r = self.forward_sampled(x)
+        r -= self.sample(f)
+        return self.adjoint_sampled(r)
 
 
 def squared_norm(resid: np.ndarray) -> float:
@@ -296,9 +278,10 @@ class KSpaceData:
     ``y1`` and ``y2`` are complex vectors of the values at those
     frequencies, in the operator's flat (row-major) order, as
     :meth:`MaskedDft.sample` gathers them from full arrays and
-    :meth:`MaskedDft.residual_pair` takes them.  ``f1`` and ``f2`` are
-    the full (height, width) arrays, zero off the mask, built read-only
-    on each access: for files and one-off calls, not for loops.
+    :meth:`MaskedDft.residual_pair` takes them, held as read-only
+    copies.  ``f1`` and ``f2`` are the full (height, width) arrays, zero
+    off the mask, built read-only on each access: for files and one-off
+    calls, not for loops.
     """
 
     dft: MaskedDft
@@ -306,8 +289,10 @@ class KSpaceData:
     y2: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "y1", self.dft._sampled(self.y1))
-        object.__setattr__(self, "y2", self.dft._sampled(self.y2))
+        for name in ("y1", "y2"):  # copies: the caller's arrays may change
+            y = self.dft._sampled(np.array(getattr(self, name), np.complex128))
+            y.flags.writeable = False
+            object.__setattr__(self, name, y)
 
     @property
     def f1(self) -> np.ndarray:
@@ -575,8 +560,12 @@ class InstanceSpec:
 class Instance:
     truth1: np.ndarray
     truth2: np.ndarray
-    dft: MaskedDft
     kspace: KSpaceData
+
+    @property
+    def dft(self) -> MaskedDft:
+        """The measurement operator, the one ``kspace`` is sampled on."""
+        return self.kspace.dft
 
     @property
     def achieved_ratio(self) -> float:
@@ -595,9 +584,6 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
 
     chans = []
     for truth in (truth1, truth2):
-        # gathered from the transform, run in this thread's DFT scratch:
-        # the values of fft2(truth) and of forward's masked copy of it at
-        # the sampled frequencies
         y = dft.forward_sampled(truth)
         if spec.noise_std > 0:
             # drawn full-shape, so the generator's stream does not depend on
@@ -606,4 +592,4 @@ def generate_instance(spec: InstanceSpec, seed: int) -> Instance:
             im = dft.sample(rng.standard_normal(mask.shape))
             y += spec.noise_std * (re + 1j * im)
         chans.append(y)
-    return Instance(truth1, truth2, dft, KSpaceData(dft, chans[0], chans[1]))
+    return Instance(truth1, truth2, KSpaceData(dft, chans[0], chans[1]))

@@ -5,6 +5,7 @@ import shutil
 import struct
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -129,7 +130,9 @@ def test_data_sampled_on_another_mask_exit3(tmp_path, capsys, monkeypatch):
         mask.flat[np.flatnonzero(mask)[-1]] = False
         dft = MaskedDft(mask)
         data = KSpaceData(dft, dft.sample(inst.kspace.f1), dft.sample(inst.kspace.f2))
-        return dataclasses.replace(inst, kspace=data)
+        # an Instance holds one operator, its data's: an object holding
+        # two stands in for the mismatch
+        return SimpleNamespace(truth1=inst.truth1, truth2=inst.truth2, dft=inst.dft, kspace=data)
 
     monkeypatch.setattr(cli, "_load_instance", load_with_other_mask)
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3

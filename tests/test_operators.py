@@ -12,8 +12,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lpam import core, operators
+from lpam.extractor import IdentityExtractor
+from lpam.objectives import JointRecovery
 from lpam.operators import (
     MAX_SIDE,
+    Instance,
     InstanceSpec,
     KSpaceData,
     MaskedDft,
@@ -24,6 +27,7 @@ from lpam.operators import (
     squared_norm,
     uniform_mask,
 )
+from lpam.solver import LpamConfig, lpam_run
 
 from tests import oracles
 from tests.oracles import conv_forward, fresh_pool
@@ -129,8 +133,9 @@ def test_shape_errors():
         op.forward(np.zeros(5))
     with pytest.raises(ValueError):
         op.adjoint(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        op.residual(np.zeros(16), np.zeros((3, 3)))
+    for method in (op.fidelity, op.grad_fidelity):
+        with pytest.raises(ValueError):
+            method(np.zeros(16), np.zeros((3, 3)))
     with pytest.raises(ValueError):
         MaskedDft(np.ones(4, dtype=bool))
 
@@ -147,6 +152,15 @@ def ref_adjoint(mask, f):
 
 def ref_residual(mask, x, f):
     return ref_forward(mask, x) - np.where(mask, f, 0.0)
+
+
+def assert_fidelity_matches(op, x, f, ref_f):
+    """fidelity and grad_fidelity of x against f are the formulas' on
+    ref_f bit for bit: the energy of the residual on the mask and the
+    adjoint of the full one."""
+    resid = ref_residual(op.mask, x, ref_f)
+    assert op.fidelity(x, f) == residual_energy(resid[op.mask])
+    assert_bits_equal(op.grad_fidelity(x, f), ref_adjoint(op.mask, resid))
 
 
 def assert_bits_equal(got, ref):
@@ -182,7 +196,7 @@ def test_transforms_bit_identical_to_fft2(shape):
         op = MaskedDft(mask)
         assert_bits_equal(op.forward(x), ref_forward(mask, x))
         assert_bits_equal(op.adjoint(f), ref_adjoint(mask, f))
-        assert_bits_equal(op.residual(x, f), ref_residual(mask, x, f))
+        assert_fidelity_matches(op, x, f, f)
         # the sampled values, their zero-filled array and its adjoint
         y = op.sample(f)
         assert_bits_equal(y, f[mask])
@@ -190,7 +204,7 @@ def test_transforms_bit_identical_to_fft2(shape):
         assert_bits_equal(op.adjoint_sampled(y), ref_adjoint(mask, f))
         # real data goes through the same casts as in the formulas
         assert_bits_equal(op.adjoint(f.real), ref_adjoint(mask, f.real))
-        assert_bits_equal(op.residual(x, f.real), ref_residual(mask, x, f.real))
+        assert_fidelity_matches(op, x, f.real, f.real)
 
 
 @fresh_pool
@@ -234,16 +248,24 @@ def test_instances_built_in_turn_leave_nothing_in_the_scratch():
 @fresh_pool
 def test_set_up_transforms_make_no_full_size_complex_array():
     # once a first call has made the scratch, each call allocates less
-    # than one full-size complex array, 1 MiB at 256^2
+    # than one full-size complex array, 1 MiB at 256^2; the one-channel
+    # fidelity and its gradient, on full data, too
     rng = np.random.default_rng(50)
     op = MaskedDft(rng.random((256, 256)) < 0.3)
     x = rng.normal(size=256 * 256)
+    f = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
     y = op.forward_sampled(x)
     op.adjoint_sampled(y)
-    for call, arg in ((op.forward_sampled, x), (op.adjoint_sampled, y)):
+    calls = [
+        (op.forward_sampled, (x,)),
+        (op.adjoint_sampled, (y,)),
+        (op.fidelity, (x, f)),
+        (op.grad_fidelity, (x, f)),
+    ]
+    for call, args in calls:
         tracemalloc.start()
         try:
-            call(arg)
+            call(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,9 +283,82 @@ def test_nonfinite_data_off_the_mask_is_ignored_silently():
     op = MaskedDft(mask)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert_bits_equal(op.residual(x, bad), ref_residual(mask, x, f))
+        assert_fidelity_matches(op, x, bad, f)
         assert_bits_equal(op.adjoint(bad), ref_adjoint(mask, f))
-        assert op.fidelity(x, bad) == op.fidelity(x, f)
+
+
+def test_operator_and_data_hold_copies_of_the_callers_arrays():
+    # changing the mask and data after construction changes neither what
+    # the transforms use nor what the holders report, and the held arrays
+    # cannot be written
+    mask = np.zeros((4, 4), dtype=bool)
+    mask[0, :2] = True
+    y1, y2 = np.array([1 + 2j, 3 - 4j]), np.array([5.0, 6.0])
+    op = MaskedDft(mask)
+    data = KSpaceData(op, y1, y2)
+    inst = Instance(np.zeros((4, 4)), np.zeros((4, 4)), data)
+    mask[:] = True
+    y1[:] = 0.0
+    y2[:] = 0.0
+    assert op.mask.sum() == op._on.size == 2 and inst.achieved_ratio == 2 / 16
+    x = np.arange(16.0)
+    assert_bits_equal(op.forward(x), ref_forward(op.mask, x))
+    assert_bits_equal(data.y1, np.array([1 + 2j, 3 - 4j]))
+    assert_bits_equal(data.y2, np.array([5 + 0j, 6 + 0j]))
+    for held in (op.mask, data.y1, data.y2):
+        assert not held.flags.writeable
+
+
+def test_an_instance_holds_one_operator():
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    assert inst.dft is inst.kspace.dft
+    assert not any(isinstance(v, MaskedDft) for v in vars(inst).values())
+    with pytest.raises(AttributeError):
+        inst.dft = inst.kspace.dft
+
+
+def _transform_results():
+    """Every MaskedDft transform, an instance's data and zero-filled start,
+    and a 2-iteration 16^2 identity solve, all as arrays."""
+    rng = np.random.default_rng(51)
+    mask, x1, f1 = draw(rng, (6, 9))
+    _, x2, f2 = draw(rng, (6, 9))
+    op = MaskedDft(mask)
+    y1, y2 = op.sample(f1), op.sample(f2)
+    pair = op.residual_pair(x1, x2, y1, y2)
+    out = [
+        op.forward(x1),
+        op.adjoint(f1),
+        np.float64(op.fidelity(x1, f1)),
+        op.grad_fidelity(x1, f1),
+        op.forward_sampled(x1),
+        op.adjoint_sampled(y1),
+        *pair,
+        *op.adjoint_pair(*pair),
+    ]
+    inst = generate_instance(InstanceSpec(height=16, width=16, noise_std=0.01), 3)
+    obj = JointRecovery(inst.dft, inst.kspace, IdentityExtractor(16, 16), 0.0093)
+    X0 = obj.zero_filled()
+    state, _ = lpam_run(obj, X0, LpamConfig(max_iter=2))
+    assert len(state.trace) == 2
+    rows = np.array([[r.phi, r.grad_norm, r.decrease, r.eps] for r in state.trace])
+    return out + [inst.kspace.y1, inst.kspace.y2, X0.x1, X0.x2, state.X.x1, state.X.x2, rows]
+
+
+@fresh_pool
+def test_no_transform_calls_a_full_array_fft():
+    # every transform runs the per-axis passes: with the full-array FFTs
+    # refusing, each result is the one made before, bit for bit
+    want = _transform_results()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a full-array FFT was called")
+
+    with mock.patch.multiple(np.fft, fft2=refuse, ifft2=refuse, fftn=refuse, ifftn=refuse):
+        got = _transform_results()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_bits_equal(g, w)
 
 
 # the pair kernels agree with the one-channel formulas to rounding, relative
@@ -540,7 +635,7 @@ def test_transforms_are_thread_safe():
         return (
             op.forward(x),
             op.adjoint(f),
-            op.residual(x, f),
+            op.fidelity(x, f),
             op.grad_fidelity(x, f),
             *pair,
             *op.adjoint_pair(*pair),
