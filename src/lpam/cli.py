@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -281,7 +282,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and an ``append`` default is copied before it is appended to."""
     p = _Parser(prog="lpam", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

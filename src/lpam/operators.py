@@ -558,9 +558,18 @@ class InstanceSpec:
 
 @dataclass(frozen=True, eq=False)
 class Instance:
+    """A joint-recovery instance: the two ground-truth images, held as
+    read-only float64 copies, and the k-space data measured from them."""
+
     truth1: np.ndarray
     truth2: np.ndarray
     kspace: KSpaceData
+
+    def __post_init__(self):
+        for name in ("truth1", "truth2"):  # copies: the caller's arrays may change
+            t = np.array(getattr(self, name), np.float64)
+            t.flags.writeable = False
+            object.__setattr__(self, name, t)
 
     @property
     def dft(self) -> MaskedDft:

@@ -123,8 +123,9 @@ _schedules = operator.attrgetter(*_SCHEDULES)
 _FLOAT = frozenset((float,))
 
 
-def _sched(schedule: Sequence[float], k: int) -> float:
-    return float(schedule[min(k, len(schedule) - 1)])
+def _sched(schedule: Sequence[float], k: int) -> np.ndarray:
+    """The step size of phase ``k`` as a float64 0-d array (see :func:`_step`)."""
+    return np.array(schedule[min(k, len(schedule) - 1)], np.float64)
 
 
 @dataclass
@@ -157,9 +158,12 @@ class SolverState:
         return len(self.trace)
 
 
-def _step(x: np.ndarray, g: np.ndarray, size: float) -> np.ndarray:
+def _step(x: np.ndarray, g: np.ndarray, size: float | np.ndarray) -> np.ndarray:
     """x - size * g in one fresh array: the product's, so g, which an
-    objective may share between calls, is never written."""
+    objective may share between calls, is never written.  ``size`` may be
+    a float or a float64 0-d array, which gives the same bits; the residual
+    step is given arrays, since numpy resolves a Python float against the
+    array on every call."""
     t = g * size
     return np.subtract(x, t, t)
 
@@ -172,10 +176,10 @@ def u_step(
 ) -> TwoBlockPoint:
     """Residual-form candidate: two explicit gradient corrections per block.
 
-    ``steps`` supplies (alpha, tau, beta, gamma).  Each block takes its
-    separable gradient step, then its joint gradient step.  The candidate
-    is returned evaluated, ready for the safeguard, which rejects it if it
-    overflowed.
+    ``steps`` supplies (alpha, tau, beta, gamma), as floats or float64 0-d
+    arrays.  Each block takes its separable gradient step, then its joint
+    gradient step.  The candidate is returned evaluated, ready for the
+    safeguard, which rejects it if it overflowed.
     """
     P = obj.evaluate(X)
     al, tau, be, ga = steps
@@ -283,20 +287,24 @@ def lpam_run(
     # every schedule is at its last entry by iteration k_steady - 1, so the
     # steps made there serve every later iteration
     k_steady = max(map(len, _schedules(config)))
+    residual = config.mode == "lpam"
+    gamma, eps_sigma, eps_tol = config.gamma, config.eps_sigma, config.eps_tol
+    append = state.trace.append
+    reduced = True  # phi and its gradient are taken afresh at the start point
     # a candidate or line-search trial that overflows is rejected by an
     # explicit check, and so is every other non-finite value the run meets
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(config.max_iter):
             eps = state.eps
             try:
-                if k == 0 or state.trace[-1].reduced:
+                if reduced:
                     phi_x = phi_eps(obj, X, eps)
                     gx = grad_phi_eps(obj, X, eps)
                     gn_x = gx.norm()
 
                 accepted = False
                 ls_count = 0
-                if config.mode == "lpam":
+                if residual:
                     if k < k_steady:
                         steps = (
                             _sched(config.step_alpha, k),
@@ -319,7 +327,7 @@ def lpam_run(
                 break
 
             reduced = gn_n < config.reduction_threshold(eps)
-            state.trace.append(
+            append(
                 IterateRecord(
                     k=k,
                     eps=eps,
@@ -336,9 +344,9 @@ def lpam_run(
             X = Xn
             phi_x, gx, gn_x = phi_n, gn, gn_n
             if reduced:
-                state.eps = config.gamma * eps
+                state.eps = gamma * eps
             # termination uses the smoothing parameter of this iteration
-            if config.eps_sigma * eps < config.eps_tol:
+            if eps_sigma * eps < eps_tol:
                 exit_reason = EXIT_TOLERANCE
                 break
             if state.eps == 0.0:  # gamma * eps underflowed: phi_eps needs eps > 0

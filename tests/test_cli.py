@@ -649,3 +649,38 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert "usage: lpam" in capsys.readouterr().out
+
+
+def test_repeated_calls_in_one_process(tmp_path, capsys):
+    # main builds its parser once per process: one call's --override list,
+    # flags or failure must not reach the next call
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "instance": {"height": 4, "width": 4},
+                "objective": {"kind": "quadratic"},
+                "solver": {"max_iter": 5},
+            }
+        )
+    )
+    out = tmp_path / "run"
+    solve = ["solve", "--config", str(cfg), "--out", str(out)]
+
+    def iterations():
+        return json.loads((out / "metrics.json").read_text())["iterations"]
+
+    assert main([*solve, "--override", "solver.max_iter=3"]) == 0
+    assert iterations() == 3
+    assert main(solve) == 0
+    assert iterations() == 5
+    capsys.readouterr()
+    assert main([*solve, "--mode", "foo"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: lpam") and "usage: lpam" in err
+    traces = []
+    for _ in range(2):
+        assert main(solve) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1] and traces[0].count(b"\r\n") == 6
+    assert cli._parser() is cli._parser()

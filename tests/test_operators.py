@@ -309,6 +309,22 @@ def test_operator_and_data_hold_copies_of_the_callers_arrays():
         assert not held.flags.writeable
 
 
+def test_an_instance_holds_copies_of_the_callers_truths():
+    # changing the truths after construction changes neither what the
+    # instance holds, which metrics are measured against and generate
+    # writes, nor can the held arrays be written
+    inst = generate_instance(InstanceSpec(height=8, width=8), 0)
+    t1, t2 = inst.truth1.copy(), inst.truth2.copy()
+    want1, want2 = t1.copy(), t2.copy()
+    held = Instance(t1, t2, inst.kspace)
+    t1[:] = 0.0
+    t2[:] = np.nan
+    assert_bits_equal(held.truth1, want1)
+    assert_bits_equal(held.truth2, want2)
+    for truth in (held.truth1, held.truth2, inst.truth1, inst.truth2):
+        assert not truth.flags.writeable
+
+
 def test_an_instance_holds_one_operator():
     inst = generate_instance(InstanceSpec(height=8, width=8), 0)
     assert inst.dft is inst.kspace.dft

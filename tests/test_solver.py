@@ -666,6 +666,86 @@ def test_run_matches_the_reference_state_machine(kind, mode, sigma):
     assert len(trace) == (914 if kind == "quadratic-cli" else 40)
 
 
+@functools.cache
+def _drawn_case(kind: str):
+    """(objective, start) of a drawn reference-machine case: the quadratic
+    toy from an uneven start, or the 8x8 identity recovery from zero fill."""
+    if kind == "quadratic":
+        return QuadraticToy(), TwoBlockPoint(np.linspace(-1.0, 2.0, 8), np.cos(np.arange(8.0)))
+    obj, _ = recovery_objective()
+    return obj, obj.zero_filled()
+
+
+def _log_uniform(lo: float, hi: float):
+    """Floats from 10**lo to 10**hi, each decade as likely as the next."""
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+@st.composite
+def reference_configs(draw):
+    """Configs whose schedules of 1-4 entries switch phase while k <
+    k_steady, with every constant the safeguard, the line search and the
+    reduction rule read.  Steps from 0.01 to 2.5 and safeguard constants
+    from 1e-6 to 1 make the safeguard both accept and reject candidates,
+    so the line search runs too."""
+    schedule = st.lists(_log_uniform(-2.0, 0.4), min_size=1, max_size=4)
+    return LpamConfig(
+        step_alpha=draw(schedule),
+        step_tau=draw(schedule),
+        step_beta=draw(schedule),
+        step_gamma=draw(schedule),
+        a=draw(_log_uniform(-6.0, 0.0)),
+        ls_delta=draw(st.floats(0.01, 0.99)),
+        rho=draw(st.floats(0.05, 0.95)),
+        gamma=draw(st.floats(0.05, 0.95)),
+        eps_sigma=draw(_log_uniform(0.0, 5.0)),
+        mode=draw(st.sampled_from(["lpam", "bcd"])),
+        max_iter=draw(st.integers(1, 12)),
+    )
+
+
+# phases that switch while both branches run, the fallback backtracks and
+# some iterations reduce eps and others do not: on the quadratic toy, then
+# on the identity recovery
+@pytest.mark.parametrize("kind", ["quadratic", "identity"])
+@given(cfg=reference_configs())
+@example(
+    cfg=LpamConfig(
+        step_alpha=(2.0, 0.5, 0.1),
+        step_tau=(2.5, 0.3),
+        step_beta=(1.0, 2.5, 0.2, 0.1),
+        step_gamma=(0.2,),
+        a=1e-4,
+        ls_delta=0.9,
+        rho=0.3,
+        eps_sigma=300.0,
+        max_iter=12,
+    )
+)
+@example(
+    cfg=LpamConfig(
+        step_alpha=(2.5, 2.5, 0.5),
+        step_tau=(2.5, 0.5),
+        step_beta=(2.5, 1.0, 0.5),
+        step_gamma=(0.5,),
+        a=0.5,
+        ls_delta=0.9,
+        rho=0.3,
+        eps_sigma=10.0,
+        max_iter=12,
+    )
+)
+def test_drawn_runs_match_the_reference_state_machine(kind, cfg):
+    # the run's 0-d array step sizes in the residual step give the bits of
+    # the reference's Python-float products
+    obj, X0 = _drawn_case(kind)
+    state, reason = lpam_run(obj, X0, cfg)
+    trace, want_reason, X = reference_lpam_run(obj, X0, cfg)
+    assert reason == want_reason
+    assert _bits(state.trace) == _bits(trace)
+    assert state.X.x1.tobytes() == X.x1.tobytes() and state.X.x2.tobytes() == X.x2.tobytes()
+
+
 def test_the_quadratic_cli_run_reduces_and_carries_over():
     trace = solver_trace("quadratic-cli")
     assert len(trace) == 914 and sum(r.reduced for r in trace) == 34
