@@ -49,15 +49,17 @@ class MaskedDft:
         object.__setattr__(self, "mask", m)
         # flat indices of the sampled frequencies k and of their mirrors
         # -k (mod the shape), the mirrors' rows and columns formed in place
-        # from the sampled ones: no array larger than those is made
+        # from the sampled ones: no array larger than those is made.  For
+        # 0 <= r < h, -r mod h is h - r, save 0 at r = 0, so past the one
+        # divmod no integer modulo is taken
         h, w = m.shape
         on = np.flatnonzero(m)
         rows, cols = np.divmod(on, w)
-        np.negative(rows, out=rows)
-        rows %= h
+        np.subtract(h, rows, out=rows)
+        rows[rows == h] = 0
         rows *= w
-        np.negative(cols, out=cols)
-        cols %= w
+        np.subtract(w, cols, out=cols)
+        cols[cols == w] = 0
         rows += cols
         object.__setattr__(self, "_on", on)
         object.__setattr__(self, "_mirror", rows)
@@ -80,10 +82,10 @@ class MaskedDft:
         """The flat spectrum of the image x1 + i s x2 (of x1 alone without
         x2), a scratch view: the last axis is transformed first."""
         buf, spare = _dft_buffers(self.shape)
-        np.copyto(buf.real, x1)
         if x2 is None:
-            buf.imag.fill(0.0)
+            buf[...] = x1  # a real value casts to imaginary part +0.0
         else:
+            np.copyto(buf.real, x1)
             np.multiply(x2, s, out=buf.imag)
         np.fft.fft(buf, axis=1, norm="ortho", out=spare)
         np.fft.fft(spare, axis=0, norm="ortho", out=buf)
@@ -481,8 +483,8 @@ def shared_structure_phantom(
     Pixel values lie in [0, 1] and the background is exactly zero, so the
     pair is jointly sparse.
     """
-    # a column of row coordinates and a row of column coordinates, which
-    # each shape below broadcasts to the full grid
+    # a column of row coordinates and a row of column coordinates; each
+    # ellipse and blob test broadcasts the parts of them on its bounding box
     yy = np.arange(height, dtype=np.float64)[:, None]
     xx = np.arange(width, dtype=np.float64)
     img1 = np.zeros((height, width))
@@ -493,29 +495,39 @@ def shared_structure_phantom(
     cx = width * (0.4 + 0.1 * rng.random())
     ry = height * (0.12 + 0.05 * rng.random())
     rx = width * (0.16 + 0.05 * rng.random())
-    ell = ((yy - cy) / ry) ** 2 + ((xx - cx) / rx) ** 2 <= 1.0
-    img1[ell] = 0.9
-    img2[ell] = 0.6
+    ys, xs = _near(cy, ry), _near(cx, rx)
+    ell = ((yy[ys] - cy) / ry) ** 2 + ((xx[xs] - cx) / rx) ** 2 <= 1.0
+    img1[ys, xs][ell] = 0.9
+    img2[ys, xs][ell] = 0.6
 
     # shared rectangle
     ry0 = int(height * (0.6 + 0.05 * rng.random()))
     rx0 = int(width * (0.55 + 0.05 * rng.random()))
     rh = max(2, int(height * 0.12))
     rw = max(2, int(width * 0.18))
-    rect = np.zeros_like(ell)
-    rect[ry0 : min(ry0 + rh, height), rx0 : min(rx0 + rw, width)] = True
-    img1[rect] = 0.5
-    img2[rect] = 1.0
+    img1[ry0 : ry0 + rh, rx0 : rx0 + rw] = 0.5
+    img2[ry0 : ry0 + rh, rx0 : rx0 + rw] = 1.0
 
     # one small private blob per channel
     for img, level in ((img1, 0.7), (img2, 0.8)):
         by = height * (0.15 + 0.6 * rng.random())
         bx = width * (0.15 + 0.6 * rng.random())
         br = max(1.5, 0.05 * min(height, width))
-        blob = (yy - by) ** 2 + (xx - bx) ** 2 <= br**2
-        img[blob] = level
+        ys, xs = _near(by, br), _near(bx, br)
+        blob = (yy[ys] - by) ** 2 + (xx[xs] - bx) ** 2 <= br**2
+        img[ys, xs][blob] = level
 
     return img1, img2
+
+
+def _near(c: float, r: float) -> slice:
+    """The indices i >= 0 within r + 1 of c, as a slice, which indexing
+    clips to the grid: one side of the bounding box of a shape of radius
+    r > 0 centred at c >= 0.  An index outside it is more than r + 1 from
+    c, to rounding, so its rounded difference from c, over r and squared,
+    stays above 1, and squared alone above r**2: the shape's test is false
+    there whatever the other coordinate adds."""
+    return slice(max(0, math.ceil(c - r - 1)), math.floor(c + r + 1) + 1)
 
 
 # the largest image side an instance may have; a larger one is refused

@@ -854,11 +854,11 @@ def test_radial_mask_samples_the_border_at_most_at_its_ratio(seed):
     assert border.size == 508 and border.mean() <= 0.3
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (7, 7), (8, 8), (5, 12), (12, 5), (1, 9)])
+@pytest.mark.parametrize("shape", [(2, 2), (7, 7), (8, 8), (5, 12), (12, 5), (1, 9), (9, 1)])
 def test_mirror_indices_equal_the_full_grid(shape):
     rng = np.random.default_rng(shape[0] * 13 + shape[1])
-    for ratio in (0.0, 0.3, 1.0):
-        mask = rng.random(shape) < ratio
+    masks = [rng.random(shape) < ratio for ratio in (0.0, 0.3, 1.0)]
+    for mask in masks + [np.zeros(shape, bool), np.ones(shape, bool)]:
         got = MaskedDft(mask)._mirror
         want = oracles.mirror_indices(mask)
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -878,9 +878,25 @@ def test_mirror_indices_take_no_full_size_grid():
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (3, 7), (31, 17), (64, 64), (128, 128)])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        (2, 2),
+        (3, 7),
+        (31, 17),
+        (64, 64),
+        (128, 128),
+        # the shapes' bounding boxes clip at the top and bottom edges, then
+        # at the left and right ones, on grids down to two pixels thin
+        (2, 4096),
+        (4096, 2),
+        (5, 300),
+        (300, 5),
+        (1024, 1024),
+    ],
+)
 def test_phantom_equals_the_full_grid_oracle(shape):
-    for seed in (0, 1, 2):
+    for seed in range(1 if shape == (1024, 1024) else 10):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = shared_structure_phantom(*shape, rng)
         want = oracles.shared_structure_phantom(*shape, ref_rng)
