@@ -117,11 +117,11 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
 
 def load_config(path: str, overrides: list[str], mode: str | None, seed: int | None) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:  # json finds UTF-8, -16 or -32 itself
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -142,6 +142,8 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
         parsed = json.loads(value)
     except json.JSONDecodeError:
         parsed = value
+    except (ValueError, RecursionError) as exc:  # such as a 5000-digit int, or too deep
+        raise ConfigError(f"invalid JSON in override {dotted}: {exc}") from exc
     parts = dotted.split(".")
     node = raw
     for p in parts[:-1]:
@@ -199,9 +201,9 @@ def _json(obj: dict, **kwargs) -> str:
 
 
 def _dump_json(path: Path, obj: dict) -> None:
-    text = _json(obj, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    text = _json(obj, indent=2)  # ASCII: json escapes every other character
+    with open(path, "wb") as fh:
+        fh.write(text.encode("ascii") + b"\n")
 
 
 def cmd_generate(cfg: RunConfig, out: Path) -> int:

@@ -364,27 +364,26 @@ _HEADER_LINE = _HEADER_TEXT + "\r\n"
 # one row as the writer formats it: eps, the pair phi,grad_norm and the
 # pair phi_pre,grad_norm_pre come in as text, each formatted by %.17g
 _ROW_FORMAT = "%d,%s,%s,%s,%d,%.17g,%d,%s\r\n"
-# per field type, a cell as the writer spells it and its read.  A number is
-# an ASCII digit, after a minus sign for a negative one, then digits, '.',
-# 'e' and signs; int() and float() check the grammar from there, but would
-# also read underscores, spaces, a plus sign or other scripts' digits.
+# per field type, a cell's bytes as the writer spells them and its read: a
+# number is a digit, after a minus sign for a negative one, then digits, '.',
+# 'e' and signs (int() and float() alone would also read 0_3, ' 1' or +1)
 _WRITTEN_CELLS = {
-    "int": (r"-?[0-9]+", int),
-    "float": (r"-?[0-9][0-9.e+-]*", float),
-    "str": (r"[uv]", str),
-    "bool": (r"[01]", "1".__eq__),
+    "int": (rb"-?[0-9]+", int),
+    "float": (rb"-?[0-9][0-9.e+-]*", float),
+    "str": (rb"[uv]", bytes.decode),
+    "bool": (rb"[01]", b"1".__eq__),
 }
 _COLUMNS = [(f, re.compile(_WRITTEN_CELLS[f.type][0]), _WRITTEN_CELLS[f.type][1]) for f in _FIELDS]
-_WRITTEN_ROW = re.compile(",".join(_WRITTEN_CELLS[f.type][0] for f in _FIELDS))
+_WRITTEN_ROW = re.compile(b",".join(_WRITTEN_CELLS[f.type][0] for f in _FIELDS))
 
 
 def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
-    """Write the per-iteration trace in one write, a ``\\r\\n`` after each
-    line; floats are written by ``%.17g``, so they read back bit for bit.
-    A row whose ``eps``, ``phi_pre`` and ``grad_norm_pre`` are the very
-    objects of the previous row's ``eps``, ``phi`` and ``grad_norm``, as the
-    solver carries them over, reuses their text; objects, not values, are
-    compared, so ``0.0`` never takes the text of ``-0.0``."""
+    """Write the per-iteration trace as ASCII in one write, a ``\\r\\n``
+    after each line; floats are written by ``%.17g``, so they read back bit
+    for bit.  A row whose ``eps``, ``phi_pre`` and ``grad_norm_pre`` are the
+    very objects of the previous row's ``eps``, ``phi`` and ``grad_norm``, as
+    the solver carries them over, reuses their text; objects, not values,
+    are compared, so ``0.0`` never takes the text of ``-0.0``."""
     lines = [_HEADER_LINE]
     eps = phi = grad_norm = object()  # the previous row's, whose text is at hand
     for r in trace:
@@ -398,14 +397,14 @@ def write_trace_csv(trace: Sequence[IterateRecord], path) -> None:
         lines.append(
             _ROW_FORMAT % (r.k, eps_text, pair, r.branch, r.ls_count, r.decrease, r.reduced, pre)
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+    with open(path, "wb") as fh:
+        fh.write("".join(lines).encode("ascii"))
 
 
-def _row(line: str, k: int) -> IterateRecord:
-    """Row ``k`` of a trace read from its line; ``ValueError`` names the
-    first cell, in column order, that row ``k`` may not hold."""
-    cells = line.split(",")
+def _row(line: bytes, k: int) -> None:
+    """Raise ``ValueError`` naming the first cell, in column order, that
+    row ``k`` of a trace may not hold; the cell is quoted in ASCII."""
+    cells = line.split(b",")
     if len(cells) != len(_FIELDS):
         raise ValueError(f"expected {len(_FIELDS)} cells, found {len(cells)}")
     for (f, spelling, read), cell in zip(_COLUMNS, cells):
@@ -425,41 +424,44 @@ def _row(line: str, k: int) -> IterateRecord:
             why = "is negative"
         else:
             continue
-        raise ValueError(f"{f.name} {reprlib.repr(cell)} {why}")
-    return IterateRecord(*(read(cell) for (_, _, read), cell in zip(_COLUMNS, cells)))
+        quoted = reprlib.repr(cell.decode("latin-1")).encode("ascii", "backslashreplace")
+        raise ValueError(f"{f.name} {quoted.decode()} {why}")
 
 
 class _Floats(dict):
-    """Cell text to float, each text converted at its first lookup."""
+    """Cell bytes to float, each cell converted at its first lookup."""
 
-    def __missing__(self, cell: str) -> float:
+    def __missing__(self, cell: bytes) -> float:
         x = self[cell] = float(cell)
         return x
 
 
-def _spelled_records(rows: list[str]) -> list[IterateRecord] | None:
+def _spelled_records(rows: list[bytes]) -> list[IterateRecord] | None:
     """The records of trace rows that :data:`_WRITTEN_ROW` matches,
-    converted column by column; or None if there are none, if a cell fails
-    its read or its check, or if the floats overflow their sum."""
+    converted column by column; or None if a cell fails its read or its
+    check."""
+    if not rows:
+        return []
     try:
         k, eps, phi_text, gn_text, branch, ls_count, decrease, reduced, phi_pre, gn_pre = zip(
-            *[line.split(",") for line in rows]
+            *[line.split(b",") for line in rows]
         )
         k, ls_count = list(map(int, k)), list(map(int, ls_count))
         phi, gn, decrease = [list(map(float, c)) for c in (phi_text, gn_text, decrease)]
         # eps repeats between reductions, and phi_pre and grad_norm_pre
         # repeat the previous row's phi and grad_norm in a row that carries
-        # them over, so each text in these columns is converted once
+        # them over, so each cell in these columns is converted once
         eps = list(map(_Floats().__getitem__, eps))
         phi_pre = list(map(_Floats(zip(phi_text, phi)).__getitem__, phi_pre))
         gn_pre = list(map(_Floats(zip(gn_text, gn)).__getitem__, gn_pre))
-    except ValueError:  # no rows, or a cell such as 1-2 or 1e
+    except ValueError:  # a cell such as 1-2 or 1e
         return None
-    if not math.isfinite(sum(map(sum, (eps, phi, gn, decrease, phi_pre, gn_pre)))):
+    floats = (eps, phi, gn, decrease, phi_pre, gn_pre)
+    if not (-math.inf < min(map(min, floats)) and max(map(max, floats)) < math.inf):
         return None
     if k != list(range(len(k))) or min(eps) <= 0 or min(min(ls_count), min(gn), min(gn_pre)) < 0:
         return None
-    reduced = map("1".__eq__, reduced)
+    branch, reduced = map(bytes.decode, branch), map(b"1".__eq__, reduced)
     return list(
         map(IterateRecord, k, eps, phi, gn, branch, ls_count, decrease, reduced, phi_pre, gn_pre)
     )
@@ -467,39 +469,27 @@ def _spelled_records(rows: list[str]) -> list[IterateRecord] | None:
 
 def read_trace_csv(path) -> list[IterateRecord]:
     """Parse a trace in exactly the grammar :func:`write_trace_csv` writes,
-    with lines ended by ``\\r\\n`` or ``\\n``, the last one optionally.
-    ``k`` must read 0, 1, 2, ... in row order, floats must be finite,
-    ``eps`` positive and ``ls_count``, ``grad_norm`` and ``grad_norm_pre``
-    not negative.  A malformed trace, such as one with a quoted cell or a
-    lone ``\\r``, raises :class:`~lpam.fileio.FormatError` naming the file,
-    the row and, for a bad cell, its column; a byte that does not decode
-    names its row, unless a row before it is malformed."""
-    with open(path, newline="") as fh:
-        encoding = fh.encoding
-        data = fh.buffer.read()
-    try:
-        text, bad_byte = data.decode(encoding), None
-    except UnicodeDecodeError as exc:  # the whole lines before the byte are read first
-        head = data[: exc.start].decode(encoding)
-        text, bad_byte = head[: head.rfind("\n") + 1], exc
-    # per line: one match over the whole text keeps a 1.2 KB frame per row
-    lines = text.replace("\r\n", "\n").split("\n")
+    in ASCII bytes, whatever the locale, with lines ended by ``\\r\\n`` or
+    ``\\n``, the last one optionally.  ``k`` must read 0, 1, 2, ... in row
+    order, floats must be finite, ``eps`` positive and ``ls_count``,
+    ``grad_norm`` and ``grad_norm_pre`` not negative.  Any other trace, such
+    as one with a quoted cell, a lone ``\\r`` or a byte outside ASCII, raises
+    :class:`~lpam.fileio.FormatError` naming the file, its first bad row and,
+    for a bad cell, its column."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # per line: one match over the whole file keeps a 1.2 KB frame per row
+    lines = data.replace(b"\r\n", b"\n").split(b"\n")
     if not lines[-1]:
         lines.pop()  # after the final line end
-    if lines[:1] != [_HEADER_TEXT] and (lines or not bad_byte):
+    if lines[:1] != [_HEADER_TEXT.encode()]:
         raise FormatError(f"malformed trace row 1 in {path}: the header is not {_HEADER_TEXT}")
     rows = lines[1:]
-    records = _spelled_records(rows) if all(map(_WRITTEN_ROW.fullmatch, rows)) else None
-    if records is None:
-        # row by row: this names the first bad row, and reads a trace whose
-        # finite floats overflow their sum
-        records = []
-        for k, line in enumerate(rows):
-            try:
-                records.append(_row(line, k))
-            except ValueError as exc:
-                raise FormatError(f"malformed trace row {k + 2} in {path}: {exc}") from exc
-    if bad_byte:
-        row = len(lines) + 1  # the line that holds the byte
-        raise FormatError(f"malformed trace row {row} in {path}: {bad_byte}") from bad_byte
-    return records
+    if all(map(_WRITTEN_ROW.fullmatch, rows)) and (records := _spelled_records(rows)) is not None:
+        return records
+    for k, line in enumerate(rows):  # a row is malformed: name the first
+        try:
+            _row(line, k)
+        except ValueError as exc:
+            raise FormatError(f"malformed trace row {k + 2} in {path}: {exc}") from exc
+    raise AssertionError(f"the rows of {path} pass every check that their columns fail")

@@ -1,8 +1,11 @@
 import dataclasses
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import lpam
 from lpam import cli, fileio
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
@@ -416,6 +420,38 @@ def test_nan_override_is_a_usage_error(tmp_path, capsys):
     assert "eps0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        b'{"solver": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        b'{"solver": {"mode": "\xff"}}',
+    ],
+    ids=["100000-deep", "undecodable"],
+)
+def test_deep_or_undecodable_json_config_is_a_usage_error(tmp_path, capsys, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(data)
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {cfg}: ")
+
+
+def test_deep_json_override_is_a_usage_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json")
+    argv = ["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    assert main([*argv, "--override", "solver.step_tau=" + "[" * 3000]) == 3
+    assert capsys.readouterr().err.startswith("error: invalid JSON in override solver.step_tau: ")
+
+
+def test_config_files_are_read_as_utf8_json(tmp_path):
+    # json detects the encoding of a config's bytes itself: UTF-8 or UTF-16
+    name = "poids-\u00e9.bin"
+    raw = {"objective": {"kind": "quadratic", "weights_file": name}}
+    for encoding in ("utf-8", "utf-16"):
+        cfg = tmp_path / f"{encoding}.json"
+        cfg.write_bytes(json.dumps(raw, ensure_ascii=False).encode(encoding))
+        assert cli.load_config(str(cfg), [], None, None).objective.weights_file == name
+
+
 @pytest.mark.parametrize("command", ["solve", "audit"])
 @pytest.mark.parametrize(
     "overrides, shape",
@@ -684,3 +720,41 @@ def test_repeated_calls_in_one_process(tmp_path, capsys):
         traces.append((out / "trace.csv").read_bytes())
     assert traces[0] == traces[1] and traces[0].count(b"\r\n") == 6
     assert cli._parser() is cli._parser()
+
+
+# a UTF-8 locale, and the C locale with Python's UTF-8 mode and locale
+# coercion both off, so that text-mode files would be read as ASCII
+LOCALES = {
+    "utf-8": {"PYTHONUTF8": "1"},
+    "c": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+}
+
+
+def test_every_file_reads_alike_in_every_locale(tmp_path):
+    # lpam opens its files in binary mode, so the same input gives the same
+    # exit code and the same stderr bytes whatever the locale
+    quadratic = {
+        "instance": {"height": 4, "width": 4},
+        "objective": {"kind": "quadratic", "weights_file": "poids-\u00e9.bin"},
+        "solver": {"max_iter": 5},
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_bytes(json.dumps(quadratic, ensure_ascii=False).encode())
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    data = (out / "trace.csv").read_bytes()
+    bad_trace = tmp_path / "bad_trace.csv"
+    at = data.index(b"\r\n0,") + 4  # row 2's eps cell
+    bad_trace.write_bytes(data[:at] + b"\xe9" + data[at:])
+    audit = ["audit", "--config", str(cfg), "--out", str(out), "--trace", str(bad_trace)]
+    solve = ["solve", "--config", str(cfg), "--out", str(tmp_path / "again")]
+    eps = data[at : data.index(b",", at)].decode()
+    refused = f"error: malformed trace row 2 in {bad_trace}: eps '\\xe9{eps}' is not spelled"
+    cases = [(audit, 3, refused + " as a trace spells it\n"), (solve, 0, "")]
+    keep = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
+    path = str(Path(lpam.__file__).parents[1])  # where this lpam is imported from
+    for argv, code, err in cases:
+        cmd = [sys.executable, "-m", "lpam.cli", *argv]
+        for locale in LOCALES.values():
+            env = {**keep, **locale, "PYTHONPATH": path}
+            proc = subprocess.run(cmd, env=env, capture_output=True, timeout=120)
+            assert (proc.returncode, proc.stderr) == (code, err.encode()), locale

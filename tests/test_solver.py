@@ -927,6 +927,14 @@ def test_the_written_traces_take_the_pattern_path(tmp_path, monkeypatch):
     monkeypatch.setattr(solver, "_row", row_by_row)
     for kind in TRACE_KINDS:
         assert _read(tmp_path / "trace.csv", _trace_text(kind)) == list(solver_trace(kind))
+    # finite floats whose sum overflows, and a trace of no rows
+    X0 = TwoBlockPoint([5e153, 0.0], [5e153, 0.0])
+    overflowing = lpam_run(QuadraticToy(), X0, dataclasses.replace(QUAD_STATIONARITY, max_iter=20))
+    floats = [v for r in overflowing[0].trace for v in dataclasses.astuple(r) if type(v) is float]
+    assert all(map(math.isfinite, floats)) and math.isinf(sum(floats))
+    for trace in (overflowing[0].trace, []):
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv") == trace
 
 
 @pytest.mark.parametrize("edit", ACCEPTED_EDITS)
@@ -985,24 +993,34 @@ def test_trace_reader_agrees_with_the_csv_path_on_any_one_cell(line, column, cel
         assert got.startswith(f"malformed trace row {line + 1} in {path}: {column} "), got
 
 
-@pytest.mark.parametrize("offset, row", [(5000, 48), (20000, 183), (60000, 481)])
-def test_an_undecodable_byte_names_the_row_that_holds_it(tmp_path, offset, row):
-    # the file is decoded whole, so the error's position is the byte's
-    # offset in the file, and the row is the line it lies on
+@pytest.mark.parametrize(
+    "offset, row, column",
+    [
+        pytest.param(5000, 48, "decrease", id="5000-48"),
+        pytest.param(20000, 183, "grad_norm", id="20000-183"),
+        pytest.param(60000, 481, "grad_norm", id="60000-481"),
+    ],
+)
+def test_an_undecodable_byte_names_the_row_that_holds_it(tmp_path, offset, row, column):
+    # the trace is read as bytes, so a byte outside ASCII is a malformed
+    # cell like any other: its row and column are named, and the cell is
+    # quoted in ASCII, whatever the locale
     data = _trace_text("quadratic-cli").encode()
     path = tmp_path / "trace.csv"
     path.write_bytes(data[:offset] + b"\xff" + data[offset:])
-    with pytest.raises(FormatError, match=f"row {row} in .*byte 0xff in position {offset}:"):
+    quoted = r"'[0-9.e-]*\\xff[0-9.e-]*'"
+    with pytest.raises(FormatError, match=f"row {row} in .*: {column} {quoted} is not spelled"):
         read_trace_csv(path)
 
 
 def test_an_undecodable_byte_counts_lone_cr_line_ends(tmp_path):
-    # a lone \r ends no line, so a byte after five of them lies on row 1
+    # a lone \r ends no line, so the whole file, the byte after five of them
+    # included, is the header line
     lines = _trace_text("identity").split("\r\n")
     lines[5] = "\xff" + lines[5]
     path = tmp_path / "trace.csv"
     path.write_bytes("\r".join(lines).encode("latin-1"))
-    with pytest.raises(FormatError, match="row 1 in .*byte 0xff"):
+    with pytest.raises(FormatError, match="row 1 in .*: the header is not k,eps,"):
         read_trace_csv(path)
 
 
