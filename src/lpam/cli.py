@@ -3,8 +3,11 @@
 Subcommands write plain files (binary arrays, CSV traces, JSON reports)
 into an output directory; exit codes are 0 on success, 1 on audit
 failure, 2 on a numeric failure (of the solver, of an audit bound or of
-the metrics of a reconstruction) and 3 on usage or parse errors (a
-malformed command line and an instance too large to allocate included).
+the metrics of a reconstruction) and 3 on usage or parse errors, a
+malformed command line included.  A ``MemoryError``, one allocation the
+operating system refused, also exits 3; a process that exhausts memory
+in any other way may be killed by the operating system and then ends
+with no exit code of lpam's.
 """
 
 from __future__ import annotations
@@ -291,11 +294,10 @@ def _parser() -> argparse.ArgumentParser:
     p = _Parser(prog="lpam", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(name: str, summary: str) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=summary)
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--mode", choices=("lpam", "bcd"), default=None)
-        sp.add_argument("--seed", type=int, default=None)
         sp.add_argument(
             "--override",
             action="append",
@@ -303,11 +305,14 @@ def _parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="dotted-path config override, e.g. solver.max_iter=50",
         )
+        return sp
 
-    common(sub.add_parser("generate", help="write a synthetic instance to disk"))
-    common(sub.add_parser("solve", help="run the solver on a generated instance"))
-    sp = sub.add_parser("audit", help="run convergence audits on a trace")
-    common(sp)
+    # each flag only on the subcommand that reads what it sets
+    sp = common("generate", "write a synthetic instance to disk")
+    sp.add_argument("--seed", type=int, default=None, help="sets instance.seed")
+    sp = common("solve", "run the solver on a generated instance")
+    sp.add_argument("--mode", choices=("lpam", "bcd"), default=None, help="sets solver.mode")
+    sp = common("audit", "run convergence audits on a trace")
     sp.add_argument("--trace", default=None, help="trace CSV (default: OUT/trace.csv)")
     sp = sub.add_parser("metrics", help="image quality metrics between two arrays")
     sp.add_argument("recon", help="reconstruction array file")
@@ -324,7 +329,8 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             if args.command == "metrics":
                 return cmd_metrics(args.recon, args.truth, args.squared_peak)
-            cfg = load_config(args.config, args.override, args.mode, args.seed)
+            mode, seed = getattr(args, "mode", None), getattr(args, "seed", None)
+            cfg = load_config(args.config, args.override, mode, seed)
             out = Path(args.out)
             if args.command == "generate":
                 return cmd_generate(cfg, out)

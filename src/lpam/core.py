@@ -65,7 +65,13 @@ _scratch = _ScratchPool()
 def scratch(key: tuple, make: Callable[[], tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """This thread's buffers for ``key``, made by ``make()`` on first use.  A
     key starts with its user's tag, ``"conv"`` or ``"dft"``, so no two
-    users share a buffer."""
+    users share a buffer.
+
+    A thread keeps its buffers for its whole life and its users rewrite
+    them on every call, so repeated calls do not make the allocator hand
+    pages back to the operating system and fault them in again.  Scratch
+    is never shared across threads and never part of a returned array.
+    """
     bufs = _scratch.bufs
     if key not in bufs:
         bufs[key] = make()

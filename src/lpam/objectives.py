@@ -145,7 +145,14 @@ class RecoveryPoint(EvaluatedPoint):
     :func:`grad_r_eps` at key = max(eps, smallest norm), whose weights are
     those at eps bit for bit.  The pullback thus depends on eps only
     through its key (inf inside); it is kept unscaled under a key other
-    than eps, so a point the eps-ball splits keeps none.
+    than eps, so a point the eps-ball splits keeps none.  The gradient
+    depends only on the point and eps, not on which eps the point served
+    before, so a run restarted from an iterate repeats the full run.  eps
+    only shrinks, so after a reduction the accepted point reuses its
+    pullback whenever its key is the same at both eps: with every group
+    inside, or every group outside.  The all-outside reuse is rare on
+    short runs but common on long convolutional ones (100-iteration runs
+    at 32^2 make 23 % more pullbacks without it).
     """
 
     @cached_property

@@ -36,7 +36,10 @@ class MaskedDft:
     Sampled data and residuals are vectors over the sampled frequencies
     in flat (row-major) order; :meth:`sample` and :meth:`unsample` map
     them to and from full arrays.  The mask is held as a read-only copy,
-    and returned arrays are always fresh.
+    and returned arrays are always fresh.  A solve calls only the pair
+    kernels and the sampled one-channel transforms; the one-channel
+    methods on full arrays serve the per-call objective terms, the
+    benchmark and the tests.
     """
 
     mask: np.ndarray  # boolean, shape (height, width)
@@ -437,6 +440,16 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     added) so the achieved ratio matches round(ratio*N)/N.  Frequencies
     are laid out with the zero frequency at the center before being
     shifted back to FFT order.
+
+    The search draws spoke counts S = S0, S0 + 1, ... and stops at the
+    first whose S spokes cover the target, or at the cap 4*max(height,
+    width).  S0 is the first count whose coverage bound reaches the
+    target (:func:`_start_count`), so most counts below the one the search
+    settles on are never drawn.  Coverage is not monotone in S (at 1024^2,
+    223 spokes cover 266,625 pixels and 224 cover 266,614), so the search
+    cannot bisect.  The mask and the generator's state equal, bit for bit,
+    those of ``tests/oracles.py``'s reference, which tries every count
+    from 1 and draws one spoke per call.
     """
     _check_ratio(ratio)
     n = height * width

@@ -475,7 +475,13 @@ def read_trace_csv(path) -> list[IterateRecord]:
     ``grad_norm`` and ``grad_norm_pre`` not negative.  Any other trace, such
     as one with a quoted cell, a lone ``\\r`` or a byte outside ASCII, raises
     :class:`~lpam.fileio.FormatError` naming the file, its first bad row and,
-    for a bad cell, its column."""
+    for a bad cell, its column.
+
+    Every well-formed trace takes one route: each line is matched against
+    :data:`_WRITTEN_ROW`, then the rows are converted and checked column by
+    column.  Only a refused trace is gone through again, row by row, to
+    name its first bad row; the cell is quoted in ASCII, in at most 30
+    characters, so the message is the same in every locale."""
     with open(path, "rb") as fh:
         data = fh.read()
     # per line: one match over the whole file keeps a 1.2 KB frame per row

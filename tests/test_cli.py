@@ -1,7 +1,10 @@
+import argparse
+import ast
 import dataclasses
 import hashlib
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -292,8 +295,47 @@ def test_unknown_config_key_rejected(tmp_path, capsys, section, key, value):
     assert key in capsys.readouterr().err
 
 
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "audit", "metrics"])
+def test_readme_documents_exactly_the_flags_each_subcommand_takes(command):
+    # each subcommand's section lists its flags as the first cell of table
+    # rows; --help, which every subcommand takes, is documented once
+    assert set(_subcommands()) == {"generate", "solve", "audit", "metrics"}
+    section = README.read_text().split(f"### `lpam {command}`\n", 1)[1].split("\n#", 1)[0]
+    documented = re.findall(r"^\| `(--[a-z-]+)", section, re.M)
+    taken = [
+        flag
+        for action in _subcommands()[command]._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    ]
+    assert sorted(documented) == sorted(taken)
+
+
+def test_readme_documents_exactly_the_package_root():
+    # every exported name imports and is in the manual, and every name the
+    # manual's examples import from the package root is exported
+    readme = README.read_text()
+    for name in lpam.__all__:
+        assert getattr(lpam, name) is not None
+        assert re.search(rf"\b{name}\b", readme), name
+    imported = set()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module == "lpam":
+                imported.update(alias.name for alias in node.names)
+    assert imported and imported <= set(lpam.__all__), imported - set(lpam.__all__)
+
+
 def test_readme_config_loads(tmp_path):
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = README.read_text()
     example = readme.split("### Configuration", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
     path = tmp_path / "run.json"
     path.write_text(example)
@@ -668,15 +710,27 @@ def test_out_of_memory_is_a_usage_error(tmp_path, capsys, monkeypatch, command, 
         ["solve", "--config", "c.json", "--out", "o", "--mode", "foo"],
         ["generate", "--config", "c.json", "--out", "o", "--seed", "abc"],
         ["metrics", "recon.arr"],
+        # --mode sets solver.mode, which only solve reads, and --seed sets
+        # instance.seed, which only generate reads
+        ["generate", "--config", "c.json", "--out", "o", "--mode", "bcd"],
+        ["audit", "--config", "c.json", "--out", "o", "--mode", "bcd"],
+        ["solve", "--config", "c.json", "--out", "o", "--seed", "1"],
+        ["audit", "--config", "c.json", "--out", "o", "--seed", "1"],
     ],
-    ids=["no-command", "unknown-command", "no-config", "no-out", "bad-mode", "bad-seed", "no-truth"],
+    ids=[
+        "no-command", "unknown-command", "no-config", "no-out", "bad-mode", "bad-seed",
+        "no-truth", "generate-mode", "audit-mode", "solve-seed", "audit-seed",
+    ],
 )
-def test_malformed_command_line_is_a_usage_error(capsys, argv):
+def test_malformed_command_line_is_a_usage_error(capsys, monkeypatch, tmp_path, argv):
     # parsed inside main, so argparse's own exit status 2 (reserved for
-    # numeric failure) never escapes
+    # numeric failure) never escapes, and before anything is read or written
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "c.json")
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: lpam") and "usage: lpam" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])

@@ -289,14 +289,19 @@ def test_eps_underflow_exits_2_with_its_trace(tmp_path):
     assert len(trace) == result["iterations"]
 
 
-@pytest.mark.parametrize("command", ["generate", "solve"])
-def test_negative_seed_is_refused_by_name_before_anything_is_written(tmp_path, command):
-    # numpy's own refusal of a negative seed names no config key
+@pytest.mark.parametrize(
+    "command, seed",
+    [("generate", ["--seed", "-1"]), ("solve", ["--override", "instance.seed=-1"])],
+    ids=["generate", "solve"],
+)
+def test_negative_seed_is_refused_by_name_before_anything_is_written(tmp_path, command, seed):
+    # numpy's own refusal of a negative seed names no config key; only
+    # generate takes --seed, and solve still checks the config's seed
     raw = {"instance": {"height": 4, "width": 4}, "objective": {"kind": "quadratic"}}
     (tmp_path / "run.json").write_text(json.dumps(raw))
     out = tmp_path / "run"
     err = io.StringIO()
-    argv = [command, "--out", str(out), "--config", str(tmp_path / "run.json"), "--seed", "-1"]
+    argv = [command, "--out", str(out), "--config", str(tmp_path / "run.json"), *seed]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(argv) == 3
     assert err.getvalue() == "error: instance.seed must be a nonnegative integer, got -1\n"
