@@ -436,26 +436,34 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     """Pseudo-radial mask: straight spokes through the grid center.
 
     Spokes at equal angles are accumulated until the target count is
-    reached, then random sampled points are dropped (or unsampled points
-    added) so the achieved ratio matches round(ratio*N)/N.  Frequencies
-    are laid out with the zero frequency at the center before being
-    shifted back to FFT order.
+    reached, then random sampled points are dropped so the achieved ratio
+    matches round(ratio*N)/N.  Frequencies are laid out with the zero
+    frequency at the center before being shifted back to FFT order.
 
     The search draws spoke counts S = S0, S0 + 1, ... and stops at the
-    first whose S spokes cover the target, or at the cap 4*max(height,
-    width).  S0 is the first count whose coverage bound reaches the
-    target (:func:`_start_count`), so most counts below the one the search
-    settles on are never drawn.  Coverage is not monotone in S (at 1024^2,
-    223 spokes cover 266,625 pixels and 224 cover 266,614), so the search
-    cannot bisect.  The mask and the generator's state equal, bit for bit,
-    those of ``tests/oracles.py``'s reference, which tries every count
-    from 1 and draws one spoke per call.
+    first whose S spokes cover the target.  S0 is the first count whose
+    coverage bound reaches the target (:func:`_start_count`), so most
+    counts below the one the search settles on are never drawn.  Coverage
+    is not monotone in S (at 1024^2, 223 spokes cover 266,625 pixels and
+    224 cover 266,614), so the search cannot bisect.  The mask and the
+    generator's state equal, bit for bit, those of ``tests/oracles.py``'s
+    reference, which tries every count from 1 and draws one spoke per call.
+
+    The search ends by the cap S = 4 M, M = max(height, width), whose
+    spokes cover every pixel.  A pixel lies at most hypot(M/2, M/2) =
+    M/sqrt(2) from the center, and within pi/(2S) = pi/(8M) of the angle
+    of the nearest spoke, so within (M/sqrt(2)) sin(pi/(8M)) <= 0.278 of
+    that spoke's line.  Along the line, the samples, 0.5 apart over a
+    range that reaches more than a sample past the farthest pixel, put one
+    within 0.25 of the pixel's projection, and so within 0.374 of the
+    pixel's center.
+    Each of its coordinates is then within 0.5 of the pixel's, with room
+    for rounding, so it rounds to that pixel.
     """
     _check_ratio(ratio)
     n = height * width
     target = max(1, round(ratio * n))
     cy, cx = height // 2, width // 2
-    max_spokes = 4 * max(height, width)
 
     mask = np.zeros((height, width), dtype=bool)
     ts = _spoke_samples(height, width)
@@ -463,7 +471,7 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
     while True:
         _draw_spokes(mask, num_spokes, ts)
         count = np.count_nonzero(mask)
-        if count >= target or num_spokes >= max_spokes:
+        if count >= target:
             break
         num_spokes += 1
 
@@ -474,10 +482,6 @@ def radial_mask(height: int, width: int, ratio: float, rng: np.random.Generator)
         on = on[on != center]  # keep the zero frequency sampled
         drop = rng.choice(on, size=count - target, replace=False)
         flat[drop] = False
-    elif count < target:
-        off = np.flatnonzero(~flat)
-        add = rng.choice(off, size=target - count, replace=False)
-        flat[add] = True
     return np.fft.ifftshift(flat.reshape(height, width))
 
 

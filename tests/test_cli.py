@@ -9,6 +9,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,11 +18,13 @@ import numpy as np
 import pytest
 
 import lpam
-from lpam import cli, fileio
+from lpam import cli, fileio, metrics, random_extractor
 from lpam.cli import main
 from lpam.fileio import read_array, write_array
 from lpam.operators import MAX_SIDE, InstanceSpec, KSpaceData, MaskedDft
 from lpam.solver import LpamConfig
+
+from tests.oracles import write_trace_csv_reference
 
 
 def write_config(path, **extra):
@@ -76,6 +79,21 @@ def test_end_to_end_determinism(tmp_path):
         outs.append(out)
     for fname in ("trace.csv", "recon1.arr", "recon2.arr", "kspace1.arr", "mask.arr"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_extractor_run_passes_its_audit(tmp_path):
+    # a convolutional extractor's instance, solved and audited, the trace
+    # also named explicitly
+    weights = tmp_path / "weights.bin"
+    fileio.write_weights(weights, random_extractor(16, 16).weights)
+    objective = {"kind": "extractor", "weights_file": str(weights)}
+    cfg = write_config(tmp_path / "cfg.json", objective=objective, solver={"max_iter": 20})
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    for command in ("generate", "solve", "audit"):
+        assert main([command, *argv]) == 0
+    assert main(["audit", *argv, "--trace", str(out / "trace.csv")]) == 0
+    assert json.loads((out / "report.json").read_text())["passed"]
 
 
 # SHA-256 of the kspace1.arr that ``generate`` writes for a noisy 128^2
@@ -147,10 +165,36 @@ def test_data_sampled_on_another_mask_exit3(tmp_path, capsys, monkeypatch):
 
 
 def test_generate_full_ratio_manifest(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json", instance={"ratio": 1.0})
-    out = tmp_path / "run"
-    assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
-    assert json.loads((out / "manifest.json").read_text())["achieved_ratio"] == 1.0
+    # every frequency sampled; at 256^2 the spoke search's high-ratio path
+    # runs at a size where it finishes
+    for side in (16, 256):
+        instance = {"height": side, "width": side, "ratio": 1.0}
+        cfg = write_config(tmp_path / "cfg.json", instance=instance)
+        out = tmp_path / str(side)
+        start = time.perf_counter()
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 60
+        assert json.loads((out / "manifest.json").read_text())["achieved_ratio"] == 1.0
+        assert read_array(out / "mask.arr").all()
+
+
+def test_a_1024_instance_is_generated_solved_and_audited(tmp_path):
+    # the set-up transforms run end to end in the per-thread DFT scratch,
+    # each of whose two buffers is 16 MB at this size
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        instance={"height": 1024, "width": 1024, "ratio": 0.3},
+        solver={"max_iter": 2},
+    )
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "run")]
+    start = time.perf_counter()
+    assert main(["generate", *argv]) == 0
+    assert time.perf_counter() - start < 120
+    n = 1024 * 1024
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert manifest["achieved_ratio"] == round(0.3 * n) / n
+    assert main(["solve", *argv]) == 0
+    assert main(["audit", *argv]) == 0
 
 
 def test_solve_max_iter_zero_returns_zero_filled(tmp_path):
@@ -191,6 +235,51 @@ def test_solve_quadratic_tolerance(tmp_path):
     assert result["exit_reason"] == "tolerance_met"
     recon = read_array(out / "recon1.arr")
     assert np.max(np.abs(recon)) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "size, solver, result",
+    [
+        # every residual candidate overflows: the safeguard rejects each one
+        (4, {"step_tau": [1e200], "max_iter": 50}, ("iteration_cap", 50)),
+        # the benchmark's quadratic-cli job
+        (
+            32,
+            {
+                "eps0": 1.0,
+                "gamma": 0.5,
+                "eps_sigma": 1.0,
+                "eps_tol": 1e-10,
+                "step_alpha": [0.03],
+                "step_tau": [0.03],
+                "step_beta": [0.03],
+                "step_gamma": [0.03],
+                "max_iter": 2000,
+            },
+            ("tolerance_met", 914),
+        ),
+    ],
+    ids=["overflow", "quadratic-cli"],
+)
+def test_quadratic_solve_writes_the_csv_writers_trace(tmp_path, size, solver, result):
+    # byte for byte what the csv module writes for the rows read back
+    raw = {
+        "instance": {"height": size, "width": size},
+        "objective": {"kind": "quadratic"},
+        "solver": solver,
+    }
+    cfg, out = tmp_path / "cfg.json", tmp_path / "run"
+    cfg.write_text(json.dumps(raw))
+    argv = ["--config", str(cfg), "--out", str(out)]
+    assert main(["solve", *argv]) == 0
+    reason, iterations = result
+    assert json.loads((out / "metrics.json").read_text()) == {
+        "exit_reason": reason,
+        "iterations": iterations,
+    }
+    write_trace_csv_reference(cli.read_trace_csv(out / "trace.csv"), tmp_path / "reference.csv")
+    assert (out / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert main(["audit", *argv]) == 0
 
 
 def test_audit_corrupted_value_fails(tmp_path):
@@ -234,6 +323,7 @@ def _set_cell(column, value, row=3):
         (_set_cell("ls_count", "-7"), 3),
         (_set_cell("grad_norm", "-3"), 3),
         (_set_cell("grad_norm_pre", "-1e-300"), 3),
+        (_set_cell("eps", '"0.5"'), 3),  # no writer quotes a cell
     ],
     ids=[
         "garbage",
@@ -247,6 +337,7 @@ def _set_cell(column, value, row=3):
         "negative-ls-count",
         "negative-grad-norm",
         "negative-grad-norm-pre",
+        "quoted-cell",
     ],
 )
 def test_audit_malformed_trace_exit3(tmp_path, capsys, corrupt, row):
@@ -390,6 +481,16 @@ def test_negative_lam_rejected(tmp_path, capsys):
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
         assert "objective.act_delta must be positive" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_invalid_solver_value_is_refused_before_anything_is_written(tmp_path, capsys):
+    # generate never reads the solver section, but checks it as solve does
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "run"
+    argv = ["generate", "--config", str(cfg), "--out", str(out)]
+    assert main([*argv, "--override", "solver.gamma=1.5"]) == 3
+    assert capsys.readouterr().err == "error: gamma must lie in (0, 1)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -567,13 +668,24 @@ def test_seed_flag_changes_instance(tmp_path):
 
 
 def test_metrics_subcommand(tmp_path, capsys):
-    # an exact reconstruction has an infinite PSNR, written as null
+    # the library's report as standard JSON, with either peak; an exact
+    # reconstruction has an infinite PSNR, written as null
     cfg = write_config(tmp_path / "cfg.json")
     out = tmp_path / "run"
     main(["generate", "--config", str(cfg), "--out", str(out)])
     assert main(["metrics", str(out / "truth1.arr"), str(out / "truth1.arr")]) == 0
     rep = _strict_json(capsys.readouterr().out.strip().splitlines()[-1])
     assert rep["ssim"] == 1.0 and rep["nmse"] == 0.0 and rep["psnr"] is None
+    truth = read_array(out / "truth1.arr")
+    write_array(out / "recon1.arr", 0.9 * truth)
+    psnr = {}
+    for squared_peak in (False, True):
+        flag = ["--squared-peak"] if squared_peak else []
+        assert main(["metrics", *flag, str(out / "recon1.arr"), str(out / "truth1.arr")]) == 0
+        rep = _strict_json(capsys.readouterr().out)
+        assert rep == metrics(0.9 * truth, truth, squared_peak).as_dict()
+        psnr[squared_peak] = rep["psnr"]
+    assert psnr[True] == pytest.approx(psnr[False] + 10 * np.log10(truth.max()))
 
 
 def test_metrics_nonpositive_peak_exit3(tmp_path, capsys):
@@ -656,14 +768,14 @@ def test_non_finite_weights_exit3(tmp_path, capsys, command):
     objective = {"kind": "extractor", "weights_file": str(weights)}
     cfg = write_config(tmp_path / "cfg.json", objective=objective)
     out = tmp_path / "run"
-    fileio.write_weights(weights, [np.full((2, 2, 3, 3), 0.1)])
+    layers = [np.full((2, 2, 3, 3), 0.1), np.full((2, 2, 3, 3), 0.1)]
+    fileio.write_weights(weights, layers)
     assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 0
     if command == "audit":
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
     before = sorted(p.name for p in out.iterdir())
-    w = np.full((2, 2, 3, 3), 0.1)
-    w[1, 0, 2, 2] = np.nan
-    fileio.write_weights(weights, [w])
+    layers[1][1, 0, 2, 2] = np.nan  # in a layer after the first
+    fileio.write_weights(weights, layers)
     capsys.readouterr()
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -784,9 +896,10 @@ LOCALES = {
 }
 
 
-def test_every_file_reads_alike_in_every_locale(tmp_path):
+def test_every_file_reads_alike_in_every_locale(tmp_path, capsys):
     # lpam opens its files in binary mode, so the same input gives the same
-    # exit code and the same stderr bytes whatever the locale
+    # exit code and the same stderr bytes whatever the locale, and a config
+    # too deep to parse is refused as it is in this process
     quadratic = {
         "instance": {"height": 4, "width": 4},
         "objective": {"kind": "quadratic", "weights_file": "poids-\u00e9.bin"},
@@ -803,7 +916,18 @@ def test_every_file_reads_alike_in_every_locale(tmp_path):
     solve = ["solve", "--config", str(cfg), "--out", str(tmp_path / "again")]
     eps = data[at : data.index(b",", at)].decode()
     refused = f"error: malformed trace row 2 in {bad_trace}: eps '\\xe9{eps}' is not spelled"
-    cases = [(audit, 3, refused + " as a trace spells it\n"), (solve, 0, "")]
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b'{"solver": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+    too_deep = ["solve", "--config", str(deep), "--out", str(tmp_path / "deep")]
+    capsys.readouterr()
+    assert main(too_deep) == 3
+    too_deep_err = capsys.readouterr().err
+    assert too_deep_err.startswith(f"error: invalid JSON in {deep}: ")
+    cases = [
+        (audit, 3, refused + " as a trace spells it\n"),
+        (solve, 0, ""),
+        (too_deep, 3, too_deep_err),
+    ]
     keep = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG", "PYTHON"))}
     path = str(Path(lpam.__file__).parents[1])  # where this lpam is imported from
     for argv, code, err in cases:

@@ -742,6 +742,18 @@ def test_a_spoke_covers_at_most_height_plus_width_minus_one_pixels(height, width
     assert len(oracles.spoke_pixels(height, width, angle)) <= height + width - 1
 
 
+def test_the_spoke_cap_covers_every_pixel():
+    # the premise of radial_mask's search ending by the cap 4 max(h, w),
+    # with no pixels left to add at random (its docstring has the proof)
+    shapes = itertools.product(range(2, 41), repeat=2)
+    oblong = [(2, 512), (512, 2), (3, 1000), (5, 301), (127, 129)]
+    for height, width in itertools.chain(shapes, oblong):
+        mask = np.zeros((height, width), dtype=bool)
+        ts = operators._spoke_samples(height, width)
+        operators._draw_spokes(mask, 4 * max(height, width), ts)
+        assert mask.all(), (height, width)
+
+
 def test_radial_mask_temporary_memory_is_bounded():
     # spokes are drawn in passes of a fixed number of samples; all spokes
     # of a count at once would peak near 48 MB here
