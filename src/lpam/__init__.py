@@ -14,6 +14,7 @@ internals and kernels are imported from their own modules.
 from .core import EvaluatedPoint, NumericError, SmoothedObjective, TwoBlockPoint
 from .diagnostics import MetricsReport, audit_report, metrics
 from .extractor import FeatureExtractor, IdentityExtractor, random_extractor
+from .fileio import IterateRecord, read_trace_csv, write_trace_csv
 from .objectives import JointRecovery, QuadraticToy
 from .operators import Instance, InstanceSpec, KSpaceData, MaskedDft, generate_instance
 from .solver import (
@@ -21,12 +22,9 @@ from .solver import (
     EXIT_LINE_SEARCH,
     EXIT_NUMERIC,
     EXIT_TOLERANCE,
-    IterateRecord,
     LpamConfig,
     SolverState,
     lpam_run,
-    read_trace_csv,
-    write_trace_csv,
 )
 
 __version__ = "0.1.0"

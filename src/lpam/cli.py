@@ -26,16 +26,11 @@ from . import fileio
 from .core import ConfigError, NumericError, TwoBlockPoint, store_floats
 from .diagnostics import audit_report, metrics
 from .extractor import FeatureExtractor, IdentityExtractor
+# called by these names, not through fileio, because perfbench's PATCH_POINTS wraps them here
+from .fileio import read_trace_csv, write_trace_csv
 from .objectives import JointRecovery, QuadraticToy
 from .operators import Instance, InstanceSpec, KSpaceData, MaskedDft, generate_instance
-from .solver import (
-    EXIT_LINE_SEARCH,
-    EXIT_NUMERIC,
-    LpamConfig,
-    lpam_run,
-    read_trace_csv,
-    write_trace_csv,
-)
+from .solver import EXIT_LINE_SEARCH, EXIT_NUMERIC, LpamConfig, lpam_run
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,13 +114,7 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
 
 
 def load_config(path: str, overrides: list[str], mode: str | None, seed: int | None) -> RunConfig:
-    try:
-        with open(path, "rb") as fh:  # json finds UTF-8, -16 or -32 itself
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    raw = fileio.read_json(path)
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     for ov in overrides:
@@ -198,17 +187,6 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
     return Instance(truth1, truth2, KSpaceData(dft, dft.sample(f1), dft.sample(f2)))
 
 
-def _json(obj: dict, **kwargs) -> str:
-    """``obj`` as standard JSON: a non-finite float raises ValueError."""
-    return json.dumps(obj, sort_keys=True, allow_nan=False, **kwargs)
-
-
-def _dump_json(path: Path, obj: dict) -> None:
-    text = _json(obj, indent=2)  # ASCII: json escapes every other character
-    with open(path, "wb") as fh:
-        fh.write(text.encode("ascii") + b"\n")
-
-
 def cmd_generate(cfg: RunConfig, out: Path) -> int:
     inst = generate_instance(cfg.instance, cfg.seed)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,16 +202,16 @@ def cmd_generate(cfg: RunConfig, out: Path) -> int:
         "achieved_ratio": inst.achieved_ratio,
         "noise_std": cfg.instance.noise_std,
     }
-    _dump_json(out / "manifest.json", manifest)
-    print(_json(manifest))
+    fileio.write_json(out / "manifest.json", manifest)
+    print(fileio.json_text(manifest))
     return 0
 
 
 def cmd_solve(cfg: RunConfig, out: Path) -> int:
-    out.mkdir(parents=True, exist_ok=True)
     h, w = cfg.instance.height, cfg.instance.width
     instance = _load_instance(cfg, out)
     obj = build_objective(cfg, instance)
+    out.mkdir(parents=True, exist_ok=True)
     if instance is None:
         X0 = TwoBlockPoint(np.ones(h * w), np.ones(h * w))
     else:
@@ -253,8 +231,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
             "channel1": metrics(X0.x1.reshape(h, w), instance.truth1).as_dict(),
             "channel2": metrics(X0.x2.reshape(h, w), instance.truth2).as_dict(),
         }
-    _dump_json(out / "metrics.json", result)
-    print(_json({"exit_reason": reason, "iterations": state.k}))
+    fileio.write_json(out / "metrics.json", result)
+    print(fileio.json_text({"exit_reason": reason, "iterations": state.k}))
     if reason in (EXIT_NUMERIC, EXIT_LINE_SEARCH):
         print(f"error: solver ended in {reason} after {state.k} iterations", file=sys.stderr)
         return 2
@@ -267,8 +245,8 @@ def cmd_audit(cfg: RunConfig, out: Path, trace_path: Path | None) -> int:
     obj = build_objective(cfg, _load_instance(cfg, out))
     report = audit_report(trace, cfg.solver, obj.lipschitz_estimate)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "report.json", report)
-    print(_json({"passed": report["passed"]}))
+    fileio.write_json(out / "report.json", report)
+    print(fileio.json_text({"passed": report["passed"]}))
     return 0 if report["passed"] else 1
 
 
@@ -276,7 +254,7 @@ def cmd_metrics(x_path: str, y_path: str, squared_peak: bool) -> int:
     x = fileio.read_array(x_path)
     y = fileio.read_array(y_path)
     rep = metrics(np.real(x), np.real(y), squared_peak=squared_peak)
-    print(_json(rep.as_dict()))
+    print(fileio.json_text(rep.as_dict()))
     return 0
 
 

@@ -10,7 +10,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import NumericError
-from .solver import IterateRecord, LpamConfig
+from .fileio import IterateRecord
+from .solver import LpamConfig
 
 
 def lmax_bound(config: LpamConfig, L_eps: float) -> int:

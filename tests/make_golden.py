@@ -24,7 +24,8 @@ import numpy as np
 from lpam import extractor
 from lpam.objectives import JointRecovery
 from lpam.operators import InstanceSpec, generate_instance
-from lpam.solver import LpamConfig, lpam_run, write_trace_csv
+from lpam.fileio import write_trace_csv
+from lpam.solver import LpamConfig, lpam_run
 
 FIXTURE = Path(__file__).resolve().parent / "golden_traces.json"
 

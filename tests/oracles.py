@@ -32,16 +32,10 @@ import numpy as np
 from lpam import core
 from lpam.core import NumericError, SmoothedObjective, TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import _adjoint_kernel, _conv, group_norms
+from lpam.fileio import IterateRecord
 from lpam.objectives import grad_r_eps
 from lpam.operators import _check_ratio
-from lpam.solver import (
-    EXIT_ITERATION_CAP,
-    EXIT_LINE_SEARCH,
-    EXIT_NUMERIC,
-    EXIT_TOLERANCE,
-    IterateRecord,
-    LpamConfig,
-)
+from lpam.solver import EXIT_ITERATION_CAP, EXIT_LINE_SEARCH, EXIT_NUMERIC, EXIT_TOLERANCE, LpamConfig
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

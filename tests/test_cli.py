@@ -493,6 +493,15 @@ def test_invalid_solver_value_is_refused_before_anything_is_written(tmp_path, ca
     assert not out.exists()
 
 
+def test_a_refused_solve_creates_no_output_directory(tmp_path, capsys):
+    # the instance is read before --out is made, as generate and audit do
+    cfg = write_config(tmp_path / "cfg.json")
+    out = tmp_path / "fresh"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 3
+    assert str(out / "truth1.arr") in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [

@@ -9,7 +9,8 @@ from lpam.core import NumericError, TwoBlockPoint
 from lpam.diagnostics import audit_report, lmax_bound, metrics
 from lpam.objectives import JointRecovery, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
-from lpam.solver import IterateRecord, LpamConfig, lpam_run
+from lpam.fileio import IterateRecord
+from lpam.solver import LpamConfig, lpam_run
 
 from tests.test_solver import QUAD_STATIONARITY, recovery_objective
 

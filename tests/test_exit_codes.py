@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from lpam import cli, diagnostics, fileio
 from lpam.operators import MAX_SIDE
-from lpam.solver import IterateRecord
+from lpam.fileio import IterateRecord
 
 CORRUPTIBLE = [f"{name}.arr" for name in cli._INSTANCE_FILES] + [
     "recon1.arr",

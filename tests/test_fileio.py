@@ -1,11 +1,16 @@
+import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
+from lpam.cli import main
 from lpam.fileio import (
     FormatError,
     read_array,
+    read_json,
+    read_trace_csv,
     read_weights,
     write_array,
     write_weights,
@@ -168,3 +173,52 @@ def test_weights_negative_dims(tmp_path, dims):
     path.write_bytes(bytes(data))
     with pytest.raises(FormatError, match="negative" if min(dims) < 0 else "truncated"):
         read_weights(path)
+
+
+def _config(tmp_path, objective: dict) -> str:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"instance": {"height": 8, "width": 8}, "objective": objective}))
+    return str(path)
+
+
+def _solve_reading_weights(tmp_path, weights) -> list[str]:
+    cfg = _config(tmp_path, {"kind": "extractor", "weights_file": str(weights)})
+    out = str(tmp_path / "run")
+    assert main(["generate", "--config", cfg, "--out", out]) == 0
+    return ["solve", "--config", cfg, "--out", out]
+
+
+def _audit_reading_trace(tmp_path, trace) -> list[str]:
+    cfg = _config(tmp_path, {"kind": "quadratic"})
+    return ["audit", "--config", cfg, "--out", str(tmp_path / "run"), "--trace", str(trace)]
+
+
+# per reader: content it refuses, and a command line whose first read is
+# the given file
+READERS = {
+    "read_array": (read_array, b"ARRDAT01f64 \2\0", lambda tmp, f: ["metrics", str(f), str(f)]),
+    "read_weights": (read_weights, b"FEXWTS01\1\0\0\0", _solve_reading_weights),
+    "read_trace_csv": (read_trace_csv, b"k,eps\r\n", _audit_reading_trace),
+    "read_json": (
+        read_json,
+        b'{"solver": ',
+        lambda tmp, f: ["solve", "--config", str(f), "--out", str(tmp / "run")],
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_every_reader_refuses_alike(tmp_path, capsys, reader):
+    # malformed content is a FormatError naming the file; a missing file is
+    # the OSError itself, which the command line reports with exit 3
+    read, malformed, command_line = READERS[reader]
+    path = tmp_path / "malformed"
+    path.write_bytes(malformed)
+    with pytest.raises(FormatError, match=re.escape(str(path))):
+        read(path)
+    missing = tmp_path / "missing"
+    argv = command_line(tmp_path, missing)
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] ") and str(missing) in err and err.count("\n") == 1

@@ -64,3 +64,30 @@ def test_every_file_parses_as_the_oldest_supported_python():
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_bytes(), str(path), feature_version=version)
+
+
+def _file_calls(tree: ast.AST):
+    """The lines of calls that open a file, in any spelling, or read or
+    write one as JSON."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = getattr(f, "id", None) or getattr(f, "attr", None)
+            owner = getattr(getattr(f, "value", None), "id", None)
+            if name == "open" or (owner == "json" and name in ("load", "dump")):
+                yield node.lineno
+
+
+def test_only_fileio_touches_files():
+    # one module reads and writes every file, so one file policy holds
+    package = Path(lpam.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert package / "fileio.py" in modules
+    calls = [
+        f"{path.name}:{line}"
+        for path in modules
+        if path.name != "fileio.py"
+        for line in _file_calls(ast.parse(path.read_bytes()))
+    ]
+    assert not calls, f"files opened outside lpam/fileio.py: {calls}"
+    assert list(_file_calls(ast.parse((package / "fileio.py").read_bytes())))

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from lpam import solver
+from lpam import fileio, solver
 from lpam.core import TwoBlockPoint, grad_phi_eps, phi_eps
 from lpam.extractor import IdentityExtractor, random_extractor
-from lpam.fileio import FormatError
+from lpam.fileio import FormatError, IterateRecord, read_trace_csv, write_trace_csv
 from lpam.objectives import JointRecovery, QuadraticPoint, QuadraticToy
 from lpam.operators import InstanceSpec, generate_instance
 from lpam.solver import (
@@ -20,14 +20,11 @@ from lpam.solver import (
     EXIT_LINE_SEARCH,
     EXIT_NUMERIC,
     EXIT_TOLERANCE,
-    IterateRecord,
     LpamConfig,
     lpam_run,
-    read_trace_csv,
     safeguard_check,
     u_step,
     v_step_with_linesearch,
-    write_trace_csv,
 )
 
 from tests.oracles import half_count_m, reference_lpam_run, write_trace_csv_reference
@@ -669,9 +666,12 @@ def test_run_matches_the_reference_state_machine(kind, mode, sigma):
 @functools.cache
 def _drawn_case(kind: str):
     """(objective, start) of a drawn reference-machine case: the quadratic
-    toy from an uneven start, or the 8x8 identity recovery from zero fill."""
+    toy from an uneven start, the 8x8 identity recovery from zero fill, or
+    the 16x16 identity or 8x8 CNN recovery of the fixed cases."""
     if kind == "quadratic":
         return QuadraticToy(), TwoBlockPoint(np.linspace(-1.0, 2.0, 8), np.cos(np.arange(8.0)))
+    if kind in ("identity-16", "cnn-8"):
+        return _reference_case(kind.split("-")[0])[:2]
     obj, _ = recovery_objective()
     return obj, obj.zero_filled()
 
@@ -706,8 +706,8 @@ def reference_configs(draw):
 
 # phases that switch while both branches run, the fallback backtracks and
 # some iterations reduce eps and others do not: on the quadratic toy, then
-# on the identity recovery
-@pytest.mark.parametrize("kind", ["quadratic", "identity"])
+# on the identity and CNN recoveries
+@pytest.mark.parametrize("kind", ["quadratic", "identity", "identity-16", "cnn-8"])
 @given(cfg=reference_configs())
 @example(
     cfg=LpamConfig(
@@ -843,7 +843,7 @@ def _edit_cell(text: str, line: int, column: str, cell: str) -> str:
 
     def edit(row: str) -> str:
         parts = row.split(",")
-        parts[solver._HEADER.index(column)] = cell
+        parts[fileio._HEADER.index(column)] = cell
         return ",".join(parts)
 
     return _edit_line(text, line, edit)
@@ -924,7 +924,7 @@ def test_the_written_traces_take_the_pattern_path(tmp_path, monkeypatch):
     def row_by_row(line, k):
         raise AssertionError(f"row {k + 2} was read on its own")
 
-    monkeypatch.setattr(solver, "_row", row_by_row)
+    monkeypatch.setattr(fileio, "_row", row_by_row)
     for kind in TRACE_KINDS:
         assert _read(tmp_path / "trace.csv", _trace_text(kind)) == list(solver_trace(kind))
     # finite floats whose sum overflows, and a trace of no rows
@@ -965,7 +965,7 @@ edited_cells = st.sampled_from(
 CELL_VALUE = {"int": int, "float": float, "str": str, "bool": "1".__eq__}
 
 
-@given(line=st.integers(0, 10), column=st.sampled_from(solver._HEADER), cell=edited_cells)
+@given(line=st.integers(0, 10), column=st.sampled_from(fileio._HEADER), cell=edited_cells)
 @example(line=0, column="k", cell="j")
 @example(line=1, column="k", cell='"0"')
 @example(line=1, column="k", cell="-0")
@@ -981,7 +981,7 @@ def test_trace_reader_agrees_with_the_csv_path_on_any_one_cell(line, column, cel
         got = _read(path, _edit_cell(_trace_text("cnn"), line, column, cell))
     if isinstance(got, list):
         if line > 0:
-            field_type = next(f.type for f in solver._FIELDS if f.name == column)
+            field_type = next(f.type for f in fileio._FIELDS if f.name == column)
             value = CELL_VALUE[field_type](cell)
             original[line - 1] = dataclasses.replace(original[line - 1], **{column: value})
         assert got == original
