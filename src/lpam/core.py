@@ -16,6 +16,14 @@ from typing import Callable
 import numpy as np
 
 
+# numpy's dot kernels past its array-function dispatch layer, which opens a
+# Python frame on every call: numpy sets each public function's
+# ``__wrapped__`` to the C function it calls, so these give the bits and
+# the warnings of np.vdot and np.dot.  Every dot product of a solve takes one.
+_vdot = np.vdot.__wrapped__
+_dot = np.dot.__wrapped__
+
+
 class NumericError(RuntimeError):
     """A solver-fatal non-finite value was produced, named by its source."""
 
@@ -97,9 +105,11 @@ class TwoBlockPoint:
     x1: np.ndarray
     x2: np.ndarray
 
-    def __init__(self, x1, x2):
-        # each block converted once and written straight into the instance
-        # dict, which __setattr__ would refuse; kept values and
+    def __init__(self, x1, x2, obj=None):
+        # the one constructor body of every point: an EvaluatedPoint passes
+        # the objective it is bound to as ``obj``, and a plain point holds
+        # none.  Each block is converted once and written straight into the
+        # instance dict, which __setattr__ would refuse; kept values and
         # functools.cached_property write the dict directly too
         x1 = np.asarray(x1, np.float64)
         x2 = np.asarray(x2, np.float64)
@@ -108,6 +118,8 @@ class TwoBlockPoint:
         d = self.__dict__
         d["x1"] = x1
         d["x2"] = x2
+        if obj is not None:
+            d["obj"] = obj
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to {name!r} of a frozen point")
@@ -128,13 +140,13 @@ class TwoBlockPoint:
 
     def _squared_norms(self) -> tuple[np.float64, np.float64]:
         # kept in the instance dict, as functools.cached_property keeps a
-        # value, without that descriptor's per-call lock.  np.vdot gives
+        # value, without that descriptor's per-call lock.  _vdot gives
         # np.dot's bits on a real vector but sets no floating-point flag, so
         # a sum that overflows reads inf without a warning and without the
         # cost of an np.errstate around it
         sq = self.__dict__.get("_sq")
         if sq is None:
-            sq = self.__dict__["_sq"] = np.vdot(self.x1, self.x1), np.vdot(self.x2, self.x2)
+            sq = self.__dict__["_sq"] = _vdot(self.x1, self.x1), _vdot(self.x2, self.x2)
         return sq
 
     def is_finite(self) -> bool:
@@ -154,9 +166,9 @@ class TwoBlockPoint:
     def diff_norms(self, other: "TwoBlockPoint") -> tuple[float, float]:
         """(||x1 - y1||, ||x2 - y2||)."""
         # sqrt(dot(d, d)) is what np.linalg.norm computes for a real vector;
-        # np.vdot gives its bits, and an overflow reads inf without a warning
+        # _vdot gives its bits, and an overflow reads inf without a warning
         d1, d2 = self.x1 - other.x1, self.x2 - other.x2
-        return math.sqrt(np.vdot(d1, d1)), math.sqrt(np.vdot(d2, d2))
+        return math.sqrt(_vdot(d1, d1)), math.sqrt(_vdot(d2, d2))
 
 
 class EvaluatedPoint(TwoBlockPoint):
@@ -170,12 +182,11 @@ class EvaluatedPoint(TwoBlockPoint):
     of the joint term, (grad1_h, grad2_h).  A point may keep the
     eps-independent work of its terms, so the arrays must not be mutated
     after evaluation.  Returned arrays may be shared between calls and may
-    be the point's own blocks, so no caller writes them.
+    be the point's own blocks, so no caller writes them.  It is made as
+    ``cls(x1, x2, obj)``, through :class:`TwoBlockPoint`'s constructor.
     """
 
-    def __init__(self, x1, x2, obj: "SmoothedObjective"):
-        TwoBlockPoint.__init__(self, x1, x2)
-        self.__dict__["obj"] = obj
+    obj: "SmoothedObjective"
 
 
 class SmoothedObjective:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import cached_property
 import numpy as np
 
-from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint
+from .core import EvaluatedPoint, SmoothedObjective, TwoBlockPoint, _dot, _vdot
 from .extractor import WeightedPullback
 from .operators import KSpaceData, MaskedDft, squared_norm
 
@@ -43,8 +43,10 @@ class QuadraticPoint(EvaluatedPoint):
         return 0.5 * float(self._squared_norms()[1])
 
     def h(self, eps):
+        # the binding of np.vdot, as for the squared block norms: an overflow
+        # reads inf without a warning
         d = self._diff()
-        return 0.5 * float(np.vdot(d, d))
+        return 0.5 * float(_vdot(d, d))
 
     def grad_h1(self, eps):
         return self.x1
@@ -112,7 +114,7 @@ def r_eps(norms: np.ndarray, eps: float) -> float:
     if eps <= 0:
         raise ValueError("eps must be positive")
     m = np.minimum(norms, eps)
-    return float(np.dot(m, m) / (2.0 * eps) + np.sum(norms - m))
+    return float(_dot(m, m) / (2.0 * eps) + np.sum(norms - m))
 
 
 def grad_r_eps(

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import scratch, store_floats
+from .core import _dot, scratch, store_floats
 
 
 def _dft_buffers(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +226,7 @@ def squared_norm(resid: np.ndarray) -> float:
     """Squared norm of a k-space residual, full or on the sampled
     frequencies, as one dot product over its float view."""
     v = np.ascontiguousarray(resid).reshape(-1).view(np.float64)
-    return float(np.dot(v, v))
+    return float(_dot(v, v))
 
 
 def residual_energy(resid: np.ndarray) -> float:
@@ -244,7 +244,7 @@ def _log2_norm(v: np.ndarray, n2: float) -> float:
         shift = 600 if n2 else -600
         with np.errstate(over="ignore"):
             v = np.ldexp(v, -shift)
-            n2 = float(np.dot(v, v))
+            n2 = float(_dot(v, v))
     if n2 == 0.0:
         return -math.inf
     if not n2 < math.inf:
@@ -265,7 +265,7 @@ def _balance(v1: np.ndarray, v2: np.ndarray, dots=None) -> tuple[float, float, f
     """
     if dots is None:
         with np.errstate(over="ignore"):
-            dots = np.dot(v1, v1), np.dot(v2, v2)
+            dots = _dot(v1, v1), _dot(v2, v2)
     e1, e2 = _log2_norm(v1, float(dots[0])), _log2_norm(v2, float(dots[1]))
     if math.isnan(e1) or math.isnan(e2):
         return 1.0, 1.0, 1.0

@@ -273,6 +273,7 @@ def lpam_run(
     k_steady = max(map(len, _schedules(config)))
     residual = config.mode == "lpam"
     gamma, eps_sigma, eps_tol = config.gamma, config.eps_sigma, config.eps_tol
+    threshold = config.reduction_threshold
     append = state.trace.append
     reduced = True  # phi and its gradient are taken afresh at the start point
     # a candidate or line-search trial that overflows is rejected by an
@@ -310,19 +311,14 @@ def lpam_run(
                 exit_reason = EXIT_LINE_SEARCH
                 break
 
-            reduced = gn_n < config.reduction_threshold(eps)
+            reduced = gn_n < threshold(eps)
+            # positional, in IterateRecord's field order: k, eps, phi,
+            # grad_norm, branch, ls_count, decrease, reduced, phi_pre,
+            # grad_norm_pre (keywords cost twice as much per row)
             append(
                 IterateRecord(
-                    k=k,
-                    eps=eps,
-                    phi=phi_n,
-                    grad_norm=gn_n,
-                    branch="u" if accepted else "v",
-                    ls_count=ls_count,
-                    decrease=phi_x - phi_n,
-                    reduced=reduced,
-                    phi_pre=phi_x,
-                    grad_norm_pre=gn_x,
+                    k, eps, phi_n, gn_n, "u" if accepted else "v",
+                    ls_count, phi_x - phi_n, reduced, phi_x, gn_x,
                 )
             )
             X = Xn

@@ -1,12 +1,14 @@
 import dataclasses
 import gc
+import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from lpam import core, extractor, operators
+from lpam import core, extractor
 from lpam.core import (
     NumericError,
     TwoBlockPoint,
@@ -49,6 +51,27 @@ def _count_calls(monkeypatch, owner, name) -> list:
 
     monkeypatch.setattr(owner, name, counting)
     return calls
+
+
+def _count_dots(monkeypatch) -> list:
+    """Record the first operand of every dot product taken: the package takes
+    each through its modules' bindings of numpy's kernels (``lpam.core._dot``
+    and ``_vdot``), and any through ``np.dot`` or ``np.vdot`` counts too."""
+    dotted = []
+
+    def counting(real):
+        def dot(a, b, *rest):
+            dotted.append(a)
+            return real(a, b, *rest)
+
+        return dot
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "lpam"]
+    for module in (np, *modules):
+        for name in ("dot", "vdot", "_dot", "_vdot"):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting(vars(module)[name]))
+    return dotted
 
 
 def _count_forward_passes(monkeypatch) -> list:
@@ -125,12 +148,11 @@ def test_norm_reuses_the_squared_block_norms_of_is_finite(monkeypatch):
     rng = np.random.default_rng(7)
     x1, x2 = rng.normal(size=50) * 1e100, rng.normal(size=30)
     want = float(np.sqrt(np.dot(x1, x1) + np.dot(x2, x2)))
-    dots = _count_calls(monkeypatch, np, "dot")
-    vdots = _count_calls(monkeypatch, np, "vdot")
+    dots = _count_dots(monkeypatch)
     X = TwoBlockPoint(x1, x2)
     assert X.is_finite()
     assert X.norm() == want and X.norm() == want
-    assert len(dots) + len(vdots) == 2
+    assert len(dots) == 2
 
 
 def test_gradient_norm_costs_no_dot_products(monkeypatch):
@@ -139,10 +161,9 @@ def test_gradient_norm_costs_no_dot_products(monkeypatch):
     obj = _identity_objective()
     G = grad_phi_eps(obj, obj.zero_filled(), 0.01)
     want = float(np.sqrt(np.dot(G.x1, G.x1) + np.dot(G.x2, G.x2)))
-    dots = _count_calls(monkeypatch, np, "dot")
-    vdots = _count_calls(monkeypatch, np, "vdot")
+    dots = _count_dots(monkeypatch)
     assert G.norm() == want
-    assert dots == [] and vdots == []
+    assert dots == []
 
 
 def test_squared_block_norms_overflow_without_a_warning():
@@ -161,6 +182,36 @@ def test_squared_block_norms_overflow_without_a_warning():
                     want = np.dot(block, block)
                 got = TwoBlockPoint(block, block)._squared_norms()[0]
                 assert got.tobytes() == want.tobytes()
+
+
+def _dot_outcome(dot, a, b):
+    """The bytes of dot(a, b) under the warnings-as-errors filter, or the
+    warning it raised as (category, message)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.float64(dot(a, b)).tobytes()
+        except Warning as w:
+            return type(w), str(w)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1024, 16384])
+def test_dot_bindings_give_numpys_bits_and_warnings(n):
+    # the bindings skip numpy's dispatch layer and nothing else: the same
+    # bits as np.vdot and np.dot, and a warning, an error here, exactly
+    # where they give one: vdot overflows silently and dot warns
+    rng = np.random.default_rng(n)
+    x, y = rng.normal(size=n), rng.normal(size=n) * 1e-150
+    big = np.full(n, 1e200)
+    part = x.copy()
+    part[n // 2 :] = -1e200
+    pairs = [(x, y), (x, x), (x[::-1], y), (big, big), (part, part), (big, -x), (y, y)]
+    for binding, public in ((core._vdot, np.vdot), (core._dot, np.dot)):
+        for a, b in pairs:
+            assert _dot_outcome(binding, a, b) == _dot_outcome(public, a, b)
+    if n:
+        assert _dot_outcome(core._vdot, big, big) == np.float64(np.inf).tobytes()
+        assert _dot_outcome(core._dot, big, big)[0] is RuntimeWarning
 
 
 def test_quadratic_overflow_is_a_numeric_error_without_a_warning():
@@ -599,24 +650,7 @@ def test_recovery_point_takes_each_squared_norm_once(monkeypatch):
     obj = _identity_objective()
     rng = np.random.default_rng(5)
     P = obj.point(rng.normal(size=64), rng.normal(size=64))
-    dotted = []
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        @staticmethod
-        def dot(a, b, *rest):
-            dotted.append(a)
-            return np.dot(a, b, *rest)
-
-        @staticmethod
-        def vdot(a, b):
-            dotted.append(a)
-            return np.vdot(a, b)
-
-    for module in (core, operators):
-        monkeypatch.setattr(module, "np", CountingNumpy())
+    dotted = _count_dots(monkeypatch)
     assert P.is_finite()
     phi_eps(obj, P, 1e-2)
     grad_phi_eps(obj, P, 1e-2)

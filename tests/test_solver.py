@@ -746,6 +746,66 @@ def test_drawn_runs_match_the_reference_state_machine(kind, cfg):
     assert state.X.x1.tobytes() == X.x1.tobytes() and state.X.x2.tobytes() == X.x2.tobytes()
 
 
+def _fault_config(**changes) -> LpamConfig:
+    return dataclasses.replace(QUAD_STATIONARITY, **changes)
+
+
+# runs of the fault objectives as (objective, start, config, exit reason):
+# a line search that fails at once, or after 26 rows whose candidates and
+# trials a barrier of infinite h1 rejected; a NaN joint gradient; and a
+# non-finite gradient at an accepted point (NaN, or entries whose norm
+# overflows), at once or after 19 rows
+FAULT_RUNS = {
+    "ascent-lpam": (
+        AscentObjective, ([1.0], [2.0]), _fault_config(max_iter=5, ls_max=20), EXIT_LINE_SEARCH
+    ),
+    "ascent-bcd": (
+        AscentObjective,
+        ([1.0], [2.0]),
+        _fault_config(mode="bcd", max_iter=5, ls_max=20),
+        EXIT_LINE_SEARCH,
+    ),
+    "nan-grad-lpam": (NanGradObjective, ([1.0], [1.0]), _fault_config(), EXIT_NUMERIC),
+    "nan-grad-bcd": (NanGradObjective, ([1.0], [1.0]), _fault_config(mode="bcd"), EXIT_NUMERIC),
+    **{
+        f"bad-grad-{name}-{mode}{suffix}": (
+            functools.partial(BadGradNearOriginObjective, fill),
+            start,
+            _fault_config(mode=mode),
+            EXIT_NUMERIC,
+        )
+        for name, fill in (("nan", np.nan), ("overflow", 1e300))
+        for mode, suffix, start in (
+            ("lpam", "", ([1.0], [1.0])),
+            ("bcd", "", ([1.0], [1.0])),
+            ("lpam", "-after-rows", ([5.0, 3.0], [1.0, 2.0])),
+        )
+    },
+    "barrier-bcd": (
+        BarrierObjective, ([1.0], [0.0]), _fault_config(mode="bcd", max_iter=50), EXIT_TOLERANCE
+    ),
+    "barrier-line-search-lpam": (
+        BarrierObjective,
+        ([1.0], [0.0]),
+        dataclasses.replace(LINE_SEARCH, max_iter=50),
+        EXIT_LINE_SEARCH,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_RUNS)
+def test_fault_runs_match_the_reference_state_machine(case):
+    # the loop's except branches and rejected trials end a run, or go on
+    # from it, as the reference does: the same rows, exit and final point
+    make, (x1, x2), cfg, exit_reason = FAULT_RUNS[case]
+    obj, X0 = make(), TwoBlockPoint(x1, x2)
+    state, reason = lpam_run(obj, X0, cfg)
+    trace, want_reason, X = reference_lpam_run(obj, X0, cfg)
+    assert reason == want_reason == exit_reason
+    assert _bits(state.trace) == _bits(trace)
+    assert state.X.x1.tobytes() == X.x1.tobytes() and state.X.x2.tobytes() == X.x2.tobytes()
+
+
 def test_the_quadratic_cli_run_reduces_and_carries_over():
     trace = solver_trace("quadratic-cli")
     assert len(trace) == 914 and sum(r.reduced for r in trace) == 34
