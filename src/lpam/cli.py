@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .core import ConfigError, NumericError, TwoBlockPoint, store_floats
+from .core import NumericError, TwoBlockPoint, store_floats
 from .diagnostics import audit_report, metrics
 from .extractor import FeatureExtractor, IdentityExtractor
 # called by these names, not through fileio, because perfbench's PATCH_POINTS wraps them here
@@ -45,17 +45,17 @@ class ObjectiveSpec:
     def __post_init__(self) -> None:
         store_floats(self, ("act_delta", "lam"), "objective.")
         if self.kind not in ("quadratic", "identity", "extractor"):
-            raise ConfigError(f"unknown objective kind {self.kind!r}")
+            raise ValueError(f"unknown objective kind {self.kind!r}")
         if not (0 <= self.lam < math.inf):
-            raise ConfigError("objective.lam must be nonnegative and finite")
+            raise ValueError("objective.lam must be nonnegative and finite")
         if not (0 < self.act_delta < math.inf):
-            raise ConfigError("objective.act_delta must be positive and finite")
+            raise ValueError("objective.act_delta must be positive and finite")
         if not isinstance(self.weights_file, (str, type(None))):
-            raise ConfigError(
+            raise ValueError(
                 f"objective.weights_file must be a string or None, got {self.weights_file!r}"
             )
         if self.kind == "extractor" and not self.weights_file:
-            raise ConfigError("objective.weights_file required for kind 'extractor'")
+            raise ValueError("objective.weights_file required for kind 'extractor'")
 
 
 # section -> the keys it may hold: the fields of the section's spec
@@ -88,7 +88,7 @@ class RunConfig:
         inst = _section(raw, "instance")
         seed = inst.pop("seed", 0)
         if type(seed) is not int or seed < 0:
-            raise ConfigError(f"instance.seed must be a nonnegative integer, got {seed!r}")
+            raise ValueError(f"instance.seed must be a nonnegative integer, got {seed!r}")
         return RunConfig(
             instance=InstanceSpec(**{"height": 32, "width": 32, **inst}),
             seed=seed,
@@ -102,7 +102,7 @@ def _section(raw: dict, name: str) -> dict:
     absent keys take their defaults there."""
     section = raw.get(name, {})
     if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a JSON object")
+        raise ValueError(f"config section {name!r} must be a JSON object")
     _reject_unknown(section, _SCHEMA[name], name)
     return dict(section)
 
@@ -110,16 +110,16 @@ def _section(raw: dict, name: str) -> dict:
 def _reject_unknown(d: dict, allowed, where: str) -> None:
     unknown = d.keys() - allowed
     if unknown:
-        raise ConfigError(f"unknown config keys in {where}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys in {where}: {sorted(unknown)}")
 
 
 def load_config(path: str, overrides: list[str], mode: str | None, seed: int | None) -> RunConfig:
     raw = fileio.read_json(path)
     if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValueError("config root must be a JSON object")
     for ov in overrides:
         if "=" not in ov:
-            raise ConfigError(f"override must look like key=value: {ov!r}")
+            raise ValueError(f"override must look like key=value: {ov!r}")
         key, value = ov.split("=", 1)
         _apply_override(raw, key, value)
     if mode is not None:
@@ -135,13 +135,13 @@ def _apply_override(raw: dict, dotted: str, value: str) -> None:
     except json.JSONDecodeError:
         parsed = value
     except (ValueError, RecursionError) as exc:  # such as a 5000-digit int, or too deep
-        raise ConfigError(f"invalid JSON in override {dotted}: {exc}") from exc
+        raise ValueError(f"invalid JSON in override {dotted}: {exc}") from exc
     parts = dotted.split(".")
     node = raw
     for p in parts[:-1]:
         node = node.setdefault(p, {})
         if not isinstance(node, dict):
-            raise ConfigError(f"override path {dotted!r} crosses a non-object")
+            raise ValueError(f"override path {dotted!r} crosses a non-object")
     node[parts[-1]] = parsed
 
 
@@ -162,7 +162,7 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
     """The generated instance in ``out``; None for the quadratic toy, which has none.
 
     Every array must have the configured (height, width) shape and its
-    dtype in :data:`_INSTANCE_FILES`, else :class:`ConfigError`, before
+    dtype in :data:`_INSTANCE_FILES`, else ``ValueError``, before
     anything is solved or written.
     """
     if cfg.objective.kind == "quadratic":
@@ -173,12 +173,12 @@ def _load_instance(cfg: RunConfig, out: Path) -> Instance | None:
         path = out / f"{name}.arr"
         arr = fileio.read_array(path)
         if arr.shape != shape:
-            raise ConfigError(
+            raise ValueError(
                 f"{path} has shape {arr.shape}, but instance.height and "
                 f"instance.width give {shape}"
             )
         if arr.dtype != dtype:
-            raise ConfigError(f"{path} has dtype {arr.dtype}, but {name} must be {dtype}")
+            raise ValueError(f"{path} has dtype {arr.dtype}, but {name} must be {dtype}")
         arrays.append(arr)
     truth1, truth2, mask, f1, f2 = arrays
     dft = MaskedDft(mask)
@@ -259,10 +259,10 @@ def cmd_metrics(x_path: str, y_path: str, squared_peak: bool) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a malformed command line, in any subcommand, as a ConfigError."""
+    """Reports a malformed command line, in any subcommand, as a ValueError."""
 
     def error(self, message: str):
-        raise ConfigError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+        raise ValueError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
 
 
 @functools.cache

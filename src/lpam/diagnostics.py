@@ -148,10 +148,15 @@ def audit_report(
     ``phi_pre`` and the solver's reduction threshold at its eps; both
     objectives are nonnegative, so 0 stands in for the optimal value.
 
-    A Lipschitz estimate, rate, reduction threshold or bound that is not
+    A trace longer than ``config.max_iter`` raises ``ValueError``.  A
+    Lipschitz estimate, rate, reduction threshold or bound that is not
     finite, or a quantity whose forming raises ``ArithmeticError``, raises
     :class:`NumericError` naming the quantity and the row's ``k`` and eps.
     """
+    if len(trace) > config.max_iter:
+        raise ValueError(
+            f"the trace has {len(trace)} rows, more than solver.max_iter = {config.max_iter}"
+        )
     failures, segs, violations = [], [], []
     # the last reduced row's k; the open segment's first row and its rate sum
     prev, first, rate_sum = -1, None, None

@@ -126,17 +126,12 @@ class MaskedDft:
     def sample(self, f: np.ndarray) -> np.ndarray:
         """The entries of full (height, width) k-space data f at the sampled
         frequencies, a fresh vector in flat (row-major) order, of f's dtype.
-        Entries off the mask are never read, so not even a signalling NaN
-        there raises a warning.  No full-size copy of f is made: f is
-        gathered through a flat view where its rows are evenly spaced, as in
-        a contiguous array or a ``.real`` view, and else, as in a transpose,
-        through its strides."""
+        An f whose rows are not evenly spaced, such as a transpose, is
+        copied first.  No floating-point operation touches an entry off
+        the mask, so not even a signalling NaN there raises a warning."""
         if np.shape(f) != self.shape:
             raise ValueError("k-space data shape does not match mask")
-        f = np.asarray(f)
-        if not (f.flags.c_contiguous or f.strides[0] == f.shape[1] * f.strides[1]):
-            return f.flat[self._on]
-        return f.reshape(-1)[self._on]
+        return np.asarray(f).reshape(-1)[self._on]
 
     def unsample(self, y: np.ndarray) -> np.ndarray:
         """The full (height, width) complex array holding the values y at

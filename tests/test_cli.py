@@ -366,6 +366,28 @@ def test_audit_without_events_passes(tmp_path):
     assert report["segments"] == []
 
 
+def test_audit_refuses_a_trace_longer_than_max_iter(tmp_path, capsys):
+    # no run under a config makes more rows than its solver.max_iter, so
+    # such a trace is refused by name and no report is written; at exactly
+    # max_iter rows the trace is audited as before
+    cfg = write_config(tmp_path / "cfg.json", solver={"max_iter": 30})
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg), "--out", str(out)]
+    for command in ("generate", "solve", "audit"):
+        assert main([command, *argv]) == 0
+    assert len(cli.read_trace_csv(out / "trace.csv")) == 30
+    report = (out / "report.json").read_bytes()
+    (out / "report.json").unlink()
+    capsys.readouterr()
+    assert main(["audit", *argv, "--override", "solver.max_iter=3"]) == 3
+    assert capsys.readouterr().err == (
+        "error: the trace has 30 rows, more than solver.max_iter = 3\n"
+    )
+    assert not (out / "report.json").exists()
+    assert main(["audit", *argv]) == 0
+    assert (out / "report.json").read_bytes() == report
+
+
 # old configs may still set "order", "audits" or "phantom", keys of deleted options
 @pytest.mark.parametrize(
     "section, key, value",
@@ -521,7 +543,7 @@ def test_a_refused_solve_creates_no_output_directory(tmp_path, capsys):
 )
 def test_objective_spec_rejects_non_finite_values(field, value, message):
     for kind in ("identity", "extractor"):
-        with pytest.raises(cli.ConfigError, match=message):
+        with pytest.raises(ValueError, match=message):
             cli.ObjectiveSpec(kind=kind, **{field: value})
 
 

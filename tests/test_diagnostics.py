@@ -12,7 +12,7 @@ from lpam.operators import InstanceSpec, generate_instance
 from lpam.fileio import IterateRecord
 from lpam.solver import LpamConfig, lpam_run
 
-from tests.test_solver import QUAD_STATIONARITY, recovery_objective
+from tests.cases import QUAD_STATIONARITY, recovery_objective
 
 
 def _ls_config(ls_delta, alpha_bar, beta_bar, rho):

@@ -21,7 +21,7 @@ import numpy as np
 import lpam
 from lpam import QuadraticToy, TwoBlockPoint, lpam_run
 
-from tests.test_solver import QUAD_CLI
+from tests.cases import QUAD_CLI
 
 SIDE = 32
 # lpam frames per iteration of the 914-iteration solve (numpy 2.4,

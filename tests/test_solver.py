@@ -27,27 +27,11 @@ from lpam.solver import (
     v_step_with_linesearch,
 )
 
+from tests.cases import QUAD_CLI, QUAD_STATIONARITY, recovery_objective, solver_trace
 from tests.oracles import half_count_m, reference_lpam_run, write_trace_csv_reference
-
-QUAD_STATIONARITY = LpamConfig(
-    eps0=1.0,
-    gamma=0.5,
-    eps_sigma=1.0,
-    eps_tol=1e-5,
-    step_alpha=(0.05,),
-    step_tau=(0.05,),
-    step_beta=(0.05,),
-    step_gamma=(0.05,),
-    max_iter=2000,
-)
 
 # the fallback line search's parameters (the defaults, spelled out)
 LINE_SEARCH = LpamConfig(alpha_bar=0.9, beta_bar=0.9, rho=0.5, ls_delta=0.1, ls_max=60)
-
-
-def recovery_objective(size=8, seed=0, lam=0.0093):
-    inst = generate_instance(InstanceSpec(height=size, width=size), seed)
-    return JointRecovery(inst.dft, inst.kspace, IdentityExtractor(size, size), lam), inst
 
 
 def test_u_step_zero_steps_is_identity():
@@ -592,34 +576,6 @@ def test_trace_writer_matches_the_csv_writer(trace):
     assert _written(write_trace_csv, trace) == _written(write_trace_csv_reference, trace)
 
 
-# the quadratic-cli benchmark workload's solver settings: a run to eps_tol
-# with 34 reductions, 879 of its 914 rows carrying eps, phi and grad_norm over
-QUAD_CLI = dataclasses.replace(
-    QUAD_STATIONARITY,
-    eps_tol=1e-10,
-    step_alpha=(0.03,),
-    step_tau=(0.03,),
-    step_beta=(0.03,),
-    step_gamma=(0.03,),
-)
-
-
-@functools.cache
-def solver_trace(kind: str) -> tuple[IterateRecord, ...]:
-    """The trace of one solver run: the quadratic toy from a fixed start,
-    to tolerance, or ten iterations of an 8x8 identity or CNN recovery."""
-    if kind == "quadratic":
-        obj, X0, cfg = QuadraticToy(), TwoBlockPoint(np.ones(4), -np.ones(4)), QUAD_STATIONARITY
-    elif kind == "quadratic-cli":  # lpam solve's start point at 32x32
-        obj, X0, cfg = QuadraticToy(), TwoBlockPoint(np.ones(1024), np.ones(1024)), QUAD_CLI
-    else:
-        inst = generate_instance(InstanceSpec(height=8, width=8), 0)
-        ext = IdentityExtractor(8, 8) if kind == "identity" else random_extractor(8, 8, seed=1)
-        obj = JointRecovery(inst.dft, inst.kspace, ext, 0.0093)
-        X0, cfg = obj.zero_filled(), LpamConfig(max_iter=10)
-    return tuple(lpam_run(obj, X0, cfg)[0].trace)
-
-
 def _bits(trace) -> list[tuple]:
     """Each record's fields, a float as its hex spelling, so -0.0 is not 0.0."""
     return [
@@ -826,11 +782,8 @@ def test_solver_traces_are_written_as_the_csv_writer_writes_them(kind):
     "column, cell",
     [
         ("ls_count", "0_3"),
-        ("phi", "0.9_0"),
         ("k", "+1"),
         ("eps", " 0.5"),
-        ("decrease", "1E-3"),
-        ("grad_norm", "\uff11"),  # a fullwidth digit one
     ],
 )
 def test_trace_reader_refuses_a_number_no_trace_spells(tmp_path, column, cell):
@@ -912,7 +865,7 @@ def _edit_cell(text: str, line: int, column: str, cell: str) -> str:
 def _read(path: Path, text: str):
     """What read_trace_csv makes of ``text``: the records, or the
     FormatError message."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     try:
         return read_trace_csv(path)
@@ -957,6 +910,10 @@ REFUSED_EDITS = {
     "ls_count 0_3": (lambda t: _edit_cell(t, 4, "ls_count", "0_3"), 5, "ls_count "),
     "eps with a space": (lambda t: _edit_cell(t, 4, "eps", " 1"), 5, "eps "),
     "phi 1E5": (lambda t: _edit_cell(t, 4, "phi", "1E5"), 5, "phi "),
+    "phi 0.9_0": (lambda t: _edit_cell(t, 4, "phi", "0.9_0"), 5, "phi "),
+    "decrease 1E-3": (lambda t: _edit_cell(t, 4, "decrease", "1E-3"), 5, "decrease "),
+    # a fullwidth digit one, which int() and float() read
+    "grad_norm fullwidth 1": (lambda t: _edit_cell(t, 4, "grad_norm", "\uff11"), 5, "grad_norm "),
     "grad_norm inf": (lambda t: _edit_cell(t, 4, "grad_norm", "inf"), 5, "grad_norm "),
     "decrease nan": (lambda t: _edit_cell(t, 4, "decrease", "nan"), 5, "decrease "),
     "phi_pre 1e999": (lambda t: _edit_cell(t, 4, "phi_pre", "1e999"), 5, "phi_pre "),
